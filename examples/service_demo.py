@@ -135,6 +135,7 @@ def run_one_session(base_url: str, worker: int) -> "tuple[str, int, int]":
             assert replay == first, "idempotent replay must not re-apply"
     summary = client.session_info(info.session_id)
     client.close_session(info.session_id)
+    client.close()  # hang up the kept-alive connection the calls above shared
     return summary.session_id, summary.total_shown, summary.positives_found
 
 
@@ -235,6 +236,7 @@ def main() -> None:
                 "[compat] legacy unversioned routes still served; their "
                 "sessions appear in GET /v1/sessions"
             )
+            client.close()
         finally:
             child.terminate()
             child.wait(timeout=10.0)

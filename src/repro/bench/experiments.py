@@ -1029,6 +1029,7 @@ def table6_protocol_streaming(
                         "total_ms": best_total * 1000.0,
                     }
                 )
+        client.close()
     return ProtocolStreamingResult(rows=rows)
 
 

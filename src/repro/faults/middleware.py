@@ -32,7 +32,7 @@ from repro.exceptions import InternalServiceError
 from repro.faults.inject import KIND_ERROR, FaultDecider
 from repro.faults.plan import FaultPlan
 from repro.obs import MetricsRegistry, get_registry
-from repro.server.middleware import Handler, Request, Response, route_template
+from repro.server.middleware import Handler, Request, Response
 
 
 class ChaosMiddleware:
@@ -74,7 +74,7 @@ class ChaosMiddleware:
         ).labels(kind).inc()
 
     def __call__(self, request: Request, handler: Handler) -> Response:
-        if route_template(request.target) in self.EXEMPT_ROUTES:
+        if request.route in self.EXEMPT_ROUTES:
             return handler(request)
         outcome = self.decider.decide()
         if outcome.latency_seconds > 0.0:

@@ -45,7 +45,7 @@ from __future__ import annotations
 import logging
 import time
 from typing import Any, Iterator, Sequence
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs
 
 import math
 
@@ -92,7 +92,6 @@ from repro.server.middleware import (
     Response,
     emit_access_record,
     record_request_metrics,
-    route_template,
 )
 
 
@@ -153,6 +152,7 @@ class SeeSawApp:
         if middlewares is None:
             middlewares = default_middlewares(manager)
         self.pipeline = MiddlewarePipeline(middlewares)
+        self._handler = self.pipeline.bind(self._endpoint)
 
     # ------------------------------------------------------------------
     # entry points
@@ -193,7 +193,7 @@ class SeeSawApp:
         """Full entry point: middleware pipeline around the router."""
         started = time.perf_counter()
         try:
-            return self.pipeline.run(request, self._endpoint)
+            return self._handler(request)
         except Exception as exc:
             # Errors raised by the pipeline itself (rate limiting, a broken
             # custom middleware) — everything the router raises is already
@@ -229,9 +229,8 @@ class SeeSawApp:
     # routing
     # ------------------------------------------------------------------
     def _endpoint(self, request: Request) -> Response:
-        parts = urlsplit(request.target)
-        segments = [segment for segment in parts.path.split("/") if segment]
-        query = parse_qs(parts.query)
+        segments = [segment for segment in request.path.split("/") if segment]
+        query = parse_qs(request.query)
         method = request.method.upper()
         try:
             if segments[:1] == [PROTOCOL_VERSION]:
@@ -245,7 +244,7 @@ class SeeSawApp:
         return self._finish_error(request, exc, self._encode_exception(request, exc))
 
     def _encode_exception(self, request: Request, exc: BaseException) -> Response:
-        if _is_v1(request.target):
+        if _is_v1(request.path):
             status, payload = encode_error(exc, request_id=request.request_id)
             return Response(status, payload)
         # The legacy envelope, bit-compatible with the pre-`/v1` server.
@@ -283,7 +282,7 @@ class SeeSawApp:
                 "Requests failed with the typed 504: the propagated budget "
                 "ran out before the work finished, by route.",
                 labels=("route",),
-            ).labels(route_template(request.target)).inc()
+            ).labels(request.route).inc()
         return response
 
     def _route_legacy(
@@ -443,8 +442,7 @@ class SeeSawApp:
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-def _is_v1(target: str) -> bool:
-    path = urlsplit(target).path
+def _is_v1(path: str) -> bool:
     return [s for s in path.split("/") if s][:1] == [PROTOCOL_VERSION]
 
 

@@ -4,7 +4,8 @@ Two clients live here:
 
 * :class:`HTTPClient` — the `/v1` client, implementing the transport-
   agnostic :class:`~repro.server.protocol.SeeSawClientProtocol` (structured
-  error envelopes, NDJSON streaming, idempotency keys, cursor paging);
+  error envelopes, NDJSON streaming, idempotency keys, cursor paging) over
+  pooled keep-alive connections;
 * :class:`ServiceClient` — the original client for the legacy unversioned
   routes, preserved unchanged so pre-`/v1` callers keep working.
 
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 import http.client
 import json
-import socket
+import selectors
+import threading
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -55,6 +57,13 @@ from repro.server.errors import decode_error
 from repro.server.protocol import SeeSawClientProtocol
 from repro.server.retry import RetryPolicy
 
+_MAX_IDLE_CONNECTIONS = 8
+"""Idle connections one :class:`HTTPClient` keeps; a connection checked in
+past this is closed, never queued."""
+
+_ProbeSelector = getattr(selectors, "PollSelector", selectors.SelectSelector)
+"""``poll`` where the platform has it: unlike ``select`` it has no fd limit."""
+
 _ERROR_TYPES: "dict[str, type[ReproError]]" = {
     "TransportError": TransportError,
     "UnknownResourceError": UnknownResourceError,
@@ -78,6 +87,14 @@ class HTTPClient(SeeSawClientProtocol):
     behaviour.  Calls wrapped in
     :func:`~repro.server.deadlines.deadline_scope` send their remaining
     budget as ``X-Deadline-Ms`` either way.
+
+    Calls reuse connections: each instance keeps up to
+    ``_MAX_IDLE_CONNECTIONS`` idle keep-alive sockets, so threads may share
+    one client and a loop of calls pays one TCP connect, not one per call.
+    :meth:`close` (or leaving a ``with HTTPClient(...) as client:`` block)
+    hangs them up.  A connection the server closed while it sat idle is
+    replaced before anything is sent; the transport itself never resends a
+    request.  NDJSON streams run on a one-shot connection of their own.
     """
 
     def __init__(
@@ -91,7 +108,18 @@ class HTTPClient(SeeSawClientProtocol):
         self.timeout = timeout
         self.client_id = client_id
         self.retry_policy = retry_policy
-        self._host = urllib.parse.urlsplit(self.base_url).netloc or self.base_url
+        parts = urllib.parse.urlsplit(self.base_url)
+        self._host = parts.netloc or self.base_url
+        secure = parts.scheme == "https"
+        self._connection_type = (
+            http.client.HTTPSConnection if secure else http.client.HTTPConnection
+        )
+        self._address = (parts.hostname or "", parts.port or (443 if secure else 80))
+        self._prefix = parts.path
+        # Idle keep-alive connections, most recently used last.  Threads
+        # sharing the client check one out per call and back in after it.
+        self._idle: "list[http.client.HTTPConnection]" = []
+        self._idle_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # discovery
@@ -292,16 +320,11 @@ class HTTPClient(SeeSawClientProtocol):
             return decode_next_results_response(item["result"])
         return decode_error(200, {"error": item["error"]})
 
-    def _prepare(
-        self,
-        method: str,
-        path: str,
-        payload: "Mapping[str, Any] | None" = None,
-        headers: "Mapping[str, str] | None" = None,
-    ) -> urllib.request.Request:
-        body = None if payload is None else json.dumps(payload).encode("utf-8")
+    def _headers(
+        self, has_body: bool, extra: "Mapping[str, str] | None" = None
+    ) -> "dict[str, str]":
         merged: "dict[str, str]" = {}
-        if body is not None:
+        if has_body:
             merged["Content-Type"] = "application/json"
         if self.client_id is not None:
             merged["X-Client-Id"] = self.client_id
@@ -311,11 +334,9 @@ class HTTPClient(SeeSawClientProtocol):
             # retry attempt re-reads it, so the server always sees how much
             # the caller still has, not what it started with.
             merged[DEADLINE_HEADER] = f"{deadline.remaining_ms():.0f}"
-        if headers:
-            merged.update(headers)
-        return urllib.request.Request(
-            self.base_url + path, data=body, method=method, headers=merged
-        )
+        if extra:
+            merged.update(extra)
+        return merged
 
     def _call(
         self, attempt: "Any", idempotent: bool, operation: str
@@ -336,13 +357,10 @@ class HTTPClient(SeeSawClientProtocol):
         idempotent: bool = False,
         operation: str = "request",
     ) -> "dict[str, Any]":
+        body = None if payload is None else json.dumps(payload).encode("utf-8")
+
         def attempt() -> "dict[str, Any]":
-            request = self._prepare(method, path, payload, headers)
-            try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    raw = response.read()
-            except (OSError, http.client.HTTPException) as exc:
-                raise self._wire_error(exc) from exc
+            raw = self._exchange(method, path, body, headers)
             try:
                 return json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -352,61 +370,146 @@ class HTTPClient(SeeSawClientProtocol):
 
     def _request_text(self, method: str, path: str) -> str:
         """A request whose response body is plain text (Prometheus format)."""
-        request = self._prepare(method, path)
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                raw = response.read()
-        except (OSError, http.client.HTTPException) as exc:
-            raise self._wire_error(exc) from exc
+        raw = self._exchange(method, path)
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise TransportError(f"Server returned invalid UTF-8: {exc}") from exc
 
     def _stream(self, path: str) -> "Iterator[dict[str, Any]]":
-        """Yield decoded NDJSON records as the chunked response arrives."""
-        request = self._prepare("GET", path, headers={"Accept": "application/x-ndjson"})
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                for raw_line in response:
-                    line = raw_line.strip()
-                    if not line:
-                        continue
-                    try:
-                        yield json.loads(line.decode("utf-8"))
-                    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                        raise TransportError(
-                            f"Server sent an invalid NDJSON line: {exc}"
-                        ) from exc
-        except (OSError, http.client.HTTPException) as exc:
-            raise self._wire_error(exc) from exc
+        """Yield decoded NDJSON records as the chunked response arrives.
 
-    def _wire_error(self, exc: Exception) -> ReproError:
-        """One mapping for everything the socket layer can raise.
-
-        ``HTTPError`` carries a server envelope to decode; ``URLError``
-        means the service was never reached; anything else (IncompleteRead,
-        a connection reset mid-stream) is a connection that died partway —
-        all surface as the typed errors the protocol promises, never raw
-        ``http.client``/``OSError`` leakage.  Connection-level failures
-        carry ``request_sent``: refused/unreachable connections never got
-        the request out (always safe to retry), everything else may have —
-        the retry policy and circuit breaker branch on exactly this.
+        The caller consumes this lazily — it may abandon the generator, or
+        call the client again mid-iteration — so a stream never borrows a
+        pooled connection: it dials its own and closes it when the
+        generator ends, however it ends.
         """
-        if isinstance(exc, urllib.error.HTTPError):
-            return self._error_from_response(exc.code, exc.read())
-        if isinstance(exc, urllib.error.URLError):
-            reason = exc.reason
-            # Connect-phase failures (refused, no route, DNS) happen before
-            # a byte of the request leaves; anything past that is ambiguous
-            # and conservatively treated as sent.
-            connect_phase = isinstance(
-                reason, (ConnectionRefusedError, ConnectionResetError, socket.gaierror)
-            ) and not isinstance(reason, TimeoutError)
-            return ConnectionFailedError(
-                f"Could not reach SeeSaw service at {self.base_url}: {reason}",
-                request_sent=not connect_phase,
+        connection = self._dial()
+        try:
+            connection.request(
+                "GET",
+                self._prefix + path,
+                headers=self._headers(
+                    False, {"Accept": "application/x-ndjson", "Connection": "close"}
+                ),
             )
+            response = connection.getresponse()
+            if response.status >= 400:
+                raise self._error_from_response(response.status, response.read())
+            for raw_line in response:
+                line = raw_line.strip()
+                if not line:
+                    continue
+                try:
+                    yield json.loads(line.decode("utf-8"))
+                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                    raise TransportError(
+                        f"Server sent an invalid NDJSON line: {exc}"
+                    ) from exc
+        except (OSError, http.client.HTTPException) as exc:
+            raise self._died_mid_request(exc) from exc
+        finally:
+            connection.close()
+
+    # ------------------------------------------------------------------
+    # the wire: pooled keep-alive connections
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Close the idle pooled connections (the client stays usable)."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        body: "bytes | None" = None,
+        headers: "Mapping[str, str] | None" = None,
+    ) -> bytes:
+        """One request/response on a pooled connection; the response body.
+
+        The connection goes back to the pool only after a fully read
+        response the server did not mark ``Connection: close``; every other
+        outcome closes it.  Nothing is ever resent here: a failure after the
+        first request byte surfaces as ``request_sent=True`` and replaying
+        is the retry policy's decision, made per call on idempotency.
+        """
+        connection = self._checkout()
+        reusable = False
+        try:
+            connection.request(
+                method,
+                self._prefix + path,
+                body=body,
+                headers=self._headers(body is not None, headers),
+            )
+            response = connection.getresponse()
+            raw = response.read()
+            reusable = not response.will_close
+        except (OSError, http.client.HTTPException) as exc:
+            raise self._died_mid_request(exc) from exc
+        finally:
+            if reusable:
+                self._checkin(connection)
+            else:
+                connection.close()
+        if response.status >= 400:
+            raise self._error_from_response(response.status, raw)
+        return raw
+
+    def _checkout(self) -> http.client.HTTPConnection:
+        """The most recently used idle connection that is still alive, else
+        a new one.
+
+        An idle HTTP connection has nothing to read, so a socket that polls
+        readable holds EOF (the server closed it: idle timeout, drain,
+        restart) or stray bytes.  It is discarded *before any request byte
+        is sent*, which is what keeps ``request_sent`` exact.
+        """
+        while True:
+            with self._idle_lock:
+                connection = self._idle.pop() if self._idle else None
+            if connection is None:
+                return self._dial()
+            with _ProbeSelector() as selector:
+                selector.register(connection.sock, selectors.EVENT_READ)
+                stale = bool(selector.select(0))
+            if not stale:
+                return connection
+            connection.close()
+
+    def _checkin(self, connection: http.client.HTTPConnection) -> None:
+        with self._idle_lock:
+            if len(self._idle) < _MAX_IDLE_CONNECTIONS:
+                self._idle.append(connection)
+                return
+        connection.close()
+
+    def _dial(self) -> http.client.HTTPConnection:
+        """A freshly connected connection; failing here sent nothing."""
+        connection = self._connection_type(
+            self._address[0], self._address[1], timeout=self.timeout
+        )
+        try:
+            connection.connect()
+        except OSError as exc:
+            raise ConnectionFailedError(
+                f"Could not reach SeeSaw service at {self.base_url}: {exc}",
+                request_sent=False,
+            ) from exc
+        return connection
+
+    def _died_mid_request(self, exc: Exception) -> ConnectionFailedError:
+        """Anything the socket layer raises once a request is under way.
+
+        A reset, a timeout, ``IncompleteRead``, a server that closed without
+        answering: the connection died partway, and the request may have
+        been acted on.  Surfaces as the typed error the protocol promises,
+        never raw ``http.client``/``OSError`` leakage; the retry policy and
+        circuit breaker branch on ``request_sent``.
+        """
         return ConnectionFailedError(
             f"Connection to SeeSaw service at {self.base_url} failed "
             f"mid-request: {exc!r}",

@@ -1,43 +1,62 @@
 """Stdlib HTTP transport for the SeeSaw service.
 
 A thin socket layer over :class:`~repro.server.app.SeeSawApp`:
-``ThreadingHTTPServer`` gives us one thread per in-flight request (the
+``ThreadingHTTPServer`` gives us one thread per open connection (the
 concurrency the :class:`~repro.server.manager.SessionManager` is built to
 absorb), and the handler does nothing but read the body, delegate to the
-app, and write the JSON response.
+app, and write the JSON response.  Connections are HTTP/1.1 keep-alive:
+a client sends request after request on one socket until either side
+closes it — the server does so after :data:`IDLE_TIMEOUT_S` without a
+request, by answering ``Connection: close`` while it drains, and by
+hanging up on every idle connection when it stops.
 
 Typical embedded use::
 
     service = SeeSawService(config)
     service.register_dataset(dataset, embedding, cache_dir="...")
     with serve_in_background(SeeSawApp(SessionManager(service))) as server:
-        client = ServiceClient(server.url)
-        ...
+        with HTTPClient(server.url) as client:
+            ...
 """
 
 from __future__ import annotations
 
 import json
 import signal
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro.exceptions import TransportError
 from repro.server.app import SeeSawApp
-from repro.server.middleware import Request
+from repro.server.errors import encode_error
+from repro.server.middleware import Request, Response
+
+IDLE_TIMEOUT_S = 60.0
+"""How long a handler thread waits on a kept-alive socket for the next
+request (or the rest of one) before it closes the connection: a peer that
+vanished without a FIN must not pin a thread forever."""
 
 
 class SeeSawRequestHandler(BaseHTTPRequestHandler):
-    """Reads one request, hands it to the app, writes the JSON response.
+    """Serves one TCP connection: read a request, hand it to the app, write
+    the response, repeat until either side closes.
 
-    Single-shot responses go out with a ``Content-Length``; streaming
-    (NDJSON) responses are written with chunked transfer encoding, one chunk
-    per record, flushed as produced so a client renders the first record
-    before the last one is on the wire.
+    Single-shot responses go out in *one* write — status line, headers and
+    body — with a ``Content-Length``; streaming (NDJSON) responses are
+    written with chunked transfer encoding, one chunk per record, flushed as
+    produced so a client renders the first record before the last one is on
+    the wire.
     """
 
     server: "SeeSawHTTPServer"
     server_version = "SeeSawHTTP/1.0"
     protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT_S
+    # The chunked path writes each record separately by design; with Nagle
+    # on, every small write after the first would wait out the peer's
+    # delayed ACK (~40 ms) on a long-lived connection.
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming convention
         self._dispatch("GET")
@@ -49,55 +68,100 @@ class SeeSawRequestHandler(BaseHTTPRequestHandler):
         self._dispatch("DELETE")
 
     def _dispatch(self, method: str) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
+        if not self.server.begin_request(self.connection):
+            # The server stopped between this request's arrival and now:
+            # stopped means unreachable, so hang up without acting on it.
+            self.close_connection = True
+            return
+        try:
+            self._serve(method)
+        finally:
+            if self.server.end_request(self.connection):
+                self.close_connection = True
+
+    def _serve(self, method: str) -> None:
+        raw_length = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            # Without a trustworthy length the next request's boundary on
+            # this connection is unknown: answer typed, then close.
+            self.close_connection = True
+            status, payload = encode_error(
+                TransportError(
+                    f"Content-Length must be a non-negative integer, got '{raw_length}'"
+                )
+            )
+            self._send(Response(status, payload))
+            return
+        length = int(raw_length)
         body = self.rfile.read(length) if length else None
         response = self.server.app.handle_request(
             Request(
                 method=method,
                 target=self.path,
                 body=body,
-                headers={key: value for key, value in self.headers.items()},
+                headers=self.headers,
                 client=self.client_address[0],
             )
         )
-        self.send_response(response.status)
-        self.send_header("Content-Type", response.content_type)
-        for name, value in response.headers.items():
-            self.send_header(name, value)
-        if response.stream is not None:
-            self.send_header("Transfer-Encoding", "chunked")
-            self.end_headers()
-            # Once the 200 + chunked header are on the wire the response
-            # cannot be rewritten.  If the producer raises (or the client
-            # disconnects) mid-stream the body is truncated without its
-            # terminal chunk, and the connection MUST NOT be reused: the
-            # next keep-alive request on this socket would be parsed
-            # against the half-written chunked body.  Clients detect the
-            # truncation through the missing terminal NDJSON 'end' record.
-            try:
-                for record in response.stream:
-                    self._write_chunk(json.dumps(record).encode("utf-8") + b"\n")
-                self.wfile.write(b"0\r\n\r\n")
-                self.wfile.flush()
-            except (BrokenPipeError, ConnectionResetError):
-                # The client went away mid-stream; nothing left to tell it,
-                # and a stack trace per closed browser tab is just noise.
-                self.close_connection = True
-            except Exception as exc:
-                self.close_connection = True
-                self.log_error("aborted NDJSON stream for %s: %r", self.path, exc)
+        if self.server.closing:
+            # Draining or stopping: tell the client not to reuse this
+            # connection, and stop reading from it after this reply.
+            self.close_connection = True
+        if response.stream is None:
+            self._send(response)
             return
-        if response.text is not None:
-            encoded = response.text.encode("utf-8")
-        else:
-            encoded = json.dumps(response.payload).encode("utf-8")
-        self.send_header("Content-Length", str(len(encoded)))
-        self.end_headers()
-        self.wfile.write(encoded)
+        self._send(response, chunked=True)
+        # Once the 200 + chunked header are on the wire the response
+        # cannot be rewritten.  If the producer raises (or the client
+        # disconnects) mid-stream the body is truncated without its
+        # terminal chunk, and the connection MUST NOT be reused: the
+        # next keep-alive request on this socket would be parsed
+        # against the half-written chunked body.  Clients detect the
+        # truncation through the missing terminal NDJSON 'end' record.
+        try:
+            for record in response.stream:
+                data = json.dumps(record).encode("utf-8") + b"\n"
+                self.wfile.write(f"{len(data):X}\r\n".encode("ascii") + data + b"\r\n")
+            self.wfile.write(b"0\r\n\r\n")
+        except (BrokenPipeError, ConnectionResetError):
+            # The client went away mid-stream; nothing left to tell it,
+            # and a stack trace per closed browser tab is just noise.
+            self.close_connection = True
+        except Exception as exc:
+            self.close_connection = True
+            self.log_error("aborted NDJSON stream for %s: %r", self.path, exc)
 
-    def _write_chunk(self, data: bytes) -> None:
-        self.wfile.write(f"{len(data):X}\r\n".encode("ascii") + data + b"\r\n")
-        self.wfile.flush()
+    def _send(self, response: Response, chunked: bool = False) -> None:
+        """Status line, headers and (unless ``chunked``) body in one write.
+
+        Two writes would be two small segments; on a kept-alive connection
+        the second can sit behind the client's delayed ACK, and the client
+        woken by the first competes with this thread for the CPU while the
+        body is still unsent.
+        """
+        if chunked:
+            body = b""
+            framing = "Transfer-Encoding: chunked\r\n"
+        else:
+            if response.text is not None:
+                body = response.text.encode("utf-8")
+            else:
+                body = json.dumps(response.payload).encode("utf-8")
+            framing = f"Content-Length: {len(body)}\r\n"
+        if self.close_connection:
+            framing += "Connection: close\r\n"
+        status = response.status
+        head = (
+            f"HTTP/1.1 {status} {self.responses.get(status, ('',))[0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            f"Content-Type: {response.content_type}\r\n"
+            + "".join(f"{name}: {value}\r\n" for name, value in response.headers.items())
+            + framing
+            + "\r\n"
+        )
+        self.log_request(status, "-" if chunked else len(body))
+        self.wfile.write(head.encode("latin-1") + body)
 
     def log_message(self, format: str, *args: object) -> None:
         if not self.server.quiet:
@@ -105,7 +169,14 @@ class SeeSawRequestHandler(BaseHTTPRequestHandler):
 
 
 class SeeSawHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one :class:`SeeSawApp`."""
+    """A threading HTTP server bound to one :class:`SeeSawApp`.
+
+    One thread per accepted connection, which serves that connection's
+    requests one after the other.  The server keeps the set of open
+    connections and whether each is mid-request, so that stopping it makes
+    it unreachable on *every* connection: closing the listener alone would
+    leave handler threads answering on sockets clients already hold.
+    """
 
     daemon_threads = True
     # socketserver's default listen backlog is 5; a burst of concurrent
@@ -123,12 +194,76 @@ class SeeSawHTTPServer(ThreadingHTTPServer):
         super().__init__((host, port), SeeSawRequestHandler)
         self.app = app
         self.quiet = quiet
+        # An app without a manager (a test stub) has no drain state and no
+        # metrics registry; its connections are tracked all the same.
+        self._manager = getattr(app, "manager", None)
+        self._stopped = False
+        # connection -> is a request being served on it right now
+        self._connections: "dict[socket.socket, bool]" = {}
+        self._connections_lock = threading.Lock()
 
     @property
     def url(self) -> str:
         """The server's base URL (resolved port included)."""
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
+
+    @property
+    def closing(self) -> bool:
+        """Draining or stopped: replies carry ``Connection: close``."""
+        return self._stopped or (self._manager is not None and self._manager.draining)
+
+    # -- connection lifecycle -------------------------------------------
+    def process_request(self, request: socket.socket, client_address: object) -> None:
+        # On the accept thread, before the handler thread exists: once
+        # shutdown() has returned, every accepted connection is in the table.
+        with self._connections_lock:
+            self._connections[request] = False
+        if self._manager is not None:
+            self._manager.service.http_connections_opened.inc()
+            self._manager.service.http_open_connections.inc()
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: socket.socket) -> None:
+        with self._connections_lock:
+            tracked = self._connections.pop(request, None) is not None
+        if tracked and self._manager is not None:
+            self._manager.service.http_open_connections.dec()
+        super().shutdown_request(request)
+
+    def begin_request(self, connection: socket.socket) -> bool:
+        """Mark ``connection`` busy; ``False`` once the server has stopped."""
+        with self._connections_lock:
+            if self._stopped:
+                return False
+            self._connections[connection] = True
+            return True
+
+    def end_request(self, connection: socket.socket) -> bool:
+        """Mark ``connection`` idle; ``True`` when it must now be closed."""
+        with self._connections_lock:
+            self._connections[connection] = False
+            return self._stopped
+
+    def server_close(self) -> None:
+        """Close the listener, then every connection no request is using.
+
+        In that order: a client whose idle connection is closed dials again,
+        and must be refused, not parked in a backlog nobody accepts from.
+        A connection that is mid-request finishes it (the reply says
+        ``Connection: close``) and is closed by its own thread.
+        """
+        super().server_close()
+        with self._connections_lock:
+            self._stopped = True
+            idle = [conn for conn, busy in self._connections.items() if not busy]
+        for connection in idle:
+            try:
+                # Wakes the handler thread out of its blocking read with EOF
+                # and sends the FIN a pooled client's liveness probe sees.
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer already reset it
 
 
 class BackgroundServer:
@@ -160,7 +295,12 @@ class BackgroundServer:
         return self
 
     def stop(self) -> None:
-        """Stop the server and release the socket."""
+        """Stop the server: close the listener and every idle connection.
+
+        Stopped means unreachable — no request is answered afterwards, on a
+        new connection or on one a client already holds.  A request that is
+        mid-flight finishes and its connection closes behind it.
+        """
         if self._started:
             self.server.shutdown()
             self._thread.join(timeout=5.0)
@@ -172,11 +312,12 @@ class BackgroundServer:
 
         Drain order matters: ``/healthz`` flips to ``draining`` and new
         sessions start failing with the typed 503 *first* (so load
-        balancers and clients route away), in-flight requests get up to
-        ``timeout_s`` (``config.drain_timeout_s`` by default) to finish,
-        and only then does the listener close.  Returns what
-        :meth:`SessionManager.drain` returned: ``True`` when nothing was
-        cut off.
+        balancers and clients route away) and every reply says
+        ``Connection: close`` (so keep-alive clients let go), in-flight
+        requests get up to ``timeout_s`` (``config.drain_timeout_s`` by
+        default) to finish, and only then does the server :meth:`stop`.
+        Returns what :meth:`SessionManager.drain` returned: ``True`` when
+        nothing was cut off.
         """
         drained = self.server.app.manager.drain(timeout_s)
         self.stop()
@@ -204,8 +345,9 @@ def serve_forever(
     SIGTERM (the orchestrator's stop signal) triggers a graceful drain:
     ``/healthz`` flips to ``draining``, new sessions are rejected with the
     typed 503, in-flight requests get ``config.drain_timeout_s`` to finish,
-    then the listener closes.  Ctrl-C (SIGINT/KeyboardInterrupt) stays an
-    immediate stop — interactive use should not wait out a drain window.
+    then the listener and the idle connections close.  Ctrl-C
+    (SIGINT/KeyboardInterrupt) stays an immediate stop — interactive use
+    should not wait out a drain window.
     """
     server = SeeSawHTTPServer(app, host=host, port=port, quiet=quiet)
 

@@ -634,6 +634,7 @@ class SessionManager:
             "state": state,
             "uptime_seconds": max(0.0, self._clock() - self._started_at),
             "in_flight": self.in_flight,
+            "open_connections": int(self.service.http_open_connections.value),
             "datasets": list(self.service.dataset_names),
             "active_sessions": self.active_session_count,
             "max_sessions": self.max_sessions,

@@ -79,7 +79,13 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 @dataclass
 class Request:
-    """One decoded transport request, independent of the socket layer."""
+    """One decoded transport request, independent of the socket layer.
+
+    What every layer asks of a request more than once is resolved here,
+    once: header names are folded to lower case (``headers`` holds the
+    folded mapping), and the target is split into ``path``, ``query`` and
+    the bounded-cardinality ``route`` template.
+    """
 
     method: str
     target: str
@@ -87,19 +93,27 @@ class Request:
     headers: "Mapping[str, str]" = field(default_factory=dict)
     client: "str | None" = None
     request_id: "str | None" = None
+    path: str = field(init=False)
+    query: str = field(init=False)
+    route: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        folded: "dict[str, str]" = {}
+        for name, value in self.headers.items():
+            folded.setdefault(name.lower(), value)
+        self.headers = folded
+        parts = urlsplit(self.target)
+        self.path, self.query = parts.path, parts.query
+        self.route = _template(self.path)
 
     def header(self, name: str, default: "str | None" = None) -> "str | None":
         """Case-insensitive header lookup."""
-        lowered = name.lower()
-        for key, value in self.headers.items():
-            if key.lower() == lowered:
-                return value
-        return default
+        return self.headers.get(name.lower(), default)
 
     @property
     def client_key(self) -> str:
         """The identity rate limiting and access logs attribute requests to."""
-        return self.header("x-client-id") or self.client or "anonymous"
+        return self.headers.get("x-client-id") or self.client or "anonymous"
 
 
 @dataclass
@@ -136,11 +150,18 @@ class MiddlewarePipeline:
     def __init__(self, middlewares: "Sequence[Middleware]") -> None:
         self.middlewares = tuple(middlewares)
 
-    def run(self, request: Request, endpoint: Handler) -> Response:
+    def bind(self, endpoint: Handler) -> Handler:
+        """The whole chain around ``endpoint`` as one handler.
+
+        A server binds its endpoint once and calls the result per request.
+        """
         handler = endpoint
         for middleware in reversed(self.middlewares):
             handler = _bind(middleware, handler)
-        return handler(request)
+        return handler
+
+    def run(self, request: Request, endpoint: Handler) -> Response:
+        return self.bind(endpoint)(request)
 
 
 def _bind(middleware: Middleware, inner: Handler) -> Handler:
@@ -158,7 +179,10 @@ def route_template(target: str) -> str:
     (``/v1/sessions/{id}/next``, ...) and anything unrecognized onto
     ``.../other``.
     """
-    path = urlsplit(target).path
+    return _template(urlsplit(target).path)
+
+
+def _template(path: str) -> str:
     segments = [segment for segment in path.split("/") if segment]
     prefix = ""
     if segments[:1] == ["v1"]:
@@ -216,7 +240,7 @@ def emit_access_record(
             "client": request.client_key,
             "status": status,
             "duration_ms": duration_ms,
-            "route": route_template(request.target),
+            "route": request.route,
             "stage": stage,
         },
     )
@@ -230,7 +254,7 @@ def record_request_metrics(
     rejected: bool = False,
 ) -> None:
     """Count one finished request in the registry (any pipeline outcome)."""
-    route = route_template(request.target)
+    route = request.route
     registry.counter(
         "seesaw_requests_total",
         "Requests finished, by method, route template and status.",
@@ -314,7 +338,7 @@ class AccessLogMiddleware:
                 "seesaw_slow_requests_total",
                 "Requests slower than telemetry.slow_request_ms, by route.",
                 labels=("route",),
-            ).labels(route_template(request.target)).inc()
+            ).labels(request.route).inc()
             self.slow_logger.warning(
                 "slow request %s %s -> %d (%.2fms >= %.2fms) stages=%s",
                 request.method,
@@ -328,7 +352,7 @@ class AccessLogMiddleware:
                     "client": request.client_key,
                     "status": response.status,
                     "duration_ms": elapsed_ms,
-                    "route": route_template(request.target),
+                    "route": request.route,
                     "threshold_ms": self.slow_request_ms,
                     "stages": stages,
                 },
@@ -541,7 +565,7 @@ class AdmissionControlMiddleware:
         return self._registry if self._registry is not None else get_registry()
 
     def __call__(self, request: Request, handler: Handler) -> Response:
-        if route_template(request.target) in self.EXEMPT_ROUTES:
+        if request.route in self.EXEMPT_ROUTES:
             return handler(request)
         if not self.tracker.try_enter():
             self.shed_requests += 1

@@ -90,6 +90,16 @@ class SeeSawService:
             "Index-cache lookups at dataset registration, by outcome.",
             labels=("outcome",),
         )
+        # Recorded by the HTTP transport (zero under in-process use): opened
+        # against seesaw_requests_total is requests per connection.
+        self.http_connections_opened = self.metrics.counter(
+            "seesaw_http_connections_opened_total",
+            "TCP connections the HTTP transport has accepted.",
+        )
+        self.http_open_connections = self.metrics.gauge(
+            "seesaw_http_open_connections",
+            "TCP connections the HTTP transport currently holds open.",
+        )
         self.metrics.gauge(
             "seesaw_active_sessions",
             "Live interactive sessions owned by this service.",

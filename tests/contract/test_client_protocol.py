@@ -108,6 +108,29 @@ class TestDiscovery:
         )
 
 
+class TestClientLifetime:
+    def test_context_manager_closes_and_the_client_stays_usable(self, client):
+        with client as entered:
+            assert entered is client
+            assert client.healthz()["status"] == "ok"
+        # close() released the transport's resources (HTTP: the pooled
+        # connections); the next call simply acquires them again.
+        assert client.healthz()["status"] == "ok"
+        client.close()
+        client.close()
+
+    def test_health_reports_open_connections_on_both_transports(self, make_client):
+        http_client = make_client("http")
+        first = http_client.healthz()
+        assert set(make_client("inprocess").healthz()) == set(first)
+        # The probe's own kept-alive connection is one of them, and further
+        # calls on the same client do not add to it.
+        assert first["open_connections"] >= 1
+        for _ in range(5):
+            http_client.capabilities()
+        assert http_client.healthz()["open_connections"] <= first["open_connections"]
+
+
 class TestSearchLoop:
     def test_full_session(self, client):
         info = start(client)
