@@ -6,7 +6,6 @@ from repro.bench.experiments import (
     table6_engine_latency,
     table6_latency,
     table6_protocol_streaming,
-    table6_service_latency,
     table6_sharded_latency,
     table6_telemetry_overhead,
 )
@@ -88,7 +87,7 @@ def test_table6_sharded_latency(benchmark, bundles, save_report):
 
 def test_table6_dtype_throughput(benchmark, bundles, save_report, tmp_path):
     """Storage & compute tier rows: float64 vs float32 vs int8+rerank
-    scoring, and compressed vs mmap cold index loads."""
+    scoring, and the mmap cold index load."""
     result = benchmark.pedantic(
         lambda: table6_dtype_throughput(bundles["bdd"], cache_dir=str(tmp_path)),
         rounds=1,
@@ -103,14 +102,6 @@ def test_table6_dtype_throughput(benchmark, bundles, save_report, tmp_path):
     assert scoring["float32"] < scoring["float64"] * 0.9, (
         f"float32 scoring did not beat float64: "
         f"{scoring['float32']:.3f}ms vs {scoring['float64']:.3f}ms"
-    )
-    loads = result.load_ms()
-    # Second gate: mapping raw .npy artifacts must beat decompressing the
-    # legacy npz on a cold service start (mmap reads pages straight through
-    # the OS page cache while npz pays inflate + a private copy).
-    assert loads["npy-mmap"] < loads["npz-compressed"], (
-        f"mmap cold load did not beat compressed: "
-        f"{loads['npy-mmap']:.3f}ms vs {loads['npz-compressed']:.3f}ms"
     )
 
 
@@ -194,19 +185,3 @@ def test_table6_telemetry_overhead(benchmark, bundles, save_report):
         f"telemetry overhead above 5%: enabled {result.enabled_ms:.3f}ms vs "
         f"disabled {result.disabled_ms:.3f}ms ({result.overhead_pct:+.1f}%)"
     )
-
-
-def test_table6_service_roundtrip(benchmark, bundles, save_report, tmp_path):
-    """Service-layer row: HTTP start+next latency, warm vs cold index cache."""
-    result = benchmark.pedantic(
-        lambda: table6_service_latency(bundles["bdd"], str(tmp_path / "cache")),
-        rounds=1,
-        iterations=1,
-    )
-    save_report("table6_service_latency", result.format_text())
-    cold, warm = result.rows
-    # The warm phase must come entirely from the on-disk cache...
-    assert cold["cache_hits"] == 0
-    assert warm["cache_hits"] == 1
-    # ...which makes its start-up dramatically cheaper than preprocessing.
-    assert warm["startup_s"] < cold["startup_s"]

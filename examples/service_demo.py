@@ -6,15 +6,13 @@ The script demonstrates all three layers of the service subsystem:
    on-disk index cache — every index is built once and persisted.
 2. **Warm start (process 2):** re-exec this script in ``--serve`` mode with
    the same cache directory.  The child process loads every index from disk
-   (zero re-embedding, verified via the cache-hit counters in ``/healthz``)
+   (zero re-embedding, verified via the cache-hit counters in ``/v1/healthz``)
    and exposes the JSON API on an ephemeral port.
 3. **Concurrent traffic:** 8 client threads each run a full interactive
    session (start → next → feedback → next) against the child server through
    the typed `/v1` :class:`HTTPClient` — capability discovery up front,
-   chunked NDJSON streaming for the first batch, idempotency keys on every
-   feedback call (each one is retried once to prove replays are free), and
-   a legacy :class:`ServiceClient` round at the end showing the unversioned
-   routes still serve pre-`/v1` callers unchanged.
+   chunked NDJSON streaming for the first batch, and idempotency keys on
+   every feedback call (each one is retried once to prove replays are free).
 
 Run with:  python examples/service_demo.py
 """
@@ -38,7 +36,6 @@ from repro.server import (
     HTTPClient,
     SeeSawApp,
     SeeSawService,
-    ServiceClient,
     SessionManager,
     StartSessionRequest,
     serve_in_background,
@@ -215,26 +212,6 @@ def main() -> None:
                 f"[v1   ] {len(outcomes)} concurrent sessions completed "
                 f"without error in {elapsed:.2f}s "
                 f"(streamed first rounds, idempotent feedback replays)"
-            )
-
-            # --------------------------------------------------------------
-            # 4. Back-compat: the pre-/v1 client drives the same server and
-            #    the same session space, unchanged.
-            # --------------------------------------------------------------
-            legacy = ServiceClient(ready["url"])
-            legacy_info = legacy.start_session(
-                StartSessionRequest(
-                    dataset=DATASETS[0], text_query=QUERIES[0], batch_size=2
-                )
-            )
-            listed = [
-                entry.info.session_id for entry in client.iter_sessions(page_size=4)
-            ]
-            assert legacy_info.session_id in listed, "legacy session not listed in /v1"
-            legacy.close_session(legacy_info.session_id)
-            print(
-                "[compat] legacy unversioned routes still served; their "
-                "sessions appear in GET /v1/sessions"
             )
             client.close()
         finally:

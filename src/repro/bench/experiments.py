@@ -830,93 +830,6 @@ def table6_telemetry_overhead(
 
 
 # ---------------------------------------------------------------------------
-# Table 6 (service) — HTTP round-trip latency, warm vs cold index cache
-# ---------------------------------------------------------------------------
-@dataclass
-class ServiceLatencyResult:
-    """Start-up and per-request latency of the HTTP service layer."""
-
-    rows: "list[dict[str, object]]"
-
-    def format_text(self) -> str:
-        columns = ["startup_s", "http_start_ms", "http_next_ms", "cache_hits"]
-        table_rows = [
-            [row["phase"], row["vectors"]] + [row[column] for column in columns]
-            for row in self.rows
-        ]
-        return format_table(
-            ["phase", "vectors"] + columns,
-            table_rows,
-            title=(
-                "Table 6 (service): HTTP round-trip latency, "
-                "cold vs warm index cache"
-            ),
-            float_format="{:.3f}",
-        )
-
-
-def table6_service_latency(
-    bundle: DatasetBundle,
-    cache_dir: str,
-    requests_per_phase: int = 3,
-) -> ServiceLatencyResult:
-    """Measure service start-up and HTTP start+next latency, cold then warm.
-
-    The *cold* phase registers the dataset against an empty cache directory
-    (full preprocessing, then persisted); the *warm* phase starts a fresh
-    service against the now-populated cache and must load from disk.
-    """
-    import time
-
-    from repro.server import (
-        SeeSawApp,
-        SeeSawService,
-        ServiceClient,
-        SessionManager,
-        StartSessionRequest,
-        serve_in_background,
-    )
-
-    rows: list[dict[str, object]] = []
-    query = bundle.queries(ExperimentScale())[0].prompt
-    for phase in ("cold", "warm"):
-        start = time.perf_counter()
-        service = SeeSawService(bundle.config)
-        service.register_dataset(
-            bundle.dataset, bundle.embedding, preprocess=True, cache_dir=cache_dir
-        )
-        startup_seconds = time.perf_counter() - start
-        app = SeeSawApp(SessionManager(service))
-        start_latencies: list[float] = []
-        next_latencies: list[float] = []
-        with serve_in_background(app) as server:
-            client = ServiceClient(server.url)
-            for _ in range(requests_per_phase):
-                begin = time.perf_counter()
-                info = client.start_session(
-                    StartSessionRequest(
-                        dataset=bundle.dataset.name, text_query=query, batch_size=3
-                    )
-                )
-                start_latencies.append(time.perf_counter() - begin)
-                begin = time.perf_counter()
-                client.next_results(info.session_id)
-                next_latencies.append(time.perf_counter() - begin)
-                client.close_session(info.session_id)
-        rows.append(
-            {
-                "phase": phase,
-                "vectors": service.index_for(bundle.dataset.name).vector_count,
-                "startup_s": startup_seconds,
-                "http_start_ms": float(np.mean(start_latencies)) * 1000.0,
-                "http_next_ms": float(np.mean(next_latencies)) * 1000.0,
-                "cache_hits": service.cache_hits,
-            }
-        )
-    return ServiceLatencyResult(rows=rows)
-
-
-# ---------------------------------------------------------------------------
 # Table 6 (protocol) — `/v1` streaming NDJSON vs single-shot JSON
 # ---------------------------------------------------------------------------
 @dataclass
@@ -1181,8 +1094,8 @@ def table6_sharded_latency(
 # ---------------------------------------------------------------------------
 @dataclass
 class DtypeThroughputResult:
-    """Per-round scoring latency per compute tier, and cold-load latency per
-    on-disk layout."""
+    """Per-round scoring latency per compute tier, and the cold-load latency
+    of the memory-mapped index entry."""
 
     scoring_rows: "list[dict[str, object]]"
     load_rows: "list[dict[str, object]]"
@@ -1198,13 +1111,13 @@ class DtypeThroughputResult:
             ),
             float_format="{:.3f}",
         )
-        load_columns = ["layout", "vectors", "cold_load_ms", "speedup"]
+        load_columns = ["layout", "vectors", "cold_load_ms"]
         loads = format_table(
             load_columns,
             [[row[column] for column in load_columns] for row in self.load_rows],
             title=(
-                "Table 6 (index load): cold index load latency, compressed "
-                "npz vs raw npy with mmap"
+                "Table 6 (index load): cold index load latency, raw npy "
+                "with mmap"
             ),
             float_format="{:.3f}",
         )
@@ -1215,10 +1128,6 @@ class DtypeThroughputResult:
         return {
             str(row["tier"]): float(row["per_round_ms"]) for row in self.scoring_rows
         }
-
-    def load_ms(self) -> "dict[str, float]":
-        """``layout -> cold_load_ms`` (gate helper)."""
-        return {str(row["layout"]): float(row["cold_load_ms"]) for row in self.load_rows}
 
 
 def table6_dtype_throughput(
@@ -1246,14 +1155,14 @@ def table6_dtype_throughput(
       smaller scoring working set — ``stream_mb`` is the honest column to
       compare; its top-k is pinned equal to the exact store's.
 
-    **Load rows** serialize the bundle's real multiscale index in both
-    layouts and time a cold :func:`~repro.store.serialize.load_index` —
-    decompressing ``arrays.npz`` into private arrays vs memory-mapping raw
-    ``.npy`` (no inflate, no copy; the load's validation pass streams the
-    pages through the OS page cache), the second CI gate.
+    **The load row** serializes the bundle's real multiscale index and
+    times a cold :func:`~repro.store.serialize.load_index` memory-mapping
+    the raw ``.npy`` artifacts (no copy; the load's validation pass streams
+    the pages through the OS page cache).
     """
     import tempfile
     import time
+    from pathlib import Path
 
     from repro.data.geometry import BoundingBox
     from repro.store.serialize import load_index, save_index
@@ -1318,34 +1227,18 @@ def table6_dtype_throughput(
         )
 
     index = bundle.multiscale_index
-    load_rows: "list[dict[str, object]]" = []
     with tempfile.TemporaryDirectory(dir=cache_dir) as scratch:
-        from pathlib import Path
+        entry = save_index(index, Path(scratch) / "npy-mmap")
 
-        compressed_ms = None
-        for layout, arrays_format, mmap in (
-            ("npz-compressed", "npz", False),
-            ("npy-mmap", "npy", True),
-        ):
-            entry = Path(scratch) / layout
-            save_index(index, entry, arrays_format=arrays_format)
+        def run_load() -> float:
+            start = time.perf_counter()
+            load_index(entry, bundle.dataset, bundle.embedding, mmap=True)
+            return time.perf_counter() - start
 
-            def run_load(entry=entry, mmap=mmap) -> float:
-                start = time.perf_counter()
-                load_index(entry, bundle.dataset, bundle.embedding, mmap=mmap)
-                return time.perf_counter() - start
-
-            cold_ms = min(run_load() for _ in range(load_repeats)) * 1000.0
-            if compressed_ms is None:
-                compressed_ms = cold_ms
-            load_rows.append(
-                {
-                    "layout": layout,
-                    "vectors": index.vector_count,
-                    "cold_load_ms": cold_ms,
-                    "speedup": compressed_ms / max(cold_ms, 1e-12),
-                }
-            )
+        cold_ms = min(run_load() for _ in range(load_repeats)) * 1000.0
+    load_rows: "list[dict[str, object]]" = [
+        {"layout": "npy-mmap", "vectors": index.vector_count, "cold_load_ms": cold_ms}
+    ]
     return DtypeThroughputResult(scoring_rows=scoring_rows, load_rows=load_rows)
 
 

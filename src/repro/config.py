@@ -262,13 +262,11 @@ class SeeSawConfig:
     Ignored when rate limiting is disabled."""
     mmap_index: bool = True
     """Load index-cache arrays with ``mmap_mode="r"`` (zero-copy, page-cache
-    backed) when the on-disk entry uses the raw ``.npy`` layout.  Cold
-    starts then map the artifacts instead of decompressing them into a
-    private copy: one sequential validation pass reads the pages (free when
-    the OS page cache is warm, e.g. on a service restart), and the mapped
-    memory stays evictable and shared across processes.  Legacy compressed
-    entries still load through the ``.npz`` path.  Runtime knob, excluded
-    from the cache key."""
+    backed).  Cold starts then map the ``.npy`` artifacts instead of reading
+    them into a private copy: one sequential validation pass reads the pages
+    (free when the OS page cache is warm, e.g. on a service restart), and
+    the mapped memory stays evictable and shared across processes.  Runtime
+    knob, excluded from the cache key."""
     telemetry: TelemetryConfig = field(default_factory=TelemetryConfig)
     """Observability section (:mod:`repro.obs`): span tracing switch,
     slow-request log threshold, metric-series cardinality bound.  Runtime

@@ -18,7 +18,7 @@ through a healthy socket cannot fake a dead one honestly.  When the shared
 decider draws one of those kinds here it is treated as no fault, so a
 single plan drives both injectors without double-counting probabilities.
 
-Probe routes (``/healthz``, ``/capabilities``, ``/metrics``) are exempt:
+Probe routes (:data:`~repro.server.middleware.PROBE_ROUTES`) are exempt:
 the chaos harness reads them to judge the run, and a load balancer's health
 checker is not part of the experiment.
 """
@@ -32,23 +32,11 @@ from repro.exceptions import InternalServiceError
 from repro.faults.inject import KIND_ERROR, FaultDecider
 from repro.faults.plan import FaultPlan
 from repro.obs import MetricsRegistry, get_registry
-from repro.server.middleware import Handler, Request, Response
+from repro.server.middleware import PROBE_ROUTES, Handler, Request, Response
 
 
 class ChaosMiddleware:
     """Injects plan-driven latency and typed 500s into the request path."""
-
-    #: Probe/observability routes chaos never touches.
-    EXEMPT_ROUTES = frozenset(
-        {
-            "/healthz",
-            "/capabilities",
-            "/metrics",
-            "/v1/healthz",
-            "/v1/capabilities",
-            "/v1/metrics",
-        }
-    )
 
     def __init__(
         self,
@@ -74,7 +62,7 @@ class ChaosMiddleware:
         ).labels(kind).inc()
 
     def __call__(self, request: Request, handler: Handler) -> Response:
-        if request.route in self.EXEMPT_ROUTES:
+        if request.route in PROBE_ROUTES:
             return handler(request)
         outcome = self.decider.decide()
         if outcome.latency_seconds > 0.0:

@@ -7,13 +7,12 @@ Innermost out:
 * :class:`SessionManager` — thread-safe session engine (per-session locks,
   capacity limits, TTL eviction, idempotent feedback, double-checked index
   builds);
-* :class:`SeeSawApp` — the versioned `/v1` wire protocol plus the legacy
-  unversioned routes, behind a middleware pipeline (request ids, access
-  logs, rate limiting), over the stdlib ``ThreadingHTTPServer`` transport;
+* :class:`SeeSawApp` — the versioned `/v1` wire protocol behind a
+  middleware pipeline (request ids, access logs, rate limiting), over the
+  stdlib ``ThreadingHTTPServer`` transport;
 * :class:`SeeSawClientProtocol` — the transport-agnostic client surface,
   implemented by :class:`InProcessClient` (no sockets) and
-  :class:`HTTPClient` (the `/v1` wire client); :class:`ServiceClient` is the
-  preserved legacy-route client.
+  :class:`HTTPClient` (the `/v1` wire client).
 
 Every layer records into the :mod:`repro.obs` metrics registry (request
 counters and latency in the middleware, lock/coalesce waits in the manager,
@@ -36,7 +35,7 @@ from repro.server.api import (
 )
 from repro.server.app import SeeSawApp, default_middlewares
 from repro.server.batching import NextBatchCoalescer
-from repro.server.client import HTTPClient, ServiceClient
+from repro.server.client import HTTPClient
 from repro.server.http import (
     BackgroundServer,
     SeeSawHTTPServer,
@@ -68,7 +67,6 @@ __all__ = [
     "SeeSawClientProtocol",
     "InProcessClient",
     "HTTPClient",
-    "ServiceClient",
     "SeeSawHTTPServer",
     "BackgroundServer",
     "serve_in_background",

@@ -6,10 +6,8 @@ invocation, the middleware pipeline, and the exception→envelope mapping; it
 knows nothing about sockets, which keeps the whole routing layer
 unit-testable without binding a port.
 
-Two route families share one set of handlers:
-
-``/v1`` — the versioned wire protocol
--------------------------------------
+The `/v1` wire protocol
+-----------------------
 ``GET  /v1/healthz``                    liveness + registry summary
 ``GET  /v1/capabilities``               negotiated features, limits, topology
 ``GET  /v1/metrics``                    metrics exposition (Prometheus text,
@@ -27,17 +25,10 @@ Two route families share one set of handlers:
 ``POST /v1/datasets/{name}/delete``     delete images (live tier)
 ``POST /v1/datasets/{name}/merge``      force a delta-segment compaction
 
-`/v1` errors use the structured envelope of :mod:`repro.server.errors`
-(``{code, message, retryable, details}``); ``next`` and ``batch-next``
-stream chunked NDJSON when the client asks for it (``Accept:
-application/x-ndjson`` or ``?stream=ndjson``).
-
-Legacy unversioned routes
--------------------------
-The pre-`/v1` surface (``POST /sessions``, ``GET /healthz``, ...) stays
-mounted as a thin adapter over the same handlers, preserving its original
-response shapes — including the ``{"error": {"type", "message"}}`` envelope
-— so existing clients keep working unchanged.
+Every error uses the structured envelope of :mod:`repro.server.errors`
+(``{code, message, retryable, details}``) — a path outside `/v1` is the
+structured 404; ``next`` and ``batch-next`` stream chunked NDJSON when the
+client asks for it (``Accept: application/x-ndjson`` or ``?stream=ndjson``).
 """
 
 from __future__ import annotations
@@ -51,24 +42,17 @@ import math
 
 from repro.exceptions import (
     DeadlineExceededError,
-    RateLimitedError,
     ReproError,
-    ServiceOverloadedError,
     TransportError,
     UnknownResourceError,
 )
-from repro.server.api import (
-    PROTOCOL_VERSION,
-    NextResultsResponse,
-    SessionInfo,
-)
+from repro.server.api import PROTOCOL_VERSION, NextResultsResponse
 from repro.server.codec import (
     decode_batch_next_request,
     decode_delete_request,
     decode_feedback_request,
     decode_start_session_request,
     decode_upsert_request,
-    encode_batch_next_response,
     encode_next_results_response,
     encode_result_item,
     encode_session_info,
@@ -95,11 +79,6 @@ from repro.server.middleware import (
 )
 
 
-def error_payload(kind: str, message: str) -> "dict[str, object]":
-    """The legacy error envelope every unversioned non-2xx response carries."""
-    return {"error": {"type": kind, "message": message}}
-
-
 def default_middlewares(manager: SessionManager) -> "list[Middleware]":
     """The standard pipeline: ids, logs, limits, deadlines, admission, chaos.
 
@@ -107,7 +86,7 @@ def default_middlewares(manager: SessionManager) -> "list[Middleware]":
     a client over its own budget is rejected by the cheapest check; the
     deadline scope opens before admission so even the shed path observes
     the request's budget.  The admission tracker is registered with the
-    manager (``/healthz`` reports the live in-flight count) and its
+    manager (``/v1/healthz`` reports the live in-flight count) and its
     overload transitions drive the service's graceful-degradation hook.
     """
     config = manager.service.config
@@ -233,42 +212,16 @@ class SeeSawApp:
         query = parse_qs(request.query)
         method = request.method.upper()
         try:
-            if segments[:1] == [PROTOCOL_VERSION]:
-                return self._route_v1(request, method, segments[1:], query)
-            return self._route_legacy(request, method, segments, query)
+            if segments[:1] != [PROTOCOL_VERSION]:
+                raise UnknownResourceError(f"No route for {method} {request.path}")
+            return self._route_v1(request, method, segments[1:], query)
         except Exception as exc:
             return self._error_response(request, exc)
 
     def _error_response(self, request: Request, exc: BaseException) -> Response:
-        """Encode one raised exception for the request's route family."""
-        return self._finish_error(request, exc, self._encode_exception(request, exc))
-
-    def _encode_exception(self, request: Request, exc: BaseException) -> Response:
-        if _is_v1(request.path):
-            status, payload = encode_error(exc, request_id=request.request_id)
-            return Response(status, payload)
-        # The legacy envelope, bit-compatible with the pre-`/v1` server.
-        if isinstance(exc, TransportError):
-            return Response(400, error_payload("TransportError", str(exc)))
-        if isinstance(exc, UnknownResourceError):
-            return Response(404, error_payload("UnknownResourceError", str(exc)))
-        if isinstance(exc, ServiceOverloadedError):
-            return Response(503, error_payload("ServiceOverloadedError", str(exc)))
-        if isinstance(exc, RateLimitedError):
-            # Post-dates the legacy protocol, so there is no legacy shape to
-            # preserve: keep the envelope style, use the proper status.
-            return Response(429, error_payload("RateLimitedError", str(exc)))
-        if isinstance(exc, DeadlineExceededError):
-            # Post-dates the legacy protocol too: same envelope style, 504.
-            return Response(504, error_payload("DeadlineExceededError", str(exc)))
-        if isinstance(exc, ReproError):
-            return Response(400, error_payload(type(exc).__name__, str(exc)))
-        return Response(500, error_payload("InternalError", str(exc)))
-
-    def _finish_error(
-        self, request: Request, exc: BaseException, response: Response
-    ) -> Response:
-        """Cross-family error trimmings: Retry-After header, 504 counter."""
+        """The structured envelope, plus the Retry-After header and 504 counter."""
+        status, payload = encode_error(exc, request_id=request.request_id)
+        response = Response(status, payload)
         retry_after = getattr(exc, "retry_after_seconds", None)
         if retry_after is not None and response.status in (429, 503):
             # HTTP Retry-After is whole seconds; round up so a client that
@@ -284,48 +237,6 @@ class SeeSawApp:
                 labels=("route",),
             ).labels(request.route).inc()
         return response
-
-    def _route_legacy(
-        self,
-        request: Request,
-        method: str,
-        segments: "list[str]",
-        query: "dict[str, list[str]]",
-    ) -> Response:
-        """The unversioned routes: a thin adapter over the shared handlers."""
-        if segments == ["healthz"] and method == "GET":
-            return Response(200, self.manager.health())
-
-        if segments == ["sessions"] and method == "POST":
-            info = self._start_session(request.body)
-            return Response(201, encode_session_info(info))
-
-        if segments == ["sessions", "batch-next"] and method == "POST":
-            outcomes = self._batch_next(request.body)
-            # Always 200: per-session failures ride inside the envelope so
-            # one bad session id cannot fail the rest of the cohort.
-            return Response(200, encode_batch_next_response(outcomes))
-
-        if len(segments) == 2 and segments[0] == "sessions":
-            session_id = segments[1]
-            if method == "GET":
-                return Response(
-                    200, encode_session_info(self.manager.session_info(session_id))
-                )
-            if method == "DELETE":
-                self.manager.close_session(session_id)
-                return Response(200, {"closed": session_id})
-
-        if len(segments) == 3 and segments[0] == "sessions":
-            session_id = segments[1]
-            if segments[2] == "next" and method == "GET":
-                response = self._next_results(session_id, query)
-                return Response(200, encode_next_results_response(response))
-            if segments[2] == "feedback" and method == "POST":
-                info = self._give_feedback(session_id, request.body)
-                return Response(200, encode_session_info(info))
-
-        raise UnknownResourceError(f"No route for {method} /{'/'.join(segments)}")
 
     def _route_v1(
         self,
@@ -354,11 +265,15 @@ class SeeSawApp:
             return Response(200, encode_session_page(page))
 
         if segments == ["sessions"] and method == "POST":
-            info = self._start_session(request.body)
+            info = self.manager.start_session(
+                decode_start_session_request(parse_json(request.body))
+            )
             return Response(201, encode_session_info(info))
 
         if segments == ["sessions", "batch-next"] and method == "POST":
-            outcomes = self._batch_next(request.body)
+            outcomes = self.manager.batch_next(
+                decode_batch_next_request(parse_json(request.body))
+            )
             if _wants_ndjson(request, query):
                 return Response(200, stream=_batch_stream(outcomes))
             return Response(200, _encode_batch_outcomes_v1(outcomes))
@@ -376,15 +291,19 @@ class SeeSawApp:
         if len(segments) == 3 and segments[0] == "sessions":
             session_id = segments[1]
             if segments[2] == "next" and method == "GET":
-                response = self._next_results(session_id, query)
+                count = _int_param(query, "count")
+                if count is not None:
+                    validate_count(count)
+                response = self.manager.next_results(session_id, count)
                 if _wants_ndjson(request, query):
                     return Response(200, stream=_next_stream(response))
                 return Response(200, encode_next_results_response(response))
             if segments[2] == "feedback" and method == "POST":
-                info = self._give_feedback(
-                    session_id,
-                    request.body,
-                    idempotency_key=request.header("Idempotency-Key"),
+                feedback = decode_feedback_request(
+                    parse_json(request.body), session_id=session_id
+                )
+                info = self.manager.give_feedback(
+                    feedback, idempotency_key=request.header("Idempotency-Key")
                 )
                 return Response(200, encode_session_info(info))
 
@@ -409,43 +328,10 @@ class SeeSawApp:
             f"No route for {method} /v1/{'/'.join(segments)}"
         )
 
-    # ------------------------------------------------------------------
-    # shared handlers (one implementation behind both route families)
-    # ------------------------------------------------------------------
-    def _start_session(self, body: "bytes | None") -> SessionInfo:
-        return self.manager.start_session(decode_start_session_request(parse_json(body)))
-
-    def _next_results(
-        self, session_id: str, query: "dict[str, list[str]]"
-    ) -> NextResultsResponse:
-        count = _int_param(query, "count")
-        if count is not None:
-            validate_count(count)
-        return self.manager.next_results(session_id, count)
-
-    def _give_feedback(
-        self,
-        session_id: str,
-        body: "bytes | None",
-        idempotency_key: "str | None" = None,
-    ) -> SessionInfo:
-        request = decode_feedback_request(parse_json(body), session_id=session_id)
-        return self.manager.give_feedback(request, idempotency_key=idempotency_key)
-
-    def _batch_next(
-        self, body: "bytes | None"
-    ) -> "list[NextResultsResponse | ReproError]":
-        entries = decode_batch_next_request(parse_json(body))
-        return self.manager.batch_next(entries)
-
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-def _is_v1(path: str) -> bool:
-    return [s for s in path.split("/") if s][:1] == [PROTOCOL_VERSION]
-
-
 def _str_param(query: "dict[str, list[str]]", name: str) -> "str | None":
     values = query.get(name)
     return values[-1] if values else None

@@ -1,17 +1,11 @@
-"""Typed HTTP clients for the SeeSaw service.
+"""The typed HTTP client for the SeeSaw service.
 
-Two clients live here:
-
-* :class:`HTTPClient` — the `/v1` client, implementing the transport-
-  agnostic :class:`~repro.server.protocol.SeeSawClientProtocol` (structured
-  error envelopes, NDJSON streaming, idempotency keys, cursor paging) over
-  pooled keep-alive connections;
-* :class:`ServiceClient` — the original client for the legacy unversioned
-  routes, preserved unchanged so pre-`/v1` callers keep working.
-
-Both re-raise server-side errors as the exception types the in-process
-service would have raised, so callers can switch transports without
-changing their error handling.
+:class:`HTTPClient` implements the transport-agnostic
+:class:`~repro.server.protocol.SeeSawClientProtocol` (structured error
+envelopes, NDJSON streaming, idempotency keys, cursor paging) over pooled
+keep-alive connections.  It re-raises server-side errors as the exception
+types the in-process service would have raised, so callers can switch
+transports without changing their error handling.
 """
 
 from __future__ import annotations
@@ -20,20 +14,10 @@ import http.client
 import json
 import selectors
 import threading
-import urllib.error
 import urllib.parse
-import urllib.request
 from typing import Any, Iterator, Mapping, Sequence
 
-from repro.exceptions import (
-    ConnectionFailedError,
-    RateLimitedError,
-    ReproError,
-    ServiceOverloadedError,
-    SessionError,
-    TransportError,
-    UnknownResourceError,
-)
+from repro.exceptions import ConnectionFailedError, ReproError, TransportError
 from repro.server.api import (
     FeedbackRequest,
     NextResultsResponse,
@@ -63,14 +47,6 @@ past this is closed, never queued."""
 
 _ProbeSelector = getattr(selectors, "PollSelector", selectors.SelectSelector)
 """``poll`` where the platform has it: unlike ``select`` it has no fd limit."""
-
-_ERROR_TYPES: "dict[str, type[ReproError]]" = {
-    "TransportError": TransportError,
-    "UnknownResourceError": UnknownResourceError,
-    "ServiceOverloadedError": ServiceOverloadedError,
-    "SessionError": SessionError,
-    "RateLimitedError": RateLimitedError,
-}
 
 
 class HTTPClient(SeeSawClientProtocol):
@@ -525,116 +501,3 @@ class HTTPClient(SeeSawClientProtocol):
             return TransportError(f"Server returned HTTP {status}: {raw[:200]!r}")
         return decode_error(status, payload)
 
-
-class ServiceClient:
-    """A small blocking client over :mod:`urllib` — no third-party deps."""
-
-    def __init__(self, base_url: str, timeout: float = 30.0) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-
-    # ------------------------------------------------------------------
-    # API surface
-    # ------------------------------------------------------------------
-    def healthz(self) -> "dict[str, Any]":
-        """The server's health summary."""
-        return self._request("GET", "/healthz")
-
-    def start_session(self, request: StartSessionRequest) -> SessionInfo:
-        """Start a session; returns its summary (with the new session id)."""
-        payload = self._request(
-            "POST", "/sessions", encode_start_session_request(request)
-        )
-        return decode_session_info(payload)
-
-    def next_results(
-        self, session_id: str, count: "int | None" = None
-    ) -> NextResultsResponse:
-        """Fetch the next result batch for a session."""
-        path = f"/sessions/{session_id}/next"
-        if count is not None:
-            path += f"?count={count}"
-        return decode_next_results_response(self._request("GET", path))
-
-    def batch_next(
-        self, requests: "Sequence[tuple[str, int | None]]"
-    ) -> "list[NextResultsResponse | ReproError]":
-        """Fetch next batches for many sessions in one fused round trip.
-
-        Outcomes align positionally with ``requests``; a failed session
-        comes back as the typed exception instance (not raised) so callers
-        can handle partial success, mirroring the server's envelope.
-        """
-        payload = {
-            "requests": [
-                {"session_id": session_id, **({} if count is None else {"count": count})}
-                for session_id, count in requests
-            ]
-        }
-        data = self._request("POST", "/sessions/batch-next", payload)
-        outcomes: "list[NextResultsResponse | ReproError]" = []
-        for item in data["results"]:
-            if item.get("ok"):
-                outcomes.append(decode_next_results_response(item["result"]))
-            else:
-                error = item["error"]
-                exc_type = _ERROR_TYPES.get(str(error["type"]), SessionError)
-                outcomes.append(exc_type(str(error["message"])))
-        return outcomes
-
-    def give_feedback(self, request: FeedbackRequest) -> SessionInfo:
-        """Submit feedback for one image of the session's current batch."""
-        payload = self._request(
-            "POST",
-            f"/sessions/{request.session_id}/feedback",
-            encode_feedback_request(request),
-        )
-        return decode_session_info(payload)
-
-    def session_info(self, session_id: str) -> SessionInfo:
-        """Progress summary for one session."""
-        return decode_session_info(self._request("GET", f"/sessions/{session_id}"))
-
-    def close_session(self, session_id: str) -> None:
-        """Close a session on the server."""
-        self._request("DELETE", f"/sessions/{session_id}")
-
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-    def _request(
-        self, method: str, path: str, payload: "Mapping[str, Any] | None" = None
-    ) -> "dict[str, Any]":
-        body = None if payload is None else json.dumps(payload).encode("utf-8")
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=body,
-            method=method,
-            headers={"Content-Type": "application/json"} if body else {},
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                raw = response.read()
-        except urllib.error.HTTPError as exc:
-            raise self._error_from_response(exc.code, exc.read()) from exc
-        except urllib.error.URLError as exc:
-            raise TransportError(
-                f"Could not reach SeeSaw service at {self.base_url}: {exc.reason}"
-            ) from exc
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise TransportError(f"Server returned invalid JSON: {exc}") from exc
-
-    @staticmethod
-    def _error_from_response(status: int, raw: bytes) -> ReproError:
-        """Map the server's error envelope back to a library exception."""
-        try:
-            envelope = json.loads(raw.decode("utf-8"))
-            error = envelope["error"]
-            kind = str(error["type"])
-            message = str(error["message"])
-        except Exception:
-            return TransportError(f"Server returned HTTP {status}: {raw[:200]!r}")
-        exc_type = _ERROR_TYPES.get(kind, SessionError)
-        return exc_type(message)

@@ -233,30 +233,6 @@ def decode_batch_next_request(data: Any) -> "list[tuple[str, int | None]]":
     return entries
 
 
-def encode_batch_next_response(outcomes: "Sequence[Any]") -> "dict[str, Any]":
-    """Encode per-session batch outcomes (result or error) positionally.
-
-    Each outcome is either a :class:`NextResultsResponse` or the exception
-    the request failed with; errors keep the uniform envelope the 4xx/5xx
-    paths use, so a client can map them back to typed exceptions per item.
-    """
-    results: "list[dict[str, Any]]" = []
-    for outcome in outcomes:
-        if isinstance(outcome, BaseException):
-            results.append(
-                {
-                    "ok": False,
-                    "error": {
-                        "type": type(outcome).__name__,
-                        "message": str(outcome),
-                    },
-                }
-            )
-        else:
-            results.append({"ok": True, "result": encode_next_results_response(outcome)})
-    return {"results": results}
-
-
 def encode_session_info(info: SessionInfo) -> "dict[str, Any]":
     return {
         "session_id": info.session_id,

@@ -61,9 +61,8 @@ _SPECS: "tuple[tuple[type[BaseException], ErrorSpec], ...]" = (
     # A fresh call carries a fresh deadline, which is the caller's decision.
     (DeadlineExceededError, ErrorSpec(504, "deadline_exceeded", retryable=False)),
     (TransportError, ErrorSpec(400, "invalid_request", retryable=False)),
-    # Session-state violations are request errors (the legacy family has
-    # always answered them with 400; `/v1` keeps the status and adds the
-    # distinct code so clients can still branch on the family).
+    # Session-state violations are request errors: 400, with a distinct
+    # code so clients can still branch on the family.
     (SessionError, ErrorSpec(400, "session_state", retryable=False)),
     (InternalServiceError, ErrorSpec(500, "internal", retryable=True)),
     (ReproError, ErrorSpec(400, "bad_request", retryable=False)),

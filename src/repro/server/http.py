@@ -79,18 +79,40 @@ class SeeSawRequestHandler(BaseHTTPRequestHandler):
             if self.server.end_request(self.connection):
                 self.close_connection = True
 
+    def send_error(
+        self, code: int, message: "str | None" = None, explain: "str | None" = None
+    ) -> None:
+        """Every transport-level error as the structured envelope, then close.
+
+        The stdlib calls this for what never reaches the app — an
+        unsupported method, a malformed request line, oversized headers —
+        and would answer with an HTML page.  The connection closes behind
+        the reply: after any of these the next request's boundary on it is
+        unknown (which is also why a body on the reply to ``HEAD`` is safe).
+        """
+        self.close_connection = True
+        code = int(code)
+        text = message or self.responses.get(code, ("Transport error",))[0]
+        _, payload = encode_error(TransportError(text))
+        self._send(Response(code, payload))
+
     def _serve(self, method: str) -> None:
+        # The body is framed by Content-Length alone.  Without a trustworthy
+        # length — or with a Transfer-Encoding body, whose bytes would be
+        # parsed as the next request — answer typed and read nothing more.
+        if self.headers.get("Transfer-Encoding") is not None:
+            self.send_error(
+                400,
+                "Transfer-Encoding request bodies are not supported; "
+                "send Content-Length",
+            )
+            return
         raw_length = (self.headers.get("Content-Length") or "0").strip()
         if not (raw_length.isascii() and raw_length.isdigit()):
-            # Without a trustworthy length the next request's boundary on
-            # this connection is unknown: answer typed, then close.
-            self.close_connection = True
-            status, payload = encode_error(
-                TransportError(
-                    f"Content-Length must be a non-negative integer, got '{raw_length}'"
-                )
+            self.send_error(
+                400,
+                f"Content-Length must be a non-negative integer, got '{raw_length}'",
             )
-            self._send(Response(status, payload))
             return
         length = int(raw_length)
         body = self.rfile.read(length) if length else None

@@ -529,7 +529,6 @@ class SessionManager:
                 "batch_next": True,
                 "request_coalescing": self.batch_window_ms > 0,
                 "rate_limiting": config.rate_limit_rps > 0,
-                "legacy_routes": True,
                 "metrics_exposition": True,
                 "tracing": config.telemetry.enabled,
                 "graph_ann": config.ann_search,
@@ -613,13 +612,13 @@ class SessionManager:
         return self.service.metrics.to_json()
 
     def health(self) -> "dict[str, object]":
-        """The payload ``GET /healthz`` returns.
+        """The payload ``GET /v1/healthz`` returns.
 
         The ``fused_rounds`` / ``fused_sessions`` / ``coalescer`` keys are
         deprecation shims: since the obs subsystem they are read back from
         the metrics registry (``seesaw_fused_*_total``,
-        ``seesaw_coalescer_*``), kept here so pre-obs dashboards and the
-        legacy route's byte-compatibility survive one more revision.
+        ``seesaw_coalescer_*``), kept here so pre-obs dashboards survive
+        one more revision.
         """
         coalescer_stats = (
             self._coalescer.stats()

@@ -175,43 +175,46 @@ def route_template(target: str) -> str:
     """Collapse a request target onto its route template.
 
     Metric labels must stay bounded, so raw paths (which embed session ids)
-    never reach a label — every target maps onto one of the fixed templates
-    (``/v1/sessions/{id}/next``, ...) and anything unrecognized onto
-    ``.../other``.
+    never reach a label — every target maps onto one of the fixed `/v1`
+    templates (``/v1/sessions/{id}/next``, ...), anything unrecognized
+    under `/v1` onto ``/v1/other`` and anything outside it onto ``/other``.
     """
     return _template(urlsplit(target).path)
 
 
 def _template(path: str) -> str:
     segments = [segment for segment in path.split("/") if segment]
-    prefix = ""
-    if segments[:1] == ["v1"]:
-        prefix = "/v1"
-        segments = segments[1:]
+    if segments[:1] != ["v1"]:
+        return "/other"
+    segments = segments[1:]
     if not segments:
-        return prefix or "/"
+        return "/v1"
     head = segments[0]
     if head in ("healthz", "capabilities", "metrics") and len(segments) == 1:
-        return f"{prefix}/{head}"
+        return f"/v1/{head}"
     if head == "sessions":
         rest = segments[1:]
         if not rest:
-            return f"{prefix}/sessions"
+            return "/v1/sessions"
         if rest == ["batch-next"]:
-            return f"{prefix}/sessions/batch-next"
+            return "/v1/sessions/batch-next"
         if len(rest) == 1:
-            return f"{prefix}/sessions/{{id}}"
+            return "/v1/sessions/{id}"
         if len(rest) == 2 and rest[1] in ("next", "feedback"):
-            return f"{prefix}/sessions/{{id}}/{rest[1]}"
+            return f"/v1/sessions/{{id}}/{rest[1]}"
     if head == "datasets":
         rest = segments[1:]
         if not rest:
-            return f"{prefix}/datasets"
+            return "/v1/datasets"
         if len(rest) == 1:
-            return f"{prefix}/datasets/{{name}}"
+            return "/v1/datasets/{name}"
         if len(rest) == 2 and rest[1] in ("upsert", "delete", "merge"):
-            return f"{prefix}/datasets/{{name}}/{rest[1]}"
-    return f"{prefix}/other"
+            return f"/v1/datasets/{{name}}/{rest[1]}"
+    return "/v1/other"
+
+
+PROBE_ROUTES = frozenset({"/v1/healthz", "/v1/capabilities", "/v1/metrics"})
+"""Probe/observability routes admission control and chaos never touch."""
 
 
 def emit_access_record(
@@ -533,17 +536,6 @@ class AdmissionControlMiddleware:
     clients a jitter anchor better than hammering.
     """
 
-    EXEMPT_ROUTES = frozenset(
-        {
-            "/healthz",
-            "/capabilities",
-            "/metrics",
-            "/v1/healthz",
-            "/v1/capabilities",
-            "/v1/metrics",
-        }
-    )
-
     def __init__(
         self,
         tracker: InFlightTracker,
@@ -565,7 +557,7 @@ class AdmissionControlMiddleware:
         return self._registry if self._registry is not None else get_registry()
 
     def __call__(self, request: Request, handler: Handler) -> Response:
-        if request.route in self.EXEMPT_ROUTES:
+        if request.route in PROBE_ROUTES:
             return handler(request)
         if not self.tracker.try_enter():
             self.shed_requests += 1

@@ -1,16 +1,15 @@
 """Serialize a built :class:`SeeSawIndex` to disk and load it back.
 
 The expensive preprocessing outputs — patch vectors, kNN graph, DB-alignment
-matrix — are written as raw ``.npy`` artifacts (one file per array, the
-default ``arrays_format="npy"``), which :func:`load_index` can open with
-``mmap_mode="r"``: a cold start then *maps* the arrays instead of
-decompressing them into a private copy, and the vector store adopts the
-mapping zero-copy (its construction keeps read-only input as-is — its one
-sequential unit-norm validation pass reads the pages through the OS page
-cache, so a restart on a warm machine touches no disk at all, and the
-mapped corpus stays evictable and shared across server processes).
-The previous single compressed ``arrays.npz`` layout remains fully readable
-— and writable via ``arrays_format="npz"`` — for existing cache directories.
+matrix — are written as raw ``.npy`` artifacts (one file per array), which
+:func:`load_index` can open with ``mmap_mode="r"``: a cold start then *maps*
+the arrays instead of reading them into a private copy, and the vector
+store adopts the mapping zero-copy (its construction keeps read-only input
+as-is — its one sequential unit-norm validation pass reads the pages
+through the OS page cache, so a restart on a warm machine touches no disk
+at all, and the mapped corpus stays evictable and shared across server
+processes).  An entry in any other layout is refused with
+:class:`StoreError`, which the index cache treats as a miss and rebuilds.
 
 Everything structural (records, image→vector mapping, configuration, build
 report) goes into a JSON sidecar.  The dataset and embedding model
@@ -47,7 +46,6 @@ from repro.vectorstore.graph import GraphANNVectorStore
 from repro.vectorstore.quantized import QuantizedVectorStore
 from repro.vectorstore.sharded import ShardedVectorStore
 
-ARRAYS_FILE = "arrays.npz"
 META_FILE = "index.json"
 
 ARRAY_NAMES = (
@@ -59,8 +57,8 @@ ARRAY_NAMES = (
     "graph_neighbors",
     "graph_entries",
 )
-"""The array artifacts an entry may hold, one ``<name>.npy`` file each in the
-raw layout (``vectors`` is always present, the rest are optional; the
+"""The array artifacts an entry may hold, one ``<name>.npy`` file each
+(``vectors`` is always present, the rest are optional; the
 ``graph_*`` adjacency triple is written only by ``store_kind="graph"``
 entries, and pre-graph entries without them load unchanged)."""
 
@@ -130,24 +128,15 @@ def _store_kind(store: VectorStore) -> str:
     raise StoreError(f"Cannot serialize vector store of type {type(store).__name__}")
 
 
-def save_index(
-    index: SeeSawIndex,
-    directory: "str | os.PathLike[str]",
-    arrays_format: str = "npy",
-) -> Path:
+def save_index(index: SeeSawIndex, directory: "str | os.PathLike[str]") -> Path:
     """Write ``index`` under ``directory`` (created if missing).
 
-    ``arrays_format`` selects the array layout: ``"npy"`` (default) writes
-    one raw ``<name>.npy`` per array so the loader can memory-map them;
-    ``"npz"`` writes the legacy single compressed ``arrays.npz`` (kept for
-    size-sensitive archival and for exercising the back-compat read path).
-
-    The write is atomic at the directory level: files are assembled in a
-    temporary sibling directory first and moved into place with ``os.replace``
-    so a concurrent reader never observes a half-written entry.
+    Each array goes into its own raw ``<name>.npy`` so the loader can
+    memory-map it.  The write is atomic at the directory level: files are
+    assembled in a temporary sibling directory first and moved into place
+    with ``os.replace`` so a concurrent reader never observes a half-written
+    entry.
     """
-    if arrays_format not in ("npy", "npz"):
-        raise StoreError(f"Unknown arrays format '{arrays_format}'")
     target = Path(directory)
     target.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=target.parent))
@@ -170,16 +159,13 @@ def save_index(
             arrays["graph_offsets"] = np.asarray(store.graph_offsets)
             arrays["graph_neighbors"] = np.asarray(store.graph_neighbors)
             arrays["graph_entries"] = np.asarray(store.graph_entries)
-        if arrays_format == "npy":
-            for name, array in arrays.items():
-                np.save(staging / f"{name}.npy", array, allow_pickle=False)
-        else:
-            np.savez_compressed(staging / ARRAYS_FILE, **arrays)
+        for name, array in arrays.items():
+            np.save(staging / f"{name}.npy", array, allow_pickle=False)
 
         report = index.build_report
         meta: dict[str, object] = {
             "format_version": FORMAT_VERSION,
-            "arrays_format": arrays_format,
+            "arrays_format": "npy",
             "dataset_name": index.dataset.name,
             "embedding_dim": index.embedding.dim,
             "store_kind": kind,
@@ -255,37 +241,26 @@ def save_index(
         raise
 
 
-def _load_arrays(
-    source: Path, meta: "dict[str, object]", mmap: bool
-) -> "dict[str, np.ndarray]":
-    """The entry's arrays, memory-mapped when the layout and caller allow.
+def _load_arrays(source: Path, mmap: bool) -> "dict[str, np.ndarray]":
+    """The entry's arrays, memory-mapped when the caller allows.
 
-    The raw ``.npy`` layout opens each file with ``mmap_mode="r"`` (nothing
-    is decompressed or copied into private memory; reads go through the OS
-    page cache); the legacy compressed ``.npz`` layout has no mappable
-    representation and always decompresses into fresh arrays.
+    Each ``.npy`` file opens with ``mmap_mode="r"`` (nothing is copied into
+    private memory; reads go through the OS page cache).
     """
-    arrays_format = meta.get("arrays_format", "npz")
-    if arrays_format == "npy":
-        loaded: "dict[str, np.ndarray]" = {}
-        for name in ARRAY_NAMES:
-            path = source / f"{name}.npy"
-            if not path.exists():
-                continue
-            try:
-                loaded[name] = np.load(
-                    path, mmap_mode="r" if mmap else None, allow_pickle=False
-                )
-            except (OSError, ValueError) as exc:
-                raise StoreError(f"Corrupt array artifact at '{path}': {exc}") from exc
-        if "vectors" not in loaded:
-            raise StoreError(f"No serialized index at '{source}'")
-        return loaded
-    arrays_path = source / ARRAYS_FILE
-    if not arrays_path.exists():
+    loaded: "dict[str, np.ndarray]" = {}
+    for name in ARRAY_NAMES:
+        path = source / f"{name}.npy"
+        if not path.exists():
+            continue
+        try:
+            loaded[name] = np.load(
+                path, mmap_mode="r" if mmap else None, allow_pickle=False
+            )
+        except (OSError, ValueError) as exc:
+            raise StoreError(f"Corrupt array artifact at '{path}': {exc}") from exc
+    if "vectors" not in loaded:
         raise StoreError(f"No serialized index at '{source}'")
-    with np.load(arrays_path) as arrays:
-        return {name: arrays[name] for name in ARRAY_NAMES if name in arrays}
+    return loaded
 
 
 def load_index(
@@ -300,7 +275,7 @@ def load_index(
     built from (the cache key guarantees this when loading through
     :class:`repro.store.cache.IndexCache`); basic identity checks guard
     against loading mismatched artifacts directly.  With ``mmap`` true (the
-    default) raw-layout entries are memory-mapped read-only and the vector
+    default) the arrays are memory-mapped read-only and the vector
     store adopts the mapping zero-copy; pass false to force materialised
     arrays (e.g. when the cache directory may be deleted while in use).
     """
@@ -317,6 +292,11 @@ def load_index(
             f"Index at '{source}' has format version {meta.get('format_version')}, "
             f"expected {FORMAT_VERSION}"
         )
+    if meta.get("arrays_format") != "npy":
+        raise StoreError(
+            f"Index at '{source}' has arrays format "
+            f"{meta.get('arrays_format')!r}, expected 'npy'"
+        )
     if meta["dataset_name"] != dataset.name:
         raise StoreError(
             f"Index at '{source}' was built for dataset '{meta['dataset_name']}', "
@@ -328,7 +308,7 @@ def load_index(
             f"embedding model produces {embedding.dim}-d vectors"
         )
 
-    arrays = _load_arrays(source, meta, mmap)
+    arrays = _load_arrays(source, mmap)
     vectors = arrays["vectors"]
     neighbor_ids = arrays.get("knn_neighbor_ids")
     neighbor_weights = arrays.get("knn_neighbor_weights")
@@ -370,8 +350,8 @@ def load_index(
             and "graph_neighbors" in arrays
             and "graph_entries" in arrays
         ):
-            # The persisted adjacency is adopted as-is (memory-mapped in the
-            # raw layout) instead of being rebuilt; entries written from a
+            # The persisted adjacency is adopted as-is (memory-mapped)
+            # instead of being rebuilt; entries written from a
             # sharded graph store carry no flat adjacency and rebuild here.
             adjacency = (
                 arrays["graph_offsets"],

@@ -465,6 +465,85 @@ class TestMalformedContentLength:
         assert HTTPClient(stack.url).healthz()["state"] == "serving"
 
 
+def _until_hangup(stack, request: bytes) -> "list[tuple[bytes, dict]]":
+    """Send raw bytes; every ``(head, JSON body)`` reply until the server
+    closes the connection."""
+    host, port = stack.server.server.server_address[:2]
+    received = b""
+    with socket.create_connection((host, port), timeout=5.0) as sock:
+        sock.sendall(request)
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                received += chunk
+        except ConnectionResetError:
+            pass  # closed with our unread bytes pending: a reset, not a FIN
+    replies = []
+    while received:
+        head, _, received = received.partition(b"\r\n\r\n")
+        length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+        replies.append((head, json.loads(received[:length])))
+        received = received[length:]
+    return replies
+
+
+class TestEveryErrorIsTheStructuredEnvelope:
+    @pytest.mark.parametrize(
+        "request_bytes, status, fragment",
+        [
+            (b"PUT /v1/sessions HTTP/1.1\r\nHost: x\r\n\r\n", 501, "PUT"),
+            (b"HEAD /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n", 501, "HEAD"),
+            (b"OPTIONS * HTTP/1.1\r\nHost: x\r\n\r\n", 501, "OPTIONS"),
+            (b"not a request line at all\r\n\r\n", 400, "Bad request"),
+        ],
+    )
+    def test_transport_errors_are_typed_then_close(
+        self, make_stack, request_bytes, status, fragment
+    ):
+        # The connection asks for keep-alive (HTTP/1.1 default); the server
+        # must close it anyway, after exactly one typed reply.
+        [(head, payload)] = _until_hangup(make_stack(), request_bytes)
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"\r\nContent-Type: application/json" in head
+        assert b"\r\nConnection: close" in head
+        error = payload["error"]
+        assert error["code"] == "invalid_request"
+        assert error["details"]["type"] == "TransportError"
+        assert fragment in error["message"]
+
+    def test_chunked_request_body_is_one_typed_400_then_eof(self, make_stack):
+        # The chunk bytes must not be parsed as a second request.
+        [(head, payload)] = _until_hangup(
+            make_stack(),
+            b"POST /v1/sessions HTTP/1.1\r\nHost: x\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+        )
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert payload["error"]["code"] == "invalid_request"
+        assert "Transfer-Encoding" in payload["error"]["message"]
+
+    def test_unversioned_paths_are_the_structured_404(self, make_stack):
+        # Two requests pipelined on one connection: a routing 404 is an
+        # ordinary reply and leaves keep-alive intact.
+        body = b'{"dataset": "tiny", "text_query": "a cat_easy"}'
+        replies = _until_hangup(
+            make_stack(),
+            b"GET /healthz HTTP/1.1\r\nHost: x\r\nX-Request-Id: first\r\n\r\n"
+            b"POST /sessions HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n" + body,
+        )
+        assert len(replies) == 2
+        for head, payload in replies:
+            assert head.startswith(b"HTTP/1.1 404 ")
+            assert payload["error"]["code"] == "not_found"
+            assert payload["error"]["details"]["request_id"]
+        assert replies[0][1]["error"]["details"]["request_id"] == "first"
+        assert b"\r\nConnection: close" not in replies[0][0]
+
+
 class TestNagle:
     """A delayed-ACK stall reads >= 40 ms per request."""
 

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import json
 import threading
+import urllib.error
+import urllib.request
 
 import pytest
 
 from repro.config import SeeSawConfig
-from repro.exceptions import TransportError, UnknownResourceError
+from repro.exceptions import UnknownResourceError
 from repro.server import (
     FeedbackRequest,
+    HTTPClient,
     SeeSawApp,
     SeeSawService,
-    ServiceClient,
     SessionManager,
     StartSessionRequest,
     serve_in_background,
@@ -31,10 +34,10 @@ def running_server(tiny_dataset, tiny_clip):
 
 @pytest.fixture()
 def client(running_server):
-    return ServiceClient(running_server.url)
+    return HTTPClient(running_server.url)
 
 
-def run_full_session(client: ServiceClient, query: str, rounds: int = 2) -> object:
+def run_full_session(client: HTTPClient, query: str, rounds: int = 2) -> object:
     """start → (next → feedback)*rounds → info, through real HTTP."""
     info = client.start_session(
         StartSessionRequest(dataset="tiny", text_query=query, batch_size=2)
@@ -82,7 +85,7 @@ class TestHttpRoundTrip:
 
         def worker(name: str, query: str) -> None:
             try:
-                own_client = ServiceClient(running_server.url)
+                own_client = HTTPClient(running_server.url)
                 results[name] = run_full_session(own_client, query)
             except BaseException as exc:  # pragma: no cover - failure reporting
                 errors.append(exc)
@@ -100,6 +103,19 @@ class TestHttpRoundTrip:
         assert all(summary.total_shown == 4 for summary in results.values())
 
 
+def raw_error(url: str, body: "dict | None" = None) -> "tuple[int, dict]":
+    """One request without the typed client: ``(status, error envelope)``."""
+    request = urllib.request.Request(
+        url,
+        data=None if body is None else json.dumps(body).encode(),
+        method="GET" if body is None else "POST",
+        headers={"X-Request-Id": "probe"},
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=30.0)
+    return excinfo.value.code, json.loads(excinfo.value.read())["error"]
+
+
 class TestHttpErrors:
     def test_unknown_session_is_404(self, client):
         with pytest.raises(UnknownResourceError, match="no-such-session"):
@@ -111,22 +127,39 @@ class TestHttpErrors:
                 StartSessionRequest(dataset="missing", text_query="a cat")
             )
 
-    def test_malformed_body_is_400(self, client):
+    def test_malformed_body_is_400(self, running_server):
         # Bypass the typed client: send a body missing required fields.
-        with pytest.raises(TransportError, match="text_query"):
-            client._request("POST", "/sessions", {"dataset": "tiny"})
+        status, error = raw_error(
+            f"{running_server.url}/v1/sessions", {"dataset": "tiny"}
+        )
+        assert (status, error["code"]) == (400, "invalid_request")
+        assert "text_query" in error["message"]
+        assert error["details"]["request_id"] == "probe"
 
-    def test_bad_count_is_400(self, client):
+    def test_bad_count_is_400(self, client, running_server):
         info = client.start_session(
             StartSessionRequest(dataset="tiny", text_query="a cat_easy")
         )
-        with pytest.raises(TransportError, match="count"):
-            client._request("GET", f"/sessions/{info.session_id}/next?count=zero")
+        status, error = raw_error(
+            f"{running_server.url}/v1/sessions/{info.session_id}/next?count=zero"
+        )
+        assert (status, error["code"]) == (400, "invalid_request")
+        assert "count" in error["message"]
         client.close_session(info.session_id)
 
-    def test_unroutable_path_is_404(self, client):
-        with pytest.raises(UnknownResourceError, match="No route"):
-            client._request("GET", "/nope")
+    @pytest.mark.parametrize("path", ["/nope", "/v1/nope", "/healthz"])
+    def test_unroutable_path_is_404(self, running_server, path):
+        status, error = raw_error(running_server.url + path)
+        assert (status, error["code"]) == (404, "not_found")
+        assert "No route" in error["message"]
+        assert error["details"]["request_id"] == "probe"
+
+    def test_unversioned_post_is_404(self, running_server):
+        status, error = raw_error(
+            f"{running_server.url}/sessions",
+            {"dataset": "tiny", "text_query": "a cat_easy"},
+        )
+        assert (status, error["code"]) == (404, "not_found")
 
 
 class TestServiceCacheOverHttp:
@@ -144,7 +177,7 @@ class TestServiceCacheOverHttp:
 
         app = SeeSawApp(SessionManager(warm))
         with serve_in_background(app) as server:
-            http = ServiceClient(server.url)
+            http = HTTPClient(server.url)
             assert http.healthz()["index_cache_hits"] == 1
             summary = run_full_session(http, "a cat_easy", rounds=1)
             assert summary.total_shown == 2

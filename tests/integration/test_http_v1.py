@@ -1,11 +1,8 @@
 """`/v1` wire-protocol integration tests: real sockets, real chunked NDJSON.
 
-The legacy integration suite (``test_http_service.py``) is deliberately
-untouched — it is the back-compat gate proving pre-`/v1` clients keep
-working.  This module covers what only a real socket shows about the new
-surface: chunked transfer framing, response headers from the middleware
-pipeline, HTTP-level rate limiting, and the two route families coexisting
-on one server.
+What only a real socket shows about the `/v1` surface: chunked transfer
+framing, response headers from the middleware pipeline, and HTTP-level rate
+limiting.
 """
 
 from __future__ import annotations
@@ -19,11 +16,9 @@ import pytest
 from repro.config import SeeSawConfig
 from repro.exceptions import RateLimitedError
 from repro.server import (
-    FeedbackRequest,
     HTTPClient,
     SeeSawApp,
     SeeSawService,
-    ServiceClient,
     SessionManager,
     StartSessionRequest,
     serve_in_background,
@@ -120,31 +115,6 @@ class TestWireFormat:
         assert second["ok"] is False and second["error"]["code"] == "not_found"
         assert records[-1]["kind"] == "end"
         client.close_session(info.session_id)
-
-
-class TestCoexistence:
-    def test_legacy_and_v1_share_one_session_space(self, running_server):
-        """A session started through the legacy client is visible to `/v1`."""
-        legacy = ServiceClient(running_server.url)
-        v1 = HTTPClient(running_server.url)
-        info = legacy.start_session(
-            StartSessionRequest(dataset="tiny", text_query="a cat_easy", batch_size=2)
-        )
-        assert v1.session_info(info.session_id) == info
-        batch = v1.next_results(info.session_id)
-        for item in batch.items:
-            legacy.give_feedback(
-                FeedbackRequest(
-                    session_id=info.session_id,
-                    image_id=item.image_id,
-                    relevant=False,
-                )
-            )
-        listed = [entry.info.session_id for entry in v1.iter_sessions()]
-        assert info.session_id in listed
-        v1.close_session(info.session_id)
-        health = legacy.healthz()
-        assert health["status"] == "ok"
 
 
 class TestRateLimiting:

@@ -25,7 +25,6 @@ from repro.server import (
     HTTPClient,
     SeeSawApp,
     SeeSawService,
-    ServiceClient,
     SessionManager,
     StartSessionRequest,
     serve_in_background,
@@ -59,7 +58,7 @@ def test_load_soak_mixed_traffic(loaded_server):
     record_lock = threading.Lock()
 
     def worker(worker_id: int) -> None:
-        client = ServiceClient(server.url)
+        client = HTTPClient(server.url)
         session_id: "str | None" = None
         try:
             # Phase 1: everyone starts at once against CAPACITY slots; the
@@ -139,7 +138,7 @@ def test_load_soak_mixed_traffic(loaded_server):
 def test_explicit_batch_next_endpoint_under_load(loaded_server):
     """The explicit cohort endpoint: fused results plus per-item errors."""
     server, _ = loaded_server
-    client = ServiceClient(server.url)
+    client = HTTPClient(server.url)
     infos = [
         client.start_session(
             StartSessionRequest(dataset="tiny", text_query="a cat_easy", batch_size=2)
@@ -190,7 +189,7 @@ def test_metrics_scrape_after_load(loaded_server):
         "# TYPE seesaw_requests_total counter",
         "# TYPE seesaw_request_seconds histogram",
         "seesaw_request_seconds_bucket",
-        'seesaw_requests_total{method="GET",route="/sessions/{id}/next"',
+        'seesaw_requests_total{method="GET",route="/v1/sessions/{id}/next"',
         "seesaw_coalescer_batches_total",
         "seesaw_coalescer_requests_total",
         "seesaw_coalescer_batch_size_bucket",

@@ -155,23 +155,3 @@ class TestBatchNextCodec:
             decode_batch_next_request(
                 {"requests": [{"session_id": "session-1", "count": 0}]}
             )
-
-    def test_encode_mixes_results_and_errors(self):
-        from repro.exceptions import UnknownResourceError
-        from repro.server.codec import encode_batch_next_response
-
-        response = NextResultsResponse(
-            session_id="session-1",
-            items=(ResultItem(image_id=1, score=0.5, box_x=0, box_y=0, box_width=2, box_height=2),),
-            total_shown=1,
-            positives_found=0,
-        )
-        payload = encode_batch_next_response(
-            [response, UnknownResourceError("Unknown session 'session-9'")]
-        )
-        ok, bad = payload["results"]
-        assert ok["ok"] is True
-        assert decode_next_results_response(ok["result"]) == response
-        assert bad["ok"] is False
-        assert bad["error"]["type"] == "UnknownResourceError"
-        assert "session-9" in bad["error"]["message"]

@@ -213,7 +213,7 @@ class TestChaosMiddleware:
         response = middleware(Request(method="GET", target="/v1/x"), self._handler)
         assert response.status == 200
 
-    @pytest.mark.parametrize("target", ["/healthz", "/v1/metrics", "/v1/capabilities"])
+    @pytest.mark.parametrize("target", ["/v1/healthz", "/v1/metrics", "/v1/capabilities"])
     def test_probe_routes_exempt(self, target):
         middleware = ChaosMiddleware(
             _plan_only(KIND_ERROR), registry=MetricsRegistry()

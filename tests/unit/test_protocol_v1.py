@@ -271,15 +271,14 @@ class TestV1AppBoundary:
         assert error["details"]["type"] == "UnknownResourceError"
         assert error["details"]["request_id"]
 
-    def test_legacy_error_envelope_is_preserved(self, app):
-        status, payload = app.handle("GET", "/sessions/no-such-session")
+    @pytest.mark.parametrize("target", ["/sessions/x", "/healthz"])
+    def test_unversioned_path_is_the_structured_404(self, app, target):
+        status, payload = app.handle("GET", target)
         assert status == 404
-        assert payload == {
-            "error": {
-                "type": "UnknownResourceError",
-                "message": "Unknown session 'no-such-session'",
-            }
-        }
+        error = payload["error"]
+        assert error["code"] == "not_found"
+        assert error["message"] == f"No route for GET {target}"
+        assert error["details"]["request_id"]
 
     def test_nonpositive_count_is_structured_400(self, app):
         status, payload = app.handle("POST", "/v1/sessions", start_body())
@@ -354,10 +353,11 @@ class TestV1AppBoundary:
         assert status == 429
         assert payload["error"]["code"] == "rate_limited"
         assert payload["error"]["retryable"] is True
-        # The legacy family gets the legacy envelope shape at the new status.
+        # The limiter runs before routing: an unversioned path is throttled
+        # with the same structured envelope, not answered with its 404.
         status, payload = limited.handle("GET", "/healthz", client="c")
         assert status == 429
-        assert payload["error"]["type"] == "RateLimitedError"
+        assert payload["error"]["code"] == "rate_limited"
 
     def test_rate_limited_response_keeps_request_id_and_access_log(
         self, tiny_dataset, tiny_clip, caplog

@@ -481,7 +481,7 @@ class TestAdmissionControlMiddleware:
         assert tracker.count == 0
 
     @pytest.mark.parametrize(
-        "target", ["/healthz", "/v1/healthz", "/v1/metrics", "/v1/capabilities"]
+        "target", ["/v1/healthz", "/v1/metrics", "/v1/capabilities"]
     )
     def test_probe_routes_exempt_even_at_the_bound(self, target):
         tracker = InFlightTracker(limit=1)

@@ -206,7 +206,7 @@ class TestShardedTopologyAndCache:
 
 
 class TestMmapLayout:
-    """The raw .npy layout: zero-copy loads, with npz read-compat."""
+    """The raw .npy layout: zero-copy loads; any other layout is a miss."""
 
     def test_default_layout_is_raw_npy(self, saved_index):
         assert (saved_index / "vectors.npy").exists()
@@ -237,39 +237,43 @@ class TestMmapLayout:
             base = base.base
         assert not isinstance(base, np.memmap)
 
-    def test_npz_layout_round_trips(self, tiny_index, tiny_dataset, tiny_clip, tmp_path):
-        directory = tmp_path / "compressed-entry"
-        save_index(tiny_index, directory, arrays_format="npz")
-        assert (directory / "arrays.npz").exists()
-        assert not (directory / "vectors.npy").exists()
-        loaded = load_index(directory, tiny_dataset, tiny_clip)
-        assert np.array_equal(
-            np.asarray(loaded.store.vectors), np.asarray(tiny_index.store.vectors)
-        )
-        assert np.array_equal(
-            loaded.knn_graph.neighbor_ids, tiny_index.knn_graph.neighbor_ids
-        )
-
-    def test_legacy_entry_without_format_key_loads(
-        self, tiny_index, tiny_dataset, tiny_clip, tmp_path
+    @pytest.mark.parametrize("format_value", [None, "npz"])
+    def test_npz_entry_is_refused_and_the_cache_rebuilds_it(
+        self, tiny_dataset, tiny_clip, tmp_path, format_value
     ):
-        """Entries written before arrays_format existed read as npz."""
+        """An entry in the retired single-file compressed layout (meta says
+        ``"npz"``, or predates the key) is a typed refusal from
+        ``load_index`` and a self-healing miss through the cache."""
         import json
 
-        directory = tmp_path / "legacy-entry"
-        save_index(tiny_index, directory, arrays_format="npz")
-        meta_path = directory / META_FILE
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        del meta["arrays_format"]
-        meta_path.write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
-        loaded = load_index(directory, tiny_dataset, tiny_clip)
-        assert np.array_equal(
-            np.asarray(loaded.store.vectors), np.asarray(tiny_index.store.vectors)
-        )
+        cache = IndexCache(tmp_path / "cache")
+        config = SeeSawConfig(embedding_dim=64, seed=7)
+        built, _ = cache.load_or_build(tiny_dataset, tiny_clip, config)
+        entry = cache.path_for(cache.key(tiny_dataset, tiny_clip, config))
+        arrays = {path.stem: np.load(path) for path in entry.glob("*.npy")}
+        np.savez_compressed(entry / "arrays.npz", **arrays)
+        for name in arrays:
+            (entry / f"{name}.npy").unlink()
+        meta = json.loads((entry / META_FILE).read_text(encoding="utf-8"))
+        if format_value is None:
+            del meta["arrays_format"]
+        else:
+            meta["arrays_format"] = format_value
+        (entry / META_FILE).write_text(json.dumps(meta), encoding="utf-8")
 
-    def test_unknown_arrays_format_rejected(self, tiny_index, tmp_path):
         with pytest.raises(StoreError, match="arrays format"):
-            save_index(tiny_index, tmp_path / "entry", arrays_format="parquet")
+            load_index(entry, tiny_dataset, tiny_clip)
+        rebuilt, was_cached = IndexCache(tmp_path / "cache").load_or_build(
+            tiny_dataset, tiny_clip, config
+        )
+        assert not was_cached
+        assert np.array_equal(
+            np.asarray(rebuilt.store.vectors), np.asarray(built.store.vectors)
+        )
+        assert (entry / "vectors.npy").exists()
+        assert not (entry / "arrays.npz").exists()
+        _, was_cached = cache.load_or_build(tiny_dataset, tiny_clip, config)
+        assert was_cached
 
 
 class TestComputeDtypeTier:
@@ -685,16 +689,15 @@ class TestGraphStoreSerialization:
     def test_pre_graph_entries_still_load(
         self, tiny_index, tiny_dataset, tiny_clip, tmp_path
     ):
-        """Exact-kind artifacts (npy and npz, no graph_* arrays) are untouched
-        by the graph tier's serialization additions."""
-        for layout in ("npy", "npz"):
-            directory = tmp_path / f"pre-graph-{layout}"
-            save_index(tiny_index, directory, arrays_format=layout)
-            assert not (directory / "graph_neighbors.npy").exists()
-            loaded = load_index(directory, tiny_dataset, tiny_clip)
-            assert np.array_equal(
-                np.asarray(loaded.store.vectors), np.asarray(tiny_index.store.vectors)
-            )
+        """Exact-kind artifacts (no graph_* arrays) are untouched by the
+        graph tier's serialization additions."""
+        directory = tmp_path / "pre-graph"
+        save_index(tiny_index, directory)
+        assert not (directory / "graph_neighbors.npy").exists()
+        loaded = load_index(directory, tiny_dataset, tiny_clip)
+        assert np.array_equal(
+            np.asarray(loaded.store.vectors), np.asarray(tiny_index.store.vectors)
+        )
 
     def test_graph_key_includes_degree_but_not_ef(self, tiny_dataset, tiny_clip):
         base = SeeSawConfig(embedding_dim=64, seed=7)
