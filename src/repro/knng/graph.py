@@ -9,15 +9,21 @@ Laplacian ``D - W`` used in Equation 4 of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from repro.config import KnnGraphConfig
 from repro.exceptions import IndexingError
 from repro.knng.kernels import gaussian_similarity, squared_distance_from_inner
 from repro.knng.nndescent import exact_knn, nn_descent
 from repro.utils.linalg import ensure_dtype, unit_rows
+
+# scipy.sparse is imported inside the methods that build a matrix: it is the
+# package's only scipy dependency, and a server that loads an index without
+# a graph should not pay for importing it.
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 @dataclass
@@ -60,6 +66,8 @@ class KnnGraph:
         label propagation.
         """
         if self._adjacency is None:
+            from scipy import sparse
+
             count, k = self.neighbor_ids.shape
             rows = np.repeat(np.arange(count), k)
             cols = self.neighbor_ids.ravel()
@@ -78,6 +86,8 @@ class KnnGraph:
         propagation baseline.
         """
         if self._transition is None:
+            from scipy import sparse
+
             adjacency = self.adjacency()
             degrees = np.asarray(adjacency.sum(axis=1)).ravel()
             degrees[degrees == 0.0] = 1.0
@@ -86,6 +96,8 @@ class KnnGraph:
 
     def degree(self, adjacency: "sparse.csr_matrix | None" = None) -> sparse.csr_matrix:
         """The diagonal degree matrix ``D`` (row sums of ``W``)."""
+        from scipy import sparse
+
         if adjacency is None:
             adjacency = self.adjacency()
         degrees = np.asarray(adjacency.sum(axis=1)).ravel()

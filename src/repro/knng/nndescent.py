@@ -148,14 +148,28 @@ def nn_descent(
     return neighbor_ids, neighbor_sims
 
 
-def exact_knn(
-    vectors: np.ndarray, k: int, chunk_size: int = 1024
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact kNN graph via a chunked brute-force scan.
+_CHUNK_BYTES = 4 * 1024 * 1024
+"""Size of one chunk's ``rows x count`` float64 similarity block in
+:func:`exact_knn`; the chunk's row count is derived from it."""
 
-    Memory-bounded: similarity is computed for ``chunk_size`` rows at a time,
-    so databases with tens of thousands of vectors never materialise the full
-    pairwise matrix.
+
+def exact_knn(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact kNN graph via a brute-force scan in fixed-size chunks.
+
+    Similarity is computed for as many rows at a time as fit one
+    ``count``-wide float64 block in :data:`_CHUNK_BYTES` (at least one row),
+    so the scan's temporaries stay about two such blocks — the product
+    buffer and ``argpartition``'s int64 result — whatever the corpus size,
+    and never the full pairwise matrix.  The product buffer is negated in
+    place, so selection sees the same values a negated copy would without a
+    third block.
+
+    ``neighbor_ids`` do not depend on the chunk size on tie-free data.  The
+    similarities may move in the last bits: BLAS's blocking (and therefore
+    its summation order) depends on the GEMM's row count.
+
+    Returns ``(neighbor_ids, neighbor_similarities)``, two ``(count, k)``
+    arrays with each row's similarities sorted descending.
     """
     vectors = unit_rows(ensure_dtype(vectors, np.float64))
     count = vectors.shape[0]
@@ -164,17 +178,19 @@ def exact_knn(
     k = min(k, count - 1)
     neighbor_ids = np.empty((count, k), dtype=np.int64)
     neighbor_sims = np.empty((count, k), dtype=np.float64)
-    # One similarity buffer reused across chunks: `@` would allocate a fresh
-    # (chunk x count) product every iteration, doubling the scan's peak
-    # memory and churning the allocator on large corpora.
-    buffer = np.empty((min(chunk_size, count), count), dtype=np.float64)
-    for start in range(0, count, chunk_size):
-        stop = min(count, start + chunk_size)
+    chunk_rows = max(1, min(count, _CHUNK_BYTES // (8 * count)))
+    # One product buffer reused across chunks: `@` would allocate a fresh
+    # block every iteration and churn the allocator on large corpora.
+    buffer = np.empty((chunk_rows, count), dtype=np.float64)
+    for start in range(0, count, chunk_rows):
+        stop = min(count, start + chunk_rows)
         sims = np.dot(vectors[start:stop], vectors.T, out=buffer[: stop - start])
-        rows = np.arange(start, stop)
-        sims[np.arange(stop - start), rows] = -np.inf  # exclude self-edges
-        top = np.argpartition(-sims, k - 1, axis=1)[:, :k]
-        top_sims = np.take_along_axis(sims, top, axis=1)
+        sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf  # no self-edges
+        np.negative(sims, out=sims)
+        # A copy, not a view: the view would keep argpartition's full-width
+        # result alive into the next chunk's argpartition (a third block).
+        top = np.argpartition(sims, k - 1, axis=1)[:, :k].copy()
+        top_sims = -np.take_along_axis(sims, top, axis=1)
         order = np.argsort(-top_sims, axis=1)
         neighbor_ids[start:stop] = np.take_along_axis(top, order, axis=1)
         neighbor_sims[start:stop] = np.take_along_axis(top_sims, order, axis=1)

@@ -22,8 +22,10 @@ Typical embedded use::
 from __future__ import annotations
 
 import json
+import logging
 import signal
 import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -31,6 +33,8 @@ from repro.exceptions import TransportError
 from repro.server.app import SeeSawApp
 from repro.server.errors import encode_error
 from repro.server.middleware import Request, Response
+
+logger = logging.getLogger("repro.server")
 
 IDLE_TIMEOUT_S = 60.0
 """How long a handler thread waits on a kept-alive socket for the next
@@ -266,6 +270,19 @@ class SeeSawHTTPServer(ThreadingHTTPServer):
         with self._connections_lock:
             self._connections[connection] = False
             return self._stopped
+
+    def handle_error(self, request: object, client_address: object) -> None:
+        """A peer that hangs up is routine; anything else keeps its traceback.
+
+        A pooled client resets the idle kept-alive connections it drops, and
+        the handler thread blocked reading the next request line gets the
+        reset.  That is logged at debug level instead of printed to stderr.
+        """
+        exc = sys.exc_info()[1]
+        if isinstance(exc, (ConnectionResetError, BrokenPipeError, ConnectionAbortedError)):
+            logger.debug("connection from %s closed by peer: %r", client_address, exc)
+            return
+        super().handle_error(request, client_address)
 
     def server_close(self) -> None:
         """Close the listener, then every connection no request is using.

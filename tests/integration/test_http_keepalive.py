@@ -182,6 +182,34 @@ class TestHealthyStreamKeepAlive:
             conn.close()
 
 
+class TestPeerReset:
+    def test_reset_of_an_idle_kept_alive_connection_is_quiet(self, stub_server, capfd):
+        host, port = stub_server.server.server_address[:2]
+        sock = socket.create_connection((host, port), timeout=10.0)
+        try:
+            sock.sendall(f"GET /plain HTTP/1.1\r\nHost: {host}\r\n\r\n".encode("ascii"))
+            reply = b""
+            while not reply.endswith(b'{"route": "/plain"}'):
+                chunk = sock.recv(4096)
+                assert chunk, "server closed before replying"
+                reply += chunk
+            assert reply.startswith(b"HTTP/1.1 200")
+        finally:
+            # The handler thread is now blocked reading the next request
+            # line; an RST instead of a FIN makes that read raise.
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            sock.close()
+        time.sleep(0.2)  # let the handler thread see the reset
+        assert capfd.readouterr().err == ""
+
+        fresh = _connection(stub_server)
+        try:
+            fresh.request("GET", "/healthz")
+            assert fresh.getresponse().status == 200
+        finally:
+            fresh.close()
+
+
 # ---------------------------------------------------------------------------
 # connection reuse: HTTPClient's pool against the real app
 # ---------------------------------------------------------------------------

@@ -1,11 +1,17 @@
 """Tests for the kNN-graph substrate (kernels, exact, NN-descent, graph matrices)."""
 
+import subprocess
+import sys
+import textwrap
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from repro.config import KnnGraphConfig
 from repro.exceptions import IndexingError
+from repro.knng import nndescent
 from repro.knng.graph import build_knn_graph
 from repro.knng.kernels import gaussian_similarity, squared_distance_from_inner
 from repro.knng.nndescent import exact_knn, nn_descent
@@ -60,6 +66,49 @@ class TestExactKnn:
     def test_requires_two_vectors(self):
         with pytest.raises(IndexingError):
             exact_knn(np.ones((1, 4)), k=1)
+
+    def test_peak_memory_is_bounded_by_the_chunk_budget(self, rng):
+        count, k = 6000, 10
+        vectors = normalize_rows(rng.standard_normal((count, 32)))
+        tracemalloc.start()
+        try:
+            exact_knn(vectors, k=k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = 2 * count * k * 8
+        assert peak <= 3 * nndescent._CHUNK_BYTES + outputs
+
+
+class TestExactKnnChunkBoundaries:
+    """Every chunk size gives the same neighbours, and the brute-force ones.
+
+    Measured with OpenBLAS: a GEMM's result bits do not change when its
+    columns are tiled, but do change with its row count M, so the chunk size
+    may move a similarity in the last bits — here by at most 1e-15, not
+    enough to reorder tie-free neighbours.
+    """
+
+    COUNT = 50
+
+    @pytest.fixture()
+    def vectors(self, rng):
+        return normalize_rows(rng.standard_normal((self.COUNT, 8)))
+
+    @pytest.mark.parametrize("k", [3, COUNT - 1])
+    def test_ids_match_bruteforce_at_every_budget(self, vectors, monkeypatch, k):
+        reference_sims = vectors @ vectors.T
+        np.fill_diagonal(reference_sims, -np.inf)
+        reference_ids = np.argsort(-reference_sims, axis=1)[:, :k]
+        reference_top = np.take_along_axis(reference_sims, reference_ids, axis=1)
+        results = []
+        for rows in (1, 7, self.COUNT):  # 7 does not divide COUNT
+            monkeypatch.setattr(nndescent, "_CHUNK_BYTES", 8 * self.COUNT * rows)
+            results.append(exact_knn(vectors, k=k))
+        for ids, sims in results:
+            assert np.array_equal(ids, reference_ids)
+            assert np.max(np.abs(sims - reference_top)) <= 1e-15
+        assert all(np.array_equal(ids, results[0][0]) for ids, _ in results)
 
 
 class TestNnDescent:
@@ -123,3 +172,36 @@ class TestKnnGraph:
         graph = build_knn_graph(clustered_vectors, KnnGraphConfig(k=3))
         with pytest.raises(IndexingError):
             graph.neighbors_of(10**6)
+
+
+class TestScipyStaysOffTheRestartPath:
+    """Only building a graph's matrices imports ``scipy.sparse``."""
+
+    SCRIPT = textwrap.dedent(
+        """
+        import sys
+
+        import repro.server
+        from repro.config import SeeSawConfig
+        from repro.data.catalogs import load_dataset
+        from repro.embedding.synthetic_clip import SyntheticClip
+        from repro.store import IndexCache
+
+        dataset = load_dataset("bdd", seed=0, size_scale=0.02)
+        embedding = SyntheticClip.for_dataset(dataset, dim=32, seed=0)
+        _, cached = IndexCache(sys.argv[1]).load_or_build(
+            dataset, embedding, SeeSawConfig(embedding_dim=32), build_graph=False
+        )
+        print(cached, "scipy.sparse" in sys.modules)
+        """
+    )
+
+    def test_warm_start_without_a_graph_never_imports_scipy(self, tmp_path):
+        def run() -> str:
+            return subprocess.run(
+                [sys.executable, "-c", self.SCRIPT, str(tmp_path)],
+                check=True, capture_output=True, text=True,
+            ).stdout.strip()
+
+        assert run() == "False False"  # cold: builds and stores the entry
+        assert run() == "True False"  # warm: a cache hit
