@@ -172,9 +172,9 @@ class TrafficScenario:
     ``RateLimitedError`` in a storm).  Anything else counts as unexpected
     and trips the gate."""
     server_rate_limit_rps: float = 0.0
-    """Hint for the fixture building the server: a positive value asks for
-    ``RateLimitMiddleware`` at this sustained rate (HTTP transport only —
-    the in-process client sits below the middleware pipeline)."""
+    """Hint for the fixture building the app: a positive value asks for
+    ``RateLimitMiddleware`` at this sustained rate.  Both transports enter
+    through the app's middleware, so it applies to either."""
     faults: "FaultPlan | None" = None
     """A fault plan makes this a chaos scenario: the harness wraps the
     client in :class:`~repro.faults.client.FaultyClient` (armed at the

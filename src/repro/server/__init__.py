@@ -11,8 +11,9 @@ Innermost out:
   middleware pipeline (request ids, access logs, rate limiting), over the
   stdlib ``ThreadingHTTPServer`` transport;
 * :class:`SeeSawClientProtocol` — the transport-agnostic client surface,
-  implemented by :class:`InProcessClient` (no sockets) and
-  :class:`HTTPClient` (the `/v1` wire client).
+  implemented by :class:`HTTPClient` (the `/v1` wire client) and
+  :class:`InProcessClient` (the same `/v1` requests handed to a
+  :class:`SeeSawApp` in this process, no socket).
 
 Every layer records into the :mod:`repro.obs` metrics registry (request
 counters and latency in the middleware, lock/coalesce waits in the manager,
@@ -35,7 +36,7 @@ from repro.server.api import (
 )
 from repro.server.app import SeeSawApp, default_middlewares
 from repro.server.batching import NextBatchCoalescer
-from repro.server.client import HTTPClient
+from repro.server.client import HTTPClient, InProcessClient
 from repro.server.http import (
     BackgroundServer,
     SeeSawHTTPServer,
@@ -55,7 +56,7 @@ from repro.server.middleware import (
     record_request_metrics,
     route_template,
 )
-from repro.server.protocol import InProcessClient, SeeSawClientProtocol
+from repro.server.protocol import SeeSawClientProtocol
 from repro.server.service import SeeSawService
 
 __all__ = [

@@ -134,42 +134,14 @@ class SeeSawApp:
         self._handler = self.pipeline.bind(self._endpoint)
 
     # ------------------------------------------------------------------
-    # entry points
+    # the entry point
     # ------------------------------------------------------------------
-    def handle(
-        self,
-        method: str,
-        target: str,
-        body: "bytes | None" = None,
-        headers: "dict[str, str] | None" = None,
-        client: "str | None" = None,
-    ) -> "tuple[int, dict[str, object]]":
-        """Dispatch one request; always returns ``(status, payload)``.
-
-        The original (pre-`/v1`) entry point, kept for embedders and tests
-        that drive the app without a socket.  A streaming response is
-        materialized into ``{"stream": [record, ...]}`` — only the HTTP
-        transport, which calls :meth:`handle_request` directly, can write
-        actual chunked NDJSON.
-        """
-        response = self.handle_request(
-            Request(
-                method=method,
-                target=target,
-                body=body,
-                headers=headers or {},
-                client=client,
-            )
-        )
-        if response.stream is not None:
-            return response.status, {"stream": list(response.stream)}
-        if response.text is not None:
-            return response.status, {"text": response.text}
-        assert response.payload is not None
-        return response.status, response.payload
-
     def handle_request(self, request: Request) -> Response:
-        """Full entry point: middleware pipeline around the router."""
+        """The one entry point: middleware pipeline around the router.
+
+        The HTTP handler and :class:`~repro.server.client.InProcessClient`
+        both call it; HTTP adds only the socket.
+        """
         started = time.perf_counter()
         try:
             return self._handler(request)

@@ -1,21 +1,26 @@
-"""The typed HTTP client for the SeeSaw service.
+"""The typed `/v1` clients for the SeeSaw service.
 
-:class:`HTTPClient` implements the transport-agnostic
-:class:`~repro.server.protocol.SeeSawClientProtocol` (structured error
-envelopes, NDJSON streaming, idempotency keys, cursor paging) over pooled
-keep-alive connections.  It re-raises server-side errors as the exception
-types the in-process service would have raised, so callers can switch
-transports without changing their error handling.
+Both implement the transport-agnostic
+:class:`~repro.server.protocol.SeeSawClientProtocol` with one body of `/v1`
+calls (:class:`_V1Client`: paths, codecs, idempotency flags, the deadline
+header, typed errors rebuilt from the structured envelope) and differ only
+in how a request reaches :meth:`SeeSawApp.handle_request
+<repro.server.app.SeeSawApp.handle_request>`:
+
+* :class:`HTTPClient` sends it over pooled keep-alive connections;
+* :class:`InProcessClient` hands it to an app in this process — no socket,
+  the same middleware pipeline, the same response bytes.
 """
 
 from __future__ import annotations
 
+import abc
 import http.client
 import json
 import selectors
 import threading
 import urllib.parse
-from typing import Any, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 from repro.exceptions import ConnectionFailedError, ReproError, TransportError
 from repro.server.api import (
@@ -38,8 +43,12 @@ from repro.server.codec import (
 )
 from repro.server.deadlines import DEADLINE_HEADER, current_deadline
 from repro.server.errors import decode_error
+from repro.server.middleware import Request
 from repro.server.protocol import SeeSawClientProtocol
 from repro.server.retry import RetryPolicy
+
+if TYPE_CHECKING:
+    from repro.server.app import SeeSawApp
 
 _MAX_IDLE_CONNECTIONS = 8
 """Idle connections one :class:`HTTPClient` keeps; a connection checked in
@@ -49,53 +58,23 @@ _ProbeSelector = getattr(selectors, "PollSelector", selectors.SelectSelector)
 """``poll`` where the platform has it: unlike ``select`` it has no fd limit."""
 
 
-class HTTPClient(SeeSawClientProtocol):
-    """The `/v1` wire-protocol client — blocking, stdlib-only.
+class _V1Client(SeeSawClientProtocol):
+    """The `/v1` calls, written once for every transport.
 
-    ``client_id`` (sent as ``X-Client-Id``) names this caller for rate
-    limiting and access logs; without it the server falls back to the
-    remote address.
-
-    ``retry_policy`` opts the client into the resilience layer
+    Paths, encoders, decoders, idempotency flags, the deadline header and
+    the typed errors live here; a transport supplies :meth:`_exchange` and
+    :meth:`_stream`.  ``retry_policy`` opts into the resilience layer
     (:mod:`repro.server.retry`): retry with jittered backoff on retryable
-    errors, ``Retry-After`` honoured, the per-host circuit breaker engaged.
-    ``None`` (the default) keeps the historical raise-first-error
-    behaviour.  Calls wrapped in
-    :func:`~repro.server.deadlines.deadline_scope` send their remaining
-    budget as ``X-Deadline-Ms`` either way.
-
-    Calls reuse connections: each instance keeps up to
-    ``_MAX_IDLE_CONNECTIONS`` idle keep-alive sockets, so threads may share
-    one client and a loop of calls pays one TCP connect, not one per call.
-    :meth:`close` (or leaving a ``with HTTPClient(...) as client:`` block)
-    hangs them up.  A connection the server closed while it sat idle is
-    replaced before anything is sent; the transport itself never resends a
-    request.  NDJSON streams run on a one-shot connection of their own.
+    errors, ``Retry-After`` honoured, and — for a transport with a host —
+    the per-host circuit breaker.  ``None`` raises the first error.  Calls
+    wrapped in :func:`~repro.server.deadlines.deadline_scope` send their
+    remaining budget as ``X-Deadline-Ms`` either way.  NDJSON streams are
+    never retried: a replay could not un-yield the items already handed out.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        timeout: float = 30.0,
-        client_id: "str | None" = None,
-        retry_policy: "RetryPolicy | None" = None,
-    ) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
-        self.client_id = client_id
-        self.retry_policy = retry_policy
-        parts = urllib.parse.urlsplit(self.base_url)
-        self._host = parts.netloc or self.base_url
-        secure = parts.scheme == "https"
-        self._connection_type = (
-            http.client.HTTPSConnection if secure else http.client.HTTPConnection
-        )
-        self._address = (parts.hostname or "", parts.port or (443 if secure else 80))
-        self._prefix = parts.path
-        # Idle keep-alive connections, most recently used last.  Threads
-        # sharing the client check one out per call and back in after it.
-        self._idle: "list[http.client.HTTPConnection]" = []
-        self._idle_lock = threading.Lock()
+    client_id: "str | None"
+    retry_policy: "RetryPolicy | None"
+    _host: "str | None"
 
     # ------------------------------------------------------------------
     # discovery
@@ -114,7 +93,14 @@ class HTTPClient(SeeSawClientProtocol):
         )
 
     def metrics_text(self) -> str:
-        return self._request_text("GET", "/v1/metrics")
+        def attempt() -> str:
+            raw = self._exchange("GET", "/v1/metrics")
+            try:
+                return raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TransportError(f"Server returned invalid UTF-8: {exc}") from exc
+
+        return self._call(attempt, True, "metrics")
 
     # ------------------------------------------------------------------
     # session lifecycle
@@ -344,13 +330,75 @@ class HTTPClient(SeeSawClientProtocol):
 
         return self._call(attempt, idempotent, operation)
 
-    def _request_text(self, method: str, path: str) -> str:
-        """A request whose response body is plain text (Prometheus format)."""
-        raw = self._exchange(method, path)
+    @staticmethod
+    def _error_from_response(status: int, raw: bytes) -> ReproError:
+        """Map a `/v1` error envelope back to a library exception."""
         try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TransportError(f"Server returned invalid UTF-8: {exc}") from exc
+            payload = json.loads(raw.decode("utf-8"))
+        except Exception:
+            return TransportError(f"Server returned HTTP {status}: {raw[:200]!r}")
+        return decode_error(status, payload)
+
+    # ------------------------------------------------------------------
+    # transport hooks
+    # ------------------------------------------------------------------
+    @abc.abstractmethod
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        body: "bytes | None" = None,
+        headers: "Mapping[str, str] | None" = None,
+    ) -> bytes:
+        """One request; the response body, or the typed error for status >= 400."""
+
+    @abc.abstractmethod
+    def _stream(self, path: str) -> "Iterator[dict[str, Any]]":
+        """One ``GET`` answered with NDJSON; its decoded records, lazily."""
+
+
+class HTTPClient(_V1Client):
+    """The `/v1` wire-protocol client — blocking, stdlib-only.
+
+    ``client_id`` (sent as ``X-Client-Id``) names this caller for rate
+    limiting and access logs; without it the server falls back to the
+    remote address.
+
+    ``retry_policy`` is described on :class:`_V1Client`; over HTTP it also
+    engages the circuit breaker of the server's host.
+
+    Calls reuse connections: each instance keeps up to
+    ``_MAX_IDLE_CONNECTIONS`` idle keep-alive sockets, so threads may share
+    one client and a loop of calls pays one TCP connect, not one per call.
+    :meth:`close` (or leaving a ``with HTTPClient(...) as client:`` block)
+    hangs them up.  A connection the server closed while it sat idle is
+    replaced before anything is sent; the transport itself never resends a
+    request.  NDJSON streams run on a one-shot connection of their own.
+    """
+
+    def __init__(
+        self,
+        base_url: str,
+        timeout: float = 30.0,
+        client_id: "str | None" = None,
+        retry_policy: "RetryPolicy | None" = None,
+    ) -> None:
+        self.base_url = base_url.rstrip("/")
+        self.timeout = timeout
+        self.client_id = client_id
+        self.retry_policy = retry_policy
+        parts = urllib.parse.urlsplit(self.base_url)
+        self._host = parts.netloc or self.base_url
+        secure = parts.scheme == "https"
+        self._connection_type = (
+            http.client.HTTPSConnection if secure else http.client.HTTPConnection
+        )
+        self._address = (parts.hostname or "", parts.port or (443 if secure else 80))
+        self._prefix = parts.path
+        # Idle keep-alive connections, most recently used last.  Threads
+        # sharing the client check one out per call and back in after it.
+        self._idle: "list[http.client.HTTPConnection]" = []
+        self._idle_lock = threading.Lock()
 
     def _stream(self, path: str) -> "Iterator[dict[str, Any]]":
         """Yield decoded NDJSON records as the chunked response arrives.
@@ -492,12 +540,49 @@ class HTTPClient(SeeSawClientProtocol):
             request_sent=True,
         )
 
-    @staticmethod
-    def _error_from_response(status: int, raw: bytes) -> ReproError:
-        """Map a `/v1` error envelope back to a library exception."""
-        try:
-            payload = json.loads(raw.decode("utf-8"))
-        except Exception:
-            return TransportError(f"Server returned HTTP {status}: {raw[:200]!r}")
-        return decode_error(status, payload)
 
+class InProcessClient(_V1Client):
+    """The `/v1` calls handed to a :class:`~repro.server.app.SeeSawApp` in
+    this process.
+
+    Each call is a :class:`~repro.server.middleware.Request` through
+    :meth:`SeeSawApp.handle_request
+    <repro.server.app.SeeSawApp.handle_request>` — the entry point the HTTP
+    handler calls, so request ids, access records, metrics, rate limiting,
+    deadlines, admission and chaos apply exactly as over a socket — and the
+    reply is decoded from :meth:`Response.body
+    <repro.server.middleware.Response.body>`, the bytes HTTP would write.
+    With no host there is no circuit breaker; retries follow
+    ``retry_policy`` as in :class:`HTTPClient`.
+    """
+
+    client_id = None
+    _host = None
+
+    def __init__(
+        self, app: "SeeSawApp", retry_policy: "RetryPolicy | None" = None
+    ) -> None:
+        self.app = app
+        self.retry_policy = retry_policy
+
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        body: "bytes | None" = None,
+        headers: "Mapping[str, str] | None" = None,
+    ) -> bytes:
+        response = self.app.handle_request(
+            Request(method, path, body, self._headers(body is not None, headers))
+        )
+        raw = response.body()
+        if response.status >= 400:
+            raise self._error_from_response(response.status, raw)
+        return raw
+
+    def _stream(self, path: str) -> "Iterator[dict[str, Any]]":
+        headers = self._headers(False, {"Accept": "application/x-ndjson"})
+        response = self.app.handle_request(Request("GET", path, headers=headers))
+        if response.status >= 400:
+            raise self._error_from_response(response.status, response.body())
+        yield from response.stream

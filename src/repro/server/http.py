@@ -169,10 +169,7 @@ class SeeSawRequestHandler(BaseHTTPRequestHandler):
             body = b""
             framing = "Transfer-Encoding: chunked\r\n"
         else:
-            if response.text is not None:
-                body = response.text.encode("utf-8")
-            else:
-                body = json.dumps(response.payload).encode("utf-8")
+            body = response.body()
             framing = f"Content-Length: {len(body)}\r\n"
         if self.close_connection:
             framing += "Connection: close\r\n"

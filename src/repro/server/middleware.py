@@ -32,8 +32,8 @@ handlers and into a small composable pipeline that wraps the router:
 
 Middlewares see the transport-agnostic :class:`Request`/:class:`Response`
 pair, so the pipeline runs identically under the HTTP transport and under
-direct in-process ``SeeSawApp.handle`` calls (the unit tests drive it
-without a socket).
+the in-process client: both enter through ``SeeSawApp.handle_request``
+(the unit tests drive it without a socket).
 
 Rejections raised *inside* the pipeline (429 from the limiter, 400 from a
 decoder) never reach the access-log middleware's normal path — the app's
@@ -46,6 +46,7 @@ produced the record (``"handler"`` vs ``"middleware"``).
 
 from __future__ import annotations
 
+import json
 import logging
 import threading
 import time
@@ -130,6 +131,12 @@ class Response:
     headers: "dict[str, str]" = field(default_factory=dict)
     stream: "Iterator[dict[str, Any]] | None" = None
     text: "str | None" = None
+
+    def body(self) -> bytes:
+        """The single-shot body as it goes on the wire (not for a stream)."""
+        if self.text is not None:
+            return self.text.encode("utf-8")
+        return json.dumps(self.payload).encode("utf-8")
 
     @property
     def content_type(self) -> str:

@@ -2,11 +2,13 @@
 
 :class:`SeeSawClientProtocol` is the one client surface every caller — the
 browser UI's backend, the benchmark harness, the contract and load suites —
-programs against.  Two implementations exist:
+programs against.  Both implementations live in :mod:`repro.server.client`
+and share one body of `/v1` calls; they differ only in how a request
+reaches :meth:`SeeSawApp.handle_request
+<repro.server.app.SeeSawApp.handle_request>`:
 
-* :class:`InProcessClient` (here) wraps a
-  :class:`~repro.server.manager.SessionManager` directly — no sockets, no
-  serialization, the embedding deployment mode;
+* :class:`~repro.server.client.InProcessClient` calls it on an app in this
+  process — no socket, the embedding deployment mode;
 * :class:`~repro.server.client.HTTPClient` speaks the `/v1` wire protocol
   over a real socket.
 
@@ -19,7 +21,7 @@ in-process, deploy against HTTP" safe.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence, TypeVar
+from typing import Any, Iterator, Sequence
 
 from repro.exceptions import ReproError
 from repro.server.api import (
@@ -31,13 +33,6 @@ from repro.server.api import (
     SessionPage,
     StartSessionRequest,
 )
-from repro.server.codec import validate_count
-from repro.server.manager import SessionManager
-
-if TYPE_CHECKING:
-    from repro.server.retry import RetryPolicy
-
-_T = TypeVar("_T")
 
 
 class SeeSawClientProtocol(abc.ABC):
@@ -57,8 +52,7 @@ class SeeSawClientProtocol(abc.ABC):
         """The metrics registry in the JSON exposition shape.
 
         Every family with its series: counter/gauge values, histogram
-        buckets with p50/p99/p999 estimates — ``GET /v1/metrics?format=json``
-        over HTTP, the registry snapshot in process.
+        buckets with p50/p99/p999 estimates — ``GET /v1/metrics?format=json``.
         """
 
     @abc.abstractmethod
@@ -185,147 +179,3 @@ class SeeSawClientProtocol(abc.ABC):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-class InProcessClient(SeeSawClientProtocol):
-    """The protocol served by a :class:`SessionManager` in this process.
-
-    Mirrors the `/v1` boundary exactly — including the request validation
-    the app layer performs — so swapping it for an
-    :class:`~repro.server.client.HTTPClient` changes latency, never
-    behaviour.  That includes the resilience layer: with a
-    ``retry_policy``, retryable rejections (429/503) back off and retry
-    exactly as the HTTP client would (there is no transport here, so the
-    breaker and connection-failure branches simply never fire), and calls
-    wrapped in :func:`~repro.server.deadlines.deadline_scope` are deadline-
-    checked by the manager through the shared contextvar.
-    """
-
-    def __init__(
-        self,
-        manager: SessionManager,
-        retry_policy: "RetryPolicy | None" = None,
-    ) -> None:
-        self.manager = manager
-        self.retry_policy = retry_policy
-
-    def _call(
-        self, fn: "Callable[[], _T]", idempotent: bool, operation: str
-    ) -> _T:
-        if self.retry_policy is None:
-            return fn()
-        return self.retry_policy.call(fn, idempotent=idempotent, operation=operation)
-
-    def capabilities(self) -> "dict[str, Any]":
-        return self._call(self.manager.capabilities, True, "capabilities")
-
-    def healthz(self) -> "dict[str, Any]":
-        return self._call(self.manager.health, True, "healthz")
-
-    def metrics_json(self) -> "dict[str, Any]":
-        return self._call(self.manager.metrics_json, True, "metrics")
-
-    def metrics_text(self) -> str:
-        return self._call(self.manager.metrics_text, True, "metrics")
-
-    def start_session(self, request: StartSessionRequest) -> SessionInfo:
-        # Not idempotent: a replay after an ambiguous failure could orphan
-        # a second session.  (In-process there is no ambiguous failure, but
-        # the contract must match the HTTP client exactly.)
-        return self._call(
-            lambda: self.manager.start_session(request), False, "start_session"
-        )
-
-    def session_info(self, session_id: str) -> SessionInfo:
-        return self._call(
-            lambda: self.manager.session_info(session_id), True, "session_info"
-        )
-
-    def list_sessions(
-        self, cursor: "str | None" = None, limit: "int | None" = None
-    ) -> SessionPage:
-        return self._call(
-            lambda: self.manager.list_sessions(cursor=cursor, limit=limit),
-            True,
-            "list_sessions",
-        )
-
-    def close_session(self, session_id: str) -> None:
-        self._call(lambda: self.manager.close_session(session_id), True, "close_session")
-
-    def next_results(
-        self, session_id: str, count: "int | None" = None
-    ) -> NextResultsResponse:
-        if count is not None:
-            validate_count(count)
-        # Not idempotent: /next advances the session cursor, so a blind
-        # replay would silently skip a batch.
-        return self._call(
-            lambda: self.manager.next_results(session_id, count), False, "next"
-        )
-
-    def stream_next_results(
-        self, session_id: str, count: "int | None" = None
-    ) -> "Iterator[ResultItem]":
-        # In-process there is no wire to stream over; the whole batch is
-        # computed up front (exactly like the server side of the NDJSON
-        # path) and handed out item by item.
-        yield from self.next_results(session_id, count).items
-
-    def batch_next(
-        self, requests: "Sequence[tuple[str, int | None]]"
-    ) -> "list[NextResultsResponse | ReproError]":
-        for _, count in requests:
-            if count is not None:
-                validate_count(count)
-        return self._call(
-            lambda: self.manager.batch_next(requests), False, "batch_next"
-        )
-
-    def give_feedback(
-        self, request: FeedbackRequest, idempotency_key: "str | None" = None
-    ) -> SessionInfo:
-        # Only safe to retry when the caller supplied an idempotency key —
-        # the manager then dedupes the replay server-side.
-        return self._call(
-            lambda: self.manager.give_feedback(
-                request, idempotency_key=idempotency_key
-            ),
-            idempotency_key is not None,
-            "feedback",
-        )
-
-    # -- live datasets -------------------------------------------------
-    def list_datasets(self) -> "list[dict[str, Any]]":
-        return self._call(self.manager.list_datasets, True, "list_datasets")
-
-    def describe_dataset(self, name: str) -> "dict[str, Any]":
-        return self._call(
-            lambda: self.manager.describe_dataset(name), True, "describe_dataset"
-        )
-
-    def upsert_images(
-        self, name: str, images: "Sequence[Any]"
-    ) -> "dict[str, Any]":
-        # Not idempotent: an upsert replayed after an ambiguous outcome
-        # would publish a second version with duplicate delta rows.
-        return self._call(
-            lambda: self.manager.upsert_images(name, images), False, "upsert_images"
-        )
-
-    def delete_images(
-        self, name: str, image_ids: "Sequence[int]"
-    ) -> "dict[str, Any]":
-        # Not idempotent at the protocol level: a replayed delete of an
-        # already-removed image is a typed 404, which a blind retry would
-        # surface as a spurious failure.
-        return self._call(
-            lambda: self.manager.delete_images(name, image_ids),
-            False,
-            "delete_images",
-        )
-
-    def merge_dataset(self, name: str) -> "dict[str, Any]":
-        return self._call(
-            lambda: self.manager.force_merge(name), False, "merge_dataset"
-        )

@@ -1,8 +1,9 @@
 """Dual-transport contract suite for :class:`SeeSawClientProtocol`.
 
-Every test here runs twice — once through :class:`InProcessClient` (direct
-``SessionManager`` calls) and once through :class:`HTTPClient` (the `/v1`
-wire protocol over a real socket) — against the *same* service.  The suite
+Every test here runs twice — once through :class:`InProcessClient` (the
+`/v1` requests handed to the app in process, no socket) and once through
+:class:`HTTPClient` (the `/v1` wire protocol over a real socket) — against
+the *same* app.  The suite
 is the guarantee the redesign exists for: a caller programming against the
 protocol observes identical results, identical typed errors, and identical
 validation through either transport.
@@ -13,11 +14,14 @@ compares the normalized transcripts event by event.
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from repro.config import SeeSawConfig
 from repro.exceptions import (
     IdempotencyConflictError,
+    RateLimitedError,
     ReproError,
     SessionError,
     TransportError,
@@ -33,29 +37,30 @@ from repro.server import (
     StartSessionRequest,
     serve_in_background,
 )
+from repro.obs import MetricsRegistry
 from repro.server.codec import MAX_RESULT_COUNT
+from repro.server.retry import RetryPolicy
 
 TRANSPORTS = ("inprocess", "http")
 
 
 @pytest.fixture(scope="module")
 def stack(tiny_dataset, tiny_clip):
-    """One service + manager + live HTTP server shared by the whole module."""
+    """One service + app + live HTTP server shared by the whole module."""
     service = SeeSawService(SeeSawConfig(embedding_dim=64, seed=7))
     service.register_dataset(tiny_dataset, tiny_clip, preprocess=True)
-    manager = SessionManager(service)
-    app = SeeSawApp(manager)
+    app = SeeSawApp(SessionManager(service))
     with serve_in_background(app) as server:
-        yield manager, server.url
+        yield app, server.url
 
 
 @pytest.fixture(scope="module")
 def make_client(stack):
-    manager, url = stack
+    app, url = stack
 
     def _make(kind: str):
         if kind == "inprocess":
-            return InProcessClient(manager)
+            return InProcessClient(app)
         return HTTPClient(url, client_id=f"contract-{kind}")
 
     return _make
@@ -69,10 +74,10 @@ def client(request, make_client):
 @pytest.fixture(autouse=True)
 def clean_sessions(stack):
     """Each test starts from an empty session registry."""
-    manager, _ = stack
+    app, _ = stack
     yield
-    for entry in list(InProcessClient(manager).iter_sessions()):
-        manager.close_session(entry.info.session_id)
+    for entry in list(InProcessClient(app).iter_sessions()):
+        app.manager.close_session(entry.info.session_id)
 
 
 def start(client, query: str = "a cat_easy", batch_size: int = 2):
@@ -284,7 +289,6 @@ class TestMetricsParity:
         assert "seesaw_active_sessions" in names
 
     def test_metric_families_identical_across_transports(self, make_client):
-        make_client("http").healthz()  # ensure request families exist
         families = {}
         for kind in TRANSPORTS:
             families[kind] = {
@@ -292,6 +296,60 @@ class TestMetricsParity:
                 for metric in make_client(kind).metrics_json()["metrics"]
             }
         assert families["inprocess"] == families["http"]
+
+
+# ---------------------------------------------------------------------------
+# one request path: in-process calls cross the same app boundary as HTTP
+# ---------------------------------------------------------------------------
+def rate_limited_app(tiny_dataset, tiny_clip, burst: int) -> SeeSawApp:
+    """An app whose limiter holds ``burst`` tokens refilled at 1/s."""
+    service = SeeSawService(
+        SeeSawConfig(
+            embedding_dim=64, seed=7, rate_limit_rps=1.0, rate_limit_burst=burst
+        ),
+        registry=MetricsRegistry(),
+    )
+    service.register_dataset(tiny_dataset, tiny_clip, preprocess=True)
+    return SeeSawApp(SessionManager(service))
+
+
+class TestOneRequestPath:
+    def test_inprocess_request_is_counted_and_logged(self, stack, caplog):
+        app, _ = stack
+        counter = app.manager.service.metrics.counter(
+            "seesaw_requests_total", "", labels=("method", "route", "status")
+        ).labels("GET", "/v1/healthz", "200")
+        before = counter.value
+        with caplog.at_level(logging.INFO, logger="repro.server.access"):
+            InProcessClient(app).healthz()
+        assert counter.value == before + 1
+        [record] = [r for r in caplog.records if r.name == "repro.server.access"]
+        assert record.route == "/v1/healthz"
+        assert record.request_id
+
+    def test_inprocess_calls_are_rate_limited(self, tiny_dataset, tiny_clip):
+        client = InProcessClient(rate_limited_app(tiny_dataset, tiny_clip, burst=2))
+        client.healthz()
+        client.healthz()
+        with pytest.raises(RateLimitedError):
+            client.healthz()
+
+    @pytest.mark.parametrize("kind", TRANSPORTS)
+    def test_metrics_text_retries_under_the_policy(
+        self, tiny_dataset, tiny_clip, kind
+    ):
+        app = rate_limited_app(tiny_dataset, tiny_clip, burst=1)
+        sleeps: "list[float]" = []
+        policy = RetryPolicy(max_attempts=3, sleep=sleeps.append)
+        with serve_in_background(app) as server:
+            if kind == "inprocess":
+                client = InProcessClient(app, retry_policy=policy)
+            else:
+                client = HTTPClient(server.url, client_id="scraper", retry_policy=policy)
+            client.metrics_text()
+            with pytest.raises(RateLimitedError):
+                client.metrics_text()
+        assert len(sleeps) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +406,10 @@ def run_scenario(client) -> "list[object]":
 
 
 def test_scenario_transcripts_identical_across_transports(make_client, stack):
-    manager, _ = stack
+    app, _ = stack
     transcripts = {}
     for kind in TRANSPORTS:
         transcripts[kind] = run_scenario(make_client(kind))
-        for entry in list(InProcessClient(manager).iter_sessions()):
-            manager.close_session(entry.info.session_id)
+        for entry in list(InProcessClient(app).iter_sessions()):
+            app.manager.close_session(entry.info.session_id)
     assert transcripts["inprocess"] == transcripts["http"]

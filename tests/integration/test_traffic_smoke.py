@@ -22,12 +22,12 @@ from repro.bench.traffic import (
 from repro.config import SeeSawConfig
 from repro.server import (
     HTTPClient,
+    InProcessClient,
     SeeSawApp,
     SeeSawService,
     SessionManager,
     serve_in_background,
 )
-from repro.server.protocol import InProcessClient
 
 QUERIES = ("a cat_easy", "a cat_hard")
 SMOKE_DURATION = 1.0
@@ -57,7 +57,7 @@ def inprocess_client(tiny_dataset, tiny_clip):
         )
     )
     service.register_dataset(tiny_dataset, tiny_clip, preprocess=True)
-    yield InProcessClient(SessionManager(service))
+    yield InProcessClient(SeeSawApp(SessionManager(service)))
     service.live.close()
 
 
@@ -95,9 +95,9 @@ def test_scenario_pack_inprocess(inprocess_client, tiny_dataset, scenario):
     assert run.arrivals > 0
     assert summary.requests >= run.arrivals
     assert summary.ok_requests > 0
-    # No scenario may produce errors outside its declared taxonomy.  (The
-    # in-process client sits below the middleware, so even the storm runs
-    # clean here — its 429s only exist over HTTP.)
+    # No scenario may produce errors outside its declared taxonomy.  (This
+    # fixture's app has no rate limiter, so even the storm runs clean here —
+    # its 429s come from the limited HTTP server below.)
     assert summary.unexpected_errors == 0, summary.error_taxonomy
     assert summary.p50_ms <= summary.p99_ms <= summary.p999_ms <= summary.max_ms
     assert summary.achieved_rps > 0

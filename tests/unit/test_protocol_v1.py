@@ -4,8 +4,8 @@ Covers the pieces the redesign introduced below the transport: the
 structured error envelope and its exception mapping, paging cursors, count
 bounds, the middleware pipeline (request ids, access logs, token-bucket
 rate limiting), capability discovery, idempotent feedback, and the paged
-session listing — all driven through ``SeeSawApp.handle`` or the manager
-directly, no sockets.
+session listing — all driven through ``SeeSawApp.handle_request`` or the
+manager directly, no sockets.
 """
 
 from __future__ import annotations
@@ -240,6 +240,22 @@ def app(manager):
     return SeeSawApp(manager)
 
 
+def handle(app, method, target, body=None, headers=None, client=None):
+    """One request through ``app.handle_request`` as ``(status, payload)``.
+
+    A stream is materialized as ``{"stream": [record, ...]}`` and a text
+    body as ``{"text": ...}``.
+    """
+    response = app.handle_request(
+        Request(method, target, body, headers or {}, client=client)
+    )
+    if response.stream is not None:
+        return response.status, {"stream": list(response.stream)}
+    if response.text is not None:
+        return response.status, {"text": response.text}
+    return response.status, response.payload
+
+
 def start_body(batch_size: int = 2) -> bytes:
     return json.dumps(
         {"dataset": "tiny", "text_query": "a cat_easy", "batch_size": batch_size}
@@ -248,7 +264,7 @@ def start_body(batch_size: int = 2) -> bytes:
 
 class TestV1AppBoundary:
     def test_capabilities_payload(self, app):
-        status, payload = app.handle("GET", "/v1/capabilities")
+        status, payload = handle(app, "GET", "/v1/capabilities")
         assert status == 200
         assert payload["protocol"] == {
             "version": "v1",
@@ -263,7 +279,7 @@ class TestV1AppBoundary:
         assert payload["datasets"] == ["tiny"]
 
     def test_v1_not_found_uses_structured_envelope(self, app):
-        status, payload = app.handle("GET", "/v1/sessions/no-such-session")
+        status, payload = handle(app, "GET", "/v1/sessions/no-such-session")
         assert status == 404
         error = payload["error"]
         assert error["code"] == "not_found"
@@ -273,7 +289,7 @@ class TestV1AppBoundary:
 
     @pytest.mark.parametrize("target", ["/sessions/x", "/healthz"])
     def test_unversioned_path_is_the_structured_404(self, app, target):
-        status, payload = app.handle("GET", target)
+        status, payload = handle(app, "GET", target)
         assert status == 404
         error = payload["error"]
         assert error["code"] == "not_found"
@@ -281,26 +297,29 @@ class TestV1AppBoundary:
         assert error["details"]["request_id"]
 
     def test_nonpositive_count_is_structured_400(self, app):
-        status, payload = app.handle("POST", "/v1/sessions", start_body())
+        status, payload = handle(app, "POST", "/v1/sessions", start_body())
         session_id = payload["session_id"]
         for bad in ("0", "-3"):
-            status, payload = app.handle(
-                "GET", f"/v1/sessions/{session_id}/next?count={bad}"
+            status, payload = handle(
+                app, "GET", f"/v1/sessions/{session_id}/next?count={bad}"
             )
             assert status == 400
             assert payload["error"]["code"] == "invalid_request"
             assert "count" in payload["error"]["message"]
-        app.handle("DELETE", f"/v1/sessions/{session_id}")
+        handle(app, "DELETE", f"/v1/sessions/{session_id}")
 
     def test_absurdly_large_count_is_structured_400(self, app):
-        status, payload = app.handle("POST", "/v1/sessions", start_body())
+        status, payload = handle(app, "POST", "/v1/sessions", start_body())
         session_id = payload["session_id"]
-        status, payload = app.handle(
-            "GET", f"/v1/sessions/{session_id}/next?count={MAX_RESULT_COUNT + 1}"
+        status, payload = handle(
+            app,
+            "GET",
+            f"/v1/sessions/{session_id}/next?count={MAX_RESULT_COUNT + 1}",
         )
         assert status == 400
         assert payload["error"]["code"] == "invalid_request"
-        status, payload = app.handle(
+        status, payload = handle(
+            app,
             "POST",
             "/v1/sessions/batch-next",
             json.dumps(
@@ -309,13 +328,13 @@ class TestV1AppBoundary:
         )
         assert status == 400
         assert payload["error"]["code"] == "invalid_request"
-        app.handle("DELETE", f"/v1/sessions/{session_id}")
+        handle(app, "DELETE", f"/v1/sessions/{session_id}")
 
     def test_v1_streaming_materializes_via_handle(self, app):
-        status, payload = app.handle("POST", "/v1/sessions", start_body())
+        status, payload = handle(app, "POST", "/v1/sessions", start_body())
         session_id = payload["session_id"]
-        status, payload = app.handle(
-            "GET", f"/v1/sessions/{session_id}/next?stream=ndjson"
+        status, payload = handle(
+            app, "GET", f"/v1/sessions/{session_id}/next?stream=ndjson"
         )
         assert status == 200
         records = payload["stream"]
@@ -323,10 +342,11 @@ class TestV1AppBoundary:
         assert records[0]["item_count"] == 2
         assert [r["kind"] for r in records[1:-1]] == ["item", "item"]
         assert records[-1]["kind"] == "end"
-        app.handle("DELETE", f"/v1/sessions/{session_id}")
+        handle(app, "DELETE", f"/v1/sessions/{session_id}")
 
     def test_v1_batch_envelope_uses_structured_per_item_errors(self, app):
-        status, payload = app.handle(
+        status, payload = handle(
+            app,
             "POST",
             "/v1/sessions/batch-next",
             json.dumps({"requests": [{"session_id": "missing"}]}).encode(),
@@ -346,16 +366,16 @@ class TestV1AppBoundary:
         service.register_dataset(tiny_dataset, tiny_clip, preprocess=True)
         limited = SeeSawApp(SessionManager(service))
         statuses = [
-            limited.handle("GET", "/v1/healthz", client="c")[0] for _ in range(3)
+            handle(limited, "GET", "/v1/healthz", client="c")[0] for _ in range(3)
         ]
         assert statuses[:2] == [200, 200]
-        status, payload = limited.handle("GET", "/v1/healthz", client="c")
+        status, payload = handle(limited, "GET", "/v1/healthz", client="c")
         assert status == 429
         assert payload["error"]["code"] == "rate_limited"
         assert payload["error"]["retryable"] is True
         # The limiter runs before routing: an unversioned path is throttled
         # with the same structured envelope, not answered with its 404.
-        status, payload = limited.handle("GET", "/healthz", client="c")
+        status, payload = handle(limited, "GET", "/healthz", client="c")
         assert status == 429
         assert payload["error"]["code"] == "rate_limited"
 
@@ -395,8 +415,8 @@ class TestV1AppBoundary:
 # ---------------------------------------------------------------------------
 class TestMetricsEndpoint:
     def test_prometheus_text_is_the_default(self, app):
-        status, payload = app.handle("GET", "/v1/healthz")  # generate traffic
-        status, payload = app.handle("GET", "/v1/metrics")
+        status, payload = handle(app, "GET", "/v1/healthz")  # generate traffic
+        status, payload = handle(app, "GET", "/v1/metrics")
         assert status == 200
         text = payload["text"]
         assert "# TYPE seesaw_requests_total counter" in text
@@ -405,8 +425,8 @@ class TestMetricsEndpoint:
         assert "seesaw_active_sessions" in text
 
     def test_format_json_selects_json_exposition(self, app):
-        app.handle("GET", "/v1/healthz")
-        status, payload = app.handle("GET", "/v1/metrics?format=json")
+        handle(app, "GET", "/v1/healthz")
+        status, payload = handle(app, "GET", "/v1/metrics?format=json")
         assert status == 200
         names = {metric["name"] for metric in payload["metrics"]}
         assert "seesaw_requests_total" in names
@@ -422,14 +442,15 @@ class TestMetricsEndpoint:
             )
 
     def test_accept_header_selects_json(self, app):
-        status, payload = app.handle(
-            "GET", "/v1/metrics", headers={"Accept": "application/json"}
+        status, payload = handle(
+            app, "GET", "/v1/metrics", headers={"Accept": "application/json"}
         )
         assert status == 200
         assert "metrics" in payload
 
     def test_format_prometheus_forces_text_despite_accept(self, app):
-        status, payload = app.handle(
+        status, payload = handle(
+            app,
             "GET",
             "/v1/metrics?format=prometheus",
             headers={"Accept": "application/json"},
@@ -438,17 +459,17 @@ class TestMetricsEndpoint:
         assert "text" in payload
 
     def test_unknown_format_is_structured_400(self, app):
-        status, payload = app.handle("GET", "/v1/metrics?format=xml")
+        status, payload = handle(app, "GET", "/v1/metrics?format=xml")
         assert status == 400
         assert payload["error"]["code"] == "invalid_request"
         assert "format" in payload["error"]["message"]
 
     def test_session_traffic_populates_stage_spans(self, app):
-        status, payload = app.handle("POST", "/v1/sessions", start_body())
+        status, payload = handle(app, "POST", "/v1/sessions", start_body())
         session_id = payload["session_id"]
-        app.handle("GET", f"/v1/sessions/{session_id}/next")
-        app.handle("DELETE", f"/v1/sessions/{session_id}")
-        _, payload = app.handle("GET", "/v1/metrics")
+        handle(app, "GET", f"/v1/sessions/{session_id}/next")
+        handle(app, "DELETE", f"/v1/sessions/{session_id}")
+        _, payload = handle(app, "GET", "/v1/metrics")
         text = payload["text"]
         assert 'seesaw_stage_seconds_bucket{stage="score"' in text
         assert 'seesaw_stage_seconds_count{stage="select"}' in text
