@@ -15,6 +15,7 @@ from repro.core.aligner import SeeSawQueryAligner
 from repro.core.feedback import FeedbackMap
 from repro.core.interfaces import ImageResult, SearchContext, SearchMethod
 from repro.exceptions import SessionError
+from repro.obs import trace_span
 
 
 def _few_shot_config(base: "SeeSawConfig | None", lambda_norm: float, fit_bias: bool) -> SeeSawConfig:
@@ -69,13 +70,17 @@ class FewShotClipMethod(SearchMethod):
     def observe(self, feedback: FeedbackMap) -> None:
         if self._context is None or self._aligner is None:
             raise SessionError("begin must be called before observe")
-        features, labels, weights, _ = feedback.to_weighted_patch_labels(self._context.index)
+        with trace_span("labels", images=len(feedback)):
+            features, labels, weights, _ = feedback.to_weighted_patch_labels(
+                self._context.index
+            )
         if labels.size == 0 or labels.max() == labels.min():
             # Without at least one positive and one negative example a purely
             # data-driven linear model is unidentifiable, so the method keeps
             # using the text vector (the same warm-up the paper gives ENS).
             return
-        self._aligner.align(features, labels, sample_weights=weights)
+        with trace_span("align", rows=labels.size):
+            self._aligner.align(features, labels, sample_weights=weights)
 
     @property
     def query_vector(self) -> "np.ndarray | None":

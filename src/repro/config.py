@@ -100,6 +100,9 @@ class OptimizerConfig:
     gradient_tolerance: float = 1e-6
     initial_step: float = 1.0
     wolfe_c1: float = 1e-4
+    # Read by nothing: the line search checks only the Armijo condition
+    # (wolfe_c1).  Kept because index-cache entries persist the config and
+    # from_dict rejects unknown fields.
     wolfe_c2: float = 0.9
     max_line_search_steps: int = 25
 

@@ -55,6 +55,14 @@ class FeedbackMap:
     """Accumulated feedback across a search session (Listing 1, line 6)."""
 
     _items: "dict[int, BoxFeedback]" = field(default_factory=dict)
+    # image id -> (vector_ids, labels), valid for _blocks_for's index and
+    # min_box_overlap; update() drops the block of the image it re-judges.
+    _blocks: "dict[int, tuple[np.ndarray, np.ndarray]]" = field(
+        init=False, default_factory=dict, repr=False, compare=False
+    )
+    _blocks_for: "tuple[SeeSawIndex, float] | None" = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     def __len__(self) -> int:
         return len(self._items)
@@ -68,6 +76,7 @@ class FeedbackMap:
     def update(self, feedback: BoxFeedback) -> None:
         """Record (or overwrite) the feedback for one image."""
         self._items[feedback.image_id] = feedback
+        self._blocks.pop(feedback.image_id, None)
 
     def get(self, image_id: int) -> "BoxFeedback | None":
         """The feedback recorded for ``image_id``, if any."""
@@ -102,28 +111,33 @@ class FeedbackMap:
 
         Returns ``(vectors, labels, vector_ids)`` where each row of ``vectors``
         is a stored patch vector of an image with feedback, and ``labels`` is 1
-        for patches overlapping a positive feedback box and 0 otherwise.
+        for patches overlapping a positive feedback box and 0 otherwise.  Rows
+        follow the order in which images were first judged.
+
+        Labels are memoised per image: an image's block is built on the first
+        call after it is judged and reused by every later call with the same
+        ``index`` and ``min_box_overlap``, so each round labels only the
+        images judged since the last one.
         """
-        vector_ids: list[int] = []
-        labels: list[float] = []
-        for feedback in self._items.values():
-            for vector_id in index.vector_ids_for_image(feedback.image_id):
-                record = index.store.record(vector_id)
-                if feedback.relevant:
-                    overlap = any(
-                        record.box.intersection(box) > min_box_overlap
-                        for box in feedback.boxes
-                    )
-                    labels.append(1.0 if overlap else 0.0)
-                else:
-                    labels.append(0.0)
-                vector_ids.append(vector_id)
-        if not vector_ids:
+        memo_for = self._blocks_for
+        if memo_for is None or memo_for[0] is not index or memo_for[1] != min_box_overlap:
+            self._blocks = {}
+            self._blocks_for = (index, min_box_overlap)
+        blocks = []
+        for image_id, feedback in self._items.items():
+            block = self._blocks.get(image_id)
+            if block is None:
+                block = self._blocks[image_id] = _label_block(
+                    feedback, index, min_box_overlap
+                )
+            blocks.append(block)
+        if not any(ids.size for ids, _ in blocks):
             dim = index.store.dim
             return np.zeros((0, dim)), np.zeros(0), np.zeros(0, dtype=np.int64)
-        ids = np.asarray(vector_ids, dtype=np.int64)
+        ids = np.concatenate([ids for ids, _ in blocks])
+        labels = np.concatenate([labels for _, labels in blocks])
         vectors = np.asarray(index.store.vectors[ids])
-        return vectors, np.asarray(labels, dtype=np.float64), ids
+        return vectors, labels, ids
 
     def to_weighted_patch_labels(
         self, index: "SeeSawIndex", min_box_overlap: float = 0.0
@@ -151,3 +165,18 @@ class FeedbackMap:
             feedback.image_id: 1.0 if feedback.relevant else 0.0
             for feedback in self._items.values()
         }
+
+
+def _label_block(
+    feedback: BoxFeedback, index: "SeeSawIndex", min_box_overlap: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One judged image's ``(vector_ids, labels)``: a patch is positive when
+    its box overlaps a feedback box by more than ``min_box_overlap``."""
+    vector_ids = index.vector_ids_for_image(feedback.image_id)
+    labels = [0.0] * len(vector_ids)
+    if feedback.relevant:
+        for position, vector_id in enumerate(vector_ids):
+            box = index.store.record(vector_id).box
+            if any(box.intersection(other) > min_box_overlap for other in feedback.boxes):
+                labels[position] = 1.0
+    return np.asarray(vector_ids, dtype=np.int64), np.asarray(labels, dtype=np.float64)

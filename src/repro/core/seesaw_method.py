@@ -15,6 +15,7 @@ from repro.core.aligner import SeeSawQueryAligner
 from repro.core.feedback import FeedbackMap
 from repro.core.interfaces import ImageResult, SearchContext, SearchMethod
 from repro.exceptions import SessionError
+from repro.obs import trace_span
 
 
 class SeeSawSearchMethod(SearchMethod):
@@ -57,8 +58,10 @@ class SeeSawSearchMethod(SearchMethod):
 
     def observe(self, feedback: FeedbackMap) -> None:
         context, aligner = self._require_started()
-        features, labels, weights, _ = feedback.to_weighted_patch_labels(context.index)
-        aligner.align(features, labels, sample_weights=weights if weights.size else None)
+        with trace_span("labels", images=len(feedback)):
+            features, labels, weights, _ = feedback.to_weighted_patch_labels(context.index)
+        with trace_span("align", rows=labels.size):
+            aligner.align(features, labels, sample_weights=weights if weights.size else None)
 
     @property
     def query_vector(self) -> "np.ndarray | None":

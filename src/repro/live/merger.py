@@ -27,6 +27,7 @@ from repro import obs
 from repro.core.indexing import SeeSawIndex
 from repro.data.dataset import ImageDataset
 from repro.embedding.base import EmbeddingModel
+from repro.utils.memory import release_free_heap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.live.registry import DatasetRegistry, LiveDatasetState
@@ -141,6 +142,9 @@ class SegmentMerger:
                 registry._merges_total.labels(state.name).inc()
                 registry._merge_seconds.observe(elapsed)
                 self._sweep_cache(state)
+                # The build's temporaries are freed by now; without a trim
+                # glibc keeps them resident behind small live allocations.
+                release_free_heap()
                 return True
             finally:
                 with state.lock:

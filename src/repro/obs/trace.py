@@ -47,7 +47,7 @@ STAGE_METRIC = "seesaw_stage_seconds"
 
 STAGE_HELP = (
     "Per-stage wall-clock durations from hot-path trace spans "
-    "(score/pool/select/merge/rerank/coalesce_wait/lock_wait)."
+    "(score/pool/select/merge/rerank/coalesce_wait/lock_wait/labels/align)."
 )
 
 

@@ -1,11 +1,12 @@
-"""Limited-memory BFGS with a Wolfe-condition backtracking line search.
+"""Limited-memory BFGS with an Armijo backtracking line search.
 
 The paper minimises its loss with PyTorch's L-BFGS (§4.4) because it
 converges in a few tens of iterations without learning-rate tuning.  This
 module provides the same capability from scratch: the classic two-loop
 recursion over a bounded history of curvature pairs, with a line search that
-enforces the strong Wolfe conditions and falls back to simple backtracking
-when the objective is awkward.
+halves the step until it gives sufficient decrease (the Armijo condition).
+Curvature pairs with ``s·y`` too small to keep the inverse-Hessian estimate
+positive definite are skipped.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def _two_loop_direction(
     return -q
 
 
-def _wolfe_line_search(
+def _armijo_line_search(
     objective: ValueAndGradient,
     parameters: np.ndarray,
     value: float,
@@ -66,33 +67,27 @@ def _wolfe_line_search(
     direction: np.ndarray,
     config: OptimizerConfig,
 ) -> tuple[float, float, np.ndarray, int]:
-    """Backtracking line search satisfying the Armijo (and weak Wolfe) conditions.
+    """Armijo backtracking: halve the step until it gives sufficient decrease.
 
-    Returns ``(step, new_value, new_gradient, evaluations)``; a step of 0 means
-    the search failed to find any decrease.
+    The first step satisfying the Armijo condition (constant
+    ``config.wolfe_c1``) is accepted; no curvature condition is checked,
+    which suits the smooth, low-dimensional SeeSaw loss.  Returns ``(step,
+    new_value, new_gradient, evaluations)``; a step of 0 means the search
+    found no decrease within ``config.max_line_search_steps`` halvings.
     """
     directional = float(gradient @ direction)
     if directional >= 0:
         raise OptimizationError("line search called with a non-descent direction")
     step = config.initial_step
     evaluations = 0
-    best = (0.0, value, gradient)
     for _ in range(config.max_line_search_steps):
         candidate = parameters + step * direction
         candidate_value, candidate_gradient = objective(candidate)
         evaluations += 1
-        armijo = candidate_value <= value + config.wolfe_c1 * step * directional
-        if armijo:
-            curvature = float(candidate_gradient @ direction) >= config.wolfe_c2 * directional
-            best = (step, candidate_value, candidate_gradient)
-            if curvature:
-                return step, candidate_value, candidate_gradient, evaluations
-            # Armijo holds but curvature does not: accept anyway after trying a
-            # slightly larger step once; keeping it simple is fine here because
-            # the SeeSaw loss is smooth and low-dimensional.
+        if candidate_value <= value + config.wolfe_c1 * step * directional:
             return step, candidate_value, candidate_gradient, evaluations
         step *= 0.5
-    return best[0], best[1], best[2], evaluations
+    return 0.0, value, gradient, evaluations
 
 
 def lbfgs_minimize(
@@ -131,7 +126,7 @@ def lbfgs_minimize(
             y_history.clear()
             rho_history.clear()
             direction = -gradient
-        step, new_value, new_gradient, line_evaluations = _wolfe_line_search(
+        step, new_value, new_gradient, line_evaluations = _armijo_line_search(
             objective, parameters, value, gradient, direction, config
         )
         evaluations += line_evaluations

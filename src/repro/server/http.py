@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
+import selectors
 import signal
 import socket
 import sys
@@ -224,6 +225,13 @@ class SeeSawHTTPServer(ThreadingHTTPServer):
         # connection -> is a request being served on it right now
         self._connections: "dict[socket.socket, bool]" = {}
         self._connections_lock = threading.Lock()
+        # shutdown() writes a byte here so the serve loop's select returns at
+        # once instead of at the end of its poll interval.
+        self._wake_reader, self._wake_writer = socket.socketpair()
+        self._wake_reader.setblocking(False)
+        self._wake_writer.setblocking(False)
+        self._shutdown_requested = False
+        self._serving_done = threading.Event()
 
     @property
     def url(self) -> str:
@@ -235,6 +243,46 @@ class SeeSawHTTPServer(ThreadingHTTPServer):
     def closing(self) -> bool:
         """Draining or stopped: replies carry ``Connection: close``."""
         return self._stopped or (self._manager is not None and self._manager.draining)
+
+    # -- serve loop -----------------------------------------------------
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """socketserver's accept loop, plus a wake-up socket in its selector.
+
+        socketserver notices a shutdown request only when its select times
+        out, so a stop would wait up to ``poll_interval``; :meth:`shutdown`
+        here also makes the select return at once.
+        """
+        self._serving_done.clear()
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_reader, selectors.EVENT_READ)
+                while not self._shutdown_requested:
+                    ready = selector.select(poll_interval)
+                    if self._shutdown_requested:
+                        break
+                    for key, _ in ready:
+                        if key.fileobj is self:
+                            self._handle_request_noblock()
+                        else:  # a wake-up left by a shutdown of an earlier loop
+                            self._wake_reader.recv(4096)
+                    self.service_actions()
+        finally:
+            self._shutdown_requested = False
+            self._serving_done.set()
+
+    def shutdown(self) -> None:
+        """Stop the serve loop and wait until it has returned.
+
+        Like socketserver's, this must be called from another thread than
+        the one running :meth:`serve_forever`.
+        """
+        self._shutdown_requested = True
+        try:
+            self._wake_writer.send(b"\0")
+        except OSError:
+            pass  # closed by server_close, or a wake-up is already pending
+        self._serving_done.wait()
 
     # -- connection lifecycle -------------------------------------------
     def process_request(self, request: socket.socket, client_address: object) -> None:
@@ -290,6 +338,8 @@ class SeeSawHTTPServer(ThreadingHTTPServer):
         ``Connection: close``) and is closed by its own thread.
         """
         super().server_close()
+        self._wake_reader.close()
+        self._wake_writer.close()
         with self._connections_lock:
             self._stopped = True
             idle = [conn for conn, busy in self._connections.items() if not busy]

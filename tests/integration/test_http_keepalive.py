@@ -443,6 +443,28 @@ class TestStoppedMeansUnreachable:
         finally:
             conn.close()
 
+    def test_stop_of_an_idle_server_returns_at_once(self):
+        """shutdown() wakes the accept loop instead of waiting out its poll."""
+        server = serve_in_background(StubStreamApp()).start()
+        conn = _connection(server)
+        try:
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read()
+        finally:
+            conn.close()
+        time.sleep(0.05)  # idle: the accept loop is parked in select
+        started = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - started <= 0.1
+        with pytest.raises(OSError):
+            socket.create_connection(server.server.server_address[:2], timeout=1.0)
+
+    def test_stop_right_after_start_does_not_hang(self):
+        started = time.perf_counter()
+        for _ in range(5):
+            serve_in_background(StubStreamApp()).start().stop()
+        assert time.perf_counter() - started <= 1.0
+
     def test_replies_say_connection_close_while_draining(self, make_stack):
         stack = make_stack()
         client = HTTPClient(stack.url, client_id="draining")

@@ -24,7 +24,7 @@ from repro.exceptions import (
     UnknownResourceError,
     VectorStoreError,
 )
-from repro.live import DeltaVectorStore, MANIFEST_FORMAT, RETAINED_GENERATIONS
+from repro.live import DeltaVectorStore, MANIFEST_FORMAT, RETAINED_GENERATIONS, merger
 from repro.server.api import StartSessionRequest
 from repro.server.service import SeeSawService
 
@@ -447,6 +447,22 @@ class TestSegmentMerger:
             index = service.index_for("live", multiscale=True)
             assert not isinstance(index.store, DeltaVectorStore)
             assert 920 in index.image_ids
+        finally:
+            service.live.close()
+
+    def test_each_swap_returns_freed_heap_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(merger, "release_free_heap", lambda: calls.append(1))
+        service, dataset = make_service()
+        try:
+            category = dataset.categories[0].name
+            service.live.force_merge("live")  # empty delta: no swap, no trim
+            assert calls == []
+            for image_id in (930, 931):
+                service.live.upsert_images("live", [new_image(image_id, category)])
+                service.live.force_merge("live")
+            assert service.live.describe("live")["merges_completed"] == 2
+            assert len(calls) == 2
         finally:
             service.live.close()
 

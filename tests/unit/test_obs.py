@@ -9,6 +9,7 @@ the disabled-mode fast path of the tracing runtime (the shared no-op span).
 
 from __future__ import annotations
 
+import logging
 import threading
 
 import pytest
@@ -390,3 +391,41 @@ class TestTraceSpans:
         trace.record("score", 0.001)
         trace.record("score", 0.002)
         assert trace.stages["score"] == [2, pytest.approx(0.003)]
+
+
+class TestUpdateSpans:
+    def test_feedback_round_collects_labels_and_align(
+        self, tiny_dataset, tiny_clip, caplog
+    ):
+        """The request that completes a page runs the update, and its span
+        collector (read back from the slow-request log) holds both halves."""
+        from repro.config import SeeSawConfig, TelemetryConfig
+        from repro.server import (
+            FeedbackRequest,
+            InProcessClient,
+            SeeSawApp,
+            SeeSawService,
+            SessionManager,
+            StartSessionRequest,
+        )
+
+        config = SeeSawConfig(
+            embedding_dim=64, seed=7, telemetry=TelemetryConfig(slow_request_ms=1e-6)
+        )
+        service = SeeSawService(config, registry=MetricsRegistry())
+        service.register_dataset(tiny_dataset, tiny_clip, preprocess=True)
+        client = InProcessClient(SeeSawApp(SessionManager(service)))
+        info = client.start_session(
+            StartSessionRequest(dataset=tiny_dataset.name, text_query="cat_easy", batch_size=2)
+        )
+        page = client.next_results(info.session_id)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="repro.server.slow"):
+            for item in page.items:
+                client.give_feedback(
+                    FeedbackRequest(info.session_id, item.image_id, relevant=False)
+                )
+        stages = [record.stages for record in caplog.records]
+        assert len(stages) == 2
+        assert "labels" not in stages[0] and "align" not in stages[0]
+        assert {"labels", "align"} <= set(stages[1])

@@ -1,9 +1,12 @@
-"""Tests for the shared utility helpers (rng, linalg, validation)."""
+"""Tests for the shared utility helpers (rng, linalg, validation, memory)."""
+
+import ctypes
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.utils import memory
 from repro.utils.linalg import (
     angular_distance,
     assert_no_copy,
@@ -175,3 +178,20 @@ class TestComputeDtypeHelpers:
         assert unit_rows(raw32).dtype == np.float32
         # ...and promoted to float64 for everything else.
         assert unit_rows(np.array([[3, 4]], dtype=np.int64)).dtype == np.float64
+
+
+class TestReleaseFreeHeap:
+    def test_runs_where_supported(self):
+        assert memory.release_free_heap() in (True, False)
+
+    def test_noop_without_malloc_trim(self, monkeypatch):
+        """macOS and musl libcs lack the symbol: the helper does nothing."""
+        class LibcWithoutTrim:
+            pass
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: LibcWithoutTrim())
+        memory._malloc_trim.cache_clear()
+        try:
+            assert memory.release_free_heap() is False
+        finally:
+            memory._malloc_trim.cache_clear()
