@@ -136,7 +136,7 @@ class FeedbackMap:
             return np.zeros((0, dim)), np.zeros(0), np.zeros(0, dtype=np.int64)
         ids = np.concatenate([ids for ids, _ in blocks])
         labels = np.concatenate([labels for _, labels in blocks])
-        vectors = np.asarray(index.store.vectors[ids])
+        vectors = index.store.take(ids)
         return vectors, labels, ids
 
     def to_weighted_patch_labels(

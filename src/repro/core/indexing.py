@@ -111,6 +111,7 @@ class SeeSawIndex:
         store_kind: str = "exact",
         compute_db_alignment: bool = True,
         build_graph: bool = True,
+        vectors: "np.ndarray | None" = None,
     ) -> "SeeSawIndex":
         """Run the one-time preprocessing pass for ``dataset``.
 
@@ -132,9 +133,17 @@ class SeeSawIndex:
         build_graph:
             Whether to build the kNN graph (needed for DB alignment, the
             propagation baseline, and ENS).
+        vectors:
+            The patch vectors, already embedded, one row per patch in the
+            order this pass enumerates them (images in dataset order, each
+            image's patches coarse first).  Replaces only the
+            ``embed_region`` calls — a live merge passes the rows its delta
+            view already holds, so no patch is embedded twice; records,
+            store, kNN graph and ``M_D`` are built exactly as in a cold
+            build.
         """
         config = config or SeeSawConfig()
-        vectors: list[np.ndarray] = []
+        embedded: list[np.ndarray] = []
         records: list[VectorRecord] = []
         image_vector_ids: dict[int, list[int]] = {}
         embed_start = time.perf_counter()
@@ -143,7 +152,8 @@ class SeeSawIndex:
             patch_specs = generate_patches(image.width, image.height, config.multiscale)
             ids: list[int] = []
             for box, scale_level in patch_specs:
-                vectors.append(embedding.embed_region(image, box))
+                if vectors is None:
+                    embedded.append(embedding.embed_region(image, box))
                 records.append(
                     VectorRecord(
                         vector_id=vector_id,
@@ -156,12 +166,17 @@ class SeeSawIndex:
                 vector_id += 1
             image_vector_ids[image.image_id] = ids
         embedding_seconds = time.perf_counter() - embed_start
+        if vectors is None:
+            vectors = np.stack(embedded)
+        elif vectors.shape[0] != len(records):
+            raise IndexingError(
+                f"supplied vectors have {vectors.shape[0]} rows, the dataset "
+                f"enumerates {len(records)} patches"
+            )
         # Cast once to the configured compute dtype; the store then adopts
         # the stacked matrix as-is (float64 default stays the bit-parity
         # reference, float32 halves every scoring pass's memory traffic).
-        matrix = ensure_dtype(
-            np.stack(vectors), resolve_compute_dtype(config.compute_dtype)
-        )
+        matrix = ensure_dtype(vectors, resolve_compute_dtype(config.compute_dtype))
 
         store_start = time.perf_counter()
         if store_kind == "exact":

@@ -60,7 +60,11 @@ class ImageSegments:
         if self.order.size:
             if self.order.min() < 0 or self.order.max() >= vector_count:
                 raise IndexingError("segment vector id out of range")
-            if np.unique(self.order).size != self.order.size:
+            # A mark per vector id instead of ``np.unique``'s hash-and-sort:
+            # fewer marks than ids means some id was listed twice.
+            marked = np.zeros(vector_count, dtype=bool)
+            marked[self.order] = True
+            if np.count_nonzero(marked) != self.order.size:
                 raise IndexingError("a vector id may belong to at most one image")
         self.vector_image_rows = np.full(vector_count, -1, dtype=np.int64)
         self.vector_image_rows[self.order] = np.repeat(

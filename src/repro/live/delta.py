@@ -158,17 +158,31 @@ class DeltaVectorStore(VectorStore):
 
     @property
     def vectors(self) -> np.ndarray:
-        """The full matrix, materialised (serialization/merge path only).
+        """The full matrix, materialised: a fresh base+delta copy per call.
 
-        The hot paths never call this — scoring goes through the segment
-        kernels below — so the concatenation cost is paid exactly once, by
-        the merger when it seals a new segment.
+        Nothing on the serving or merge path reads it — scoring goes
+        through the segment kernels below and row gathers (the feedback
+        training set, the merger's resident rows) through :meth:`take` —
+        so it is a whole-corpus copy only for whole-matrix consumers.
         """
         stacked = np.concatenate(
             [np.asarray(self._base.vectors), self._delta], axis=0
         )
         stacked.setflags(write=False)
         return stacked
+
+    def take(self, vector_ids: np.ndarray) -> np.ndarray:
+        """Gather rows from both segments without concatenating them."""
+        vector_ids = self._check_ids(vector_ids)
+        n_base = len(self._base)
+        in_base = vector_ids < n_base
+        if bool(in_base.all()):
+            return self._base.take(vector_ids)
+        out = np.empty((vector_ids.size, self.dim), dtype=self._compute_dtype)
+        out[in_base] = self._base.take(vector_ids[in_base])
+        in_delta = ~in_base
+        out[in_delta] = self._delta[vector_ids[in_delta] - n_base]
+        return out
 
     def vector(self, vector_id: int) -> np.ndarray:
         if not 0 <= vector_id < len(self):

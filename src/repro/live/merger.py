@@ -1,9 +1,15 @@
 """Background segment merger: compacts base+delta into a new sealed segment.
 
-A merge is a from-scratch build of the dataset's current logical corpus —
-through the index cache when one is configured, so the new generation lands
-as a content-hash-keyed raw-``.npy`` entry the next process start can
-memory-map — executed *off the request path*.  While the build runs,
+A merge seals the dataset's current logical corpus — through the index
+cache when one is configured, so the new generation lands as a
+content-hash-keyed raw-``.npy`` entry the next process start can
+memory-map — executed *off the request path*.  It embeds nothing: every
+patch was embedded once, by the cold build or by its upsert, and the live
+view already holds those rows.  The merger gathers them in canonical order
+and hands them to ``SeeSawIndex.build``, which builds records, store, kNN
+graph and ``M_D`` exactly as a cold build of the same corpus would, so the
+sealed generation equals that cold build bit for bit and a merge costs the
+exact kNN scan.  While the build runs,
 queries keep flowing against the old generation and mutations keep landing
 in the delta; at swap time the operations that arrived after the snapshot
 are replayed (with their original sequence numbers and versions) as a fresh
@@ -19,9 +25,12 @@ the DB-alignment matrix, the configured quantized/graph/sharded tier stack
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro import obs
 from repro.core.indexing import SeeSawIndex
@@ -31,6 +40,8 @@ from repro.utils.memory import release_free_heap
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.live.registry import DatasetRegistry, LiveDatasetState
+
+logger = logging.getLogger("repro.live")
 
 
 class SegmentMerger:
@@ -85,7 +96,10 @@ class SegmentMerger:
         except Exception:
             # A failed background compaction must never take the serving
             # path down: the delta view stays live and the next mutation's
-            # trigger retries the merge.
+            # trigger retries the merge.  It must not be silent either, or a
+            # merge that always fails looks like one that never triggers.
+            logger.exception("background merge of dataset '%s' failed", state.name)
+            self.registry._merge_failures.labels(state.name).inc()
             with state.lock:
                 state.merge_inflight = False
 
@@ -117,12 +131,21 @@ class SegmentMerger:
                 snapshot = state.merged_dataset()
                 snapshot_seq = state.mutation_seq
                 embedding = state.base_index.embedding
+                # The live view of exactly this snapshot; immutable, so its
+                # rows are gathered after the lock is released.
+                view = state.current
             try:
                 start = time.perf_counter()
                 with obs.trace_span(
                     "merge", dataset=state.name, images=len(snapshot)
                 ):
-                    sealed = self._build_sealed(state, snapshot, embedding)
+                    # The view's segment order lists each image's rows, images
+                    # in canonical order, coarse patch first: the order a cold
+                    # build embeds them.  Read-only, so the store adopts the
+                    # gathered matrix without another copy.
+                    vectors = view.store.take(view.segments.order)
+                    vectors.setflags(write=False)
+                    sealed = self._build_sealed(state, snapshot, embedding, vectors)
                     with state.lock:
                         pending = [
                             entry for entry in state.journal if entry[0] > snapshot_seq
@@ -155,12 +178,16 @@ class SegmentMerger:
         state: "LiveDatasetState",
         dataset: ImageDataset,
         embedding: EmbeddingModel,
+        vectors: np.ndarray,
     ) -> SeeSawIndex:
-        """A full sealed build of the snapshot (cache-keyed when possible)."""
+        """A sealed build of the snapshot over its resident rows (cache-keyed
+        when possible)."""
         service = self.registry.service
         cache = service._caches.get(state.name)
         if cache is not None:
-            index, was_cached = cache.load_or_build(dataset, embedding, state.config)
+            index, was_cached = cache.load_or_build(
+                dataset, embedding, state.config, vectors=vectors
+            )
             with service._counter_lock:
                 if was_cached:
                     service.cache_hits += 1
@@ -168,7 +195,7 @@ class SegmentMerger:
                     service.cache_misses += 1
             service._cache_events.labels("hit" if was_cached else "miss").inc()
         else:
-            index = SeeSawIndex.build(dataset, embedding, state.config)
+            index = SeeSawIndex.build(dataset, embedding, state.config, vectors=vectors)
         service._apply_store_tiers(index)
         index.engine
         return index

@@ -128,6 +128,11 @@ class DatasetRegistry:
             "Completed delta-segment compactions, by dataset.",
             labels=("dataset",),
         )
+        self._merge_failures = metrics.counter(
+            "seesaw_merge_failures_total",
+            "Background segment merges that raised, by dataset.",
+            labels=("dataset",),
+        )
         self._merge_seconds = metrics.histogram(
             "seesaw_merge_seconds",
             "Wall-clock duration of one background segment merge.",

@@ -211,6 +211,27 @@ class VectorStore(ABC):
             raise VectorStoreError(f"Unknown vector id {vector_id}")
         return self._vectors[vector_id].copy()
 
+    def take(self, vector_ids: np.ndarray) -> np.ndarray:
+        """A fresh ``(len(vector_ids) x dim)`` matrix of the given rows.
+
+        Bit for bit ``vectors[vector_ids]``, in the compute dtype; a
+        composite store overrides it to gather from its segments without
+        materialising the whole matrix first.
+        """
+        vector_ids = self._check_ids(vector_ids)
+        return self._vectors[vector_ids]
+
+    def _check_ids(self, vector_ids: np.ndarray) -> np.ndarray:
+        vector_ids = np.asarray(vector_ids, dtype=np.int64)
+        if vector_ids.ndim != 1:
+            raise VectorStoreError("vector ids must be a 1-d array")
+        if vector_ids.size and (vector_ids.min() < 0 or vector_ids.max() >= len(self)):
+            raise VectorStoreError(
+                f"vector ids must lie in [0, {len(self)}), got "
+                f"[{int(vector_ids.min())}, {int(vector_ids.max())}]"
+            )
+        return vector_ids
+
     def _share_vectors(self, vectors: np.ndarray) -> None:
         """Swap the owned matrix for a shared view with identical content.
 

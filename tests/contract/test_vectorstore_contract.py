@@ -13,7 +13,9 @@ the query engine (and everything above it) is written against:
 * exclusions (mask or legacy id set) are honored absolutely;
 * edge cases (k > n, everything excluded, bad k, bad dimensions) are
   handled identically everywhere;
-* ``score_all`` / ``score_many`` agree with a manual scan.
+* ``score_all`` / ``score_many`` agree with a manual scan;
+* ``take`` gathers exactly ``vectors[ids]``, on its own and as the base
+  segment of a live ``DeltaVectorStore``.
 
 Approximate backends may return *fewer or different* candidates than an
 exact scan — the contract never asserts recall — but whatever they return
@@ -27,6 +29,7 @@ import pytest
 
 from repro.data.geometry import BoundingBox
 from repro.exceptions import VectorStoreError
+from repro.live import DeltaVectorStore
 from repro.vectorstore import (
     ExactVectorStore,
     GraphANNVectorStore,
@@ -243,3 +246,60 @@ class TestStructure:
         else:
             expected = isinstance(store, ExactVectorStore)
         assert store.exhaustive == expected
+
+
+def _with_delta(base, delta_count: int = 5, seed: int = 7) -> DeltaVectorStore:
+    """``base`` plus unit delta rows, with base and delta rows tombstoned."""
+    rng = np.random.default_rng(seed)
+    n_base = len(base)
+    delta = rng.standard_normal((delta_count, DIM))
+    delta /= np.linalg.norm(delta, axis=1, keepdims=True)
+    records = [
+        VectorRecord(
+            vector_id=n_base + offset,
+            image_id=1000 + offset,
+            box=BoundingBox(0.0, 0.0, 32.0, 32.0),
+        )
+        for offset in range(delta_count)
+    ]
+    tombstones = np.zeros(n_base + delta_count, dtype=bool)
+    tombstones[[0, 3, n_base + 1]] = True
+    return DeltaVectorStore(base, delta, records, tombstones)
+
+
+class TestTake:
+    def test_take_is_vectors_gather_bit_for_bit(self, store):
+        ids = np.random.default_rng(5).permutation(len(store))[:17]
+        gathered = store.take(ids)
+        assert gathered.dtype == store.compute_dtype
+        assert np.array_equal(gathered, store.vectors[ids])
+
+    def test_take_empty_keeps_shape_and_dtype(self, store):
+        gathered = store.take(np.zeros(0, dtype=np.int64))
+        assert gathered.shape == (0, store.dim)
+        assert gathered.dtype == store.compute_dtype
+
+    def test_take_rejects_out_of_range_ids(self, store):
+        for bad in ([len(store)], [-1]):
+            with pytest.raises(VectorStoreError, match="vector ids"):
+                store.take(np.asarray(bad))
+
+    def test_delta_take_mixes_segments_in_any_order(self, store):
+        live = _with_delta(store)
+        n_base = len(store)
+        # Base and delta ids interleaved, tombstoned rows and repeats included.
+        ids = np.asarray([n_base + 4, 0, n_base + 1, 3, n_base, n_base - 1, 0, 2])
+        gathered = live.take(ids)
+        assert gathered.dtype == store.compute_dtype
+        assert np.array_equal(gathered, live.vectors[ids])
+        everything = np.random.default_rng(3).permutation(len(live))
+        assert np.array_equal(live.take(everything), live.vectors[everything])
+
+    def test_delta_take_edge_cases(self, store):
+        live = _with_delta(store)
+        empty = live.take(np.zeros(0, dtype=np.int64))
+        assert empty.shape == (0, live.dim) and empty.dtype == store.compute_dtype
+        base_only = np.arange(len(store))[::-1]
+        assert np.array_equal(live.take(base_only), store.vectors[base_only])
+        with pytest.raises(VectorStoreError, match="vector ids"):
+            live.take(np.asarray([len(live)]))

@@ -10,6 +10,10 @@ whose pre-merge delta path is exact-over-delta but approximate-over-base.
 
 Plus the zero-downtime property: concurrent readers across a background
 merge swap observe no errors and no stale-generation leaks.
+
+A merge embeds nothing: it seals the rows the live view already holds, so
+its artifacts are checked array for array against a cold build, and
+``embed_region`` is counted across it.
 """
 
 from __future__ import annotations
@@ -21,12 +25,14 @@ import pytest
 
 from repro.config import SeeSawConfig
 from repro.core.indexing import SeeSawIndex
+from repro.core.multiscale import generate_patches
 from repro.core.seesaw_method import SeeSawSearchMethod
 from repro.core.session import SearchSession
 from repro.data.generators import DatasetProfile, SceneGenerator
 from repro.data.geometry import BoundingBox
 from repro.data.image import ObjectInstance, SyntheticImage
 from repro.embedding.synthetic_clip import SyntheticClip
+from repro.exceptions import IndexingError
 from repro.live import DeltaVectorStore
 from repro.server.api import FeedbackRequest, StartSessionRequest
 from repro.server.service import SeeSawService
@@ -36,6 +42,7 @@ TIERS = {
     "sharded": {"n_shards": 3},
     "quantized": {"quantized_store": True},
     "graph": {"ann_search": True, "ann_graph_degree": 8, "ann_ef": 48},
+    "float32": {"compute_dtype": "float32"},
 }
 EXHAUSTIVE_TIERS = ("flat", "sharded")
 
@@ -300,3 +307,150 @@ class TestConcurrentSwap:
             assert {930, 931, 932} <= set(index.image_ids)
         finally:
             service.live.close()
+
+
+def assert_arrays_identical(actual, expected) -> None:
+    assert actual.dtype == expected.dtype
+    assert np.array_equal(actual, expected)
+
+
+def assert_same_artifacts(sealed: SeeSawIndex, cold: SeeSawIndex) -> None:
+    """Every array a merge seals equals the cold build's, bits and dtype."""
+    assert_arrays_identical(np.asarray(sealed.store.vectors), np.asarray(cold.store.vectors))
+    assert [
+        (record.image_id, record.box, record.scale_level)
+        for record in sealed.store.records
+    ] == [
+        (record.image_id, record.box, record.scale_level)
+        for record in cold.store.records
+    ]
+    for column in ("image_ids", "order", "offsets", "vector_image_rows"):
+        assert_arrays_identical(
+            getattr(sealed.segments, column), getattr(cold.segments, column)
+        )
+    assert_arrays_identical(
+        sealed.knn_graph.neighbor_ids, cold.knn_graph.neighbor_ids
+    )
+    assert_arrays_identical(
+        sealed.knn_graph.neighbor_weights, cold.knn_graph.neighbor_weights
+    )
+    assert_arrays_identical(sealed.db_matrix, cold.db_matrix)
+
+
+def cold_build(service, clip) -> SeeSawIndex:
+    state = service.live.state_for("live")
+    return SeeSawIndex.build(state.merged_dataset(), clip, state.config)
+
+
+def count_embeds(monkeypatch, clip) -> "list[int]":
+    """Route ``clip.embed_region`` through a counter; returns the counter."""
+    calls = [0]
+    embed_region = clip.embed_region
+
+    def counting(image, box):
+        calls[0] += 1
+        return embed_region(image, box)
+
+    monkeypatch.setattr(clip, "embed_region", counting)
+    return calls
+
+
+class TestMergeSealsResidentRows:
+    @pytest.mark.parametrize("tier", sorted(TIERS))
+    def test_sealed_artifacts_equal_cold_build_across_two_merges(self, tier):
+        service, dataset, clip = make_service(tier)
+        try:
+            categories = [info.name for info in dataset.categories]
+            mutate(service, dataset)
+            service.live.force_merge("live")
+            sealed = service.index_for("live", multiscale=True)
+            assert not isinstance(sealed.store, DeltaVectorStore)
+            assert_same_artifacts(sealed, cold_build(service, clip))
+            # Second round: the gather now reads a merged base plus delta.
+            service.live.upsert_images(
+                "live",
+                [added_image(802, categories[2]), added_image(800, categories[3])],
+            )
+            service.live.delete_images("live", [dataset.images[7].image_id, 801])
+            service.live.force_merge("live")
+            sealed = service.index_for("live", multiscale=True)
+            assert_same_artifacts(sealed, cold_build(service, clip))
+        finally:
+            service.live.close()
+
+    def test_forced_merge_embeds_nothing(self, monkeypatch):
+        service, dataset, clip = make_service("flat")
+        try:
+            calls = count_embeds(monkeypatch, clip)
+            mutate(service, dataset)
+            assert calls[0] > 0  # upserts embed their own patches
+            calls[0] = 0
+            service.live.force_merge("live")
+            assert calls[0] == 0
+            assert service.live.describe("live")["merges_completed"] == 1
+        finally:
+            service.live.close()
+
+    def test_replayed_upsert_embeds_only_its_own_patches(self, monkeypatch):
+        service, dataset, clip = make_service("flat")
+        try:
+            category = dataset.categories[0].name
+            mutate(service, dataset)
+            calls = count_embeds(monkeypatch, clip)
+            merger = service.live.merger
+            build_sealed = merger._build_sealed
+            during: "dict[str, int]" = {}
+
+            def build_then_mutate(*args, **kwargs):
+                sealed = build_sealed(*args, **kwargs)
+                during["build"] = calls[0]
+                # An upsert landing mid-merge: journalled after the
+                # snapshot, so the swap replays it over the new base.
+                service.live.upsert_images("live", [added_image(870, category)])
+                during["after_upsert"] = calls[0]
+                return sealed
+
+            monkeypatch.setattr(merger, "_build_sealed", build_then_mutate)
+            service.live.force_merge("live")
+            state = service.live.state_for("live")
+            patches = len(generate_patches(640, 480, state.config.multiscale))
+            assert during["build"] == 0
+            assert during["after_upsert"] == patches
+            assert calls[0] - during["after_upsert"] == patches
+            assert 870 in service.index_for("live", multiscale=True).image_ids
+            assert state.delta_rows == patches
+        finally:
+            service.live.close()
+
+    def test_build_rejects_vectors_of_another_corpus(self):
+        dataset, clip = build_corpus()
+        config = SeeSawConfig(embedding_dim=32, seed=23)
+        with pytest.raises(IndexingError, match="rows"):
+            SeeSawIndex.build(dataset, clip, config, vectors=np.zeros((3, 32)))
+
+    def test_merged_generation_lands_in_index_cache(self, tmp_path):
+        config = SeeSawConfig(
+            embedding_dim=32, seed=23, live_datasets=True, index_cache_dir=str(tmp_path)
+        )
+        dataset, clip = build_corpus()
+        service = SeeSawService(config)
+        service.register_dataset(dataset, clip, preprocess=True)
+        try:
+            mutate(service, dataset)
+            service.live.force_merge("live")
+            state = service.live.state_for("live")
+            snapshot = state.merged_dataset()
+            cache = service._caches["live"]
+            key = cache.key(snapshot, clip, state.config)
+            assert cache.contains(key)
+            assert state.base_cache_key == key
+            merged = service.index_for("live", multiscale=True)
+        finally:
+            service.live.close()
+        fresh = SeeSawService(config)
+        fresh.register_dataset(snapshot, clip, preprocess=True)
+        try:
+            assert (fresh.cache_hits, fresh.cache_misses) == (1, 0)
+            assert_same_artifacts(fresh.index_for("live", multiscale=True), merged)
+        finally:
+            fresh.live.close()

@@ -245,6 +245,10 @@ class TestImageSegments:
         with pytest.raises(IndexingError):
             ImageSegments.from_mapping({1: [0, 7]}, 2)
 
+    def test_vector_repeated_within_one_image_rejected(self):
+        with pytest.raises(IndexingError):
+            ImageSegments.from_mapping({1: [0, 0]}, 2)
+
     def test_unknown_image_lookup_raises(self):
         segments = ImageSegments.from_mapping({1: [0]}, 1)
         with pytest.raises(IndexingError):

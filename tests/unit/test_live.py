@@ -536,3 +536,44 @@ class TestSegmentMerger:
             assert "seesaw_delta_rows" in families
         finally:
             service.live.close()
+
+    def test_background_merge_failure_is_logged_and_counted(self, monkeypatch, caplog):
+        service, dataset = make_service()
+        try:
+            category = dataset.categories[0].name
+            service.live.upsert_images("live", [new_image(924, category)])
+            state = service.live.state_for("live")
+            registry_merger = service.live.merger
+
+            def failing_build(*args, **kwargs):
+                raise RuntimeError("sealed build failed")
+
+            monkeypatch.setattr(registry_merger, "_build_sealed", failing_build)
+            with caplog.at_level("ERROR", logger="repro.live"):
+                assert registry_merger.schedule(state)
+                registry_merger.join()
+            records = [r for r in caplog.records if r.name == "repro.live"]
+            assert len(records) == 1
+            assert records[0].exc_info is not None
+            assert "live" in records[0].getMessage()
+            families = {
+                family["name"]: family
+                for family in service.metrics.to_json()["metrics"]
+            }
+            failures = families["seesaw_merge_failures_total"]["series"]
+            assert [(s["labels"], s["value"]) for s in failures] == [
+                ({"dataset": "live"}, 1.0)
+            ]
+            assert state.merge_inflight is False
+            # The delta view keeps serving, and the next merge succeeds.
+            info = service.start_session(
+                StartSessionRequest(dataset="live", text_query=f"a {category}")
+            )
+            assert service.next_results(info.session_id).items
+            assert 924 in service.index_for("live", multiscale=True).image_ids
+            monkeypatch.undo()
+            manifest = service.live.force_merge("live")
+            assert manifest["merges_completed"] == 1
+            assert manifest["delta_rows"] == 0
+        finally:
+            service.live.close()
