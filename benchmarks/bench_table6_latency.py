@@ -56,33 +56,16 @@ def test_table6_engine_vs_legacy(benchmark, bundles, save_report):
 
 
 def test_table6_sharded_latency(benchmark, bundles, save_report):
-    """Scaling rows: sharded bulk scoring and fused multi-session batching."""
-    # min-of-5 repeats: these are sub-millisecond timing gates and CI
-    # runners are noisy; the margins below are ~3x locally, so the repeats
-    # plus headroom keep scheduler spikes from flaking the build.
+    """Scaling rows: bulk scoring on the flat store and its sharded wrapper."""
     result = benchmark.pedantic(
         lambda: table6_sharded_latency(bundles["bdd"], repeats=5),
         rounds=1,
         iterations=1,
     )
     save_report("table6_sharded_latency", result.format_text())
-    fused = result.fused_by_sessions()
-    sequential = result.sequential_by_sessions()
-    assert set(fused) == set(sequential) == {1, 4, 8, 16}
-    # The acceptance gate: fused per-session latency must *improve* as
-    # concurrency grows — the fixed per-round dispatch cost amortizes over
-    # the cohort while each session still gets its own selection.
-    assert fused[16] < fused[1], (
-        f"fused per-session latency did not improve with concurrency: "
-        f"Q=1 {fused[1]:.3f}ms vs Q=16 {fused[16]:.3f}ms"
-    )
-    # At high concurrency the fused path must not lose to Q sequential
-    # rounds (same work minus the per-session kernel dispatches; generous
-    # scheduler-noise headroom, the real margin is ~3x).
-    assert fused[16] < sequential[16] * 1.25, (
-        f"fused path regressed vs sequential at Q=16: "
-        f"{fused[16]:.3f}ms vs {sequential[16]:.3f}ms"
-    )
+    per_round = {row["mode"]: row["per_round_ms"] for row in result.rows}
+    assert set(per_round) == {"score_all/flat", "score_all/sharded"}
+    assert all(ms > 0 for ms in per_round.values())
 
 
 def test_table6_dtype_throughput(benchmark, bundles, save_report, tmp_path):

@@ -52,14 +52,11 @@ ROUNDS_PER_SESSION = 2
 def build_service(cache_dir: str) -> SeeSawService:
     """Register every demo dataset, building or cache-loading its index.
 
-    The demo serves the full scaled topology: each index's store is
-    partitioned into two image-aligned shards and concurrent ``/next``
-    requests coalesce into fused batch-engine cohorts within a 2 ms window —
-    the 8 concurrent sessions below actually exercise both paths.
+    The demo serves the sharded topology: each index's store is
+    partitioned into two image-aligned shards, which the 8 concurrent
+    sessions below score against.
     """
-    service = SeeSawService(
-        SeeSawConfig(index_cache_dir=cache_dir, n_shards=2, batch_window_ms=2.0)
-    )
+    service = SeeSawService(SeeSawConfig(index_cache_dir=cache_dir, n_shards=2))
     for name in DATASETS:
         dataset = load_dataset(name, seed=SEED, size_scale=SIZE_SCALE)
         embedding = SyntheticClip.for_dataset(dataset, dim=128, seed=SEED)

@@ -34,10 +34,6 @@ class FewShotClipMethod(SearchMethod):
 
     name = "few_shot_clip"
 
-    # next_images is exactly top_unseen_images(query_vector, ...): eligible
-    # for fused multi-session batch scoring.
-    supports_fused_batch = True
-
     def __init__(
         self,
         config: "SeeSawConfig | None" = None,

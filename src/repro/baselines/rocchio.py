@@ -24,10 +24,6 @@ class RocchioMethod(SearchMethod):
 
     name = "rocchio"
 
-    # next_images is exactly top_unseen_images(query_vector, ...): eligible
-    # for fused multi-session batch scoring.
-    supports_fused_batch = True
-
     def __init__(self, alpha: float = 1.0, beta: float = 0.5, gamma: float = 0.25) -> None:
         if alpha < 0 or beta < 0 or gamma < 0:
             raise ConfigurationError("Rocchio weights must be non-negative")

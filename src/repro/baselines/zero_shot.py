@@ -14,10 +14,6 @@ class ZeroShotClipMethod(SearchMethod):
 
     name = "zero_shot_clip"
 
-    # next_images is exactly top_unseen_images(query_vector, ...): eligible
-    # for fused multi-session batch scoring.
-    supports_fused_batch = True
-
     def __init__(self) -> None:
         self._context: "SearchContext | None" = None
         self._query: "np.ndarray | None" = None

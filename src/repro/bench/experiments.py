@@ -947,72 +947,42 @@ def table6_protocol_streaming(
 
 
 # ---------------------------------------------------------------------------
-# Table 6 (sharded/batched) — the scaling layer's latency profile
+# Table 6 (sharded) — the scaling layer's latency profile
 # ---------------------------------------------------------------------------
 @dataclass
 class ShardedLatencyResult:
-    """Per-round latency of the sharded store and the fused batch engine."""
+    """Bulk-scoring latency of the flat store and its sharded wrapper."""
 
     rows: "list[dict[str, object]]"
 
     def format_text(self) -> str:
-        columns = ["mode", "sessions", "shards", "per_session_ms"]
-        table_rows = [[row.get(column, "") for column in columns] for row in self.rows]
+        columns = ["mode", "shards", "per_round_ms"]
+        table_rows = [[row[column] for column in columns] for row in self.rows]
         return format_table(
             columns,
             table_rows,
-            title=(
-                "Table 6 (sharded/batched): per-session per-round latency "
-                "vs concurrency and shard count"
-            ),
+            title="Table 6 (sharded): per-round bulk-scoring latency vs shard count",
             float_format="{:.3f}",
         )
-
-    def fused_by_sessions(self) -> "dict[int, float]":
-        """``sessions -> per_session_ms`` for the fused rows (gate helper)."""
-        return {
-            int(row["sessions"]): float(row["per_session_ms"])
-            for row in self.rows
-            if row["mode"] == "fused"
-        }
-
-    def sequential_by_sessions(self) -> "dict[int, float]":
-        """``sessions -> per_session_ms`` for the sequential rows."""
-        return {
-            int(row["sessions"]): float(row["per_session_ms"])
-            for row in self.rows
-            if row["mode"] == "sequential"
-        }
 
 
 def table6_sharded_latency(
     bundle: DatasetBundle,
     shard_count: int = 4,
-    session_counts: Sequence[int] = (1, 4, 8, 16),
     rounds: int = 6,
-    batch_size: int = 5,
     repeats: int = 3,
 ) -> ShardedLatencyResult:
-    """Measure what sharding and fused batching buy on the round hot path.
+    """Measure what sharding costs or buys on the round's scoring call.
 
-    Two row families over the bundle's multiscale index:
-
-    * ``score_all`` rows — one full bulk-scoring call on the flat exact
-      store vs the ``shard_count``-way sharded wrapper (whose results are
-      bit-identical; the property suite pins that, this measures it).
-    * ``sequential`` vs ``fused`` rows — Q concurrent sessions driven for
-      ``rounds`` rounds either as Q independent engine rounds or as one
-      fused :class:`~repro.engine.batch.BatchQueryEngine` cohort per round.
-      ``per_session_ms`` is the per-session per-round latency; the fused
-      number falling as Q grows is the amortization the coalescing
-      scheduler exists to harvest.
-
-    The shared bundle index is never mutated: sharded/batched paths run on
-    engines built over a wrapped copy of its store.
+    One ``score_all`` row each for the flat exact store and its
+    ``shard_count``-way sharded wrapper (whose results are bit-identical;
+    the property suite pins that, this measures it).  The shared bundle
+    index is never mutated: the sharded path runs on an engine built over a
+    wrapped copy of its store.
     """
     import time
 
-    from repro.engine import BatchQueryEngine, QueryEngine
+    from repro.engine import QueryEngine
     from repro.vectorstore.sharded import ShardedVectorStore
 
     index = bundle.multiscale_index
@@ -1020,8 +990,6 @@ def table6_sharded_latency(
     sharded_engine = QueryEngine(
         ShardedVectorStore.wrap(index.store, shard_count), index.segments
     )
-    batch_engine = BatchQueryEngine(flat_engine)
-    rng = np.random.default_rng(0)
     probe = bundle.embedding.embed_text(bundle.queries(ExperimentScale())[0].prompt)
 
     rows: "list[dict[str, object]]" = []
@@ -1034,56 +1002,8 @@ def table6_sharded_latency(
         rows.append(
             {
                 "mode": f"score_all/{label}",
-                "sessions": 1,
                 "shards": shards,
-                "per_session_ms": min(run_score_all() for _ in range(repeats)) * 1000.0,
-            }
-        )
-
-    max_sessions = max(session_counts)
-    # Distinct per-session query vectors: the probe plus seeded perturbations,
-    # the spread a cohort of different text queries would produce.
-    query_pool = probe + 0.25 * rng.standard_normal((max_sessions, probe.shape[0]))
-
-    for session_count in session_counts:
-        queries = query_pool[:session_count]
-
-        def run_sequential() -> float:
-            masks = [flat_engine.new_mask() for _ in range(session_count)]
-            start = time.perf_counter()
-            for _ in range(rounds):
-                for row in range(session_count):
-                    ids, _, _ = flat_engine.top_unseen_arrays(
-                        queries[row], batch_size, masks[row]
-                    )
-                    masks[row].mark_images(ids.tolist())
-            return (time.perf_counter() - start) / (rounds * session_count)
-
-        def run_fused() -> float:
-            masks = [flat_engine.new_mask() for _ in range(session_count)]
-            start = time.perf_counter()
-            for _ in range(rounds):
-                triples = batch_engine.top_unseen_batch(queries, batch_size, masks)
-                for row, (ids, _, _) in enumerate(triples):
-                    masks[row].mark_images(ids.tolist())
-            return (time.perf_counter() - start) / (rounds * session_count)
-
-        sequential_seconds = min(run_sequential() for _ in range(repeats))
-        fused_seconds = min(run_fused() for _ in range(repeats))
-        rows.append(
-            {
-                "mode": "sequential",
-                "sessions": session_count,
-                "shards": 1,
-                "per_session_ms": sequential_seconds * 1000.0,
-            }
-        )
-        rows.append(
-            {
-                "mode": "fused",
-                "sessions": session_count,
-                "shards": 1,
-                "per_session_ms": fused_seconds * 1000.0,
+                "per_round_ms": min(run_score_all() for _ in range(repeats)) * 1000.0,
             }
         )
     return ShardedLatencyResult(rows=rows)

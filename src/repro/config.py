@@ -10,12 +10,18 @@ floor (see :class:`KnnGraphConfig`).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Mapping
 
 from repro.exceptions import ConfigurationError
 from repro.faults.plan import FaultPlan
 from repro.utils.validation import check_positive, check_probability
+
+RETIRED_FIELDS = frozenset({"batch_window_ms", "optimizer.wolfe_c2"})
+"""Config fields that no longer exist, as ``name`` or ``section.name``.
+:meth:`SeeSawConfig.from_dict` drops them: index-cache entries persist the
+config they were built with, and the cache key leaves runtime knobs out, so
+an entry written before a field was removed must still load."""
 
 
 @dataclass(frozen=True)
@@ -100,10 +106,6 @@ class OptimizerConfig:
     gradient_tolerance: float = 1e-6
     initial_step: float = 1.0
     wolfe_c1: float = 1e-4
-    # Read by nothing: the line search checks only the Armijo condition
-    # (wolfe_c1).  Kept because index-cache entries persist the config and
-    # from_dict rejects unknown fields.
-    wolfe_c2: float = 0.9
     max_line_search_steps: int = 25
 
     def __post_init__(self) -> None:
@@ -113,8 +115,8 @@ class OptimizerConfig:
             raise ConfigurationError("history_size must be >= 1")
         check_positive("gradient_tolerance", self.gradient_tolerance)
         check_positive("initial_step", self.initial_step)
-        if not 0 < self.wolfe_c1 < self.wolfe_c2 < 1:
-            raise ConfigurationError("require 0 < wolfe_c1 < wolfe_c2 < 1")
+        if not 0 < self.wolfe_c1 < 1:
+            raise ConfigurationError("require 0 < wolfe_c1 < 1")
 
 
 @dataclass(frozen=True)
@@ -194,13 +196,6 @@ class SeeSawConfig:
     bit-identical global top-k; ``1`` keeps the flat store.  A runtime
     topology knob: it does not change what gets built, so it is excluded
     from the index-cache key and can vary per deployment."""
-    batch_window_ms: float = 0.0
-    """Width (milliseconds) of the request-coalescing window for ``/next``.
-    When positive, the :class:`~repro.server.manager.SessionManager` gathers
-    concurrent next-batch requests arriving within the window and dispatches
-    them through the fused :class:`~repro.engine.batch.BatchQueryEngine` —
-    one GEMM for the whole cohort instead of one matvec per session.  ``0``
-    disables coalescing (every request dispatches immediately)."""
     compute_dtype: str = "float64"
     """Floating dtype of the scoring hot path (store matrix, engine scores).
     ``"float64"`` is the bit-parity default every equivalence property in the
@@ -215,11 +210,7 @@ class SeeSawConfig:
     matrix with int32 accumulation (an 8x bandwidth reduction over float64),
     then the top ``quantized_rerank_factor * k`` are re-ranked exactly in the
     compute dtype.  A runtime tier like ``n_shards`` — derived from the flat
-    vectors at load time, so it is excluded from the index-cache key.
-    Trade-off: the quantized tier is not exhaustive, so cohorts on a
-    quantized index fall back from fused multi-session batching
-    (``batch_window_ms``) to sequential per-session rounds — pick it for
-    memory-bound workloads, not for high-concurrency fused serving."""
+    vectors at load time, so it is excluded from the index-cache key."""
     quantized_rerank_factor: int = 4
     """Candidate over-fetch multiplier of the quantized tier: the int8 pass
     keeps ``rerank_factor * k`` candidates for the exact re-rank.  At the
@@ -235,10 +226,9 @@ class SeeSawConfig:
     Like ``quantized_store`` this is a runtime tier derived from the flat
     vectors at load time, so it is excluded from the index-cache key; when
     both are requested the graph tier wins (it consumes the exhaustive
-    store first).  Trade-offs: results are approximate (recall@k >= 0.95
+    store first).  Trade-off: results are approximate (recall@k >= 0.95
     gated by the ``table6_ann_recall_latency`` benchmark at the default
-    knobs), and like the quantized tier a graph index opts out of fused
-    multi-session batching."""
+    knobs)."""
     ann_ef: int = 64
     """Beam width of the graph-ANN descent: the candidate heap keeps the
     best ``max(ann_ef, k)`` nodes and the walk stops when no frontier node
@@ -278,7 +268,7 @@ class SeeSawConfig:
     """Default per-request budget (milliseconds) the server applies when a
     request carries no ``X-Deadline-Ms`` header.  Once the budget runs out
     the request fails with the typed 504 (``code="deadline_exceeded"``)
-    instead of burning coalescer slots and engine dispatch on an answer
+    instead of burning a session lock and engine dispatch on an answer
     nobody is waiting for.  ``0`` applies no default — only client-sent
     deadlines are enforced.  Runtime knob, excluded from the cache key."""
     max_in_flight: int = 0
@@ -348,10 +338,6 @@ class SeeSawConfig:
             raise ConfigurationError("embedding_dim must be >= 2")
         if self.n_shards < 1:
             raise ConfigurationError(f"n_shards must be >= 1, got {self.n_shards}")
-        if self.batch_window_ms < 0:
-            raise ConfigurationError(
-                f"batch_window_ms must be >= 0, got {self.batch_window_ms}"
-            )
         if self.compute_dtype not in ("float64", "float32"):
             raise ConfigurationError(
                 f"compute_dtype must be 'float64' or 'float32', got "
@@ -433,7 +419,12 @@ class SeeSawConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SeeSawConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
+        """Rebuild a config from :meth:`to_dict` output.
+
+        Keys named in :data:`RETIRED_FIELDS` are dropped, so configs written
+        before a field was removed still load; any other unknown key raises
+        :class:`ConfigurationError` naming it.
+        """
         sections: dict[str, type] = {
             "loss": LossWeights,
             "knn": KnnGraphConfig,
@@ -442,18 +433,13 @@ class SeeSawConfig:
             "task": BenchmarkTaskConfig,
             "telemetry": TelemetryConfig,
         }
-        kwargs: dict[str, Any] = {}
-        for key, value in data.items():
-            if key == "faults":
-                kwargs[key] = (
-                    FaultPlan.from_json(value) if isinstance(value, Mapping) else value
-                )
-                continue
-            section = sections.get(key)
-            if section is not None and isinstance(value, Mapping):
-                kwargs[key] = section(**value)
-            else:
-                kwargs[key] = value
+        kwargs = _known_fields(cls, data)
+        for key, value in kwargs.items():
+            if key == "faults" and isinstance(value, Mapping):
+                kwargs[key] = FaultPlan.from_json(value)
+            elif key in sections and isinstance(value, Mapping):
+                section = sections[key]
+                kwargs[key] = section(**_known_fields(section, value, f"{key}."))
         return cls(**kwargs)
 
     def describe(self) -> Mapping[str, Any]:
@@ -473,7 +459,6 @@ class SeeSawConfig:
             "max_images": self.task.max_images,
             "seed": self.seed,
             "n_shards": self.n_shards,
-            "batch_window_ms": self.batch_window_ms,
             "compute_dtype": self.compute_dtype,
             "quantized_store": self.quantized_store,
             "quantized_rerank_factor": self.quantized_rerank_factor,
@@ -494,6 +479,21 @@ class SeeSawConfig:
             "delta_max_rows": self.delta_max_rows,
             "merge_trigger_ratio": self.merge_trigger_ratio,
         }
+
+
+def _known_fields(
+    cls: type, data: Mapping[str, Any], prefix: str = ""
+) -> "dict[str, Any]":
+    """``data`` without its retired keys; an unknown key raises."""
+    names = {item.name for item in fields(cls)}
+    kwargs: dict[str, Any] = {}
+    for key, value in data.items():
+        if prefix + key in RETIRED_FIELDS:
+            continue
+        if key not in names:
+            raise ConfigurationError(f"Unknown config field '{prefix}{key}'")
+        kwargs[key] = value
+    return kwargs
 
 
 PAPER_DEFAULT_CONFIG = SeeSawConfig()

@@ -18,7 +18,7 @@ from repro.core.multiscale import generate_patches
 from repro.core.propagation import compute_db_alignment_matrix
 from repro.data.dataset import ImageDataset
 from repro.embedding.base import EmbeddingModel
-from repro.engine import BatchQueryEngine, ImageSegments, QueryEngine
+from repro.engine import ImageSegments, QueryEngine
 from repro.exceptions import IndexingError
 from repro.knng.graph import KnnGraph, build_knn_graph
 from repro.utils.linalg import ensure_dtype, resolve_compute_dtype
@@ -74,7 +74,6 @@ class SeeSawIndex:
         self.build_report = build_report
         self._image_ids: "tuple[int, ...] | None" = None
         self._engine: "QueryEngine | None" = None
-        self._batch_engine: "BatchQueryEngine | None" = None
         self._validate_coarse_first()
 
     def _validate_coarse_first(self) -> None:
@@ -251,13 +250,6 @@ class SeeSawIndex:
         return self._engine
 
     @property
-    def batch_engine(self) -> BatchQueryEngine:
-        """The (lazily built, cached) fused multi-session batch engine."""
-        if self._batch_engine is None:
-            self._batch_engine = BatchQueryEngine(self.engine)
-        return self._batch_engine
-
-    @property
     def engine_warmed(self) -> bool:
         """True once the query engine has been built (without building it)."""
         return self._engine is not None
@@ -277,7 +269,6 @@ class SeeSawIndex:
             )
         self.store = store
         self._engine = None
-        self._batch_engine = None
         self._validate_coarse_first()
 
     def vector_ids_for_image(self, image_id: int) -> tuple[int, ...]:

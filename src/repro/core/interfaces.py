@@ -163,21 +163,6 @@ class SearchMethod(ABC):
 
     name: str = "method"
 
-    supports_fused_batch: bool = False
-    """Opt-in contract for fused multi-session scoring.
-
-    A method sets this True only when its :meth:`next_images` is exactly
-    ``context.top_unseen_images(self.query_vector, count, excluded)`` — no
-    extra state reads, no side effects.  The service may then score the
-    method's round inside a :class:`~repro.engine.batch.BatchQueryEngine`
-    cohort (one GEMM for many sessions): same semantics and same selected
-    images as the sequential round, with scores agreeing to last-bit
-    rounding (the fused GEMM blocks its reduction differently from the
-    row-wise kernel, so images tied within ~1 ulp could in principle
-    resolve differently).  Methods that rank by anything other than their
-    exposed query vector (label propagation, ENS) must leave it False.
-    """
-
     @abstractmethod
     def begin(self, context: SearchContext, text_query: str) -> None:
         """Reset internal state and start a new search from ``text_query``."""

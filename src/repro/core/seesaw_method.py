@@ -23,10 +23,6 @@ class SeeSawSearchMethod(SearchMethod):
 
     name = "seesaw"
 
-    # next_images is exactly top_unseen_images(query_vector, ...): eligible
-    # for fused multi-session batch scoring (see SearchMethod docs).
-    supports_fused_batch = True
-
     def __init__(self, config: "SeeSawConfig | None" = None) -> None:
         self.config = config or SeeSawConfig()
         self._context: "SearchContext | None" = None

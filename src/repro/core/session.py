@@ -13,8 +13,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import numpy as np
-
 from repro.core.feedback import BoxFeedback, FeedbackMap
 from repro.core.indexing import SeeSawIndex
 from repro.core.interfaces import ImageResult, SearchContext, SearchMethod
@@ -101,17 +99,9 @@ class SearchSession:
         start = time.perf_counter()
         results = self.method.next_images(count, self._shown_set)
         self.stats.lookup_seconds += time.perf_counter() - start
-        return self._record_shown(results)
-
-    def _record_shown(self, results: "list[ImageResult]") -> "list[ImageResult]":
-        """Post-lookup bookkeeping shared by the sequential and fused paths.
-
-        History, pending feedback, the exclusion set, and the context's
-        persistent SeenMask advance together — incrementally, O(batch) per
-        round instead of re-deriving exclusion state from the full history.
-        Having exactly one copy of this block is what keeps a fused round
-        indistinguishable from a sequential one as the bookkeeping evolves.
-        """
+        # History, pending feedback, the exclusion set, and the context's
+        # persistent SeenMask advance together — incrementally, O(batch) per
+        # round instead of re-deriving exclusion state from the full history.
         for result in results:
             self.history.append(SessionStep(position=len(self.history), result=result))
             self._pending[result.image_id] = result
@@ -119,50 +109,6 @@ class SearchSession:
         self._shown_set.update(shown)
         self.context.mark_seen(shown)
         return results
-
-    # ------------------------------------------------------------------
-    # fused multi-session batching (driven by the service layer)
-    # ------------------------------------------------------------------
-    def fused_batch_state(
-        self, count: "int | None" = None
-    ) -> "tuple[np.ndarray, int, object] | None":
-        """``(query_vector, count, seen_mask)`` when this round can be fused.
-
-        ``None`` means the round must run through :meth:`next_batch` (the
-        method keeps its ranking private, or the store is not exhaustive).
-        Raises the same :class:`SessionError` as :meth:`next_batch` when the
-        previous batch is still unlabelled, so the batch path enforces the
-        per-batch feedback flow identically.
-        """
-        if self._pending:
-            raise SessionError("previous batch still has unlabelled images")
-        if not self.method.supports_fused_batch:
-            return None
-        query_vector = self.method.query_vector
-        if query_vector is None or not self.index.store.exhaustive:
-            return None
-        return (
-            np.asarray(query_vector, dtype=np.float64).ravel(),
-            int(count or self.batch_size),
-            self.context.seen_mask,
-        )
-
-    def apply_batch_results(
-        self, results: "list[ImageResult]", lookup_seconds: float = 0.0
-    ) -> "list[ImageResult]":
-        """Record results the fused batch engine computed for this session.
-
-        Performs exactly the bookkeeping :meth:`next_batch` does after
-        ``method.next_images`` — history, pending feedback, exclusion set,
-        persistent mask — so a fused round is indistinguishable from a
-        sequential one to everything downstream.  ``lookup_seconds`` is this
-        session's share of the fused dispatch, credited to the same stats
-        Table 6 reads.
-        """
-        if self._pending:
-            raise SessionError("previous batch still has unlabelled images")
-        self.stats.lookup_seconds += lookup_seconds
-        return self._record_shown(results)
 
     def give_feedback(
         self,

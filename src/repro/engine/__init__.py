@@ -1,14 +1,12 @@
 """Array-native query engine: the columnar per-round hot path.
 
-See :mod:`repro.engine.engine` for the single-session design and
-:mod:`repro.engine.batch` for the fused multi-session variant.  The legacy
-object-based reference path lives in :mod:`repro.engine.legacy` (imported
-explicitly by the parity tests and benchmarks, never by production code).
+See :mod:`repro.engine.engine` for the design.  The legacy object-based
+reference path lives in :mod:`repro.engine.legacy` (imported explicitly by
+the parity tests and benchmarks, never by production code).
 """
 
-from repro.engine.batch import BatchQueryEngine
 from repro.engine.engine import QueryEngine
 from repro.engine.mask import SeenMask
 from repro.engine.segments import ImageSegments
 
-__all__ = ["BatchQueryEngine", "ImageSegments", "QueryEngine", "SeenMask"]
+__all__ = ["ImageSegments", "QueryEngine", "SeenMask"]

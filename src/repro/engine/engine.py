@@ -122,24 +122,9 @@ class QueryEngine:
         count: int,
         mask: "SeenMask | None",
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        with trace_span("pool"):
-            image_scores = self.segments.pool_max(vector_scores)  # fresh array
-        return self.select_pooled(image_scores, vector_scores, count, mask)
-
-    def select_pooled(
-        self,
-        image_scores: np.ndarray,
-        vector_scores: np.ndarray,
-        count: int,
-        mask: "SeenMask | None",
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Top-``count`` selection over already-pooled per-image scores.
-
-        ``image_scores`` is mutated in place (mask application), so callers
-        must own it — the batch engine hands in one row of its pooled matrix
-        per session, each row consumed exactly once.
-        """
         segments = self.segments
+        with trace_span("pool"):
+            image_scores = segments.pool_max(vector_scores)  # fresh array
         with trace_span("select"):
             if mask is not None and mask.seen_count:
                 image_scores[mask.image_seen] = -np.inf

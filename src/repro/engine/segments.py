@@ -179,25 +179,6 @@ class ImageSegments:
         segmented = vector_scores if self._contiguous else vector_scores[self.order]
         return np.maximum.reduceat(segmented, self.offsets[:-1])
 
-    def pool_max_batch(self, vector_scores: np.ndarray) -> np.ndarray:
-        """Max-pool a ``(Q x vectors)`` score matrix into ``(Q x images)``.
-
-        The batched counterpart of :meth:`pool_max`: one ``reduceat`` along
-        axis 1 pools every session's row in a single kernel call.
-        """
-        vector_scores = np.asarray(vector_scores)
-        if vector_scores.ndim != 2 or vector_scores.shape[1] != self.vector_count:
-            raise IndexingError(
-                f"expected a (queries x {self.vector_count}) score matrix, "
-                f"got shape {vector_scores.shape}"
-            )
-        if self.image_count == 0:
-            return np.zeros((vector_scores.shape[0], 0), dtype=np.float64)
-        segmented = (
-            vector_scores if self._contiguous else vector_scores[:, self.order]
-        )
-        return np.maximum.reduceat(segmented, self.offsets[:-1], axis=1)
-
     def best_vectors_in_rows(
         self, vector_scores: np.ndarray, rows: np.ndarray
     ) -> np.ndarray:

@@ -80,8 +80,8 @@ class DeadlineExceededError(ReproError):
 
     Raised server-side the moment a request's propagated ``X-Deadline-Ms``
     budget runs out — before expensive work starts where possible, so a dead
-    request's cohort slot, engine dispatch, and lock time are not burned on
-    an answer nobody is waiting for.  Not retryable within the same call:
+    request's engine dispatch and lock time are not burned on an answer
+    nobody is waiting for.  Not retryable within the same call:
     the caller's budget is gone; a fresh call carries a fresh deadline.
     """
 

@@ -39,7 +39,6 @@ from typing import Any, Callable, Iterator, Sequence, TypeVar
 from repro.exceptions import (
     ConnectionFailedError,
     InternalServiceError,
-    ReproError,
     TransportError,
 )
 from repro.faults.inject import (
@@ -204,11 +203,6 @@ class FaultyClient(SeeSawClientProtocol):
                 "(truncated response)"
             )
         yield from self.inner.stream_next_results(session_id, count)
-
-    def batch_next(
-        self, requests: "Sequence[tuple[str, int | None]]"
-    ) -> "list[NextResultsResponse | ReproError]":
-        return self._call(lambda: self.inner.batch_next(requests))
 
     def give_feedback(
         self, request: FeedbackRequest, idempotency_key: "str | None" = None

@@ -216,15 +216,6 @@ class DeltaVectorStore(VectorStore):
             out[n_base:] = dot_rows(self._delta, query)
         return out
 
-    def score_many(self, queries: np.ndarray) -> np.ndarray:
-        queries = self._check_queries(queries)
-        out = np.empty((queries.shape[0], len(self)), dtype=self._compute_dtype)
-        n_base = len(self._base)
-        out[:, :n_base] = self._base.score_many(queries)
-        if self._delta.shape[0]:
-            out[:, n_base:] = queries @ self._delta.T
-        return out
-
     def search_arrays(
         self,
         query: np.ndarray,

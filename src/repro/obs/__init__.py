@@ -8,7 +8,6 @@ the metric catalog and span taxonomy.
 
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS,
-    DEFAULT_SIZE_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -39,7 +38,6 @@ from repro.obs.trace import (
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_SIZE_BUCKETS",
     "Counter",
     "Gauge",
     "Histogram",

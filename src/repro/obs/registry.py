@@ -63,9 +63,6 @@ decade.  Wide enough that the same buckets serve both the sub-millisecond
 engine stages and full request round trips, so every latency series in the
 catalog is directly comparable."""
 
-DEFAULT_SIZE_BUCKETS: "tuple[float, ...]" = (1, 2, 4, 8, 16, 32, 64, 128)
-"""Bucket bounds for small cardinalities (batch/cohort sizes)."""
-
 OVERFLOW_LABEL_VALUE = "_overflow"
 """The label value unseen label sets collapse into once a family reaches its
 series bound."""
@@ -134,12 +131,6 @@ class Gauge:
     def set(self, value: float) -> None:
         with self._lock:
             self._value = float(value)
-
-    def set_max(self, value: float) -> None:
-        """Keep the running maximum (high-water marks, e.g. largest cohort)."""
-        with self._lock:
-            if value > self._value:
-                self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
         with self._lock:
@@ -323,9 +314,6 @@ class MetricFamily:
 
     def set(self, value: float) -> None:
         self._solo().set(value)
-
-    def set_max(self, value: float) -> None:
-        self._solo().set_max(value)
 
     def dec(self, amount: float = 1.0) -> None:
         self._solo().dec(amount)

@@ -1,8 +1,7 @@
 """Span-based tracing: per-stage wall-clock durations on the hot path.
 
 A span is one timed stage of one request: ``score``, ``pool``, ``select``,
-``merge``, ``rerank``, ``coalesce_wait``, ``lock_wait``.  Opening one is a
-context manager::
+``merge``, ``rerank``, ``lock_wait``.  Opening one is a context manager::
 
     with trace_span("score", shard=3):
         scores = store.score_all(query)
@@ -47,7 +46,7 @@ STAGE_METRIC = "seesaw_stage_seconds"
 
 STAGE_HELP = (
     "Per-stage wall-clock durations from hot-path trace spans "
-    "(score/pool/select/merge/rerank/coalesce_wait/lock_wait/labels/align)."
+    "(score/pool/select/merge/rerank/graph_descent/lock_wait/labels/align)."
 )
 
 
@@ -201,8 +200,8 @@ def end_request_trace(token: "Token[RequestTrace | None]") -> "RequestTrace | No
 def observe_stage(stage: str, seconds: float) -> None:
     """Record an explicitly measured duration as if a span had wrapped it.
 
-    For stages whose start and end live in different frames (coalescer wait,
-    fused dispatch) where a context manager cannot bracket the work.
+    The recording half of a span, for stages a context manager cannot
+    bracket (:class:`timed_acquire` times only the wait for a lock).
     """
     if _RUNTIME.enabled:
         _RUNTIME.stage_child(stage).observe(seconds)

@@ -16,8 +16,8 @@ Innermost out:
   :class:`SeeSawApp` in this process, no socket).
 
 Every layer records into the :mod:`repro.obs` metrics registry (request
-counters and latency in the middleware, lock/coalesce waits in the manager,
-fused-dispatch accounting in the service, per-stage spans in the engines);
+counters and latency in the middleware, lock waits in the manager,
+per-stage spans in the engines);
 ``GET /v1/metrics`` exposes the registry in Prometheus text and JSON.
 """
 
@@ -35,7 +35,6 @@ from repro.server.api import (
     StartSessionRequest,
 )
 from repro.server.app import SeeSawApp, default_middlewares
-from repro.server.batching import NextBatchCoalescer
 from repro.server.client import HTTPClient, InProcessClient
 from repro.server.http import (
     BackgroundServer,
@@ -64,7 +63,6 @@ __all__ = [
     "SessionManager",
     "SeeSawApp",
     "default_middlewares",
-    "NextBatchCoalescer",
     "SeeSawClientProtocol",
     "InProcessClient",
     "HTTPClient",

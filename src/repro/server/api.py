@@ -18,14 +18,14 @@ PROTOCOL_VERSION = "v1"
 on breaking changes; within a version, additions are announced through the
 ``revision`` counter and ``GET /v1/capabilities``."""
 
-PROTOCOL_REVISION = 4
+PROTOCOL_REVISION = 5
 """Monotonic feature counter within the protocol version.  Clients that need
 a newly added capability compare against this instead of sniffing routes.
 
 Revision history: 1 — initial /v1 surface (streaming, idempotency, paging,
-batch-next); 2 — metrics exposition (``GET /v1/metrics``), ``tracing`` and
-``metrics_exposition`` capability flags, ``seconds_per_round`` in the
-session-listing telemetry; 3 — resilience surface: ``X-Deadline-Ms``
+a multi-session next route); 2 — metrics exposition (``GET /v1/metrics``),
+``tracing`` and ``metrics_exposition`` capability flags,
+``seconds_per_round`` in the session-listing telemetry; 3 — resilience surface: ``X-Deadline-Ms``
 propagation with the typed 504 (``deadline_exceeded``), ``Retry-After`` on
 429/503 (mirrored as ``retry_after_seconds`` in envelope details),
 admission-control shedding, the drain state in ``/healthz``
@@ -35,7 +35,10 @@ admission-control shedding, the drain state in ``/healthz``
 routes (list, describe, upsert, delete, force-merge), the
 ``dataset_version`` pin on session start, ``dataset_versions`` plus the
 ``live_datasets`` flag in capabilities, and ``dataset_generations`` in
-``/healthz``."""
+``/healthz``; 5 — a removal: the multi-session next route (now the
+structured 404) with its capability and ``/healthz`` keys, so every
+``next`` is one session's round (``docs/api.md``, "Removed in this
+release")."""
 
 
 @dataclass(frozen=True)

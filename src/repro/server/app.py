@@ -14,7 +14,6 @@ The `/v1` wire protocol
                                         ``?format=json`` for JSON)
 ``GET  /v1/sessions``                   cursor-paged session listing
 ``POST /v1/sessions``                   start a session
-``POST /v1/sessions/batch-next``        fused next batches for many sessions
 ``GET  /v1/sessions/{id}``              session progress summary
 ``GET  /v1/sessions/{id}/next``         next result batch (``?count=N``)
 ``POST /v1/sessions/{id}/feedback``     submit feedback (idempotency keys)
@@ -27,8 +26,8 @@ The `/v1` wire protocol
 
 Every error uses the structured envelope of :mod:`repro.server.errors`
 (``{code, message, retryable, details}``) — a path outside `/v1` is the
-structured 404; ``next`` and ``batch-next`` stream chunked NDJSON when the
-client asks for it (``Accept: application/x-ndjson`` or ``?stream=ndjson``).
+structured 404; ``next`` streams chunked NDJSON when the client asks for it
+(``Accept: application/x-ndjson`` or ``?stream=ndjson``).
 """
 
 from __future__ import annotations
@@ -42,13 +41,11 @@ import math
 
 from repro.exceptions import (
     DeadlineExceededError,
-    ReproError,
     TransportError,
     UnknownResourceError,
 )
 from repro.server.api import PROTOCOL_VERSION, NextResultsResponse
 from repro.server.codec import (
-    decode_batch_next_request,
     decode_delete_request,
     decode_feedback_request,
     decode_start_session_request,
@@ -242,14 +239,6 @@ class SeeSawApp:
             )
             return Response(201, encode_session_info(info))
 
-        if segments == ["sessions", "batch-next"] and method == "POST":
-            outcomes = self.manager.batch_next(
-                decode_batch_next_request(parse_json(request.body))
-            )
-            if _wants_ndjson(request, query):
-                return Response(200, stream=_batch_stream(outcomes))
-            return Response(200, _encode_batch_outcomes_v1(outcomes))
-
         if len(segments) == 2 and segments[0] == "sessions":
             session_id = segments[1]
             if method == "GET":
@@ -368,29 +357,3 @@ def _next_stream(response: NextResultsResponse) -> "Iterator[dict[str, Any]]":
     for item in response.items:
         yield {"kind": "item", "item": encode_result_item(item)}
     yield {"kind": "end"}
-
-
-def _batch_stream(
-    outcomes: "Sequence[NextResultsResponse | ReproError]",
-) -> "Iterator[dict[str, Any]]":
-    """NDJSON records for a batch-next cohort: meta, one line per outcome."""
-    yield {"kind": "meta", "outcome_count": len(outcomes)}
-    for index, outcome in enumerate(outcomes):
-        yield {"kind": "outcome", "index": index, **_encode_outcome_v1(outcome)}
-    yield {"kind": "end"}
-
-
-def _encode_outcome_v1(
-    outcome: "NextResultsResponse | BaseException",
-) -> "dict[str, Any]":
-    if isinstance(outcome, BaseException):
-        _, envelope = encode_error(outcome)
-        return {"ok": False, "error": envelope["error"]}
-    return {"ok": True, "result": encode_next_results_response(outcome)}
-
-
-def _encode_batch_outcomes_v1(
-    outcomes: "Sequence[NextResultsResponse | ReproError]",
-) -> "dict[str, Any]":
-    """The `/v1` batch envelope: per-item results or structured errors."""
-    return {"results": [_encode_outcome_v1(outcome) for outcome in outcomes]}

@@ -193,20 +193,6 @@ class _V1Client(SeeSawClientProtocol):
                 "(truncated response)"
             )
 
-    def batch_next(
-        self, requests: "Sequence[tuple[str, int | None]]"
-    ) -> "list[NextResultsResponse | ReproError]":
-        payload = {
-            "requests": [
-                {"session_id": session_id, **({} if count is None else {"count": count})}
-                for session_id, count in requests
-            ]
-        }
-        data = self._request(
-            "POST", "/v1/sessions/batch-next", payload, operation="batch_next"
-        )
-        return [self._decode_outcome(item) for item in data["results"]]
-
     def give_feedback(
         self, request: FeedbackRequest, idempotency_key: "str | None" = None
     ) -> SessionInfo:
@@ -276,12 +262,6 @@ class _V1Client(SeeSawClientProtocol):
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    @staticmethod
-    def _decode_outcome(item: "Mapping[str, Any]") -> "NextResultsResponse | ReproError":
-        if item.get("ok"):
-            return decode_next_results_response(item["result"])
-        return decode_error(200, {"error": item["error"]})
-
     def _headers(
         self, has_body: bool, extra: "Mapping[str, str] | None" = None
     ) -> "dict[str, str]":

@@ -31,23 +31,22 @@ from repro.server.api import (
 )
 
 MAX_RESULT_COUNT = 1024
-"""Upper bound on a single ``next``/``batch-next`` result count.  Values
-above it are rejected at the app boundary with a structured 400: a count in
-the millions would otherwise reach the engine and pin a worker on one
-request-sized top-k for the whole corpus."""
+"""Upper bound on a single ``next`` result count.  Values above it are
+rejected at the app boundary with a structured 400: a count in the millions
+would otherwise reach the engine and pin a worker on one request-sized top-k
+for the whole corpus."""
 
 MAX_PAGE_LIMIT = 500
 """Upper bound on one ``GET /v1/sessions`` page."""
 
 
-def validate_count(count: int, field: str = "count") -> int:
-    """Bound-check a next-results count (both the query param and the batch
-    body go through here, so every transport rejects identically)."""
+def validate_count(count: int) -> int:
+    """Bound-check a next-results count (every transport rejects identically)."""
     if count < 1:
-        raise TransportError(f"Field '{field}' must be >= 1, got {count}")
+        raise TransportError(f"Field 'count' must be >= 1, got {count}")
     if count > MAX_RESULT_COUNT:
         raise TransportError(
-            f"Field '{field}' must be <= {MAX_RESULT_COUNT}, got {count}"
+            f"Field 'count' must be <= {MAX_RESULT_COUNT}, got {count}"
         )
     return count
 
@@ -215,22 +214,6 @@ def decode_next_results_response(data: Any) -> NextResultsResponse:
         total_shown=_as_int(_require(data, "total_shown"), "total_shown"),
         positives_found=_as_int(_require(data, "positives_found"), "positives_found"),
     )
-
-
-def decode_batch_next_request(data: Any) -> "list[tuple[str, int | None]]":
-    """Decode a ``POST /sessions/batch-next`` body into (session_id, count) pairs."""
-    data = _as_mapping(data, "BatchNextRequest")
-    entries: "list[tuple[str, int | None]]" = []
-    for item in _as_sequence(_require(data, "requests"), "requests"):
-        item = _as_mapping(item, "BatchNextRequest entry")
-        session_id = _as_str(_require(item, "session_id"), "session_id")
-        count: "int | None" = None
-        if "count" in item and item["count"] is not None:
-            count = validate_count(_as_int(item["count"], "count"))
-        entries.append((session_id, count))
-    if not entries:
-        raise TransportError("Field 'requests' must not be empty")
-    return entries
 
 
 def encode_session_info(info: SessionInfo) -> "dict[str, Any]":

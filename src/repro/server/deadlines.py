@@ -2,12 +2,11 @@
 
 A deadline is a *remaining budget*: the caller says "this answer is useless
 to me after N milliseconds" and every layer below — middleware, session
-locks, the next-batch coalescer, engine dispatch — checks the budget before
-spending work on it and bounds its waits by what is left.  The wire carries
-the budget as the ``X-Deadline-Ms`` header (milliseconds remaining at send
-time, not a wall-clock timestamp, so clock skew between client and server
-cannot silently shrink or inflate it — skew only costs the network flight
-time, which is the best any header scheme can do).
+locks, engine dispatch — checks the budget before spending work on it.  The
+wire carries the budget as the ``X-Deadline-Ms`` header (milliseconds
+remaining at send time, not a wall-clock timestamp, so clock skew between
+client and server cannot silently shrink or inflate it — skew only costs the
+network flight time, which is the best any header scheme can do).
 
 Propagation is a contextvar, not an argument threaded through every
 signature: :func:`deadline_scope` binds a :class:`Deadline` to the current
@@ -21,10 +20,6 @@ The same contextvar serves both sides of the stack:
   the :class:`~repro.server.client.HTTPClient` turns the remaining budget
   into the header, the in-process client's scope is simply *seen* by the
   manager directly.
-
-Cross-thread handoffs (a coalescer leader servicing a follower's request)
-carry the :class:`Deadline` object explicitly — it is immutable and
-clock-based, so any thread can ask it for the remaining budget.
 """
 
 from __future__ import annotations
@@ -64,16 +59,13 @@ class Deadline:
         """Milliseconds of budget left (negative once expired)."""
         return self.remaining_seconds() * 1000.0
 
-    @property
-    def expired(self) -> bool:
-        return self.remaining_seconds() <= 0.0
-
     def check(self, what: str) -> None:
         """Raise :class:`DeadlineExceededError` if the budget is gone.
 
         ``what`` names the stage that would have spent the dead budget
-        (``"dispatch"``, ``"coalesce"``) — it lands in the error message so
-        a 504's envelope says *where* the request died, not just that it did.
+        (``"engine dispatch"``, ``"feedback apply"``) — it lands in the error
+        message so a 504's envelope says *where* the request died, not just
+        that it did.
         """
         remaining = self.remaining_ms()
         if remaining <= 0.0:
@@ -81,14 +73,6 @@ class Deadline:
                 f"Deadline exceeded before {what}: budget of "
                 f"{self.budget_ms:.0f}ms overrun by {-remaining:.0f}ms"
             )
-
-    def bound_wait(self, timeout_seconds: float) -> float:
-        """A wait bounded by both the given timeout and the remaining budget.
-
-        Never negative — an expired deadline yields a zero-length wait, and
-        the caller's subsequent :meth:`check` raises the typed error.
-        """
-        return max(0.0, min(timeout_seconds, self.remaining_seconds()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Deadline(budget_ms={self.budget_ms}, remaining_ms={self.remaining_ms():.1f})"
@@ -138,8 +122,8 @@ def deadline_scope(deadline: "Deadline | float | None") -> "Iterator[Deadline | 
         _current_deadline.reset(token)
 
 
-def check_deadline(what: str) -> "Deadline | None":
-    """Check the context deadline (if any) and return it.
+def check_deadline(what: str) -> None:
+    """Check the context deadline, if any.
 
     The one-line guard hot paths use::
 
@@ -148,4 +132,3 @@ def check_deadline(what: str) -> "Deadline | None":
     deadline = _current_deadline.get()
     if deadline is not None:
         deadline.check(what)
-    return deadline

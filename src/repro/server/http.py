@@ -204,8 +204,8 @@ class SeeSawHTTPServer(ThreadingHTTPServer):
 
     daemon_threads = True
     # socketserver's default listen backlog is 5; a burst of concurrent
-    # clients (the load profile the coalescing scheduler exists for) would
-    # get connection resets before a worker thread ever saw them.
+    # clients would get connection resets before a worker thread ever saw
+    # them.
     request_queue_size = 128
 
     def __init__(

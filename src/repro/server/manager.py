@@ -12,13 +12,7 @@ thread.  The :class:`SessionManager` sits between them and provides:
 * **capacity limiting** — at most ``max_sessions`` live sessions, excess
   starts fail fast with :class:`ServiceOverloadedError` (HTTP 503);
 * **TTL eviction** — sessions idle longer than ``session_ttl_seconds`` are
-  reaped, so abandoned browser tabs cannot pin memory forever;
-* **request coalescing** — when ``batch_window_ms`` is positive, concurrent
-  next-batch requests are gathered by a
-  :class:`~repro.server.batching.NextBatchCoalescer` and dispatched as one
-  fused cohort through :meth:`SeeSawService.batch_next` (one GEMM for the
-  whole cohort); ``batch_next`` also serves the explicit
-  ``POST /sessions/batch-next`` endpoint.
+  reaped, so abandoned browser tabs cannot pin memory forever.
 
 Closing and evicting both go through :meth:`_remove_session`, which acquires
 the session's own lock before the service-side close: a round already in
@@ -33,12 +27,10 @@ import itertools
 import threading
 import time
 from collections import OrderedDict
-from contextlib import ExitStack
 from typing import Callable, Sequence
 
 from repro.exceptions import (
     IdempotencyConflictError,
-    ReproError,
     ServiceOverloadedError,
     TransportError,
     UnknownResourceError,
@@ -56,7 +48,6 @@ from repro.server.api import (
     SessionPage,
     StartSessionRequest,
 )
-from repro.server.batching import NextBatchCoalescer
 from repro.server.codec import (
     MAX_PAGE_LIMIT,
     MAX_RESULT_COUNT,
@@ -83,8 +74,6 @@ class SessionManager:
         max_sessions: int = 256,
         session_ttl_seconds: float = 1800.0,
         clock: "Callable[[], float]" = time.monotonic,
-        batch_window_ms: "float | None" = None,
-        max_batch_size: int = 64,
     ) -> None:
         self.service = service
         self.max_sessions = int(max_sessions)
@@ -105,30 +94,6 @@ class SessionManager:
         self._idempotency: dict[str, OrderedDict[str, tuple[object, SessionInfo]]] = {}
         self._index_locks: dict[tuple[str, bool], threading.Lock] = {}
         self._index_locks_guard = threading.Lock()
-        if batch_window_ms is None:
-            batch_window_ms = service.config.batch_window_ms
-        self.batch_window_ms = float(batch_window_ms)
-        self.max_batch_size = int(max_batch_size)
-        # The coalescer's waiter timeout is tied to the request deadline
-        # when one is configured: a waiter whose budget is N ms can never
-        # usefully outwait it, so the bound is the budget plus one second of
-        # grace (time for the leader to fail it typed first) instead of the
-        # historical hard-coded 60 s.
-        deadline_ms = service.config.request_deadline_ms
-        wait_timeout_seconds = (
-            max(1.0, deadline_ms / 1000.0 + 1.0) if deadline_ms > 0 else 60.0
-        )
-        self._coalescer: "NextBatchCoalescer | None" = (
-            NextBatchCoalescer(
-                self._dispatch_batch,
-                window_seconds=self.batch_window_ms / 1000.0,
-                max_batch_size=self.max_batch_size,
-                wait_timeout_seconds=wait_timeout_seconds,
-                registry=service.metrics,
-            )
-            if self.batch_window_ms > 0
-            else None
-        )
 
     # ------------------------------------------------------------------
     # index builds
@@ -216,77 +181,16 @@ class SessionManager:
     def next_results(
         self, session_id: str, count: "int | None" = None
     ) -> NextResultsResponse:
-        """Thread-safe :meth:`SeeSawService.next_results`.
-
-        With a positive batch window the request is handed to the coalescer
-        and may be served as part of a fused cohort; the result (and any
-        error) is indistinguishable from the sequential path.
-        """
-        deadline = check_deadline("next-results dispatch")
-        if self._coalescer is not None:
-            response = self._coalescer.submit(session_id, count, deadline=deadline)
-        else:
-            with timed_acquire(self._lock_for(session_id)):
-                # Re-check after the lock wait: time queued behind another
-                # round is exactly the budget a dead request must not spend
-                # on an engine dispatch.
-                check_deadline("engine dispatch")
-                response = self.service.next_results(session_id, count)
+        """Thread-safe :meth:`SeeSawService.next_results`."""
+        check_deadline("next-results dispatch")
+        with timed_acquire(self._lock_for(session_id)):
+            # Re-check after the lock wait: time queued behind another round
+            # is exactly the budget a dead request must not spend on an
+            # engine dispatch.
+            check_deadline("engine dispatch")
+            response = self.service.next_results(session_id, count)
         self._touch(session_id)
         return response
-
-    def batch_next(
-        self, requests: "Sequence[tuple[str, int | None]]"
-    ) -> "list[NextResultsResponse | ReproError]":
-        """Explicitly batched next-results (the ``/sessions/batch-next`` body).
-
-        Dispatches immediately (no coalescing window — the caller already
-        batched) in cohorts of at most ``max_batch_size``: one request body
-        must not be able to hold an unbounded number of session locks or
-        stack an unbounded GEMM.  Outcomes align with ``requests``; failures
-        are returned per item, not raised.
-        """
-        requests = list(requests)
-        outcomes: "list[NextResultsResponse | ReproError]" = []
-        for start in range(0, len(requests), self.max_batch_size):
-            outcomes.extend(
-                self._dispatch_batch(requests[start : start + self.max_batch_size])
-            )
-        for (session_id, _), outcome in zip(requests, outcomes):
-            if not isinstance(outcome, BaseException):
-                self._touch(session_id)
-        return outcomes
-
-    def _dispatch_batch(
-        self, entries: "list[tuple[str, int | None]]"
-    ) -> "list[NextResultsResponse | ReproError]":
-        """Run one cohort under every member's session lock.
-
-        Locks are acquired in sorted session-id order (the global lock
-        ordering, so a cohort can never deadlock against another cohort or a
-        single-session request).  Sessions with no registry entry get their
-        ``UnknownResourceError`` outcome without touching the service.
-        """
-        known: "dict[str, threading.Lock]" = {}
-        missing: "dict[str, UnknownResourceError]" = {}
-        for session_id in sorted({session_id for session_id, _ in entries}):
-            try:
-                known[session_id] = self._lock_for(session_id)
-            except UnknownResourceError as exc:
-                missing[session_id] = exc
-        serviceable = [entry for entry in entries if entry[0] in known]
-        with ExitStack() as stack:
-            for session_id in sorted(known):
-                stack.enter_context(timed_acquire(known[session_id]))
-            results = self.service.batch_next(serviceable)
-        by_position = iter(results)
-        outcomes: "list[NextResultsResponse | ReproError]" = []
-        for session_id, _ in entries:
-            if session_id in known:
-                outcomes.append(next(by_position))
-            else:
-                outcomes.append(missing[session_id])
-        return outcomes
 
     def give_feedback(
         self, request: FeedbackRequest, idempotency_key: "str | None" = None
@@ -526,8 +430,6 @@ class SessionManager:
                 "streaming_ndjson": True,
                 "idempotent_feedback": True,
                 "cursor_paging": True,
-                "batch_next": True,
-                "request_coalescing": self.batch_window_ms > 0,
                 "rate_limiting": config.rate_limit_rps > 0,
                 "metrics_exposition": True,
                 "tracing": config.telemetry.enabled,
@@ -540,7 +442,6 @@ class SessionManager:
             },
             "limits": {
                 "max_sessions": self.max_sessions,
-                "max_batch_size": self.max_batch_size,
                 "max_count": MAX_RESULT_COUNT,
                 "max_page_limit": MAX_PAGE_LIMIT,
                 "idempotency_keys_per_session": IDEMPOTENCY_KEYS_PER_SESSION,
@@ -559,7 +460,6 @@ class SessionManager:
                 "ann_ef": config.ann_ef,
                 "ann_graph_degree": config.ann_graph_degree,
                 "mmap_index": config.mmap_index,
-                "batch_window_ms": self.batch_window_ms,
             },
             "datasets": list(self.service.dataset_names),
             # Current registry version per dataset (protocol revision 4).
@@ -612,19 +512,7 @@ class SessionManager:
         return self.service.metrics.to_json()
 
     def health(self) -> "dict[str, object]":
-        """The payload ``GET /v1/healthz`` returns.
-
-        The ``fused_rounds`` / ``fused_sessions`` / ``coalescer`` keys are
-        deprecation shims: since the obs subsystem they are read back from
-        the metrics registry (``seesaw_fused_*_total``,
-        ``seesaw_coalescer_*``), kept here so pre-obs dashboards survive
-        one more revision.
-        """
-        coalescer_stats = (
-            self._coalescer.stats()
-            if self._coalescer is not None
-            else {"batches_dispatched": 0, "requests_coalesced": 0, "largest_batch": 0}
-        )
+        """The payload ``GET /v1/healthz`` returns."""
         state = "draining" if self.draining else "serving"
         return {
             # "status" predates the drain state and stays for byte-compat
@@ -643,7 +531,7 @@ class SessionManager:
             # sessions on that dataset; per-session state is only the
             # SeenMask each session's context holds across HTTP rounds.
             "cached_engines": self.service.cached_engine_count,
-            # Sharding / batching topology and how much fusion is happening.
+            # Sharding topology.
             "n_shards": self.service.config.n_shards,
             "store_shards": self.service.store_shard_counts,
             # Storage & compute tiers: the scoring dtype, whether the int8
@@ -656,8 +544,4 @@ class SessionManager:
             # Physical generation per dataset: bumps on every mutation *and*
             # every merge swap, so dashboards can watch compactions land.
             "dataset_generations": self.service.live.dataset_generations(),
-            "batch_window_ms": self.batch_window_ms,
-            "fused_rounds": self.service.fused_rounds,
-            "fused_sessions": self.service.fused_sessions,
-            "coalescer": coalescer_stats,
         }

@@ -203,8 +203,6 @@ def _template(path: str) -> str:
         rest = segments[1:]
         if not rest:
             return "/v1/sessions"
-        if rest == ["batch-next"]:
-            return "/v1/sessions/batch-next"
         if len(rest) == 1:
             return "/v1/sessions/{id}"
         if len(rest) == 2 and rest[1] in ("next", "feedback"):
@@ -532,7 +530,7 @@ class AdmissionControlMiddleware:
     """Sheds load with a cheap 503 before queueing collapse.
 
     Every request an unbounded server accepts past its concurrency knee
-    still costs a thread, a coalescer slot, and queue time that inflates
+    still costs a thread, a session-lock wait, and queue time that inflates
     everyone else's latency; rejecting at the door costs one envelope.
     Health, capabilities and metrics stay exempt — overload is exactly when
     operators need them.

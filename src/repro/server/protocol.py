@@ -23,7 +23,6 @@ from __future__ import annotations
 import abc
 from typing import Any, Iterator, Sequence
 
-from repro.exceptions import ReproError
 from repro.server.api import (
     FeedbackRequest,
     NextResultsResponse,
@@ -95,17 +94,6 @@ class SeeSawClientProtocol(abc.ABC):
         items decode straight off the chunked NDJSON stream, so a UI can
         render the first image of a large batch before the last one is on
         the wire.
-        """
-
-    @abc.abstractmethod
-    def batch_next(
-        self, requests: "Sequence[tuple[str, int | None]]"
-    ) -> "list[NextResultsResponse | ReproError]":
-        """Fetch next batches for many sessions in one fused round trip.
-
-        Outcomes align positionally with ``requests``; a failed session
-        comes back as the typed exception instance (not raised), so callers
-        handle partial success uniformly across transports.
         """
 
     @abc.abstractmethod

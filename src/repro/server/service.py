@@ -11,10 +11,6 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-import time
-from typing import Sequence
-
-import numpy as np
 
 from repro import obs
 from repro.config import MultiscaleConfig, SeeSawConfig
@@ -23,7 +19,7 @@ from repro.core.seesaw_method import SeeSawSearchMethod
 from repro.core.session import SearchSession, SessionStats
 from repro.data.dataset import ImageDataset
 from repro.embedding.base import EmbeddingModel
-from repro.exceptions import ReproError, SessionError, UnknownResourceError
+from repro.exceptions import SessionError, UnknownResourceError
 from repro.live.delta import DeltaVectorStore
 from repro.live.registry import DatasetRegistry
 from repro.server.api import (
@@ -73,18 +69,6 @@ class SeeSawService:
         telemetry = self.config.telemetry
         if registry is not None:
             self.metrics.max_series_per_metric = telemetry.max_series_per_metric
-        self._fused_rounds = self.metrics.counter(
-            "seesaw_fused_rounds_total",
-            "Fused batch-next dispatches (one GEMM per index group).",
-        )
-        self._fused_sessions = self.metrics.counter(
-            "seesaw_fused_sessions_total",
-            "Sessions served through fused batch-next dispatches.",
-        )
-        self._fused_batch_seconds = self.metrics.histogram(
-            "seesaw_fused_batch_seconds",
-            "Wall-clock duration of one fused batch-next GEMM dispatch.",
-        )
         self._cache_events = self.metrics.counter(
             "seesaw_index_cache_total",
             "Index-cache lookups at dataset registration, by outcome.",
@@ -109,19 +93,6 @@ class SeeSawService:
         # state, and the background merger (always constructed — mutations
         # themselves are gated on ``config.live_datasets``).
         self.live = DatasetRegistry(self)
-
-    # ------------------------------------------------------------------
-    # deprecation shims (pre-obs bespoke counters; /healthz still reads them)
-    # ------------------------------------------------------------------
-    @property
-    def fused_rounds(self) -> int:
-        """Deprecated: read ``seesaw_fused_rounds_total`` from the registry."""
-        return int(self._fused_rounds.value)
-
-    @property
-    def fused_sessions(self) -> int:
-        """Deprecated: read ``seesaw_fused_sessions_total`` from the registry."""
-        return int(self._fused_sessions.value)
 
     # ------------------------------------------------------------------
     # dataset registry
@@ -403,15 +374,9 @@ class SeeSawService:
     def next_results(self, session_id: str, count: "int | None" = None) -> NextResultsResponse:
         """Fetch the next batch of results for a session."""
         session = self._session(session_id)
-        return self._next_response(session_id, session, session.next_batch(count))
-
-    @staticmethod
-    def _next_response(
-        session_id: str, session: SearchSession, results: "list[object]"
-    ) -> NextResultsResponse:
         items = [
             ResultItem.from_box(result.image_id, result.score, result.box)
-            for result in results
+            for result in session.next_batch(count)
         ]
         return NextResultsResponse(
             session_id=session_id,
@@ -419,87 +384,6 @@ class SeeSawService:
             total_shown=len(session.history),
             positives_found=session.relevant_found,
         )
-
-    def batch_next(
-        self, requests: "Sequence[tuple[str, int | None]]"
-    ) -> "list[NextResultsResponse | ReproError]":
-        """Fetch the next batch for many sessions, fusing rounds where possible.
-
-        Sessions whose method opted into fused scoring
-        (:attr:`~repro.core.interfaces.SearchMethod.supports_fused_batch`)
-        are grouped per index and dispatched through the cached
-        :class:`~repro.engine.batch.BatchQueryEngine` — one GEMM per group.
-        Everything else (opted-out methods, candidate stores, a second
-        request for a session already served in this batch) runs through the
-        ordinary sequential path.  The result list is positionally aligned
-        with ``requests``; per-session failures come back as the exception
-        the sequential call would have raised, so transports can map each to
-        its own status code without failing the cohort.
-
-        Not thread-safe on its own — callers (the
-        :class:`~repro.server.manager.SessionManager`) must hold the session
-        locks of every request in the batch.
-        """
-        outcomes: "list[NextResultsResponse | ReproError | None]" = [None] * len(requests)
-        # (position, session, query_vector, count, mask) per fusable request,
-        # grouped by the index the session searches.
-        fused_groups: "dict[int, list[tuple[int, str, SearchSession, np.ndarray, int, object]]]" = {}
-        sequential: "list[int]" = []
-        claimed: "set[str]" = set()
-        for position, (session_id, count) in enumerate(requests):
-            if session_id in claimed:
-                # A duplicate in one cohort must observe the first request's
-                # pending batch, exactly as back-to-back sequential calls
-                # would; deferring it to the sequential pass after dispatch
-                # preserves that ordering.
-                sequential.append(position)
-                continue
-            try:
-                session = self._session(session_id)
-                state = session.fused_batch_state(count)
-            except ReproError as exc:
-                outcomes[position] = exc
-                continue
-            claimed.add(session_id)
-            if state is None:
-                sequential.append(position)
-                continue
-            query_vector, effective_count, mask = state
-            fused_groups.setdefault(id(session.index), []).append(
-                (position, session_id, session, query_vector, effective_count, mask)
-            )
-        for group in fused_groups.values():
-            # One perf_counter pair per dispatch: the same measurement feeds
-            # each session's SessionStats credit (per-session share) and the
-            # obs dispatch histogram (whole-GEMM wall clock).
-            start = time.perf_counter()
-            engine = group[0][2].index.batch_engine
-            triples = engine.top_unseen_batch(
-                np.stack([entry[3] for entry in group]),
-                [entry[4] for entry in group],
-                [entry[5] for entry in group],
-            )
-            dispatch_seconds = time.perf_counter() - start
-            per_session_seconds = dispatch_seconds / len(group)
-            self._fused_batch_seconds.observe(dispatch_seconds)
-            self._fused_rounds.inc()
-            self._fused_sessions.inc(len(group))
-            for (position, session_id, session, _, _, _), (ids, scores, vector_ids) in zip(
-                group, triples
-            ):
-                try:
-                    results = session.context.results_from_arrays(ids, scores, vector_ids)
-                    session.apply_batch_results(results, per_session_seconds)
-                    outcomes[position] = self._next_response(session_id, session, results)
-                except ReproError as exc:
-                    outcomes[position] = exc
-        for position in sequential:
-            session_id, count = requests[position]
-            try:
-                outcomes[position] = self.next_results(session_id, count)
-            except ReproError as exc:
-                outcomes[position] = exc
-        return outcomes  # type: ignore[return-value]
 
     def give_feedback(self, request: FeedbackRequest) -> SessionInfo:
         """Submit feedback for one image of the session's current batch."""

@@ -35,7 +35,7 @@ from repro.core.indexing import IndexBuildReport, SeeSawIndex
 from repro.data.dataset import ImageDataset
 from repro.data.geometry import BoundingBox
 from repro.embedding.base import EmbeddingModel
-from repro.exceptions import StoreError
+from repro.exceptions import ConfigurationError, StoreError
 from repro.knng.graph import KnnGraph
 from repro.store.hashing import FORMAT_VERSION
 from repro.utils.linalg import assert_no_copy
@@ -307,6 +307,10 @@ def load_index(
             f"Index at '{source}' stores {meta['embedding_dim']}-d vectors but the "
             f"embedding model produces {embedding.dim}-d vectors"
         )
+    try:
+        config = SeeSawConfig.from_dict(meta["config"])
+    except ConfigurationError as exc:
+        raise StoreError(f"Index at '{source}' has an unreadable config: {exc}") from exc
 
     arrays = _load_arrays(source, mmap)
     vectors = arrays["vectors"]
@@ -331,7 +335,6 @@ def load_index(
             f"{vectors.shape[0]} vectors"
         )
 
-    config = SeeSawConfig.from_dict(meta["config"])
     kind = meta["store_kind"]
     if kind == "exact":
         store: VectorStore = ExactVectorStore(vectors, records)

@@ -170,9 +170,9 @@ class VectorStore(ABC):
         """The floating dtype scoring runs in (``float64`` or ``float32``).
 
         Queries are converted to this dtype once at the store boundary
-        (:meth:`_check_query` / :meth:`_check_queries`); every score array the
-        store returns carries it, so the engine's pooling and selection
-        kernels inherit the tier without further conversions.
+        (:meth:`_check_query`); every score array the store returns carries
+        it, so the engine's pooling and selection kernels inherit the tier
+        without further conversions.
         """
         return self._compute_dtype
 
@@ -260,14 +260,6 @@ class VectorStore(ABC):
             )
         return query
 
-    def _check_queries(self, queries: np.ndarray) -> np.ndarray:
-        queries = np.atleast_2d(ensure_dtype(queries, self._compute_dtype))
-        if queries.ndim != 2 or queries.shape[1] != self.dim:
-            raise VectorStoreError(
-                f"queries must be (count x {self.dim}), got shape {queries.shape}"
-            )
-        return queries
-
     def _hits_from_ids(self, ids: np.ndarray, scores: np.ndarray) -> "list[SearchHit]":
         return [
             SearchHit(vector_id=int(vid), score=float(score), record=self._records[int(vid)])
@@ -316,18 +308,6 @@ class VectorStore(ABC):
         """
         query = self._check_query(query)
         return dot_rows(self._vectors, query)
-
-    def score_many(self, queries: np.ndarray) -> np.ndarray:
-        """Inner products of every query row with every stored vector.
-
-        Returns a ``(query_count x vector_count)`` matrix — one BLAS GEMM,
-        the fused kernel :class:`~repro.engine.batch.BatchQueryEngine` scores
-        many concurrent sessions with.  Row ``q`` equals
-        ``score_all(queries[q])`` up to last-bit rounding (GEMM blocks the
-        reduction differently from the row-wise kernel).
-        """
-        queries = self._check_queries(queries)
-        return queries @ self._vectors.T
 
     def search(
         self,

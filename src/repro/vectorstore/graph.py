@@ -26,11 +26,11 @@ into a *navigable* proximity graph in the HNSW spirit (Malkov & Yashunin):
    quantized tier's rerank pass honors.
 
 ``exhaustive = False``: the query engine drives this store through the
-masked candidate API with its widening schedule.  ``score_all`` /
-``score_many`` stay exact full scans for the baselines.  When the effective
-beam covers the whole store (tiny corpora, or ``k`` widened to the corpus
-size) the search falls back to the exact masked scan, so results degrade to
-exact rather than to a pointless whole-graph walk.
+masked candidate API with its widening schedule.  ``score_all`` stays an
+exact full scan for the baselines.  When the effective beam covers the
+whole store (tiny corpora, or ``k`` widened to the corpus size) the search
+falls back to the exact masked scan, so results degrade to exact rather
+than to a pointless whole-graph walk.
 
 Exclusions are handled the standard graph-ANN way: excluded nodes are
 *traversed* (they keep the graph connected) but never *collected*.  The

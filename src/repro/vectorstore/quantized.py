@@ -28,8 +28,8 @@ re-rank pass computes them exactly.
 The store reports ``exhaustive = False``: its headline ``search_arrays``
 results are approximate, so the query engine drives it through the masked
 candidate API (like the forest) rather than the full-scan pool.  ``score_all``
-/ ``score_many`` stay exact — baselines and the fused batch path that need
-true global scores read the compute-dtype rows, never the int8 tier.
+stays exact — baselines that need true global scores read the compute-dtype
+rows, never the int8 tier.
 """
 
 from __future__ import annotations

@@ -241,17 +241,6 @@ class ShardedVectorStore(VectorStore):
         self._map_shards(run)
         return out
 
-    def score_many(self, queries: np.ndarray) -> np.ndarray:
-        """Per-shard GEMMs filling one global ``(Q x vectors)`` matrix."""
-        queries = self._check_queries(queries)
-        out = np.empty((queries.shape[0], len(self)), dtype=self.compute_dtype)
-
-        def run(shard: _Shard) -> None:
-            out[:, shard.start : shard.stop] = shard.store.score_many(queries)
-
-        self._map_shards(run)
-        return out
-
     # ------------------------------------------------------------------
     # search
     # ------------------------------------------------------------------

@@ -106,6 +106,35 @@ class TestDiscovery:
         assert capabilities["limits"]["max_count"] == MAX_RESULT_COUNT
         assert client.healthz()["status"] == "ok"
 
+    def test_revision_5_surface(self, client):
+        """Revision 5 removed the multi-session next path: the capability and
+        health payloads carry exactly the keys below, nothing more."""
+        capabilities = client.capabilities()
+        assert capabilities["protocol"]["revision"] == 5
+        assert set(capabilities["features"]) == {
+            "streaming_ndjson", "idempotent_feedback", "cursor_paging",
+            "rate_limiting", "metrics_exposition", "tracing", "graph_ann",
+            "deadline_propagation", "admission_control", "graceful_drain",
+            "retry_hints", "live_datasets",
+        }
+        assert set(capabilities["limits"]) == {
+            "max_sessions", "max_count", "max_page_limit",
+            "idempotency_keys_per_session", "session_ttl_seconds",
+            "rate_limit_rps", "rate_limit_burst", "request_deadline_ms",
+            "max_in_flight", "drain_timeout_s",
+        }
+        assert set(capabilities["compute"]) == {
+            "compute_dtype", "n_shards", "quantized_store", "ann_search",
+            "ann_ef", "ann_graph_degree", "mmap_index",
+        }
+        assert set(client.healthz()) == {
+            "status", "state", "uptime_seconds", "in_flight",
+            "open_connections", "datasets", "active_sessions", "max_sessions",
+            "index_cache_hits", "index_cache_misses", "cached_engines",
+            "n_shards", "store_shards", "compute_dtype", "quantized_store",
+            "ann_search", "mmap_index", "store_tiers", "dataset_generations",
+        }
+
     def test_capabilities_identical_across_transports(self, make_client):
         assert (
             make_client("inprocess").capabilities()
@@ -162,15 +191,15 @@ class TestSearchLoop:
             (item.image_id, item.score, item.box_x, item.box_y) for item in expected
         ]
 
-    def test_batch_next_partial_failure(self, client):
+    def test_failed_next_does_not_disturb_other_sessions(self, client):
         info = start(client)
-        outcomes = client.batch_next(
-            [("no-such-session", None), (info.session_id, 2), ("also-missing", 1)]
-        )
-        assert isinstance(outcomes[0], UnknownResourceError)
-        assert not isinstance(outcomes[1], ReproError)
-        assert len(outcomes[1].items) == 2
-        assert isinstance(outcomes[2], UnknownResourceError)
+        with pytest.raises(UnknownResourceError):
+            client.next_results("no-such-session")
+        batch = client.next_results(info.session_id, count=2)
+        assert len(batch.items) == 2
+        with pytest.raises(UnknownResourceError):
+            client.next_results("also-missing", count=1)
+        assert client.session_info(info.session_id).total_shown == 2
 
     def test_pending_batch_blocks_next(self, client):
         info = start(client)
@@ -196,11 +225,9 @@ class TestValidationParity:
         with pytest.raises(TransportError, match="count"):
             client.next_results(info.session_id, count=count)
 
-    @pytest.mark.parametrize("count", [0, MAX_RESULT_COUNT + 1])
-    def test_batch_count_bounds_rejected(self, client, count):
-        info = start(client)
-        with pytest.raises(TransportError, match="count"):
-            client.batch_next([(info.session_id, count)])
+    def test_removed_batch_next_route_is_the_structured_404(self, client):
+        with pytest.raises(UnknownResourceError, match="No route for POST"):
+            client._request("POST", "/v1/sessions/batch-next", {"requests": []})
 
     def test_bad_cursor_rejected(self, client):
         with pytest.raises(TransportError, match="cursor"):
@@ -385,18 +412,6 @@ def run_scenario(client) -> "list[object]":
         transcript.append(("bad-count", type(exc).__name__))
     summary = client.session_info(info.session_id)
     transcript.append(("summary", summary.total_shown, summary.positives_found, summary.rounds))
-    outcomes = client.batch_next([(info.session_id, 2), ("ghost", None)])
-    transcript.append(
-        (
-            "batch-next",
-            [
-                type(outcome).__name__
-                if isinstance(outcome, ReproError)
-                else len(outcome.items)
-                for outcome in outcomes
-            ],
-        )
-    )
     client.close_session(info.session_id)
     try:
         client.session_info(info.session_id)

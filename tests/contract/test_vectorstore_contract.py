@@ -13,7 +13,8 @@ the query engine (and everything above it) is written against:
 * exclusions (mask or legacy id set) are honored absolutely;
 * edge cases (k > n, everything excluded, bad k, bad dimensions) are
   handled identically everywhere;
-* ``score_all`` / ``score_many`` agree with a manual scan;
+* ``score_all`` is deterministic and agrees with a manual scan and with
+  the scores ``search_arrays`` reports;
 * ``take`` gathers exactly ``vectors[ids]``, on its own and as the base
   segment of a live ``DeltaVectorStore``.
 
@@ -202,17 +203,20 @@ class TestBulkScoring:
                 store.score_all(query), matrix @ query, rtol=0, atol=_atol(store)
             )
 
-    def test_score_many_rows_match_score_all(self, store, queries):
-        batch = store.score_many(queries)
-        assert batch.shape == (queries.shape[0], len(store))
-        for row, query in enumerate(queries):
-            assert np.allclose(
-                batch[row], store.score_all(query), rtol=0, atol=_atol(store)
-            )
+    def test_score_all_is_deterministic(self, store, queries):
+        for query in queries:
+            first = store.score_all(query)
+            assert first.shape == (len(store),)
+            assert np.array_equal(first, store.score_all(query))
 
-    def test_score_many_rejects_bad_shapes(self, store):
-        with pytest.raises(VectorStoreError, match="queries"):
-            store.score_many(np.zeros((2, DIM + 1)))
+    def test_search_scores_agree_with_score_all(self, store, queries):
+        # The engine reranks and full-scans through score_all and reads top-k
+        # through search_arrays; both must report the same score per row.
+        for query in queries:
+            ids, scores = store.search_arrays(query, k=9)
+            assert np.allclose(
+                store.score_all(query)[ids], scores, rtol=0, atol=2 * _atol(store)
+            )
 
 
 class TestStructure:
@@ -234,7 +238,6 @@ class TestStructure:
         assert dtype in (np.dtype(np.float64), np.dtype(np.float32))
         assert store.vectors.dtype == dtype
         assert store.score_all(queries[0]).dtype == dtype
-        assert store.score_many(queries).dtype == dtype
         _, scores = store.search_arrays(queries[0], k=5)
         assert scores.dtype == dtype
 

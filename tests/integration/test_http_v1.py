@@ -96,26 +96,6 @@ class TestWireFormat:
         client.close_session(single.session_id)
         client.close_session(streamed.session_id)
 
-    def test_batch_next_ndjson_stream(self, running_server, client):
-        info = start(client)
-        body = json.dumps(
-            {"requests": [{"session_id": info.session_id}, {"session_id": "ghost"}]}
-        ).encode()
-        request = urllib.request.Request(
-            f"{running_server.url}/v1/sessions/batch-next?stream=ndjson",
-            data=body,
-            method="POST",
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=30.0) as response:
-            records = [json.loads(line) for line in response if line.strip()]
-        assert records[0] == {"kind": "meta", "outcome_count": 2}
-        first, second = records[1:-1]
-        assert first["ok"] is True and first["index"] == 0
-        assert second["ok"] is False and second["error"]["code"] == "not_found"
-        assert records[-1]["kind"] == "end"
-        client.close_session(info.session_id)
-
 
 class TestRateLimiting:
     def test_429_over_http_then_recovery(self, tiny_dataset, tiny_clip):

@@ -328,7 +328,7 @@ class TestChaosOverHTTP:
     def test_chaos_scenario_over_http_stays_typed_and_recovers(
         self, tiny_dataset, tiny_clip
     ):
-        service = _service(tiny_dataset, tiny_clip, batch_window_ms=2.0, n_shards=2)
+        service = _service(tiny_dataset, tiny_clip, n_shards=2)
         scenario = get_scenario("chaos").scaled(
             duration_seconds=2.0, rate_rps=15.0, session_count=4
         )

@@ -1,15 +1,16 @@
-"""HTTP load/soak test: concurrent mixed traffic through the coalescer.
+"""HTTP load/soak test: concurrent mixed traffic against a sharded server.
 
 ~32 client threads drive start/next/feedback/close traffic against a real
-socket server configured with sharding and a coalescing batch window — the
-full scaling stack under fire at once.  The assertions are the ones that
+socket server whose store is sharded — per-session locks, the shard thread
+pool and the registry under fire at once.  The assertions are the ones that
 matter under concurrency:
 
 * **no cross-session leakage** — a session never sees an image twice across
-  its own batches (its SeenMask row is honored inside fused cohorts);
+  its own batches (its SeenMask is honored while other sessions' rounds run);
 * **no deadlocks** — every worker finishes within the join timeout;
-* **capacity and liveness errors survive coalescing** — over-capacity starts
-  still come back 503, requests for closed sessions still come back 404.
+* **capacity and liveness errors survive concurrency** — over-capacity
+  starts still come back 503, requests for closed sessions still come back
+  404.
 """
 
 from __future__ import annotations
@@ -38,10 +39,8 @@ BATCH_SIZE = 2
 
 @pytest.fixture(scope="module")
 def loaded_server(tiny_dataset, tiny_clip):
-    """A sharded, coalescing server with capacity below the worker count."""
-    service = SeeSawService(
-        SeeSawConfig(embedding_dim=64, seed=7, n_shards=3, batch_window_ms=4.0)
-    )
+    """A sharded server with capacity below the worker count."""
+    service = SeeSawService(SeeSawConfig(embedding_dim=64, seed=7, n_shards=3))
     service.register_dataset(tiny_dataset, tiny_clip, preprocess=True)
     manager = SessionManager(service, max_sessions=CAPACITY)
     with serve_in_background(SeeSawApp(manager)) as server:
@@ -79,7 +78,7 @@ def test_load_soak_mixed_traffic(loaded_server):
             traffic_barrier.wait()
             if session_id is None:
                 return
-            # Phase 2: mixed next/feedback rounds through the coalescer.
+            # Phase 2: mixed next/feedback rounds, all sessions at once.
             seen: "set[int]" = set()
             for _ in range(ROUNDS):
                 batch = client.next_results(session_id)
@@ -124,46 +123,7 @@ def test_load_soak_mixed_traffic(loaded_server):
     assert len(overloaded) == WORKERS - CAPACITY
     # Everyone closed their session; the registry drained completely.
     assert manager.active_session_count == 0
-    health = manager.health()
-    assert health["store_shards"] == {"tiny": 3}
-    # The coalescer actually coalesced: fewer dispatches than requests, and
-    # at least one fused multi-session cohort went through the batch engine.
-    coalescer = health["coalescer"]
-    assert coalescer["requests_coalesced"] >= CAPACITY * ROUNDS
-    assert coalescer["batches_dispatched"] < coalescer["requests_coalesced"]
-    assert coalescer["largest_batch"] >= 2
-    assert health["fused_sessions"] >= 2
-
-
-def test_explicit_batch_next_endpoint_under_load(loaded_server):
-    """The explicit cohort endpoint: fused results plus per-item errors."""
-    server, _ = loaded_server
-    client = HTTPClient(server.url)
-    infos = [
-        client.start_session(
-            StartSessionRequest(dataset="tiny", text_query="a cat_easy", batch_size=2)
-        )
-        for _ in range(8)
-    ]
-    try:
-        requests = [(info.session_id, None) for info in infos] + [("session-none", None)]
-        outcomes = client.batch_next(requests)
-        assert len(outcomes) == len(requests)
-        returned: "list[set[int]]" = []
-        for outcome in outcomes[:-1]:
-            assert not isinstance(outcome, Exception), outcome
-            ids = {item.image_id for item in outcome.items}
-            assert len(ids) == 2
-            returned.append(ids)
-        assert isinstance(outcomes[-1], UnknownResourceError)
-        # A second fused round for one session without feedback must fail
-        # with the same pending-batch error the sequential path raises.
-        again = client.batch_next([(infos[0].session_id, None)])
-        assert isinstance(again[0], Exception)
-        assert "unlabelled" in str(again[0])
-    finally:
-        for info in infos:
-            client.close_session(info.session_id)
+    assert manager.health()["store_shards"] == {"tiny": 3}
 
 
 def _counter_series(payload: dict) -> "dict[tuple[str, tuple[tuple[str, str], ...]], float]":
@@ -190,15 +150,8 @@ def test_metrics_scrape_after_load(loaded_server):
         "# TYPE seesaw_request_seconds histogram",
         "seesaw_request_seconds_bucket",
         'seesaw_requests_total{method="GET",route="/v1/sessions/{id}/next"',
-        "seesaw_coalescer_batches_total",
-        "seesaw_coalescer_requests_total",
-        "seesaw_coalescer_batch_size_bucket",
-        "seesaw_fused_rounds_total",
-        "seesaw_fused_sessions_total",
-        "seesaw_fused_batch_seconds_count",
         "seesaw_active_sessions",
         'seesaw_stage_seconds_bucket{stage="score"',
-        'seesaw_stage_seconds_count{stage="coalesce_wait"}',
         'seesaw_stage_seconds_count{stage="lock_wait"}',
     ):
         assert needle in text, f"missing series: {needle}"

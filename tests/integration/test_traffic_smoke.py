@@ -2,7 +2,7 @@
 
 Short, scaled-down runs of every pack scenario against an in-process
 service, plus steady / replay / storm runs over a real HTTP socket — enough
-traffic to exercise the coalescer, the NDJSON streaming path, idempotent
+traffic to exercise the sharded store, the NDJSON streaming path, idempotent
 feedback, and the rate limiter, while asserting the error taxonomy stays
 exactly as each scenario declares it.
 """
@@ -45,15 +45,14 @@ def _smoke(name: str):
 
 @pytest.fixture(scope="module")
 def inprocess_client(tiny_dataset, tiny_clip):
-    """An in-process client over a sharded, coalescing, live-enabled service.
+    """An in-process client over a sharded, live-enabled service.
 
     ``live_datasets=True`` so the pack's ``live_ingest`` row can upsert and
     force-merge; the other scenarios never mutate, so they are unaffected.
     """
     service = SeeSawService(
         SeeSawConfig(
-            embedding_dim=64, seed=7, n_shards=2, batch_window_ms=2.0,
-            live_datasets=True,
+            embedding_dim=64, seed=7, n_shards=2, live_datasets=True,
         )
     )
     service.register_dataset(tiny_dataset, tiny_clip, preprocess=True)
@@ -65,7 +64,7 @@ def inprocess_client(tiny_dataset, tiny_clip):
 def http_server(tiny_dataset, tiny_clip):
     """A real socket server with the same topology as the in-process run."""
     service = SeeSawService(
-        SeeSawConfig(embedding_dim=64, seed=7, n_shards=2, batch_window_ms=2.0)
+        SeeSawConfig(embedding_dim=64, seed=7, n_shards=2)
     )
     service.register_dataset(tiny_dataset, tiny_clip, preprocess=True)
     with serve_in_background(SeeSawApp(SessionManager(service))) as server:
@@ -153,7 +152,6 @@ def test_rate_limit_storm_http(tiny_dataset, tiny_clip):
         SeeSawConfig(
             embedding_dim=64,
             seed=7,
-            batch_window_ms=2.0,
             rate_limit_rps=scenario.server_rate_limit_rps,
             rate_limit_burst=20,
         )

@@ -1,15 +1,11 @@
-"""Equivalence properties: sharding and batching must not change results.
+"""Equivalence properties: sharding must not change results.
 
-Two families of randomized (seeded) properties back the scaling layer:
-
-* **Shard-merge equivalence** — ``ShardedVectorStore`` over exact shards is
-  *bit-identical* to a single ``ExactVectorStore``: same scores (via the
-  shard-stable ``dot_rows`` kernel), same ids, same order, ties included.
-* **Batch-engine equivalence** — ``BatchQueryEngine`` over Q sessions
-  returns the same images, in the same order, as Q independent
-  ``QueryEngine`` rounds with the same evolving ``SeenMask`` state; scores
-  agree to a tight tolerance (the fused GEMM blocks its reduction
-  differently from the row-wise kernel, a last-bit effect).
+Randomized (seeded) properties back the scaling layer's shard-merge
+equivalence: ``ShardedVectorStore`` over exact shards is *bit-identical* to
+a single ``ExactVectorStore`` — same scores (via the shard-stable
+``dot_rows`` kernel), same ids, same order, ties included — both per call
+and across a session's rounds, where the evolving ``SeenMask`` feeds each
+round's exclusions back into the next.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.geometry import BoundingBox
-from repro.engine import BatchQueryEngine, ImageSegments, QueryEngine
+from repro.engine import ImageSegments, QueryEngine
 from repro.utils.linalg import dot_rows
 from repro.vectorstore import (
     ExactVectorStore,
@@ -160,69 +156,51 @@ def test_sharded_forest_obeys_exclusions_and_scores():
 
 
 # ---------------------------------------------------------------------------
-# batch-engine equivalence (mask state included)
+# engine rounds: sharding under an evolving session mask
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("n_shards", [1, 3])
-def test_batch_engine_matches_sequential_rounds(seed, n_shards):
+@pytest.mark.parametrize("n_shards", [2, 3])
+def test_sharded_engine_rounds_match_flat(seed, n_shards):
     vectors, records, segments, rng = make_corpus(seed)
-    store = (
-        ExactVectorStore(vectors, records)
-        if n_shards == 1
-        else ShardedVectorStore(vectors, records, n_shards=n_shards)
+    flat = QueryEngine(ExactVectorStore(vectors, records), segments)
+    sharded = QueryEngine(
+        ShardedVectorStore(vectors, records, n_shards=n_shards), segments
     )
-    engine = QueryEngine(store, segments)
-    batch_engine = BatchQueryEngine(engine)
-    session_count, batch_size, rounds = 8, 3, 4
+    session_count, batch_size, rounds = 4, 3, 5
     queries = rng.standard_normal((session_count, DIM))
-    batch_masks = [engine.new_mask() for _ in range(session_count)]
-    sequential_masks = [engine.new_mask() for _ in range(session_count)]
+    flat_masks = [flat.new_mask() for _ in range(session_count)]
+    sharded_masks = [sharded.new_mask() for _ in range(session_count)]
     for _ in range(rounds):
-        fused = batch_engine.top_unseen_batch(queries, batch_size, batch_masks)
         for row in range(session_count):
-            ids, scores, vector_ids = engine.top_unseen_arrays(
-                queries[row], batch_size, sequential_masks[row]
+            flat_ids, flat_scores, flat_vector_ids = flat.top_unseen_arrays(
+                queries[row], batch_size, flat_masks[row]
             )
-            fused_ids, fused_scores, fused_vector_ids = fused[row]
-            assert np.array_equal(ids, fused_ids)
-            assert np.array_equal(vector_ids, fused_vector_ids)
-            assert np.allclose(scores, fused_scores, rtol=0, atol=1e-10)
-            batch_masks[row].mark_images(fused_ids.tolist())
-            sequential_masks[row].mark_images(ids.tolist())
+            ids, scores, vector_ids = sharded.top_unseen_arrays(
+                queries[row], batch_size, sharded_masks[row]
+            )
+            assert np.array_equal(flat_ids, ids)
+            assert np.array_equal(flat_scores, scores)
+            assert np.array_equal(flat_vector_ids, vector_ids)
+            flat_masks[row].mark_images(flat_ids.tolist())
+            sharded_masks[row].mark_images(ids.tolist())
     # Mask state evolved identically on both sides.
-    for fused_mask, sequential_mask in zip(batch_masks, sequential_masks):
-        assert np.array_equal(fused_mask.image_seen, sequential_mask.image_seen)
-        assert np.array_equal(fused_mask.vector_seen, sequential_mask.vector_seen)
-        assert fused_mask.seen_count == sequential_mask.seen_count
+    for flat_mask, sharded_mask in zip(flat_masks, sharded_masks):
+        assert np.array_equal(flat_mask.image_seen, sharded_mask.image_seen)
+        assert np.array_equal(flat_mask.vector_seen, sharded_mask.vector_seen)
+        assert flat_mask.seen_count == sharded_mask.seen_count
 
 
-def test_batch_engine_rows_are_isolated():
+def test_session_masks_are_isolated():
     """One session's mask must never affect another session's results."""
     vectors, records, segments, rng = make_corpus(7)
-    engine = QueryEngine(ExactVectorStore(vectors, records), segments)
-    batch_engine = BatchQueryEngine(engine)
+    engine = QueryEngine(ShardedVectorStore(vectors, records, n_shards=3), segments)
     query = rng.standard_normal(DIM)
     blind_mask = engine.new_mask()
     seen_mask = engine.new_mask()
     first_ids, _, _ = engine.top_unseen_arrays(query, 5, None)
     seen_mask.mark_images(first_ids.tolist())
-    fused = batch_engine.top_unseen_batch(
-        np.stack([query, query]), 5, [blind_mask, seen_mask]
-    )
-    assert np.array_equal(fused[0][0], first_ids)  # blind row: the global top
-    assert not set(fused[1][0].tolist()) & set(first_ids.tolist())  # masked row skips them
-
-
-def test_batch_engine_falls_back_for_candidate_stores():
-    vectors, records, segments, rng = make_corpus(9)
-    forest = RandomProjectionForest(vectors, records, tree_count=4, leaf_size=8, seed=2)
-    engine = QueryEngine(forest, segments)
-    batch_engine = BatchQueryEngine(engine)
-    queries = rng.standard_normal((3, DIM))
-    masks = [engine.new_mask() for _ in range(3)]
-    fused = batch_engine.top_unseen_batch(queries, 4, masks)
-    for row in range(3):
-        ids, scores, vector_ids = engine.top_unseen_arrays(queries[row], 4, masks[row])
-        assert np.array_equal(ids, fused[row][0])
-        assert np.array_equal(scores, fused[row][1])
-        assert np.array_equal(vector_ids, fused[row][2])
+    masked_ids, _, _ = engine.top_unseen_arrays(query, 5, seen_mask)
+    blind_ids, _, _ = engine.top_unseen_arrays(query, 5, blind_mask)
+    assert np.array_equal(blind_ids, first_ids)  # blind session: the global top
+    assert not set(masked_ids.tolist()) & set(first_ids.tolist())  # masked skips them
+    assert blind_mask.seen_count == 0

@@ -125,33 +125,3 @@ class TestValidation:
 
     def test_parse_json_accepts_valid(self):
         assert parse_json(b'{"a": 1}') == {"a": 1}
-
-
-class TestBatchNextCodec:
-    def test_decode_entries_with_and_without_count(self):
-        from repro.server.codec import decode_batch_next_request
-
-        entries = decode_batch_next_request(
-            {
-                "requests": [
-                    {"session_id": "session-1", "count": 4},
-                    {"session_id": "session-2"},
-                    {"session_id": "session-3", "count": None},
-                ]
-            }
-        )
-        assert entries == [("session-1", 4), ("session-2", None), ("session-3", None)]
-
-    def test_decode_rejects_bad_bodies(self):
-        from repro.server.codec import decode_batch_next_request
-
-        with pytest.raises(TransportError, match="requests"):
-            decode_batch_next_request({})
-        with pytest.raises(TransportError, match="must not be empty"):
-            decode_batch_next_request({"requests": []})
-        with pytest.raises(TransportError, match="session_id"):
-            decode_batch_next_request({"requests": [{"count": 2}]})
-        with pytest.raises(TransportError, match="count"):
-            decode_batch_next_request(
-                {"requests": [{"session_id": "session-1", "count": 0}]}
-            )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import (
     PAPER_DEFAULT_CONFIG,
+    RETIRED_FIELDS,
     BenchmarkTaskConfig,
     KnnGraphConfig,
     LossWeights,
@@ -61,9 +62,10 @@ class TestMultiscaleConfig:
 
 
 class TestOptimizerConfig:
-    def test_wolfe_constants_ordering(self):
-        with pytest.raises(ConfigurationError):
-            OptimizerConfig(wolfe_c1=0.9, wolfe_c2=0.1)
+    def test_wolfe_c1_range(self):
+        for wolfe_c1 in (0.0, 1.0):
+            with pytest.raises(ConfigurationError, match="wolfe_c1"):
+                OptimizerConfig(wolfe_c1=wolfe_c1)
 
     def test_invalid_iterations(self):
         with pytest.raises(ConfigurationError):
@@ -102,27 +104,38 @@ class TestSeeSawConfig:
 
 
 class TestScalingKnobs:
-    def test_defaults_keep_flat_store_and_no_window(self):
-        config = SeeSawConfig()
-        assert config.n_shards == 1
-        assert config.batch_window_ms == 0.0
+    def test_defaults_keep_flat_store(self):
+        assert SeeSawConfig().n_shards == 1
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigurationError, match="n_shards"):
             SeeSawConfig(n_shards=0)
-        with pytest.raises(ConfigurationError, match="batch_window_ms"):
-            SeeSawConfig(batch_window_ms=-1.0)
 
     def test_round_trip_through_dict(self):
-        config = SeeSawConfig(n_shards=4, batch_window_ms=2.5)
-        rebuilt = SeeSawConfig.from_dict(config.to_dict())
-        assert rebuilt.n_shards == 4
-        assert rebuilt.batch_window_ms == 2.5
+        config = SeeSawConfig(n_shards=4)
+        assert SeeSawConfig.from_dict(config.to_dict()).n_shards == 4
 
     def test_describe_reports_the_knobs(self):
-        described = SeeSawConfig(n_shards=3, batch_window_ms=5.0).describe()
-        assert described["n_shards"] == 3
-        assert described["batch_window_ms"] == 5.0
+        assert SeeSawConfig(n_shards=3).describe()["n_shards"] == 3
+
+
+class TestRetiredFields:
+    def test_from_dict_drops_retired_fields(self):
+        data = SeeSawConfig(n_shards=2).to_dict()
+        data["batch_window_ms"] = 0.0
+        data["optimizer"]["wolfe_c2"] = 0.9
+        assert {"batch_window_ms", "optimizer.wolfe_c2"} <= RETIRED_FIELDS
+        assert SeeSawConfig.from_dict(data) == SeeSawConfig(n_shards=2)
+
+    @pytest.mark.parametrize(
+        "section, name", [(None, "future_knob"), ("optimizer", "future_knob")]
+    )
+    def test_unknown_field_is_a_configuration_error(self, section, name):
+        data = SeeSawConfig().to_dict()
+        (data if section is None else data[section])[name] = 1
+        dotted = name if section is None else f"{section}.{name}"
+        with pytest.raises(ConfigurationError, match=f"'{dotted}'"):
+            SeeSawConfig.from_dict(data)
 
 
 class TestStorageComputeTierKnobs:

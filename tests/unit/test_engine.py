@@ -399,66 +399,16 @@ class TestStoreArrayApi:
         assert not set(ids.tolist()) & set(baseline.tolist())
 
 
-class TestBatchEngineUnit:
-    """Shape/validation behavior of the fused batch engine; equivalence with
-    sequential rounds lives in tests/property/test_shard_batch_equivalence.py."""
-
-    def test_pool_max_batch_matches_row_wise_pooling(self):
-        from repro.engine import BatchQueryEngine  # noqa: F401 - exercised below
-
-        index = _random_index("exact", seed=11)
-        rng = np.random.default_rng(0)
-        matrix = rng.standard_normal((5, index.vector_count))
-        batched = index.segments.pool_max_batch(matrix)
-        for row in range(5):
-            assert np.array_equal(batched[row], index.segments.pool_max(matrix[row]))
-
-    def test_pool_max_batch_rejects_bad_shapes(self):
-        index = _random_index("exact", seed=11)
-        with pytest.raises(IndexingError, match="score matrix"):
-            index.segments.pool_max_batch(np.zeros(index.vector_count))
-        with pytest.raises(IndexingError, match="score matrix"):
-            index.segments.pool_max_batch(np.zeros((2, index.vector_count + 1)))
-
-    def test_batch_engine_validates_lengths_and_counts(self):
-        index = _random_index("exact", seed=11)
-        batch_engine = index.batch_engine
-        queries = np.zeros((3, index.store.dim))
-        masks = [None, None, None]
-        with pytest.raises(SessionError, match="counts"):
-            batch_engine.top_unseen_batch(queries, [2, 2], masks)
-        with pytest.raises(SessionError, match="masks"):
-            batch_engine.top_unseen_batch(queries, 2, [None])
-        with pytest.raises(SessionError, match="count must be >= 1"):
-            batch_engine.top_unseen_batch(queries, [2, 0, 2], masks)
-
-    def test_int_count_broadcasts(self):
-        index = _random_index("exact", seed=12)
-        rng = np.random.default_rng(1)
-        queries = rng.standard_normal((4, index.store.dim))
-        triples = index.batch_engine.top_unseen_batch(queries, 3, [None] * 4)
-        assert len(triples) == 4
-        assert all(ids.size == 3 for ids, _, _ in triples)
-
-    def test_empty_batch_returns_empty_list(self):
-        index = _random_index("exact", seed=12)
-        queries = np.zeros((0, index.store.dim))
-        assert index.batch_engine.top_unseen_batch(queries, [], []) == []
-
-    def test_batch_engine_is_cached_on_the_index(self):
-        index = _random_index("exact", seed=13)
-        assert index.batch_engine is index.batch_engine
-        assert index.batch_engine.engine is index.engine
+class TestReplaceStore:
+    """``SeeSawIndex.replace_store`` swaps the store and drops the cached engine."""
 
     def test_replace_store_resets_cached_engines(self):
         from repro.vectorstore.sharded import ShardedVectorStore
 
         index = _random_index("exact", seed=14)
         old_engine = index.engine
-        old_batch = index.batch_engine
         index.replace_store(ShardedVectorStore.wrap(index.store, 3))
         assert index.engine is not old_engine
-        assert index.batch_engine is not old_batch
         assert index.engine.store is index.store
 
     def test_replace_store_rejects_size_mismatch(self):

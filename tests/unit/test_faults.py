@@ -298,10 +298,6 @@ class FakeInnerClient(SeeSawClientProtocol):
                 image_id=i, score=0.5, box_x=0, box_y=0, box_width=1, box_height=1
             )
 
-    def batch_next(self, requests):
-        self._record("batch")
-        return []
-
     def give_feedback(self, request, idempotency_key=None) -> SessionInfo:
         self._record("feedback")
         return self.info

@@ -212,19 +212,6 @@ class TestDeltaVectorStore:
         with pytest.raises(VectorStoreError, match="share"):
             delta._share_vectors(np.zeros((1, store.dim)))
 
-    def test_score_many_matches_score_all(self, base_index):
-        store = base_index.store
-        vectors, records = self._delta_parts(base_index, 2)
-        delta = DeltaVectorStore(
-            store, vectors, records, np.zeros(len(store) + 2, dtype=bool)
-        )
-        queries = np.stack([store.vector(0), vectors[0]])
-        many = delta.score_many(queries)
-        # GEMM vs GEMV differ in the last bit (same as the sealed store),
-        # so this is a numerical check, not the bit-identity one.
-        for row, query in zip(many, queries):
-            np.testing.assert_allclose(row, delta.score_all(query), rtol=1e-12)
-
 
 # ---------------------------------------------------------------------------
 # DatasetRegistry

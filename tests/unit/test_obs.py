@@ -86,12 +86,6 @@ class TestGauge:
         gauge.dec(5.0)
         assert gauge.value == 7.0
 
-    def test_set_max_keeps_high_water_mark(self):
-        gauge = MetricsRegistry().gauge("test_gauge")
-        gauge.set_max(3.0)
-        gauge.set_max(1.0)
-        assert gauge.value == 3.0
-
     def test_callback_gauge_reads_live_value(self):
         sessions = ["a", "b"]
         registry = MetricsRegistry()
@@ -343,10 +337,10 @@ class TestTraceSpans:
         configure(enabled=False, registry=registry)
         token = begin_request_trace()
         try:
-            observe_stage("coalesce_wait", 0.25)
+            observe_stage("lock_wait", 0.25)
         finally:
             trace = end_request_trace(token)
-        assert trace.stage_millis() == {"coalesce_wait": 250.0}
+        assert trace.stage_millis() == {"lock_wait": 250.0}
         assert registry.get(STAGE_METRIC) is None
 
     def test_configure_registry_none_follows_global(self):

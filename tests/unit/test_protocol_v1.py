@@ -318,16 +318,6 @@ class TestV1AppBoundary:
         )
         assert status == 400
         assert payload["error"]["code"] == "invalid_request"
-        status, payload = handle(
-            app,
-            "POST",
-            "/v1/sessions/batch-next",
-            json.dumps(
-                {"requests": [{"session_id": session_id, "count": 10**9}]}
-            ).encode(),
-        )
-        assert status == 400
-        assert payload["error"]["code"] == "invalid_request"
         handle(app, "DELETE", f"/v1/sessions/{session_id}")
 
     def test_v1_streaming_materializes_via_handle(self, app):
@@ -343,19 +333,6 @@ class TestV1AppBoundary:
         assert [r["kind"] for r in records[1:-1]] == ["item", "item"]
         assert records[-1]["kind"] == "end"
         handle(app, "DELETE", f"/v1/sessions/{session_id}")
-
-    def test_v1_batch_envelope_uses_structured_per_item_errors(self, app):
-        status, payload = handle(
-            app,
-            "POST",
-            "/v1/sessions/batch-next",
-            json.dumps({"requests": [{"session_id": "missing"}]}).encode(),
-        )
-        assert status == 200
-        [outcome] = payload["results"]
-        assert outcome["ok"] is False
-        assert outcome["error"]["code"] == "not_found"
-        assert outcome["error"]["retryable"] is False
 
     def test_rate_limited_app_returns_429_envelope(self, tiny_dataset, tiny_clip):
         service = SeeSawService(

@@ -2,14 +2,12 @@
 
 Deadline arithmetic and propagation, the retry policy's backoff/budget
 rules, the per-host circuit breaker, admission control's bounded in-flight
-gauge with its degradation hysteresis, and the coalescer's deadline-derived
-waiter bound — every timing-sensitive transition driven by a manually
-advanced clock so the assertions are exact, never sleep-and-hope.
+gauge with its degradation hysteresis — every timing-sensitive transition
+driven by a manually advanced clock so the assertions are exact, never
+sleep-and-hope.
 """
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
@@ -25,7 +23,6 @@ from repro.exceptions import (
     UnknownResourceError,
 )
 from repro.obs import MetricsRegistry
-from repro.server.batching import NextBatchCoalescer
 from repro.server.deadlines import (
     DEADLINE_HEADER,
     Deadline,
@@ -78,9 +75,7 @@ class TestDeadline:
         assert deadline.remaining_ms() == pytest.approx(250.0)
         clock.advance(0.2)
         assert deadline.remaining_ms() == pytest.approx(50.0)
-        assert not deadline.expired
         clock.advance(0.1)
-        assert deadline.expired
         assert deadline.remaining_ms() < 0
 
     def test_check_raises_typed_with_stage_name(self):
@@ -91,20 +86,12 @@ class TestDeadline:
         with pytest.raises(DeadlineExceededError, match="before dispatch"):
             deadline.check("dispatch")
 
-    def test_bound_wait_never_negative(self):
-        clock = FakeClock()
-        deadline = Deadline(100.0, clock=clock)
-        assert deadline.bound_wait(60.0) == pytest.approx(0.1)
-        assert deadline.bound_wait(0.05) == pytest.approx(0.05)
-        clock.advance(1.0)
-        assert deadline.bound_wait(60.0) == 0.0
-
     def test_parse_header_values(self):
         assert parse_deadline_header("1500").budget_ms == 1500.0
         # Zero and negative budgets are *expired*, not malformed: the
         # clock-skewed client gets the typed 504 downstream, not a 400.
-        assert parse_deadline_header("0").expired
-        assert parse_deadline_header("-20").expired
+        assert parse_deadline_header("0").remaining_ms() <= 0
+        assert parse_deadline_header("-20").remaining_ms() < 0
 
     @pytest.mark.parametrize("raw", ["soon", "", "nan", "inf", "-inf"])
     def test_parse_header_malformed_is_transport_error(self, raw):
@@ -556,92 +543,3 @@ class TestDeadlineMiddleware:
 
         middleware(_request("/v1/x"), handler)
         assert seen == [None]
-
-
-# ----------------------------------------------------------------------
-# coalescer deadline handling
-# ----------------------------------------------------------------------
-class TestCoalescerDeadlines:
-    def test_expired_entry_fails_typed_not_overloaded(self):
-        dispatched: "list[list[tuple[str, int | None]]]" = []
-
-        def dispatch(entries):
-            dispatched.append(list(entries))
-            return [None for _ in entries]
-
-        coalescer = NextBatchCoalescer(
-            dispatch,
-            window_seconds=0.005,
-            max_batch_size=8,
-            wait_timeout_seconds=5.0,
-            registry=MetricsRegistry(),
-        )
-        clock = FakeClock()
-        dead = Deadline(0.0, clock=clock)
-        with pytest.raises(DeadlineExceededError):
-            coalescer.submit("s1", None, deadline=dead)
-        # The leader dropped the dead entry before spending engine work.
-        assert dispatched in ([], [[]])
-
-    def test_live_deadline_still_dispatches(self):
-        def dispatch(entries):
-            return ["ok" for _ in entries]
-
-        coalescer = NextBatchCoalescer(
-            dispatch,
-            window_seconds=0.001,
-            max_batch_size=8,
-            wait_timeout_seconds=5.0,
-            registry=MetricsRegistry(),
-        )
-        assert coalescer.submit("s1", None, deadline=Deadline(5000.0)) == "ok"
-
-    def test_waiter_timeout_bounded_by_deadline(self):
-        coalescer = NextBatchCoalescer(
-            lambda entries: [None for _ in entries],
-            window_seconds=0.001,
-            max_batch_size=8,
-            wait_timeout_seconds=60.0,
-            registry=MetricsRegistry(),
-        )
-        clock = FakeClock()
-        entry = type(
-            "E", (), {"deadline": Deadline(200.0, clock=clock)}
-        )()
-        bounded = coalescer._waiter_timeout(entry)
-        # budget (0.2 s) plus the small grace, far under the 60 s bound
-        assert 0.2 <= bounded <= 0.26
-        entry_none = type("E", (), {"deadline": None})()
-        assert coalescer._waiter_timeout(entry_none) == 60.0
-
-
-# ----------------------------------------------------------------------
-# config-derived coalescer bound (manager wiring)
-# ----------------------------------------------------------------------
-class TestManagerCoalescerBound:
-    def test_wait_timeout_follows_request_deadline(self, tiny_dataset, tiny_clip):
-        from repro.server import SeeSawService, SessionManager
-
-        service = SeeSawService(
-            SeeSawConfig(
-                embedding_dim=64,
-                seed=7,
-                batch_window_ms=2.0,
-                request_deadline_ms=1500.0,
-            ),
-            registry=MetricsRegistry(),
-        )
-        service.register_dataset(tiny_dataset, tiny_clip, preprocess=True)
-        manager = SessionManager(service)
-        assert manager._coalescer.wait_timeout_seconds == pytest.approx(2.5)
-
-    def test_wait_timeout_defaults_to_sixty_seconds(self, tiny_dataset, tiny_clip):
-        from repro.server import SeeSawService, SessionManager
-
-        service = SeeSawService(
-            SeeSawConfig(embedding_dim=64, seed=7, batch_window_ms=2.0),
-            registry=MetricsRegistry(),
-        )
-        service.register_dataset(tiny_dataset, tiny_clip, preprocess=True)
-        manager = SessionManager(service)
-        assert manager._coalescer.wait_timeout_seconds == 60.0

@@ -39,8 +39,8 @@ class FakeClock:
 
 @pytest.fixture()
 def service(tiny_dataset, tiny_clip):
-    # A private registry keeps the fused_* counter assertions exact even
-    # though other tests in this pytest process share the global registry.
+    # A private registry keeps counter assertions exact even though other
+    # tests in this pytest process share the global registry.
     service = SeeSawService(
         SeeSawConfig(embedding_dim=64, seed=7), registry=MetricsRegistry()
     )
@@ -204,6 +204,78 @@ class TestConcurrency:
             summary = manager.session_info(info.session_id)
             assert summary.total_shown == 4
             assert summary.rounds == 2
+
+    def test_concurrent_rounds_match_sequential_rounds(self, service):
+        """Sessions run side by side see exactly what they see run alone."""
+        manager = SessionManager(service)
+        queries = ["a cat_easy", "a cat_hard", "a cat_easy", "a cat_hard"]
+
+        def drive(session_id: str, shown: "list[list[int]]") -> None:
+            for _ in range(3):
+                batch = manager.next_results(session_id)
+                shown.append([item.image_id for item in batch.items])
+                for item in batch.items:
+                    manager.give_feedback(
+                        FeedbackRequest(
+                            session_id=session_id,
+                            image_id=item.image_id,
+                            relevant=item.image_id % 2 == 0,
+                        )
+                    )
+
+        sequential: "list[list[list[int]]]" = []
+        for query in queries:
+            info = manager.start_session(start_request(query))
+            sequential.append([])
+            drive(info.session_id, sequential[-1])
+
+        concurrent: "list[list[list[int]]]" = [[] for _ in queries]
+        infos = [manager.start_session(start_request(query)) for query in queries]
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(len(infos))
+
+        def worker(index: int) -> None:
+            try:
+                barrier.wait(timeout=10.0)
+                drive(infos[index].session_id, concurrent[index])
+            except BaseException as exc:  # pragma: no cover - failure reporting
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(index,))
+            for index in range(len(infos))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not errors
+        assert concurrent == sequential
+
+    def test_racing_next_on_one_session_yields_one_round(self, service):
+        """The session lock admits one round; the other sees it pending."""
+        manager = SessionManager(service)
+        info = manager.start_session(start_request())
+        barrier = threading.Barrier(2)
+        outcomes: "list[object]" = []
+
+        def worker() -> None:
+            barrier.wait(timeout=10.0)
+            try:
+                outcomes.append(manager.next_results(info.session_id))
+            except SessionError as exc:
+                outcomes.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert len(outcomes) == 2
+        errors = [outcome for outcome in outcomes if isinstance(outcome, SessionError)]
+        assert len(errors) == 1
+        assert "unlabelled" in str(errors[0])
+        assert manager.session_info(info.session_id).total_shown == 2
 
 
 class TestCloseEvictRaces:
@@ -429,15 +501,3 @@ class TestEvictionTouchRace:
         assert info.session_id not in service.session_ids
         assert info.session_id not in manager._session_locks
         assert info.session_id not in manager._last_used
-
-
-class TestExplicitBatchChunking:
-    def test_batch_next_is_chunked_by_max_batch_size(self, service):
-        manager = SessionManager(service, max_batch_size=2)
-        infos = [manager.start_session(start_request()) for _ in range(5)]
-        outcomes = manager.batch_next([(info.session_id, None) for info in infos])
-        assert len(outcomes) == 5
-        assert all(not isinstance(outcome, Exception) for outcome in outcomes)
-        # 5 requests in chunks of 2 -> 3 fused dispatch groups.
-        assert service.fused_sessions == 5
-        assert service.fused_rounds == 3

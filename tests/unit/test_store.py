@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -146,9 +148,9 @@ class TestIndexCache:
 class TestShardedTopologyAndCache:
     """Sharding is a runtime topology: invisible to keys and artifacts."""
 
-    def test_cache_key_ignores_shard_and_window_knobs(self, tiny_dataset, tiny_clip):
+    def test_cache_key_ignores_shard_knob(self, tiny_dataset, tiny_clip):
         base = SeeSawConfig(embedding_dim=64, seed=7)
-        scaled = SeeSawConfig(embedding_dim=64, seed=7, n_shards=8, batch_window_ms=5.0)
+        scaled = SeeSawConfig(embedding_dim=64, seed=7, n_shards=8)
         assert index_cache_key(tiny_dataset, tiny_clip, base) == index_cache_key(
             tiny_dataset, tiny_clip, scaled
         )
@@ -244,8 +246,6 @@ class TestMmapLayout:
         """An entry in the retired single-file compressed layout (meta says
         ``"npz"``, or predates the key) is a typed refusal from
         ``load_index`` and a self-healing miss through the cache."""
-        import json
-
         cache = IndexCache(tmp_path / "cache")
         config = SeeSawConfig(embedding_dim=64, seed=7)
         built, _ = cache.load_or_build(tiny_dataset, tiny_clip, config)
@@ -274,6 +274,54 @@ class TestMmapLayout:
         assert not (entry / "arrays.npz").exists()
         _, was_cached = cache.load_or_build(tiny_dataset, tiny_clip, config)
         assert was_cached
+
+    def test_entry_with_retired_config_fields_is_a_hit(
+        self, tiny_index, tiny_dataset, tiny_clip, tmp_path
+    ):
+        """Entries persist the config they were built with; fields retired
+        since then are dropped on load, so the warm start survives."""
+        config = tiny_index.config
+        entry = _entry_with_config(
+            tmp_path, tiny_index, tiny_dataset, tiny_clip,
+            batch_window_ms=0.0, **{"optimizer.wolfe_c2": 0.9},
+        )
+        loaded, was_cached = IndexCache(tmp_path / "cache").load_or_build(
+            tiny_dataset, tiny_clip, config
+        )
+        assert was_cached is True
+        assert loaded.config == config
+        assert (entry / META_FILE).exists()
+
+    def test_entry_with_unknown_config_field_is_rebuilt(
+        self, tiny_index, tiny_dataset, tiny_clip, tmp_path
+    ):
+        """A config key this version does not know is a typed refusal from
+        ``load_index`` and a self-healing miss through the cache."""
+        config = tiny_index.config
+        entry = _entry_with_config(
+            tmp_path, tiny_index, tiny_dataset, tiny_clip,
+            future_knob=1, **{"optimizer.future_knob": 1},
+        )
+        with pytest.raises(StoreError, match="future_knob"):
+            load_index(entry, tiny_dataset, tiny_clip)
+        cache = IndexCache(tmp_path / "cache")
+        _, was_cached = cache.load_or_build(tiny_dataset, tiny_clip, config)
+        assert not was_cached
+        _, was_cached = cache.load_or_build(tiny_dataset, tiny_clip, config)
+        assert was_cached
+
+
+def _entry_with_config(tmp_path, index, dataset, embedding, **extra):
+    """Store ``index`` as a cache entry whose meta config also carries
+    ``extra`` (``section.name`` keys land inside that section)."""
+    cache = IndexCache(tmp_path / "cache")
+    entry = cache.store(cache.key(dataset, embedding, index.config), index)
+    meta = json.loads((entry / META_FILE).read_text(encoding="utf-8"))
+    for name, value in extra.items():
+        section, _, leaf = name.rpartition(".")
+        (meta["config"][section] if section else meta["config"])[leaf] = value
+    (entry / META_FILE).write_text(json.dumps(meta), encoding="utf-8")
+    return entry
 
 
 class TestComputeDtypeTier:
