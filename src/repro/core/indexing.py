@@ -136,23 +136,27 @@ class SeeSawIndex:
             The patch vectors, already embedded, one row per patch in the
             order this pass enumerates them (images in dataset order, each
             image's patches coarse first).  Replaces only the
-            ``embed_region`` calls — a live merge passes the rows its delta
+            ``embed_patches`` calls — a live merge passes the rows its delta
             view already holds, so no patch is embedded twice; records,
             store, kNN graph and ``M_D`` are built exactly as in a cold
-            build.
+            build, and ``embedding_seconds`` reports 0.
         """
         config = config or SeeSawConfig()
         embedded: list[np.ndarray] = []
         records: list[VectorRecord] = []
         image_vector_ids: dict[int, list[int]] = {}
-        embed_start = time.perf_counter()
+        embedding_seconds = 0.0
         vector_id = 0
         for image in dataset.images:
             patch_specs = generate_patches(image.width, image.height, config.multiscale)
+            if vectors is None:
+                embed_start = time.perf_counter()
+                embedded.append(
+                    embedding.embed_patches(image, [box for box, _ in patch_specs])
+                )
+                embedding_seconds += time.perf_counter() - embed_start
             ids: list[int] = []
             for box, scale_level in patch_specs:
-                if vectors is None:
-                    embedded.append(embedding.embed_region(image, box))
                 records.append(
                     VectorRecord(
                         vector_id=vector_id,
@@ -164,9 +168,8 @@ class SeeSawIndex:
                 ids.append(vector_id)
                 vector_id += 1
             image_vector_ids[image.image_id] = ids
-        embedding_seconds = time.perf_counter() - embed_start
         if vectors is None:
-            vectors = np.stack(embedded)
+            vectors = np.concatenate(embedded)
         elif vectors.shape[0] != len(records):
             raise IndexingError(
                 f"supplied vectors have {vectors.shape[0]} rows, the dataset "

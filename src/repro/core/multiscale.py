@@ -2,8 +2,9 @@
 
 An image maps to one *coarse* patch covering the whole image plus, when the
 image is large enough, a grid of finer patches whose side is a fraction of
-the image (half by default), strided by half a patch.  Each patch is embedded
-separately; at query time an image's score is the maximum over its patches.
+the image (half by default), strided by half a patch.  Each patch gets its own
+vector (an image's patches are embedded in one ``embed_patches`` call); at
+query time an image's score is the maximum over its patches.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import numpy as np
 
 from repro.config import MultiscaleConfig
 from repro.data.geometry import BoundingBox
-from repro.data.image import SyntheticImage
-from repro.embedding.base import EmbeddingModel
 
 COARSE_LEVEL = 0
 FINE_LEVEL = 1
@@ -57,17 +56,6 @@ def generate_patches(
         for x in xs:
             patches.append((BoundingBox(x, y, patch_side, patch_side), FINE_LEVEL))
     return patches
-
-
-def embed_image_patches(
-    image: SyntheticImage,
-    embedding: EmbeddingModel,
-    config: "MultiscaleConfig | None" = None,
-) -> "tuple[np.ndarray, list[tuple[BoundingBox, int]]]":
-    """Embed every patch of ``image``; returns (vectors, patch descriptors)."""
-    patches = generate_patches(image.width, image.height, config)
-    vectors = np.stack([embedding.embed_region(image, box) for box, _ in patches])
-    return vectors, patches
 
 
 def pool_image_scores(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Sequence
 
 import numpy as np
 
@@ -36,8 +37,20 @@ class EmbeddingModel(ABC):
         """Embed a free-text query string into the shared space."""
 
     @abstractmethod
+    def embed_patches(
+        self, image: SyntheticImage, regions: "Sequence[BoundingBox]"
+    ) -> np.ndarray:
+        """Embed rectangular regions of one image, one row per region.
+
+        The embedding primitive: the index build and live upserts embed each
+        image's patches in one call, so per-image work (per-object appearance
+        and background directions) is done once per image, not once per
+        region.  Returns an ``(len(regions), dim)`` float64 array.
+        """
+
     def embed_region(self, image: SyntheticImage, region: BoundingBox) -> np.ndarray:
         """Embed one rectangular region of an image."""
+        return self.embed_patches(image, (region,))[0]
 
     def embed_image(self, image: SyntheticImage) -> np.ndarray:
         """Embed the whole image (the paper's *coarse* embedding)."""

@@ -19,7 +19,7 @@ unit vectors with the properties the paper's algorithms rely on:
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -188,44 +188,85 @@ class SyntheticClip(EmbeddingModel):
         info = self._require_category(category)
         return self._space.concept_vector(info.name)
 
-    def embed_region(self, image: SyntheticImage, region: BoundingBox) -> np.ndarray:
-        """Embed one region of an image.
+    def embed_patches(
+        self, image: SyntheticImage, regions: "Sequence[BoundingBox]"
+    ) -> np.ndarray:
+        """Embed regions of one image, one row per region.
 
-        The region vector is a coverage-weighted mixture of the concept
+        A region vector is a coverage-weighted mixture of the concept
         directions of the objects visible in the region, the scene-context
         direction, and deterministic clutter noise.  Coverage is measured as
         the fraction of the *region* occupied by the object, which is what
         produces coarse-embedding dilution for small objects.
+
+        Each object's appearance direction (keyed by its position in
+        ``image.objects``: instance ids need not be unique) and the image's
+        background direction are derived at most once per call.  The
+        region x object overlap uses only elementwise ``+ - * / min max``
+        and each row accumulates its objects in image order, so every row is
+        bit-identical to embedding its region on its own.
         """
-        region = region.clipped_to(image.width, image.height)
-        vector = np.zeros(self._dim, dtype=np.float64)
-        covered = 0.0
-        for instance, visible_fraction in image.objects_in_region(region):
-            visible_area = instance.box.area * visible_fraction
-            coverage = min(1.0, visible_area / region.area)
-            if coverage <= 0.0:
-                continue
+        clipped = [region.clipped_to(image.width, image.height) for region in regions]
+        vectors = np.zeros((len(clipped), self._dim), dtype=np.float64)
+        if not clipped:
+            return vectors
+        # Regions down the rows, objects across the columns.
+        rx, ry, rw, rh = np.array(
+            [[r.x, r.y, r.width, r.height] for r in clipped], dtype=np.float64
+        ).T[:, :, None]
+        bx, by, bw, bh = np.array(
+            [[o.box.x, o.box.y, o.box.width, o.box.height] for o in image.objects],
+            dtype=np.float64,
+        ).reshape(-1, 4).T
+        # objects_in_region: the fraction of each object's box inside the
+        # region; then the fraction of the region the object covers.
+        overlap_w = np.minimum(bx + bw, rx + rw) - np.maximum(bx, rx)
+        overlap_h = np.minimum(by + bh, ry + rh) - np.maximum(by, ry)
+        intersection = np.where(
+            (overlap_w > 0.0) & (overlap_h > 0.0), overlap_w * overlap_h, 0.0
+        )
+        box_area = bw * bh
+        visible_fraction = intersection / box_area
+        coverage = np.minimum(1.0, (box_area * visible_fraction) / (rw * rh))
+        positive = coverage > 0.0  # implies visible_fraction > 0
+        weights = np.zeros_like(coverage)
+        # Python's float pow: numpy's vectorised pow may differ from libm's
+        # in the last bit on some CPUs.
+        weights[positive] = [
+            value ** self.coverage_exponent for value in coverage[positive].tolist()
+        ]
+        covered = np.zeros(len(clipped), dtype=np.float64)
+        for position in np.flatnonzero(positive.any(axis=0)):
+            instance = image.objects[position]
             info = self._categories.get(instance.category)
             locality_noise = info.locality_noise if info is not None else 0.04
-            concept = self._space.concept_vector(instance.category)
-            appearance = concept + self._space.instance_noise(
+            noise = self._space.instance_noise(
                 image.image_id, instance.instance_id, locality_noise
             )
-            weight = coverage ** self.coverage_exponent
-            vector += instance.distinctiveness * weight * normalize_vector(appearance)
-            covered += coverage
-        background_weight = self.background_strength * max(0.0, 1.0 - min(covered, 1.0))
-        if background_weight > 0.0:
+            appearance = self._space.concept_vector(instance.category) + noise
+            # Rows the object misses add signed zeros, which leave their bits
+            # unchanged: no partial sum here is ever -0.
+            row_weights = instance.distinctiveness * weights[:, position]
+            vectors += row_weights[:, None] * normalize_vector(appearance)
+            covered += coverage[:, position]
+        background_weight = self.background_strength * np.maximum(
+            0.0, 1.0 - np.minimum(covered, 1.0)
+        )
+        rows = np.flatnonzero(background_weight > 0.0)
+        if rows.size:
             background = self._space.context_vector(image.context)
             background = background + self._space.image_noise(
                 image.image_id, self.clutter_noise
             )
-            vector += background_weight * normalize_vector(background)
-        if not np.any(vector):
+            vectors[rows] += background_weight[rows, None] * normalize_vector(background)
+        empty = ~vectors.any(axis=1)
+        if empty.any():
             # A region with no objects and no background weight: fall back to
             # pure per-image clutter so the embedding is still well defined.
-            vector = self._space.image_noise(image.image_id, 1.0)
-        return normalize_vector(vector)
+            vectors[empty] = self._space.image_noise(image.image_id, 1.0)
+        for row in vectors:
+            row[:] = normalize_vector(row)
+        return vectors
 
     # ------------------------------------------------------------------
     # analysis helpers

@@ -82,7 +82,7 @@ class LiveDatasetState:
         self.current: "SeeSawIndex | None" = None
         self.images: "OrderedDict[int, SyntheticImage]" = OrderedDict()
         self.image_vector_ids: "OrderedDict[int, tuple[int, ...]]" = OrderedDict()
-        self.delta_vectors: "list[np.ndarray]" = []
+        self.delta_vectors: "list[np.ndarray]" = []  # one block per upserted image
         self.delta_records: "list[VectorRecord]" = []
         self.tombstoned: "set[int]" = set()
         self.journal: "list[tuple[int, str, object]]" = []
@@ -444,12 +444,13 @@ class DatasetRegistry:
             if old is not None:
                 state.tombstoned.update(old)
                 state.images.pop(image.image_id, None)
+            patches = generate_patches(image.width, image.height, state.config.multiscale)
+            state.delta_vectors.append(
+                embedding.embed_patches(image, [box for box, _ in patches])
+            )
             ids: "list[int]" = []
-            for box, scale_level in generate_patches(
-                image.width, image.height, state.config.multiscale
-            ):
+            for box, scale_level in patches:
                 vector_id = n_base + len(state.delta_records)
-                state.delta_vectors.append(embedding.embed_region(image, box))
                 state.delta_records.append(
                     VectorRecord(
                         vector_id=vector_id,
@@ -489,7 +490,7 @@ class DatasetRegistry:
         if not state.has_delta:
             return base
         if state.delta_vectors:
-            delta_matrix = np.stack(state.delta_vectors)
+            delta_matrix = np.concatenate(state.delta_vectors)
         else:
             delta_matrix = np.zeros((0, base.store.dim), dtype=base.store.compute_dtype)
         total = len(base.store) + len(state.delta_records)

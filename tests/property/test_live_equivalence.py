@@ -12,8 +12,8 @@ Plus the zero-downtime property: concurrent readers across a background
 merge swap observe no errors and no stale-generation leaks.
 
 A merge embeds nothing: it seals the rows the live view already holds, so
-its artifacts are checked array for array against a cold build, and
-``embed_region`` is counted across it.
+its artifacts are checked array for array against a cold build, and the
+rows ``embed_patches`` embeds are counted across it.
 """
 
 from __future__ import annotations
@@ -343,16 +343,17 @@ def cold_build(service, clip) -> SeeSawIndex:
 
 
 def count_embeds(monkeypatch, clip) -> "list[int]":
-    """Route ``clip.embed_region`` through a counter; returns the counter."""
-    calls = [0]
-    embed_region = clip.embed_region
+    """Count the rows ``clip.embed_patches`` embeds; returns the counter."""
+    rows = [0]
+    embed_patches = clip.embed_patches
 
-    def counting(image, box):
-        calls[0] += 1
-        return embed_region(image, box)
+    def counting(image, regions):
+        vectors = embed_patches(image, regions)
+        rows[0] += len(vectors)
+        return vectors
 
-    monkeypatch.setattr(clip, "embed_region", counting)
-    return calls
+    monkeypatch.setattr(clip, "embed_patches", counting)
+    return rows
 
 
 class TestMergeSealsResidentRows:

@@ -254,6 +254,20 @@ class TestIndexing:
         assert report.vector_count == tiny_index.vector_count
         assert report.vectors_per_image >= 1.0
 
+    def test_supplied_vectors_report_no_embedding_time(self, tiny_index, tiny_clip):
+        # A merge build passes the rows it already holds: nothing is embedded,
+        # so nothing is timed as embedding (records are not embedding work).
+        assert tiny_index.build_report.embedding_seconds > 0.0
+        rebuilt = SeeSawIndex.build(
+            tiny_index.dataset,
+            tiny_clip,
+            tiny_index.config,
+            build_graph=False,
+            vectors=tiny_index.store.vectors,
+        )
+        assert rebuilt.build_report.embedding_seconds == 0.0
+        assert np.array_equal(rebuilt.store.vectors, tiny_index.store.vectors)
+
     def test_coarse_only_build(self, tiny_dataset, tiny_clip):
         config = SeeSawConfig(embedding_dim=64, multiscale=MultiscaleConfig(enabled=False))
         index = SeeSawIndex.build(tiny_dataset, tiny_clip, config)

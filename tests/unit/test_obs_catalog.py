@@ -3,8 +3,9 @@
 ``docs/observability.md`` (and the runbook's series table in
 ``docs/operations.md``) are the operator's reference.  A series or stage
 that the docs name but no code emits is a stale row, and a stage the code
-emits without a row is an undocumented one; both fail here, so deleting a
-code path cannot leave its catalog entries behind.
+emits (or a series a live scrape shows) without a row is an undocumented
+one; both fail here, so deleting a code path cannot leave its catalog
+entries behind, and adding one cannot skip its row.
 """
 
 from __future__ import annotations
@@ -14,7 +15,18 @@ from pathlib import Path
 
 import pytest
 
+from repro.config import SeeSawConfig
+from repro.data.geometry import BoundingBox
+from repro.data.image import ObjectInstance, SyntheticImage
 from repro.obs.trace import STAGE_HELP
+from repro.server import (
+    FeedbackRequest,
+    InProcessClient,
+    SeeSawApp,
+    SeeSawService,
+    SessionManager,
+    StartSessionRequest,
+)
 
 ROOT = Path(__file__).resolve().parents[2]
 DOCS = ROOT / "docs"
@@ -23,6 +35,7 @@ SOURCE = "\n".join(
 )
 ROW_NAME = re.compile(r"^\| `([a-z_]+)`")
 EMITTED_STAGE = re.compile(r"\b(?:trace_span|observe_stage)\(\s*\"([a-z_]+)\"")
+SCRAPED_FAMILY = re.compile(r"^# TYPE (seesaw_[a-z_]+) ", re.MULTILINE)
 
 
 def _section_rows(path: Path, heading: str) -> "set[str]":
@@ -64,3 +77,46 @@ def test_every_emitted_stage_has_a_row():
 def test_every_stage_help_stage_has_a_row():
     listed = set(re.search(r"\(([^)]*)\)", STAGE_HELP).group(1).split("/"))
     assert listed <= DOCUMENTED_STAGES, sorted(listed - DOCUMENTED_STAGES)
+
+
+def test_every_scraped_family_has_a_row(tiny_dataset, tiny_clip):
+    """A short session, an upsert and a merge on a live dataset, then a scrape."""
+    service = SeeSawService(SeeSawConfig(embedding_dim=64, seed=7, live_datasets=True))
+    service.register_dataset(tiny_dataset, tiny_clip, preprocess=True)
+    client = InProcessClient(SeeSawApp(SessionManager(service)))
+    try:
+        info = client.start_session(
+            StartSessionRequest(
+                dataset=tiny_dataset.name, text_query="a cat_easy", batch_size=2
+            )
+        )
+        for _ in range(2):
+            for item in client.next_results(info.session_id).items:
+                client.give_feedback(
+                    FeedbackRequest(
+                        session_id=info.session_id,
+                        image_id=item.image_id,
+                        relevant=False,
+                    )
+                )
+        client.upsert_images(
+            tiny_dataset.name,
+            [
+                SyntheticImage(
+                    image_id=10**6,
+                    width=640,
+                    height=480,
+                    context="indoor",
+                    objects=(
+                        ObjectInstance("cat_easy", BoundingBox(40.0, 30.0, 200.0, 180.0)),
+                    ),
+                )
+            ],
+        )
+        client.merge_dataset(tiny_dataset.name)
+        scraped = set(SCRAPED_FAMILY.findall(client.metrics_text()))
+    finally:
+        service.live.close()
+    assert {"seesaw_requests_total", "seesaw_merges_total", "seesaw_delta_rows"} <= scraped
+    undocumented = scraped - DOCUMENTED_SERIES
+    assert not undocumented, f"scraped series without a catalog row: {sorted(undocumented)}"
