@@ -659,7 +659,6 @@ def table6_engine_latency(
     rounds: int = 10,
     batch_size: int = 10,
     repeats: int = 3,
-    store_kinds: Sequence[str] = ("exact", "forest"),
 ) -> EngineLatencyResult:
     """Measure what the columnar rewrite bought on the round hot path.
 
@@ -677,20 +676,24 @@ def table6_engine_latency(
     from repro.core.indexing import SeeSawIndex
     from repro.core.interfaces import SearchContext
     from repro.engine.legacy import legacy_top_unseen_images
+    from repro.vectorstore.forest import RandomProjectionForest
 
     query = bundle.embedding.embed_text(bundle.queries(ExperimentScale())[0].prompt)
     rows: list[dict[str, object]] = []
-    for store_kind in store_kinds:
-        if store_kind == "exact":
-            index = bundle.multiscale_index
-        else:
-            index = SeeSawIndex.build(
-                bundle.dataset,
-                bundle.embedding,
-                bundle.config,
-                store_kind=store_kind,
-                build_graph=False,
-            )
+    forest_index = SeeSawIndex.build(
+        bundle.dataset, bundle.embedding, bundle.config, build_graph=False
+    )
+    forest_index.replace_store(
+        RandomProjectionForest(
+            forest_index.store.vectors,
+            list(forest_index.store.records),
+            seed=bundle.config.seed,
+        )
+    )
+    for store_kind, index in (
+        ("exact", bundle.multiscale_index),
+        ("forest", forest_index),
+    ):
         total_rounds = min(rounds, max(1, len(index.image_ids) // batch_size))
 
         def run_legacy() -> float:
@@ -1231,7 +1234,7 @@ def table6_ann_recall_latency(
     centers, the benchmark's stand-in for text/seen-image query vectors.
 
     One :class:`~repro.vectorstore.graph.GraphANNVectorStore` is built at
-    ``graph_degree`` (NN-descent at this corpus size) and swept through
+    ``graph_degree`` (from the exact chunked kNN scan) and swept through
     ``ef_values`` via the search-time override — ``ef`` is a runtime knob,
     so one build serves the whole curve, exactly as one cached index serves
     any configured ``ann_ef``.  Latency is min-of-``repeats`` per-round
@@ -1271,7 +1274,6 @@ def table6_ann_recall_latency(
         records,
         graph_degree=graph_degree,
         ef=max(ef_values),
-        seed=seed,
         compute_dtype="float32",
     )
     build_seconds = time.perf_counter() - build_start

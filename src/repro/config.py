@@ -17,7 +17,15 @@ from repro.exceptions import ConfigurationError
 from repro.faults.plan import FaultPlan
 from repro.utils.validation import check_positive, check_probability
 
-RETIRED_FIELDS = frozenset({"batch_window_ms", "optimizer.wolfe_c2"})
+RETIRED_FIELDS = frozenset(
+    {
+        "batch_window_ms",
+        "optimizer.wolfe_c2",
+        "knn.use_nn_descent",
+        "knn.nn_descent_iterations",
+        "knn.nn_descent_sample_rate",
+    }
+)
 """Config fields that no longer exist, as ``name`` or ``section.name``.
 :meth:`SeeSawConfig.from_dict` drops them: index-cache entries persist the
 config they were built with, and the cache key leaves runtime knobs out, so
@@ -60,19 +68,11 @@ class KnnGraphConfig:
     distance).  The paper's sigma=.05 is tuned to CLIP's embedding geometry;
     the adaptive floor keeps the Gaussian kernel informative for embeddings
     with different typical neighbour distances (such as the synthetic one)."""
-    use_nn_descent: bool = False
-    nn_descent_iterations: int = 8
-    nn_descent_sample_rate: float = 1.0
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigurationError(f"k must be >= 1, got {self.k}")
         check_positive("sigma", self.sigma)
-        if self.nn_descent_iterations < 1:
-            raise ConfigurationError(
-                f"nn_descent_iterations must be >= 1, got {self.nn_descent_iterations}"
-            )
-        check_probability("nn_descent_sample_rate", self.nn_descent_sample_rate)
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ class SeeSawConfig:
     ann_search: bool = False
     """When true, exhaustive stores are replaced after load/build by a
     :class:`~repro.vectorstore.graph.GraphANNVectorStore`: a navigable
-    proximity graph (the NN-descent kNN graph, symmetrised, with long-range
+    proximity graph (the exact kNN graph, symmetrised, with long-range
     entry links) searched by greedy best-first descent with an ``ann_ef``
     candidate beam, then exact compute-dtype re-ranking of the beam — per-
     query cost scales with the beam and hop count, not with the corpus.
@@ -238,9 +238,9 @@ class SeeSawConfig:
     ann_graph_degree: int = 16
     """Neighbours per node in the kNN graph the ANN tier symmetrises into
     its adjacency.  Higher degrees make descent more robust (better recall
-    at a given ``ann_ef``) at more memory and build time.  Part of the
-    cache key only for indexes *built* as ``store_kind="graph"`` (the
-    adjacency is serialized); as a runtime tier it stays excluded."""
+    at a given ``ann_ef``) at more memory and build time.  The adjacency
+    is rebuilt from the vectors whenever the tier is applied, so the knob
+    is excluded from the index-cache key."""
     rate_limit_rps: float = 0.0
     """Sustained per-client request budget (requests/second) enforced by the
     app layer's token-bucket middleware.  Clients are keyed by the

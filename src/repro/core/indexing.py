@@ -24,9 +24,6 @@ from repro.knng.graph import KnnGraph, build_knn_graph
 from repro.utils.linalg import ensure_dtype, resolve_compute_dtype
 from repro.vectorstore.base import VectorRecord, VectorStore
 from repro.vectorstore.exact import ExactVectorStore
-from repro.vectorstore.forest import RandomProjectionForest
-from repro.vectorstore.graph import GraphANNVectorStore
-from repro.vectorstore.quantized import QuantizedVectorStore
 
 
 @dataclass
@@ -107,12 +104,15 @@ class SeeSawIndex:
         dataset: ImageDataset,
         embedding: EmbeddingModel,
         config: "SeeSawConfig | None" = None,
-        store_kind: str = "exact",
         compute_db_alignment: bool = True,
         build_graph: bool = True,
         vectors: "np.ndarray | None" = None,
     ) -> "SeeSawIndex":
         """Run the one-time preprocessing pass for ``dataset``.
+
+        The store is always an :class:`ExactVectorStore`; the other store
+        tiers (quantized, graph-ANN, forest, sharded) wrap its vectors at
+        run time through :meth:`replace_store`.
 
         Parameters
         ----------
@@ -122,11 +122,6 @@ class SeeSawIndex:
             The visual-semantic embedding used for patches and text.
         config:
             SeeSaw configuration; its ``multiscale`` section controls tiling.
-        store_kind:
-            ``"exact"`` for a brute-force store, ``"forest"`` for the
-            Annoy-style approximate store, ``"quantized"`` for the int8
-            candidate tier with exact re-rank, or ``"graph"`` for the
-            navigable kNN-graph ANN tier (greedy descent + exact re-rank).
         compute_db_alignment:
             Whether to precompute the DB-alignment matrix ``M_D``.
         build_graph:
@@ -181,31 +176,14 @@ class SeeSawIndex:
         matrix = ensure_dtype(vectors, resolve_compute_dtype(config.compute_dtype))
 
         store_start = time.perf_counter()
-        if store_kind == "exact":
-            store: VectorStore = ExactVectorStore(matrix, records)
-        elif store_kind == "forest":
-            store = RandomProjectionForest(matrix, records, seed=config.seed)
-        elif store_kind == "quantized":
-            store = QuantizedVectorStore(
-                matrix, records, rerank_factor=config.quantized_rerank_factor
-            )
-        elif store_kind == "graph":
-            store = GraphANNVectorStore(
-                matrix,
-                records,
-                graph_degree=config.ann_graph_degree,
-                ef=config.ann_ef,
-                seed=config.seed,
-            )
-        else:
-            raise IndexingError(f"Unknown store kind '{store_kind}'")
+        store = ExactVectorStore(matrix, records)
         store_seconds = time.perf_counter() - store_start
 
         graph_start = time.perf_counter()
         knn_graph = None
         db_matrix = None
         if build_graph:
-            knn_graph = build_knn_graph(store.vectors, config.knn, seed=config.seed)
+            knn_graph = build_knn_graph(store.vectors, config.knn)
             if compute_db_alignment:
                 db_matrix = compute_db_alignment_matrix(store.vectors, knn_graph)
         graph_seconds = time.perf_counter() - graph_start

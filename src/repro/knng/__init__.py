@@ -1,13 +1,12 @@
 """k-nearest-neighbour graph substrate.
 
 DB alignment (§4.2), label propagation, and the ENS baseline all operate on a
-kNN graph of the database vectors.  This package provides an exact (chunked
-brute-force) builder, a from-scratch NN-descent approximate builder, and the
-Gaussian similarity kernel the paper uses for edge weights.
+kNN graph of the database vectors.  This package provides the exact (chunked
+brute-force) builder and the Gaussian similarity kernel the paper uses for
+edge weights.
 """
 
-from repro.knng.graph import KnnGraph, build_knn_graph
+from repro.knng.graph import KnnGraph, build_knn_graph, exact_knn
 from repro.knng.kernels import gaussian_similarity
-from repro.knng.nndescent import nn_descent
 
-__all__ = ["KnnGraph", "build_knn_graph", "gaussian_similarity", "nn_descent"]
+__all__ = ["KnnGraph", "build_knn_graph", "exact_knn", "gaussian_similarity"]

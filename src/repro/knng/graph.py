@@ -1,9 +1,12 @@
 """kNN graph with the matrices DB alignment and label propagation need.
 
-The graph stores, for every vector, its ``k`` nearest neighbours and the
-Gaussian edge weight between them.  From those it derives the (symmetrised)
-sparse adjacency matrix ``W``, the diagonal degree matrix ``D``, and the graph
-Laplacian ``D - W`` used in Equation 4 of the paper.
+:func:`exact_knn` finds every vector's ``k`` nearest neighbours with one
+chunked brute-force scan; it is the only kNN builder, shared by the index
+build and the graph-ANN store tier.  The graph stores, for every vector, its
+``k`` nearest neighbours and the Gaussian edge weight between them.  From
+those it derives the (symmetrised) sparse adjacency matrix ``W``, the
+diagonal degree matrix ``D``, and the graph Laplacian ``D - W`` used in
+Equation 4 of the paper.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 from repro.config import KnnGraphConfig
 from repro.exceptions import IndexingError
 from repro.knng.kernels import gaussian_similarity, squared_distance_from_inner
-from repro.knng.nndescent import exact_knn, nn_descent
 from repro.utils.linalg import ensure_dtype, unit_rows
 
 # scipy.sparse is imported inside the methods that build a matrix: it is the
@@ -24,6 +26,55 @@ from repro.utils.linalg import ensure_dtype, unit_rows
 # a graph should not pay for importing it.
 if TYPE_CHECKING:
     from scipy import sparse
+
+
+_CHUNK_BYTES = 4 * 1024 * 1024
+"""Size of one chunk's ``rows x count`` float64 similarity block in
+:func:`exact_knn`; the chunk's row count is derived from it."""
+
+
+def exact_knn(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact kNN graph via a brute-force scan in fixed-size chunks.
+
+    Similarity is computed for as many rows at a time as fit one
+    ``count``-wide float64 block in :data:`_CHUNK_BYTES` (at least one row),
+    so the scan's temporaries stay about two such blocks — the product
+    buffer and ``argpartition``'s int64 result — whatever the corpus size,
+    and never the full pairwise matrix.  The product buffer is negated in
+    place, so selection sees the same values a negated copy would without a
+    third block.
+
+    ``neighbor_ids`` do not depend on the chunk size on tie-free data.  The
+    similarities may move in the last bits: BLAS's blocking (and therefore
+    its summation order) depends on the GEMM's row count.
+
+    Returns ``(neighbor_ids, neighbor_similarities)``, two ``(count, k)``
+    arrays with each row's similarities sorted descending.
+    """
+    vectors = unit_rows(ensure_dtype(vectors, np.float64))
+    count = vectors.shape[0]
+    if count < 2:
+        raise IndexingError("exact_knn requires at least two vectors")
+    k = min(k, count - 1)
+    neighbor_ids = np.empty((count, k), dtype=np.int64)
+    neighbor_sims = np.empty((count, k), dtype=np.float64)
+    chunk_rows = max(1, min(count, _CHUNK_BYTES // (8 * count)))
+    # One product buffer reused across chunks: `@` would allocate a fresh
+    # block every iteration and churn the allocator on large corpora.
+    buffer = np.empty((chunk_rows, count), dtype=np.float64)
+    for start in range(0, count, chunk_rows):
+        stop = min(count, start + chunk_rows)
+        sims = np.dot(vectors[start:stop], vectors.T, out=buffer[: stop - start])
+        sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf  # no self-edges
+        np.negative(sims, out=sims)
+        # A copy, not a view: the view would keep argpartition's full-width
+        # result alive into the next chunk's argpartition (a third block).
+        top = np.argpartition(sims, k - 1, axis=1)[:, :k].copy()
+        top_sims = -np.take_along_axis(sims, top, axis=1)
+        order = np.argsort(-top_sims, axis=1)
+        neighbor_ids[start:stop] = np.take_along_axis(top, order, axis=1)
+        neighbor_sims[start:stop] = np.take_along_axis(top_sims, order, axis=1)
+    return neighbor_ids, neighbor_sims
 
 
 @dataclass
@@ -116,15 +167,9 @@ class KnnGraph:
 
 
 def build_knn_graph(
-    vectors: np.ndarray,
-    config: "KnnGraphConfig | None" = None,
-    seed: int = 0,
+    vectors: np.ndarray, config: "KnnGraphConfig | None" = None
 ) -> KnnGraph:
-    """Build a :class:`KnnGraph` over ``vectors`` following ``config``.
-
-    The exact chunked builder is the default; NN-descent is used when the
-    configuration asks for it (matching the paper's choice for large data).
-    """
+    """Build a :class:`KnnGraph` over ``vectors`` following ``config``."""
     config = config or KnnGraphConfig()
     # Graph weights are always computed in float64 (edge weights feed the
     # Laplacian; a float32 store's rounding shouldn't reach the propagation
@@ -132,16 +177,7 @@ def build_knn_graph(
     # ensure_dtype skips the conversion and unit_rows skips the re-divide
     # that used to copy the whole matrix per build.
     vectors = unit_rows(ensure_dtype(vectors, np.float64))
-    if config.use_nn_descent:
-        neighbor_ids, neighbor_sims = nn_descent(
-            vectors,
-            k=config.k,
-            iterations=config.nn_descent_iterations,
-            sample_rate=config.nn_descent_sample_rate,
-            seed=seed,
-        )
-    else:
-        neighbor_ids, neighbor_sims = exact_knn(vectors, k=config.k)
+    neighbor_ids, neighbor_sims = exact_knn(vectors, k=config.k)
     squared = squared_distance_from_inner(neighbor_sims)
     sigma = config.sigma
     if config.adaptive_sigma:

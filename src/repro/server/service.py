@@ -194,7 +194,6 @@ class SeeSawService:
                     list(index.store.records),
                     graph_degree=self.config.ann_graph_degree,
                     ef=self.config.ann_ef,
-                    seed=self.config.seed,
                 )
             )
         if (

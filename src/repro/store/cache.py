@@ -1,7 +1,7 @@
 """On-disk index cache: build once, cold-start in milliseconds afterwards.
 
-The cache maps a content hash of (dataset, embedding, config, store kind) to
-a directory holding the serialized index.  A second process pointed at the
+The cache maps a content hash of (dataset, embedding, config) to a
+directory holding the serialized index.  A second process pointed at the
 same cache directory loads the preprocessed artifacts from disk instead of
 re-embedding the dataset, which is what lets the HTTP service restart
 quickly (ISSUE: service cold-start).
@@ -57,10 +57,9 @@ class IndexCache:
         dataset: ImageDataset,
         embedding: EmbeddingModel,
         config: SeeSawConfig,
-        store_kind: str = "exact",
     ) -> str:
         """The content hash identifying one buildable index."""
-        return index_cache_key(dataset, embedding, config, store_kind)
+        return index_cache_key(dataset, embedding, config)
 
     def path_for(self, key: str) -> Path:
         """The directory a given key's artifacts live in."""
@@ -244,7 +243,6 @@ class IndexCache:
         dataset: ImageDataset,
         embedding: EmbeddingModel,
         config: "SeeSawConfig | None" = None,
-        store_kind: str = "exact",
         **build_kwargs: object,
     ) -> "tuple[SeeSawIndex, bool]":
         """Return ``(index, was_cached)``, building and persisting on a miss.
@@ -263,7 +261,7 @@ class IndexCache:
         atomic and idempotent by key).
         """
         config = config or SeeSawConfig()
-        key = self.key(dataset, embedding, config, store_kind)
+        key = self.key(dataset, embedding, config)
         while True:
             cached = self.load(key, dataset, embedding)
             if cached is not None:
@@ -276,9 +274,7 @@ class IndexCache:
                     cached = self.load(key, dataset, embedding)
                     if cached is not None:
                         return cached, True
-                    index = SeeSawIndex.build(
-                        dataset, embedding, config, store_kind=store_kind, **build_kwargs
-                    )
+                    index = SeeSawIndex.build(dataset, embedding, config, **build_kwargs)
                     self.store(key, index)
                     return index, False
                 finally:

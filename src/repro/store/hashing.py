@@ -4,7 +4,9 @@ The cache key must change whenever the built artifacts would change — a
 different dataset, a different embedding model, or different preprocessing
 configuration — and must stay identical across processes so a second server
 start finds the artifacts the first one wrote.  The key is the SHA-256 of a
-canonical JSON fingerprint of all three inputs.
+canonical JSON fingerprint of all three inputs.  Every entry holds an exact
+store; the runtime tiers (quantized, graph-ANN, sharded) are derived from its
+vectors at load time, so none of their knobs enters the key.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from repro.config import SeeSawConfig
 from repro.data.dataset import ImageDataset
 from repro.embedding.base import EmbeddingModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 """Bumped whenever the on-disk layout changes; part of every cache key so
 stale-format entries are simply never matched."""
 
@@ -90,32 +92,14 @@ def config_fingerprint(config: SeeSawConfig) -> "dict[str, Any]":
 
 
 def index_cache_key(
-    dataset: ImageDataset,
-    embedding: EmbeddingModel,
-    config: SeeSawConfig,
-    store_kind: str = "exact",
+    dataset: ImageDataset, embedding: EmbeddingModel, config: SeeSawConfig
 ) -> str:
     """The cache key (hex digest) for one (dataset, embedding, config) build."""
-    config_section = config_fingerprint(config)
-    if store_kind == "quantized":
-        # Only the quantized kind persists its re-rank factor in the entry
-        # (load_index rebuilds the store with it), so only there does the
-        # knob change the artifact and belong in the key.  For every other
-        # kind — including the service's runtime quantized *tier* over an
-        # exact entry — it stays a runtime knob.
-        config_section["quantized_rerank_factor"] = config.quantized_rerank_factor
-    if store_kind == "graph":
-        # The graph kind serializes its adjacency, so the degree shapes the
-        # artifact.  ``ann_ef`` stays out: it is a pure search-time knob
-        # (the persisted default is advisory), and the runtime ANN *tier*
-        # over an exact entry keeps both knobs out of the key entirely.
-        config_section["ann_graph_degree"] = config.ann_graph_degree
     fingerprint = {
         "format": FORMAT_VERSION,
-        "store_kind": store_kind,
         "dataset": dataset_fingerprint(dataset),
         "embedding": embedding.fingerprint(),
-        "config": config_section,
+        "config": config_fingerprint(config),
     }
     canonical = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

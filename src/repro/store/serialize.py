@@ -8,8 +8,13 @@ store adopts the mapping zero-copy (its construction keeps read-only input
 as-is — its one sequential unit-norm validation pass reads the pages
 through the OS page cache, so a restart on a warm machine touches no disk
 at all, and the mapped corpus stays evictable and shared across server
-processes).  An entry in any other layout is refused with
-:class:`StoreError`, which the index cache treats as a miss and rebuilds.
+processes).  An entry in any other layout, or one whose arrays or metadata
+do not fit together, is refused with :class:`StoreError`, which the index
+cache treats as a miss and rebuilds.
+
+An entry always loads as an :class:`ExactVectorStore`.  Whatever tier wraps
+the store at save time (quantized, graph-ANN, sharded), only its vectors
+are written: tiers are runtime wraps the service re-applies after loading.
 
 Everything structural (records, image→vector mapping, configuration, build
 report) goes into a JSON sidecar.  The dataset and embedding model
@@ -39,28 +44,25 @@ from repro.exceptions import ConfigurationError, StoreError
 from repro.knng.graph import KnnGraph
 from repro.store.hashing import FORMAT_VERSION
 from repro.utils.linalg import assert_no_copy
-from repro.vectorstore.base import VectorRecord, VectorStore
+from repro.vectorstore.base import VectorRecord
 from repro.vectorstore.exact import ExactVectorStore
-from repro.vectorstore.forest import RandomProjectionForest
-from repro.vectorstore.graph import GraphANNVectorStore
-from repro.vectorstore.quantized import QuantizedVectorStore
-from repro.vectorstore.sharded import ShardedVectorStore
 
 META_FILE = "index.json"
 
-ARRAY_NAMES = (
-    "vectors",
-    "knn_neighbor_ids",
-    "knn_neighbor_weights",
-    "db_matrix",
-    "graph_offsets",
-    "graph_neighbors",
-    "graph_entries",
-)
+ARRAY_NAMES = ("vectors", "knn_neighbor_ids", "knn_neighbor_weights", "db_matrix")
 """The array artifacts an entry may hold, one ``<name>.npy`` file each
-(``vectors`` is always present, the rest are optional; the
-``graph_*`` adjacency triple is written only by ``store_kind="graph"``
-entries, and pre-graph entries without them load unchanged)."""
+(``vectors`` is always present, the rest are optional)."""
+
+REQUIRED_META = (
+    "dataset_name",
+    "embedding_dim",
+    "config",
+    "records",
+    "image_vector_ids",
+    "knn_sigma",
+    "build_report",
+)
+"""Keys every ``index.json`` must carry besides the two format fields."""
 
 
 def write_json_atomic(path: "str | os.PathLike[str]", payload: object) -> Path:
@@ -102,32 +104,6 @@ def write_json_atomic(path: "str | os.PathLike[str]", payload: object) -> Path:
     return target
 
 
-def _flat_store(store: VectorStore) -> VectorStore:
-    """The store whose kind/parameters describe the serialized artifacts.
-
-    Sharding is a runtime topology, not part of the on-disk format: a
-    sharded store serializes as its inner kind (the full vector matrix lives
-    on the wrapper already) and the service re-applies the configured shard
-    count after loading.
-    """
-    if isinstance(store, ShardedVectorStore):
-        return store.shard_example
-    return store
-
-
-def _store_kind(store: VectorStore) -> str:
-    store = _flat_store(store)
-    if isinstance(store, RandomProjectionForest):
-        return "forest"
-    if isinstance(store, GraphANNVectorStore):
-        return "graph"
-    if isinstance(store, QuantizedVectorStore):
-        return "quantized"
-    if isinstance(store, ExactVectorStore):
-        return "exact"
-    raise StoreError(f"Cannot serialize vector store of type {type(store).__name__}")
-
-
 def save_index(index: SeeSawIndex, directory: "str | os.PathLike[str]") -> Path:
     """Write ``index`` under ``directory`` (created if missing).
 
@@ -141,24 +117,12 @@ def save_index(index: SeeSawIndex, directory: "str | os.PathLike[str]") -> Path:
     target.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=target.parent))
     try:
-        kind = _store_kind(index.store)
         arrays: dict[str, np.ndarray] = {"vectors": np.asarray(index.store.vectors)}
         if index.knn_graph is not None:
             arrays["knn_neighbor_ids"] = index.knn_graph.neighbor_ids
             arrays["knn_neighbor_weights"] = index.knn_graph.neighbor_weights
         if index.db_matrix is not None:
             arrays["db_matrix"] = index.db_matrix
-        if kind == "graph" and not isinstance(index.store, ShardedVectorStore):
-            # The flat adjacency is the expensive build output, persisted so
-            # a cold start memory-maps it like the vectors.  A *sharded*
-            # graph store only holds shard-local adjacencies (wrong id
-            # space for the flat artifact), so those entries persist the
-            # parameters alone and the loader rebuilds the flat graph.
-            store = index.store
-            assert isinstance(store, GraphANNVectorStore)
-            arrays["graph_offsets"] = np.asarray(store.graph_offsets)
-            arrays["graph_neighbors"] = np.asarray(store.graph_neighbors)
-            arrays["graph_entries"] = np.asarray(store.graph_entries)
         for name, array in arrays.items():
             np.save(staging / f"{name}.npy", array, allow_pickle=False)
 
@@ -168,7 +132,6 @@ def save_index(index: SeeSawIndex, directory: "str | os.PathLike[str]") -> Path:
             "arrays_format": "npy",
             "dataset_name": index.dataset.name,
             "embedding_dim": index.embedding.dim,
-            "store_kind": kind,
             "config": index.config.to_dict(),
             "records": [
                 [
@@ -198,28 +161,6 @@ def save_index(index: SeeSawIndex, directory: "str | os.PathLike[str]") -> Path:
                 "multiscale": report.multiscale,
             },
         }
-        if kind == "forest":
-            store = _flat_store(index.store)
-            assert isinstance(store, RandomProjectionForest)
-            meta["forest"] = {
-                "tree_count": store.tree_count,
-                "leaf_size": store.leaf_size,
-                "seed": store.seed,
-            }
-        elif kind == "quantized":
-            store = _flat_store(index.store)
-            assert isinstance(store, QuantizedVectorStore)
-            # Only the knob is persisted: the int8 codes are derived from
-            # the float vectors deterministically and cheaply at load time.
-            meta["quantized"] = {"rerank_factor": store.rerank_factor}
-        elif kind == "graph":
-            store = _flat_store(index.store)
-            assert isinstance(store, GraphANNVectorStore)
-            meta["graph"] = {
-                "graph_degree": store.graph_degree,
-                "ef": store.ef,
-                "seed": store.seed,
-            }
         write_json_atomic(staging / META_FILE, meta)
 
         if (target / META_FILE).exists():
@@ -297,96 +238,66 @@ def load_index(
             f"Index at '{source}' has arrays format "
             f"{meta.get('arrays_format')!r}, expected 'npy'"
         )
+    missing = [key for key in REQUIRED_META if key not in meta]
+    if missing:
+        raise StoreError(f"Index at '{source}' lacks metadata keys {missing}")
     if meta["dataset_name"] != dataset.name:
         raise StoreError(
             f"Index at '{source}' was built for dataset '{meta['dataset_name']}', "
             f"not '{dataset.name}'"
         )
-    if meta["embedding_dim"] != embedding.dim:
+    dim = embedding.dim
+    if meta["embedding_dim"] != dim:
         raise StoreError(
             f"Index at '{source}' stores {meta['embedding_dim']}-d vectors but the "
-            f"embedding model produces {embedding.dim}-d vectors"
+            f"embedding model produces {dim}-d vectors"
         )
     try:
         config = SeeSawConfig.from_dict(meta["config"])
     except ConfigurationError as exc:
         raise StoreError(f"Index at '{source}' has an unreadable config: {exc}") from exc
+    try:
+        records = [
+            VectorRecord(
+                vector_id=position,
+                image_id=int(image_id),
+                box=BoundingBox(float(x), float(y), float(width), float(height)),
+                scale_level=int(scale_level),
+            )
+            for position, (image_id, x, y, width, height, scale_level) in enumerate(
+                meta["records"]
+            )
+        ]
+        report_meta = meta["build_report"]
+        report = IndexBuildReport(
+            dataset_name=report_meta["dataset_name"],
+            image_count=int(report_meta["image_count"]),
+            vector_count=int(report_meta["vector_count"]),
+            embedding_seconds=float(report_meta["embedding_seconds"]),
+            store_seconds=float(report_meta["store_seconds"]),
+            graph_seconds=float(report_meta["graph_seconds"]),
+            multiscale=bool(report_meta["multiscale"]),
+        )
+        image_vector_ids = {
+            int(image_id): tuple(vector_ids)
+            for image_id, vector_ids in meta["image_vector_ids"]
+        }
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StoreError(f"Index at '{source}' has malformed metadata: {exc!r}") from exc
 
     arrays = _load_arrays(source, mmap)
     vectors = arrays["vectors"]
-    neighbor_ids = arrays.get("knn_neighbor_ids")
-    neighbor_weights = arrays.get("knn_neighbor_weights")
-    db_matrix = arrays.get("db_matrix")
-
-    records = [
-        VectorRecord(
-            vector_id=position,
-            image_id=int(image_id),
-            box=BoundingBox(float(x), float(y), float(width), float(height)),
-            scale_level=int(scale_level),
-        )
-        for position, (image_id, x, y, width, height, scale_level) in enumerate(
-            meta["records"]
-        )
-    ]
-    if len(records) != vectors.shape[0]:
+    if vectors.ndim != 2 or vectors.shape[1] != dim:
         raise StoreError(
-            f"Index at '{source}' has {len(records)} records for "
-            f"{vectors.shape[0]} vectors"
+            f"Index at '{source}' holds vectors of shape {vectors.shape}, "
+            f"expected (N, {dim})"
         )
-
-    kind = meta["store_kind"]
-    if kind == "exact":
-        store: VectorStore = ExactVectorStore(vectors, records)
-    elif kind == "quantized":
-        quantized_meta = meta.get("quantized", {})
-        store = QuantizedVectorStore(
-            vectors,
-            records,
-            rerank_factor=int(quantized_meta.get("rerank_factor", 4)),
+    count = vectors.shape[0]
+    if len(records) != count:
+        raise StoreError(
+            f"Index at '{source}' has {len(records)} records for {count} vectors"
         )
-    elif kind == "graph":
-        graph_meta = meta.get("graph", {})
-        adjacency = None
-        if (
-            "graph_offsets" in arrays
-            and "graph_neighbors" in arrays
-            and "graph_entries" in arrays
-        ):
-            # The persisted adjacency is adopted as-is (memory-mapped)
-            # instead of being rebuilt; entries written from a
-            # sharded graph store carry no flat adjacency and rebuild here.
-            adjacency = (
-                arrays["graph_offsets"],
-                arrays["graph_neighbors"],
-                arrays["graph_entries"],
-            )
-        store = GraphANNVectorStore(
-            vectors,
-            records,
-            graph_degree=int(graph_meta.get("graph_degree", 16)),
-            ef=int(graph_meta.get("ef", 64)),
-            seed=int(graph_meta.get("seed", config.seed)),
-            adjacency=adjacency,
-        )
-        if adjacency is not None and mmap and isinstance(adjacency[1], np.memmap):
-            try:
-                assert_no_copy(adjacency[1], store.graph_neighbors)
-            except AssertionError as exc:
-                raise StoreError(
-                    f"Index at '{source}' failed zero-copy adjacency adoption: {exc}"
-                ) from exc
-    elif kind == "forest":
-        forest_meta = meta.get("forest", {})
-        store = RandomProjectionForest(
-            vectors,
-            records,
-            tree_count=int(forest_meta.get("tree_count", 8)),
-            leaf_size=int(forest_meta.get("leaf_size", 32)),
-            seed=int(forest_meta.get("seed", config.seed)),
-        )
-    else:
-        raise StoreError(f"Index at '{source}' has unknown store kind '{kind}'")
+    store = ExactVectorStore(vectors, records)
     if mmap and isinstance(vectors, np.memmap):
         # The zero-copy cold-start guarantee, enforced at runtime: the store
         # must have adopted the read-only mapping, not silently copied it.
@@ -402,35 +313,57 @@ def load_index(
                 f"renormalised them instead of adopting the mapping): {exc}"
             ) from exc
 
-    knn_graph = None
-    if neighbor_ids is not None and neighbor_weights is not None:
-        knn_graph = KnnGraph(
-            neighbor_ids=neighbor_ids,
-            neighbor_weights=neighbor_weights,
-            sigma=float(meta["knn_sigma"]),
+    knn_graph = _load_knn_graph(source, arrays, meta["knn_sigma"], count)
+    db_matrix = arrays.get("db_matrix")
+    if db_matrix is not None and db_matrix.shape != (dim, dim):
+        raise StoreError(
+            f"Index at '{source}' holds a db_matrix of shape {db_matrix.shape}, "
+            f"expected {(dim, dim)}"
         )
-
-    report_meta = meta["build_report"]
-    report = IndexBuildReport(
-        dataset_name=report_meta["dataset_name"],
-        image_count=int(report_meta["image_count"]),
-        vector_count=int(report_meta["vector_count"]),
-        embedding_seconds=float(report_meta["embedding_seconds"]),
-        store_seconds=float(report_meta["store_seconds"]),
-        graph_seconds=float(report_meta["graph_seconds"]),
-        multiscale=bool(report_meta["multiscale"]),
-    )
     return SeeSawIndex(
         dataset=dataset,
         embedding=embedding,
         store=store,
-        image_vector_ids={
-            int(image_id): tuple(vector_ids)
-            for image_id, vector_ids in meta["image_vector_ids"]
-        },
+        image_vector_ids=image_vector_ids,
         knn_graph=knn_graph,
         db_matrix=db_matrix,
         config=config,
         build_report=report,
     )
 
+
+def _load_knn_graph(
+    source: Path, arrays: "dict[str, np.ndarray]", sigma: object, count: int
+) -> "KnnGraph | None":
+    """The entry's kNN graph, checked against the ``count`` stored vectors.
+
+    Both neighbour arrays must be ``(count, k)`` and every id must name a
+    stored vector, so a truncated or tampered graph is refused here rather
+    than failing inside the first Laplacian built from it.
+    """
+    neighbor_ids = arrays.get("knn_neighbor_ids")
+    neighbor_weights = arrays.get("knn_neighbor_weights")
+    if neighbor_ids is None and neighbor_weights is None:
+        return None
+    if neighbor_ids is None or neighbor_weights is None:
+        raise StoreError(f"Index at '{source}' holds only half of its kNN graph")
+    if (
+        neighbor_ids.ndim != 2
+        or neighbor_ids.shape[0] != count
+        or neighbor_weights.shape != neighbor_ids.shape
+    ):
+        raise StoreError(
+            f"Index at '{source}' holds kNN arrays of shapes {neighbor_ids.shape} "
+            f"and {neighbor_weights.shape}, expected ({count}, k) for both"
+        )
+    if neighbor_ids.size and (
+        int(neighbor_ids.min()) < 0 or int(neighbor_ids.max()) >= count
+    ):
+        raise StoreError(
+            f"Index at '{source}' holds kNN neighbour ids outside [0, {count})"
+        )
+    if not isinstance(sigma, (int, float)):
+        raise StoreError(f"Index at '{source}' has a kNN graph without a sigma")
+    return KnnGraph(
+        neighbor_ids=neighbor_ids, neighbor_weights=neighbor_weights, sigma=float(sigma)
+    )

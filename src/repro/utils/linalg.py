@@ -105,7 +105,7 @@ def unit_rows(matrix: np.ndarray) -> np.ndarray:
 
     :func:`normalize_rows` always allocates and divides; callers on warm paths
     (kNN-graph construction over a store's already-normalised vectors, the
-    NN-descent entry points re-checking their input) were paying a full-matrix
+    exact scan re-checking its input) were paying a full-matrix
     copy per call for data that was unit norm all along.  Within the dtype's
     :func:`unit_norm_tolerance` the input is returned unchanged — same object,
     same bits — otherwise it is normalised in float64 and cast back.

@@ -2,9 +2,9 @@
 
 Every other store tier — exact, quantized+rerank, sharded — still scores all
 N vectors per round, which caps throughput at brute-force memory bandwidth.
-This store repurposes the paper's approximate kNN graph (built with
-NN-descent, Dong et al., WWW 2011, because exact construction is quadratic)
-into a *navigable* proximity graph in the HNSW spirit (Malkov & Yashunin):
+This store repurposes the paper's kNN graph (built with the same exact
+chunked scan as the index's graph, :func:`repro.knng.graph.exact_knn`) into
+a *navigable* proximity graph in the HNSW spirit (Malkov & Yashunin):
 
 1. **construction** — the kNN graph's directed edges are symmetrised into a
    CSR adjacency (every edge walkable in both directions), and an **entry
@@ -37,10 +37,8 @@ Exclusions are handled the standard graph-ANN way: excluded nodes are
 engine inflates ``k`` by the exclusion count, which inflates the beam in
 step, so exclusions do not starve the result list.
 
-The adjacency is three flat arrays (``offsets``, ``neighbors``, ``entries``)
-so :mod:`repro.store.serialize` can persist them as raw ``.npy`` artifacts
-and adopt them back with ``mmap_mode="r"`` — the graph loads zero-copy
-exactly like the vector matrix.
+The store is a runtime tier: the index cache persists only the vectors, and
+the adjacency is rebuilt from them whenever the tier is applied.
 """
 
 from __future__ import annotations
@@ -50,6 +48,7 @@ import heapq
 import numpy as np
 
 from repro.exceptions import VectorStoreError
+from repro.knng.graph import exact_knn
 from repro.obs import trace_registry, trace_span
 from repro.vectorstore.base import VectorRecord, VectorStore, deterministic_top_k
 
@@ -58,11 +57,6 @@ ANN_HOPS_HELP = (
     "Graph-ANN node expansions (hops) performed by GraphANNVectorStore "
     "descents."
 )
-
-_EXACT_BUILD_MAX = 4096
-"""Below this many vectors the kNN graph is built with the exact chunked
-scan (faster than NN-descent's per-node loop at small N, and deterministic
-without a seed); above it NN-descent keeps construction sub-quadratic."""
 
 _ENTRY_POOL_MIN = 32
 """Floor on the id-stride entry pool (plus the centroid node)."""
@@ -88,9 +82,7 @@ class GraphANNVectorStore(VectorStore):
         records: "list[VectorRecord]",
         graph_degree: int = 16,
         ef: int = 64,
-        seed: int = 0,
         compute_dtype: "np.dtype | str | None" = None,
-        adjacency: "tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None,
     ) -> None:
         super().__init__(vectors, records, compute_dtype=compute_dtype)
         if graph_degree < 2:
@@ -101,12 +93,7 @@ class GraphANNVectorStore(VectorStore):
             raise VectorStoreError(f"ef must be >= 1, got {ef}")
         self.graph_degree = int(graph_degree)
         self.ef = int(ef)
-        self.seed = int(seed)
-        if adjacency is not None:
-            offsets, neighbors, entries = adjacency
-            self._adopt_adjacency(offsets, neighbors, entries)
-        else:
-            self._build_adjacency()
+        self._build_adjacency()
         self._last_stats: "dict[str, int]" = {"hops": 0, "visited": 0}
         self._hops_registry = None
         self._hops_counter = None
@@ -114,39 +101,6 @@ class GraphANNVectorStore(VectorStore):
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _adopt_adjacency(
-        self, offsets: np.ndarray, neighbors: np.ndarray, entries: np.ndarray
-    ) -> None:
-        """Adopt prebuilt CSR adjacency arrays (zero-copy when possible).
-
-        A serialized graph entry memory-maps these arrays read-only; keeping
-        them as-is (no dtype conversion, no defensive copy) is what makes a
-        graph index cold start as cheap as an exact one.
-        """
-        offsets = np.asarray(offsets)
-        neighbors = np.asarray(neighbors)
-        entries = np.asarray(entries)
-        if offsets.ndim != 1 or offsets.shape[0] != len(self) + 1:
-            raise VectorStoreError(
-                f"adjacency offsets must have {len(self) + 1} entries, got "
-                f"shape {offsets.shape}"
-            )
-        if neighbors.ndim != 1 or int(offsets[-1]) != neighbors.shape[0]:
-            raise VectorStoreError(
-                "adjacency neighbors do not match the offsets extent"
-            )
-        if entries.ndim != 1 or entries.size == 0:
-            raise VectorStoreError("adjacency entries must be a non-empty 1-d array")
-        if neighbors.size and (
-            int(neighbors.min()) < 0 or int(neighbors.max()) >= len(self)
-        ):
-            raise VectorStoreError("adjacency neighbors reference unknown vectors")
-        if int(entries.min()) < 0 or int(entries.max()) >= len(self):
-            raise VectorStoreError("adjacency entries reference unknown vectors")
-        self._offsets = offsets
-        self._neighbors = neighbors
-        self._entries = entries
-
     def _build_adjacency(self) -> None:
         """Build the navigable graph from the store's own (unit) vectors."""
         count = len(self)
@@ -155,15 +109,8 @@ class GraphANNVectorStore(VectorStore):
             self._neighbors = np.zeros(0, dtype=np.int32)
             self._entries = np.zeros(1, dtype=np.int64)
             return
-        # Reuse the paper's kNN-graph builders: exact for small corpora,
-        # NN-descent (sub-quadratic) beyond _EXACT_BUILD_MAX.
-        from repro.knng.nndescent import exact_knn, nn_descent
-
         degree = min(self.graph_degree, count - 1)
-        if count <= _EXACT_BUILD_MAX:
-            neighbor_ids, _ = exact_knn(self._vectors, k=degree)
-        else:
-            neighbor_ids, _ = nn_descent(self._vectors, k=degree, seed=self.seed)
+        neighbor_ids, _ = exact_knn(self._vectors, k=degree)
         # Symmetrise into CSR: every directed kNN edge becomes walkable in
         # both directions, which is what makes greedy descent navigable —
         # a node can be *entered* through any node that considers it near.
@@ -204,7 +151,7 @@ class GraphANNVectorStore(VectorStore):
         return np.unique(np.concatenate([[medoid], sample]))
 
     # ------------------------------------------------------------------
-    # introspection / serialization surface
+    # introspection
     # ------------------------------------------------------------------
     @property
     def graph_offsets(self) -> np.ndarray:
@@ -215,16 +162,6 @@ class GraphANNVectorStore(VectorStore):
     def graph_neighbors(self) -> np.ndarray:
         """Flat neighbour ids, sliced per node by :attr:`graph_offsets`."""
         return self._neighbors
-
-    @property
-    def graph_entries(self) -> np.ndarray:
-        """Descent entry-point node ids (centroid node + stride sample)."""
-        return self._entries
-
-    @property
-    def edge_count(self) -> int:
-        """Total directed edges in the symmetrised adjacency."""
-        return int(self._neighbors.shape[0])
 
     @property
     def last_search_stats(self) -> "dict[str, int]":

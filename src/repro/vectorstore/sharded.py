@@ -160,7 +160,6 @@ class ShardedVectorStore(VectorStore):
                     records,
                     graph_degree=graph.graph_degree,
                     ef=graph.ef,
-                    seed=graph.seed,
                 )
 
         elif isinstance(template, QuantizedVectorStore):

@@ -88,12 +88,12 @@ BACKENDS = {
     "sharded-quantized": lambda v, r: ShardedVectorStore.wrap(
         QuantizedVectorStore(v, r), 3
     ),
-    "graph": lambda v, r: GraphANNVectorStore(v, r, graph_degree=8, ef=32, seed=3),
+    "graph": lambda v, r: GraphANNVectorStore(v, r, graph_degree=8, ef=32),
     "graph-f32": lambda v, r: GraphANNVectorStore(
-        v, r, graph_degree=8, ef=32, seed=3, compute_dtype="float32"
+        v, r, graph_degree=8, ef=32, compute_dtype="float32"
     ),
     "sharded-graph": lambda v, r: ShardedVectorStore.wrap(
-        GraphANNVectorStore(v, r, graph_degree=8, ef=32, seed=3), 3
+        GraphANNVectorStore(v, r, graph_degree=8, ef=32), 3
     ),
 }
 

@@ -48,7 +48,7 @@ def test_recall_against_exact_oracle(seed, compute_dtype):
     vectors, records = _corpus(seed)
     exact = ExactVectorStore(vectors, records, compute_dtype=compute_dtype)
     graph = GraphANNVectorStore(
-        vectors, records, graph_degree=16, ef=64, seed=seed, compute_dtype=compute_dtype
+        vectors, records, graph_degree=16, ef=64, compute_dtype=compute_dtype
     )
     queries = np.random.default_rng(seed + 1000).standard_normal((20, DIM))
     recalls = []
@@ -66,8 +66,8 @@ def test_recall_against_exact_oracle(seed, compute_dtype):
 
 def test_search_is_deterministic_under_fixed_seed():
     vectors, records = _corpus(6)
-    first = GraphANNVectorStore(vectors, records, graph_degree=12, ef=48, seed=9)
-    second = GraphANNVectorStore(vectors, records, graph_degree=12, ef=48, seed=9)
+    first = GraphANNVectorStore(vectors, records, graph_degree=12, ef=48)
+    second = GraphANNVectorStore(vectors, records, graph_degree=12, ef=48)
     for query in np.random.default_rng(7).standard_normal((10, DIM)):
         ids_a, scores_a = first.search_arrays(query, k=K)
         ids_b, scores_b = second.search_arrays(query, k=K)
@@ -81,7 +81,7 @@ def test_search_is_deterministic_under_fixed_seed():
 @pytest.mark.parametrize("seed", [0, 7])
 def test_exclusions_are_absolute(seed):
     vectors, records = _corpus(seed)
-    graph = GraphANNVectorStore(vectors, records, graph_degree=16, ef=64, seed=seed)
+    graph = GraphANNVectorStore(vectors, records, graph_degree=16, ef=64)
     rng = np.random.default_rng(seed + 1)
     for query in rng.standard_normal((10, DIM)):
         mask = rng.random(COUNT) < 0.4
@@ -94,7 +94,7 @@ def test_sharded_graph_recall(n_shards):
     vectors, records = _corpus(11)
     exact = ExactVectorStore(vectors, records)
     sharded = ShardedVectorStore.wrap(
-        GraphANNVectorStore(vectors, records, graph_degree=16, ef=64, seed=11), n_shards
+        GraphANNVectorStore(vectors, records, graph_degree=16, ef=64), n_shards
     )
     rng = np.random.default_rng(12)
     recalls = []
@@ -113,7 +113,7 @@ def test_descent_really_is_sublinear():
     pruned, while still scoring enough of the corpus to be a search.
     """
     vectors, records = _corpus(3)
-    graph = GraphANNVectorStore(vectors, records, graph_degree=12, ef=32, seed=3)
+    graph = GraphANNVectorStore(vectors, records, graph_degree=12, ef=32)
     query = np.random.default_rng(4).standard_normal(DIM)
     graph.search_arrays(query, k=K)
     stats = graph.last_search_stats
@@ -123,7 +123,7 @@ def test_descent_really_is_sublinear():
 
 def test_ef_override_widens_the_beam():
     vectors, records = _corpus(8)
-    graph = GraphANNVectorStore(vectors, records, graph_degree=8, ef=8, seed=8)
+    graph = GraphANNVectorStore(vectors, records, graph_degree=8, ef=8)
     query = np.random.default_rng(9).standard_normal(DIM)
     graph.search_arrays(query, k=K)
     narrow = graph.last_search_stats["visited"]

@@ -45,10 +45,6 @@ class TestKnnGraphConfig:
         with pytest.raises(ConfigurationError):
             KnnGraphConfig(sigma=0)
 
-    def test_invalid_sample_rate(self):
-        with pytest.raises(ConfigurationError):
-            KnnGraphConfig(nn_descent_sample_rate=1.5)
-
 
 class TestMultiscaleConfig:
     def test_defaults_match_paper(self):
@@ -124,7 +120,16 @@ class TestRetiredFields:
         data = SeeSawConfig(n_shards=2).to_dict()
         data["batch_window_ms"] = 0.0
         data["optimizer"]["wolfe_c2"] = 0.9
-        assert {"batch_window_ms", "optimizer.wolfe_c2"} <= RETIRED_FIELDS
+        data["knn"].update(
+            use_nn_descent=True, nn_descent_iterations=8, nn_descent_sample_rate=1.0
+        )
+        assert {
+            "batch_window_ms",
+            "optimizer.wolfe_c2",
+            "knn.use_nn_descent",
+            "knn.nn_descent_iterations",
+            "knn.nn_descent_sample_rate",
+        } <= RETIRED_FIELDS
         assert SeeSawConfig.from_dict(data) == SeeSawConfig(n_shards=2)
 
     @pytest.mark.parametrize(

@@ -21,6 +21,7 @@ from repro.exceptions import SessionError
 from repro.knng.graph import build_knn_graph
 from repro.config import KnnGraphConfig
 from repro.utils.linalg import cosine_similarity, normalize_rows, normalize_vector
+from repro.vectorstore.forest import RandomProjectionForest
 
 
 class TestMultiscale:
@@ -275,8 +276,11 @@ class TestIndexing:
 
     def test_forest_store_build(self, tiny_dataset, tiny_clip):
         config = SeeSawConfig(embedding_dim=64)
-        index = SeeSawIndex.build(
-            tiny_dataset, tiny_clip, config, store_kind="forest", build_graph=False
+        index = SeeSawIndex.build(tiny_dataset, tiny_clip, config, build_graph=False)
+        index.replace_store(
+            RandomProjectionForest(
+                index.store.vectors, list(index.store.records), seed=config.seed
+            )
         )
         assert index.knn_graph is None and index.db_matrix is None
         assert index.vector_count > 0

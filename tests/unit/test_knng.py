@@ -1,4 +1,4 @@
-"""Tests for the kNN-graph substrate (kernels, exact, NN-descent, graph matrices)."""
+"""Tests for the kNN-graph substrate (kernels, exact scan, graph matrices)."""
 
 import subprocess
 import sys
@@ -11,10 +11,9 @@ from scipy import sparse
 
 from repro.config import KnnGraphConfig
 from repro.exceptions import IndexingError
-from repro.knng import nndescent
-from repro.knng.graph import build_knn_graph
+from repro.knng import graph as knng_graph
+from repro.knng.graph import build_knn_graph, exact_knn
 from repro.knng.kernels import gaussian_similarity, squared_distance_from_inner
-from repro.knng.nndescent import exact_knn, nn_descent
 from repro.utils.linalg import normalize_rows
 
 
@@ -77,7 +76,7 @@ class TestExactKnn:
         finally:
             tracemalloc.stop()
         outputs = 2 * count * k * 8
-        assert peak <= 3 * nndescent._CHUNK_BYTES + outputs
+        assert peak <= 3 * knng_graph._CHUNK_BYTES + outputs
 
 
 class TestExactKnnChunkBoundaries:
@@ -103,35 +102,12 @@ class TestExactKnnChunkBoundaries:
         reference_top = np.take_along_axis(reference_sims, reference_ids, axis=1)
         results = []
         for rows in (1, 7, self.COUNT):  # 7 does not divide COUNT
-            monkeypatch.setattr(nndescent, "_CHUNK_BYTES", 8 * self.COUNT * rows)
+            monkeypatch.setattr(knng_graph, "_CHUNK_BYTES", 8 * self.COUNT * rows)
             results.append(exact_knn(vectors, k=k))
         for ids, sims in results:
             assert np.array_equal(ids, reference_ids)
             assert np.max(np.abs(sims - reference_top)) <= 1e-15
         assert all(np.array_equal(ids, results[0][0]) for ids, _ in results)
-
-
-class TestNnDescent:
-    def test_recall_against_exact(self, clustered_vectors):
-        exact_ids, _ = exact_knn(clustered_vectors, k=5)
-        approx_ids, _ = nn_descent(clustered_vectors, k=5, iterations=10, seed=0)
-        recall = np.mean(
-            [
-                len(set(exact_ids[i]) & set(approx_ids[i])) / 5
-                for i in range(clustered_vectors.shape[0])
-            ]
-        )
-        assert recall > 0.8
-
-    def test_invalid_arguments(self):
-        with pytest.raises(IndexingError):
-            nn_descent(np.ones((1, 4)), k=1)
-        with pytest.raises(IndexingError):
-            nn_descent(np.ones((10, 4)), k=2, sample_rate=0.0)
-
-    def test_similarities_sorted(self, clustered_vectors):
-        _, sims = nn_descent(clustered_vectors, k=4, seed=1)
-        assert np.all(np.diff(sims, axis=1) <= 1e-12)
 
 
 class TestKnnGraph:
@@ -158,11 +134,6 @@ class TestKnnGraph:
         # Points 0..39 belong to cluster 0; their neighbours should too.
         ids, _ = graph.neighbors_of(0)
         assert np.all(ids < 40)
-
-    def test_nn_descent_path(self, clustered_vectors):
-        config = KnnGraphConfig(k=5, use_nn_descent=True, nn_descent_iterations=5)
-        graph = build_knn_graph(clustered_vectors, config, seed=0)
-        assert graph.node_count == clustered_vectors.shape[0]
 
     def test_adaptive_sigma_keeps_weights_informative(self, clustered_vectors):
         graph = build_knn_graph(clustered_vectors, KnnGraphConfig(k=5, sigma=0.05))

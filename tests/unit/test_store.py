@@ -360,22 +360,6 @@ class TestComputeDtypeTier:
             np.asarray(loaded.store.vectors), np.asarray(index.store.vectors)
         )
 
-    def test_quantized_store_kind_round_trips(
-        self, tiny_dataset, tiny_clip, tmp_path
-    ):
-        from repro.core.indexing import SeeSawIndex
-        from repro.vectorstore import QuantizedVectorStore
-
-        config = SeeSawConfig(embedding_dim=64, seed=7, quantized_rerank_factor=6)
-        index = SeeSawIndex.build(
-            tiny_dataset, tiny_clip, config, store_kind="quantized"
-        )
-        directory = tmp_path / "quantized-entry"
-        save_index(index, directory)
-        loaded = load_index(directory, tiny_dataset, tiny_clip)
-        assert isinstance(loaded.store, QuantizedVectorStore)
-        assert loaded.store.rerank_factor == 6
-
 
 class TestBuildSingleFlight:
     """Concurrent cold starts sharing a cache dir pay exactly one build."""
@@ -566,19 +550,6 @@ class TestServiceStoreTiers:
 class TestReviewRegressions:
     """Pins for the review findings on the tier/lock machinery."""
 
-    def test_rerank_factor_keys_quantized_builds_only(self, tiny_dataset, tiny_clip):
-        base = SeeSawConfig(embedding_dim=64, seed=7)
-        retuned = base.with_overrides(quantized_rerank_factor=8)
-        # For the quantized store kind the factor is baked into the entry,
-        # so it must change the key...
-        assert index_cache_key(
-            tiny_dataset, tiny_clip, base, store_kind="quantized"
-        ) != index_cache_key(tiny_dataset, tiny_clip, retuned, store_kind="quantized")
-        # ...while for exact entries (the runtime-tier path) it stays out.
-        assert index_cache_key(tiny_dataset, tiny_clip, base) == index_cache_key(
-            tiny_dataset, tiny_clip, retuned
-        )
-
     def test_zero_row_corpus_round_trips_through_mmap(self, tmp_path):
         """Zero vectors are canonical: they must not break the zero-copy load."""
         from repro.data.geometry import BoundingBox
@@ -647,120 +618,108 @@ class TestReviewRegressions:
         assert other._try_acquire_build_lock(key) is not None
 
 
-class TestGraphStoreSerialization:
-    """The graph kind on disk: adjacency artifacts, back-compat, rebuild."""
+def _tier(name: str, store):
+    """``store``'s vectors wrapped in the named runtime tier."""
+    from repro.vectorstore import (
+        GraphANNVectorStore,
+        QuantizedVectorStore,
+        ShardedVectorStore,
+    )
 
-    @pytest.fixture(scope="class")
-    def graph_index(self, tiny_dataset, tiny_clip):
-        from repro.core.indexing import SeeSawIndex
+    records = list(store.records)
+    if name == "quantized":
+        return QuantizedVectorStore(store.vectors, records)
+    graph = GraphANNVectorStore(store.vectors, records, graph_degree=8, ef=48)
+    return ShardedVectorStore.wrap(graph, 3) if name == "sharded-graph" else graph
 
-        config = SeeSawConfig(
-            embedding_dim=64, seed=7, ann_search=True, ann_ef=48, ann_graph_degree=8
-        )
-        return SeeSawIndex.build(tiny_dataset, tiny_clip, config, store_kind="graph")
 
-    def test_adjacency_persisted_and_mmap_adopted(
-        self, graph_index, tiny_dataset, tiny_clip, tmp_path_factory
+class TestEntryPortability:
+    """One entry layout: whatever tier wraps the store, the entry is exact.
+
+    Tiers are runtime wraps, so an entry saved from a tiered index reloads
+    as the exact store its vectors describe, and a service re-applies its
+    configured tiers over it with the same results as over a cold build.
+    """
+
+    @pytest.mark.parametrize("tier", ["quantized", "graph", "sharded-graph"])
+    def test_tiered_index_reloads_as_exact(
+        self, tier, saved_index, tiny_index, tiny_dataset, tiny_clip, tmp_path
     ):
-        from repro.vectorstore import GraphANNVectorStore
+        from repro.vectorstore import ExactVectorStore
 
-        directory = tmp_path_factory.mktemp("graph") / "entry"
-        save_index(graph_index, directory)
-        for name in ("graph_offsets", "graph_neighbors", "graph_entries"):
-            assert (directory / f"{name}.npy").exists()
-        loaded = load_index(directory, tiny_dataset, tiny_clip, mmap=True)
-        store = loaded.store
-        assert isinstance(store, GraphANNVectorStore)
-        assert store.graph_degree == 8 and store.ef == 48 and store.seed == 7
-        # The adjacency was adopted from the mapping, not rebuilt: the
-        # neighbor array's base chain bottoms out at the memmap.
-        base = store.graph_neighbors
-        while isinstance(base.base, np.ndarray):
-            base = base.base
-        assert isinstance(base, np.memmap)
-        # Same descent, same answers as the in-memory build.
-        query = graph_index.embed_query("anything")
-        built_ids, built_scores = graph_index.store.search_arrays(query, 5)
-        loaded_ids, loaded_scores = store.search_arrays(query, 5)
-        assert np.array_equal(built_ids, loaded_ids)
-        np.testing.assert_allclose(built_scores, loaded_scores, rtol=0, atol=1e-12)
-
-    def test_graph_entry_without_adjacency_rebuilds(
-        self, graph_index, tiny_dataset, tiny_clip, tmp_path
-    ):
-        """Entries persisting parameters alone (e.g. written from a sharded
-        graph store) rebuild the flat graph deterministically at load."""
-        from repro.vectorstore import GraphANNVectorStore
-
-        directory = tmp_path / "entry"
-        save_index(graph_index, directory)
-        for name in ("graph_offsets", "graph_neighbors", "graph_entries"):
-            (directory / f"{name}.npy").unlink()
+        index = load_index(saved_index, tiny_dataset, tiny_clip, mmap=False)
+        index.replace_store(_tier(tier, index.store))
+        directory = tmp_path / tier
+        save_index(index, directory)
+        assert sorted(path.name for path in directory.glob("*.npy")) == [
+            "db_matrix.npy",
+            "knn_neighbor_ids.npy",
+            "knn_neighbor_weights.npy",
+            "vectors.npy",
+        ]
         loaded = load_index(directory, tiny_dataset, tiny_clip)
-        store = loaded.store
-        assert isinstance(store, GraphANNVectorStore)
-        assert store.graph_degree == 8 and store.ef == 48
-        query = graph_index.embed_query("anything")
-        built_ids, _ = graph_index.store.search_arrays(query, 5)
-        rebuilt_ids, _ = store.search_arrays(query, 5)
-        assert np.array_equal(built_ids, rebuilt_ids)
+        assert type(loaded.store) is ExactVectorStore
+        for got, want in (
+            (loaded.store.vectors, tiny_index.store.vectors),
+            (loaded.knn_graph.neighbor_ids, tiny_index.knn_graph.neighbor_ids),
+            (loaded.knn_graph.neighbor_weights, tiny_index.knn_graph.neighbor_weights),
+            (loaded.db_matrix, tiny_index.db_matrix),
+        ):
+            assert np.array_equal(np.asarray(got), np.asarray(want))
+        assert loaded.knn_graph.sigma == tiny_index.knn_graph.sigma
 
-    def test_sharded_graph_serializes_params_only(
-        self, graph_index, tiny_dataset, tiny_clip, tmp_path
-    ):
-        from repro.core.indexing import SeeSawIndex
-        from repro.vectorstore import GraphANNVectorStore, ShardedVectorStore
-
-        sharded = SeeSawIndex(
-            dataset=tiny_dataset,
-            embedding=tiny_clip,
-            store=ShardedVectorStore.wrap(graph_index.store, 3),
-            image_vector_ids={
-                image_id: graph_index.vector_ids_for_image(image_id)
-                for image_id in graph_index.image_ids
-            },
-            knn_graph=graph_index.knn_graph,
-            db_matrix=graph_index.db_matrix,
-            config=graph_index.config,
-            build_report=graph_index.build_report,
-        )
-        directory = tmp_path / "sharded-graph"
-        save_index(sharded, directory)
-        # No shard-local adjacency leaks into the flat artifact...
-        assert not (directory / "graph_neighbors.npy").exists()
-        # ...and the entry loads back as a flat graph store with the same
-        # parameters (the service re-applies its shard topology).
-        loaded = load_index(directory, tiny_dataset, tiny_clip)
-        assert isinstance(loaded.store, GraphANNVectorStore)
-        assert loaded.store.graph_degree == 8
-
-    def test_pre_graph_entries_still_load(
-        self, tiny_index, tiny_dataset, tiny_clip, tmp_path
-    ):
-        """Exact-kind artifacts (no graph_* arrays) are untouched by the
-        graph tier's serialization additions."""
-        directory = tmp_path / "pre-graph"
-        save_index(tiny_index, directory)
-        assert not (directory / "graph_neighbors.npy").exists()
-        loaded = load_index(directory, tiny_dataset, tiny_clip)
-        assert np.array_equal(
-            np.asarray(loaded.store.vectors), np.asarray(tiny_index.store.vectors)
-        )
-
-    def test_graph_key_includes_degree_but_not_ef(self, tiny_dataset, tiny_clip):
+    def test_tier_knobs_stay_out_of_the_key(self, tiny_dataset, tiny_clip):
         base = SeeSawConfig(embedding_dim=64, seed=7)
-        degree = base.with_overrides(ann_graph_degree=32)
-        ef = base.with_overrides(ann_ef=256)
-        assert index_cache_key(
-            tiny_dataset, tiny_clip, base, store_kind="graph"
-        ) != index_cache_key(tiny_dataset, tiny_clip, degree, store_kind="graph")
-        assert index_cache_key(
-            tiny_dataset, tiny_clip, base, store_kind="graph"
-        ) == index_cache_key(tiny_dataset, tiny_clip, ef, store_kind="graph")
-        # For every other kind the degree is a runtime knob, out of the key.
-        assert index_cache_key(tiny_dataset, tiny_clip, base) == index_cache_key(
-            tiny_dataset, tiny_clip, degree
+        tiered = base.with_overrides(
+            ann_search=True,
+            ann_graph_degree=32,
+            ann_ef=256,
+            quantized_store=True,
+            quantized_rerank_factor=8,
+            n_shards=3,
         )
+        assert index_cache_key(tiny_dataset, tiny_clip, base) == index_cache_key(
+            tiny_dataset, tiny_clip, tiered
+        )
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"ann_search": True, "ann_ef": 48, "ann_graph_degree": 8},
+            {"quantized_store": True},
+            {"n_shards": 3},
+            {"ann_search": True, "quantized_store": True, "n_shards": 3},
+        ],
+        ids=["graph", "quantized", "sharded", "sharded-graph"],
+    )
+    def test_service_over_warm_entry_matches_cold_build(
+        self, overrides, tiny_dataset, tiny_clip, tmp_path
+    ):
+        from repro.server import SeeSawService
+        from repro.server.api import StartSessionRequest
+
+        cache_dir = str(tmp_path / "cache")
+        flat = SeeSawService(
+            SeeSawConfig(embedding_dim=64, seed=7, index_cache_dir=cache_dir)
+        )
+        flat.register_dataset(tiny_dataset, tiny_clip, preprocess=True)
+        config = SeeSawConfig(embedding_dim=64, seed=7, **overrides)
+
+        def first_page(service: SeeSawService):
+            service.register_dataset(tiny_dataset, tiny_clip, preprocess=True)
+            info = service.start_session(
+                StartSessionRequest(dataset="tiny", text_query="cat_easy", batch_size=5)
+            )
+            items = service.next_results(info.session_id).items
+            return service.store_tiers, [(item.image_id, item.score) for item in items]
+
+        warm = SeeSawService(config.with_overrides(index_cache_dir=cache_dir))
+        warm_tiers, warm_page = first_page(warm)
+        assert warm.cache_hits == 1
+        cold_tiers, cold_page = first_page(SeeSawService(config))
+        assert warm_tiers == cold_tiers
+        assert warm_page == cold_page
+        assert len(warm_page) == 5
 
     def test_service_applies_ann_tier_and_reports_it(
         self, tiny_dataset, tiny_clip, tmp_path
@@ -784,6 +743,77 @@ class TestGraphStoreSerialization:
         assert tier["graph"] is True
         assert tier["ann_graph_degree"] == 8
         assert tier["ann_ef"] == 48
+
+
+def _rewrite_array(entry, name, edit):
+    path = entry / f"{name}.npy"
+    np.save(path, edit(np.load(path)), allow_pickle=False)
+
+
+def _cut_knn_rows(entry):
+    for name in ("knn_neighbor_ids", "knn_neighbor_weights"):
+        _rewrite_array(entry, name, lambda array: array[:-5])
+
+
+def _set_unknown_neighbour(entry):
+    def edit(ids):
+        ids[0, 0] = 10**9
+        return ids
+
+    _rewrite_array(entry, "knn_neighbor_ids", edit)
+
+
+def _drop_build_report(entry):
+    meta = json.loads((entry / META_FILE).read_text(encoding="utf-8"))
+    del meta["build_report"]
+    (entry / META_FILE).write_text(json.dumps(meta), encoding="utf-8")
+
+
+class TestCorruptEntries:
+    """An entry whose arrays or metadata do not fit together is a miss.
+
+    ``load_index`` refuses it with ``StoreError``; the cache evicts it and
+    the next ``load_or_build`` rebuilds a good entry in its place.
+    """
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _cut_knn_rows,
+            lambda entry: _rewrite_array(
+                entry, "knn_neighbor_weights", lambda array: array[:, :-1]
+            ),
+            _set_unknown_neighbour,
+            lambda entry: _rewrite_array(entry, "db_matrix", lambda _: np.eye(10)),
+            _drop_build_report,
+        ],
+        ids=[
+            "knn-rows-cut",
+            "knn-shapes-differ",
+            "knn-id-out-of-range",
+            "db-matrix-shape",
+            "meta-without-build-report",
+        ],
+    )
+    def test_corrupt_entry_is_evicted_and_rebuilt(
+        self, corrupt, tiny_index, tiny_dataset, tiny_clip, tmp_path
+    ):
+        cache = IndexCache(tmp_path / "cache")
+        config = tiny_index.config
+        key = cache.key(tiny_dataset, tiny_clip, config)
+        entry = cache.store(key, tiny_index)
+        corrupt(entry)
+        with pytest.raises(StoreError):
+            load_index(entry, tiny_dataset, tiny_clip)
+        assert cache.load(key, tiny_dataset, tiny_clip) is None
+        assert not cache.contains(key)
+        rebuilt, was_cached = cache.load_or_build(tiny_dataset, tiny_clip, config)
+        assert not was_cached
+        assert np.array_equal(
+            rebuilt.knn_graph.neighbor_ids, tiny_index.knn_graph.neighbor_ids
+        )
+        _, was_cached = cache.load_or_build(tiny_dataset, tiny_clip, config)
+        assert was_cached
 
 
 class TestCacheSweep:

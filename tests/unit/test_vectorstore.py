@@ -1,4 +1,4 @@
-"""Tests for the exact and Annoy-style vector stores."""
+"""Tests for the exact, Annoy-style, graph-ANN and sharded vector stores."""
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from repro.utils.linalg import normalize_rows
 from repro.vectorstore.base import VectorRecord
 from repro.vectorstore.exact import ExactVectorStore
 from repro.vectorstore.forest import RandomProjectionForest
+from repro.vectorstore.graph import GraphANNVectorStore
 
 
 def make_records(count: int) -> list[VectorRecord]:
@@ -121,6 +122,30 @@ class TestRandomProjectionForest:
         forest = RandomProjectionForest(vectors, make_records(50), leaf_size=4, seed=0)
         hits = forest.search(np.array([1.0, 0.0, 0.0]), k=5)
         assert len(hits) == 5
+
+
+class TestGraphANNConstruction:
+    def test_large_corpus_adjacency_holds_every_exact_edge(self, rng):
+        """The graph tier builds on the exact kNN scan at every corpus size.
+
+        4 200 vectors is above the size where an approximate builder used
+        to take over; the symmetrised adjacency must still contain every
+        directed edge of the exact kNN graph.
+        """
+        from repro.knng.graph import exact_knn
+
+        count, degree = 4200, 8
+        vectors = normalize_rows(rng.standard_normal((count, 16)))
+        graph = GraphANNVectorStore(vectors, make_records(count), graph_degree=degree)
+        exact_ids, _ = exact_knn(graph.vectors, k=degree)
+        offsets = graph.graph_offsets
+        neighbors = graph.graph_neighbors.astype(np.int64)
+        sources = np.repeat(np.arange(count), np.diff(offsets))
+        edges = set(zip(sources.tolist(), neighbors.tolist()))
+        expected = zip(
+            np.repeat(np.arange(count), degree).tolist(), exact_ids.ravel().tolist()
+        )
+        assert all(edge in edges for edge in expected)
 
 
 class TestShardedVectorStore:
