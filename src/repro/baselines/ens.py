@@ -106,17 +106,17 @@ class EnsMethod(SearchMethod):
             vector_id = self._select_vector(probabilities, seen.vector_seen, remaining)
             if vector_id is None:
                 break
-            record = context.store.record(vector_id)
+            image_id = context.index.image_id_for_vector(vector_id)
             probability = probabilities[vector_id]
             results.append(
                 ImageResult(
-                    image_id=record.image_id,
+                    image_id=image_id,
                     score=float(probability),
                     vector_id=vector_id,
-                    box=record.box,
+                    box=context.index.patch_box(vector_id),
                 )
             )
-            seen.mark_images((record.image_id,))
+            seen.mark_images((image_id,))
             remaining = max(1, remaining - 1)
         return results
 

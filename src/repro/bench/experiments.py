@@ -143,7 +143,7 @@ def figure4_ideal_vs_initial(
     """Fit the per-category best linear query and compare with the text query."""
     index = bundle.coarse_index
     vectors = np.asarray(index.store.vectors)
-    image_ids = [record.image_id for record in index.store.records]
+    image_ids = index.segments.image_ids[index.segments.vector_image_rows].tolist()
     points: list[tuple[str, float, float]] = []
     for query in bundle.queries(scale):
         labels = np.array(
@@ -410,10 +410,11 @@ def _calibrator_for_query(
     index = bundle.coarse_index
     text_vector = bundle.embedding.embed_text(query.prompt)
     scores = np.asarray(index.store.vectors) @ text_vector
+    image_ids = index.segments.image_ids[index.segments.vector_image_rows].tolist()
     labels = np.array(
         [
-            1.0 if bundle.dataset.is_relevant(record.image_id, query.category) else 0.0
-            for record in index.store.records
+            1.0 if bundle.dataset.is_relevant(image_id, query.category) else 0.0
+            for image_id in image_ids
         ]
     )
     return PlattScaler().fit(scores, labels)
@@ -666,7 +667,7 @@ def table6_engine_latency(
     ``batch_size`` images with the exclusion state growing every round —
     through the preserved legacy implementation
     (:func:`repro.engine.legacy.legacy_top_unseen_images`: exclusion id
-    sets, ``SearchHit`` objects, Python regrouping) and through the
+    sets, per-hit Python regrouping) and through the
     production engine-backed ``SearchContext`` (persistent ``SeenMask``,
     ``reduceat`` pooling).  The best of ``repeats`` runs is reported to
     damp scheduler noise.
@@ -684,11 +685,7 @@ def table6_engine_latency(
         bundle.dataset, bundle.embedding, bundle.config, build_graph=False
     )
     forest_index.replace_store(
-        RandomProjectionForest(
-            forest_index.store.vectors,
-            list(forest_index.store.records),
-            seed=bundle.config.seed,
-        )
+        RandomProjectionForest(forest_index.store.vectors, seed=bundle.config.seed)
     )
     for store_kind, index in (
         ("exact", bundle.multiscale_index),
@@ -991,7 +988,10 @@ def table6_sharded_latency(
     index = bundle.multiscale_index
     flat_engine = QueryEngine(index.store, index.segments)
     sharded_engine = QueryEngine(
-        ShardedVectorStore.wrap(index.store, shard_count), index.segments
+        ShardedVectorStore.wrap(
+            index.store, index.segments.vector_image_rows, shard_count
+        ),
+        index.segments,
     )
     probe = bundle.embedding.embed_text(bundle.queries(ExperimentScale())[0].prompt)
 
@@ -1087,26 +1087,18 @@ def table6_dtype_throughput(
     import time
     from pathlib import Path
 
-    from repro.data.geometry import BoundingBox
     from repro.store.serialize import load_index, save_index
-    from repro.vectorstore.base import VectorRecord
     from repro.vectorstore.exact import ExactVectorStore
     from repro.vectorstore.quantized import QuantizedVectorStore
 
     rng = np.random.default_rng(6)
     matrix = rng.standard_normal((vector_count, dim))
     matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
-    records = [
-        VectorRecord(vector_id=i, image_id=i, box=BoundingBox(0.0, 0.0, 32.0, 32.0))
-        for i in range(vector_count)
-    ]
     queries = rng.standard_normal((query_count, dim))
     stores = {
-        "float64": ExactVectorStore(matrix, records),
-        "float32": ExactVectorStore(matrix, records, compute_dtype="float32"),
-        "int8+rerank": QuantizedVectorStore(
-            matrix, records, compute_dtype="float32"
-        ),
+        "float64": ExactVectorStore(matrix),
+        "float32": ExactVectorStore(matrix, compute_dtype="float32"),
+        "int8+rerank": QuantizedVectorStore(matrix, compute_dtype="float32"),
     }
     stream_bytes = {
         "float64": vector_count * dim * 8,
@@ -1246,8 +1238,6 @@ def table6_ann_recall_latency(
     """
     import time
 
-    from repro.data.geometry import BoundingBox
-    from repro.vectorstore.base import VectorRecord
     from repro.vectorstore.exact import ExactVectorStore
     from repro.vectorstore.graph import GraphANNVectorStore
 
@@ -1259,10 +1249,6 @@ def table6_ann_recall_latency(
         (vector_count, dim)
     )
     matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
-    records = [
-        VectorRecord(vector_id=i, image_id=i, box=BoundingBox(0.0, 0.0, 32.0, 32.0))
-        for i in range(vector_count)
-    ]
     queries = centers[
         rng.integers(0, cluster_count, query_count)
     ] + 0.8 * cluster_noise * rng.standard_normal((query_count, dim))
@@ -1271,13 +1257,12 @@ def table6_ann_recall_latency(
     build_start = time.perf_counter()
     graph = GraphANNVectorStore(
         matrix,
-        records,
         graph_degree=graph_degree,
         ef=max(ef_values),
         compute_dtype="float32",
     )
     build_seconds = time.perf_counter() - build_start
-    exact = ExactVectorStore(matrix, records, compute_dtype="float32")
+    exact = ExactVectorStore(matrix, compute_dtype="float32")
 
     def run(search) -> float:
         best = float("inf")

@@ -171,12 +171,28 @@ def _label_block(
     feedback: BoxFeedback, index: "SeeSawIndex", min_box_overlap: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """One judged image's ``(vector_ids, labels)``: a patch is positive when
-    its box overlaps a feedback box by more than ``min_box_overlap``."""
-    vector_ids = index.vector_ids_for_image(feedback.image_id)
-    labels = [0.0] * len(vector_ids)
+    its box overlaps a feedback box by more than ``min_box_overlap``.
+
+    One broadcast over (patches x feedback boxes), bit for bit
+    :meth:`BoundingBox.intersection`: the same edge sums, min minus max, and
+    a zero area unless both overlaps are positive.
+    """
+    segments = index.segments
+    vector_ids = segments.vector_ids_for_row(segments.row_for_image(feedback.image_id))
+    labels = np.zeros(vector_ids.size, dtype=np.float64)
     if feedback.relevant:
-        for position, vector_id in enumerate(vector_ids):
-            box = index.store.record(vector_id).box
-            if any(box.intersection(other) > min_box_overlap for other in feedback.boxes):
-                labels[position] = 1.0
-    return np.asarray(vector_ids, dtype=np.int64), np.asarray(labels, dtype=np.float64)
+        patches = index.patch_boxes[vector_ids][:, None, :]
+        boxes = np.array(
+            [(b.x, b.y, b.width, b.height) for b in feedback.boxes], dtype=np.float64
+        )
+        overlap_w = np.minimum(
+            patches[..., 0] + patches[..., 2], boxes[:, 0] + boxes[:, 2]
+        ) - np.maximum(patches[..., 0], boxes[:, 0])
+        overlap_h = np.minimum(
+            patches[..., 1] + patches[..., 3], boxes[:, 1] + boxes[:, 3]
+        ) - np.maximum(patches[..., 1], boxes[:, 1])
+        areas = np.where(
+            (overlap_w > 0) & (overlap_h > 0), overlap_w * overlap_h, 0.0
+        )
+        labels[(areas > min_box_overlap).any(axis=1)] = 1.0
+    return vector_ids, labels

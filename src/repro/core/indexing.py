@@ -14,15 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import SeeSawConfig
-from repro.core.multiscale import generate_patches
+from repro.core.multiscale import generate_patches, patch_columns
 from repro.core.propagation import compute_db_alignment_matrix
 from repro.data.dataset import ImageDataset
+from repro.data.geometry import BoundingBox
 from repro.embedding.base import EmbeddingModel
 from repro.engine import ImageSegments, QueryEngine
 from repro.exceptions import IndexingError
 from repro.knng.graph import KnnGraph, build_knn_graph
 from repro.utils.linalg import ensure_dtype, resolve_compute_dtype
-from repro.vectorstore.base import VectorRecord, VectorStore
+from repro.vectorstore.base import VectorStore
 from repro.vectorstore.exact import ExactVectorStore
 
 
@@ -45,26 +46,49 @@ class IndexBuildReport:
 
 
 class SeeSawIndex:
-    """The preprocessed artifacts SeeSaw needs to search one dataset."""
+    """The preprocessed artifacts SeeSaw needs to search one dataset.
+
+    The store holds vectors only.  The patch table lives here, as columns
+    indexed by vector id: ``segments`` maps vectors to images,
+    ``patch_boxes`` holds each patch's ``(x, y, width, height)`` (float64)
+    and ``patch_levels`` its multiscale level (int8, 0 = the coarse
+    whole-image patch).  All three are read-only.
+    """
 
     def __init__(
         self,
         dataset: ImageDataset,
         embedding: EmbeddingModel,
         store: VectorStore,
-        image_vector_ids: "dict[int, tuple[int, ...]]",
+        segments: ImageSegments,
+        patch_boxes: np.ndarray,
+        patch_levels: np.ndarray,
         knn_graph: "KnnGraph | None",
         db_matrix: "np.ndarray | None",
         config: SeeSawConfig,
         build_report: IndexBuildReport,
     ) -> None:
+        count = len(store)
+        if segments.vector_count != count:
+            raise IndexingError(
+                f"segments cover {segments.vector_count} vectors, the store "
+                f"holds {count}"
+            )
+        if patch_boxes.shape != (count, 4) or patch_levels.shape != (count,):
+            raise IndexingError(
+                f"patch columns of shapes {patch_boxes.shape} and "
+                f"{patch_levels.shape} do not fit {count} vectors"
+            )
+        if not bool((patch_boxes[:, 2:] > 0).all()):
+            raise IndexingError("every patch box must have positive width and height")
+        patch_boxes.setflags(write=False)
+        patch_levels.setflags(write=False)
         self.dataset = dataset
         self.embedding = embedding
         self.store = store
-        # The CSR segment layout is the source of truth for the
-        # vector <-> image mapping; the legacy dict interface survives as
-        # adapters (``vector_ids_for_image`` and friends) over it.
-        self.segments = ImageSegments.from_mapping(image_vector_ids, len(store))
+        self.segments = segments
+        self.patch_boxes = patch_boxes
+        self.patch_levels = patch_levels
         self.knn_graph = knn_graph
         self.db_matrix = db_matrix
         self.config = config
@@ -82,17 +106,16 @@ class SeeSawIndex:
         ``generate_patches`` emits the coarse box first; indexes assembled
         any other way must uphold the same invariant, so it is checked here
         instead of being silently assumed.  One vectorized comparison over
-        the store's scale-level column, so cache warm-starts stay cheap.
+        the scale-level column, so cache warm-starts stay cheap.
         """
         firsts = self.segments.first_vector_ids()
-        offending = firsts[self.store.scale_levels[firsts] != 0]
+        offending = firsts[self.patch_levels[firsts] != 0]
         if offending.size:
             vector_id = int(offending[0])
-            record = self.store.record(vector_id)
             raise IndexingError(
-                f"Image {record.image_id}: first stored vector {vector_id} "
-                f"is a level-{record.scale_level} patch, expected the coarse "
-                "whole-image patch (scale_level 0) first"
+                f"Image {self.image_id_for_vector(vector_id)}: first stored "
+                f"vector {vector_id} is a level-{self.patch_levels[vector_id]} "
+                "patch, expected the coarse whole-image patch (scale_level 0) first"
             )
 
     # ------------------------------------------------------------------
@@ -132,17 +155,17 @@ class SeeSawIndex:
             order this pass enumerates them (images in dataset order, each
             image's patches coarse first).  Replaces only the
             ``embed_patches`` calls — a live merge passes the rows its delta
-            view already holds, so no patch is embedded twice; records,
-            store, kNN graph and ``M_D`` are built exactly as in a cold
+            view already holds, so no patch is embedded twice; patch
+            columns, store, kNN graph and ``M_D`` are built exactly as in a cold
             build, and ``embedding_seconds`` reports 0.
         """
         config = config or SeeSawConfig()
         embedded: list[np.ndarray] = []
-        records: list[VectorRecord] = []
-        image_vector_ids: dict[int, list[int]] = {}
+        box_blocks: list[np.ndarray] = []
+        level_blocks: list[np.ndarray] = []
+        offsets = np.zeros(len(dataset) + 1, dtype=np.int64)
         embedding_seconds = 0.0
-        vector_id = 0
-        for image in dataset.images:
+        for row, image in enumerate(dataset.images):
             patch_specs = generate_patches(image.width, image.height, config.multiscale)
             if vectors is None:
                 embed_start = time.perf_counter()
@@ -150,25 +173,17 @@ class SeeSawIndex:
                     embedding.embed_patches(image, [box for box, _ in patch_specs])
                 )
                 embedding_seconds += time.perf_counter() - embed_start
-            ids: list[int] = []
-            for box, scale_level in patch_specs:
-                records.append(
-                    VectorRecord(
-                        vector_id=vector_id,
-                        image_id=image.image_id,
-                        box=box,
-                        scale_level=scale_level,
-                    )
-                )
-                ids.append(vector_id)
-                vector_id += 1
-            image_vector_ids[image.image_id] = ids
+            boxes, levels = patch_columns(patch_specs)
+            box_blocks.append(boxes)
+            level_blocks.append(levels)
+            offsets[row + 1] = offsets[row] + levels.size
+        patch_count = int(offsets[-1])
         if vectors is None:
             vectors = np.concatenate(embedded)
-        elif vectors.shape[0] != len(records):
+        elif vectors.shape[0] != patch_count:
             raise IndexingError(
                 f"supplied vectors have {vectors.shape[0]} rows, the dataset "
-                f"enumerates {len(records)} patches"
+                f"enumerates {patch_count} patches"
             )
         # Cast once to the configured compute dtype; the store then adopts
         # the stacked matrix as-is (float64 default stays the bit-parity
@@ -176,7 +191,7 @@ class SeeSawIndex:
         matrix = ensure_dtype(vectors, resolve_compute_dtype(config.compute_dtype))
 
         store_start = time.perf_counter()
-        store = ExactVectorStore(matrix, records)
+        store = ExactVectorStore(matrix)
         store_seconds = time.perf_counter() - store_start
 
         graph_start = time.perf_counter()
@@ -201,7 +216,14 @@ class SeeSawIndex:
             dataset=dataset,
             embedding=embedding,
             store=store,
-            image_vector_ids={k: tuple(v) for k, v in image_vector_ids.items()},
+            segments=ImageSegments(
+                np.fromiter((image.image_id for image in dataset.images), np.int64),
+                np.arange(patch_count),
+                offsets,
+                patch_count,
+            ),
+            patch_boxes=np.concatenate(box_blocks),
+            patch_levels=np.concatenate(level_blocks),
             knn_graph=knn_graph,
             db_matrix=db_matrix,
             config=config,
@@ -250,23 +272,20 @@ class SeeSawIndex:
             )
         self.store = store
         self._engine = None
-        self._validate_coarse_first()
 
     def vector_ids_for_image(self, image_id: int) -> tuple[int, ...]:
         """The stored vector ids belonging to one image."""
         row = self.segments.row_for_image(image_id)
         return tuple(int(v) for v in self.segments.vector_ids_for_row(row))
 
-    def vector_ids_for_images(self, image_ids: "frozenset[int] | set[int]") -> set[int]:
-        """The union of vector ids for a set of images.
+    def image_id_for_vector(self, vector_id: int) -> int:
+        """The id of the image one stored vector belongs to."""
+        segments = self.segments
+        return int(segments.image_ids[segments.vector_image_rows[vector_id]])
 
-        Legacy adapter; hot paths use :class:`~repro.engine.SeenMask`
-        boolean columns instead of materializing id sets.
-        """
-        ids: set[int] = set()
-        for image_id in image_ids:
-            ids.update(self.vector_ids_for_image(image_id))
-        return ids
+    def patch_box(self, vector_id: int) -> BoundingBox:
+        """The pre-indexed box of one stored patch vector."""
+        return BoundingBox(*self.patch_boxes[vector_id].tolist())
 
     def embed_query(self, text: str) -> np.ndarray:
         """Embed a text query with the index's embedding model."""

@@ -129,13 +129,13 @@ class SearchContext:
         vector_ids: np.ndarray,
     ) -> "list[ImageResult]":
         """Adapt the engine's aligned columns to ``ImageResult`` objects."""
-        store = self.store
+        index = self.index
         return [
             ImageResult(
                 image_id=int(image_id),
                 score=float(score),
                 vector_id=int(vector_id),
-                box=store.record(int(vector_id)).box,
+                box=index.patch_box(int(vector_id)),
             )
             for image_id, score, vector_id in zip(image_ids, scores, vector_ids)
         ]

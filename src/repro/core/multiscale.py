@@ -75,3 +75,15 @@ def pool_image_scores(
         if current is None or score > current:
             scores[image_id] = float(score)
     return scores
+
+
+def patch_columns(
+    patches: "list[tuple[BoundingBox, int]]",
+) -> "tuple[np.ndarray, np.ndarray]":
+    """``generate_patches`` output as columns: a ``(P x 4)`` float64 box
+    block (x, y, width, height) and a ``(P,)`` int8 scale-level block."""
+    boxes = np.array(
+        [(box.x, box.y, box.width, box.height) for box, _ in patches], dtype=np.float64
+    )
+    levels = np.array([level for _, level in patches], dtype=np.int8)
+    return boxes, levels

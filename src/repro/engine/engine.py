@@ -2,8 +2,8 @@
 
 Every interactive round boils down to the same three steps: score vectors
 against a query, drop what the user has already seen, and group patch scores
-into image scores.  The legacy path did this with Python sets, one
-``SearchHit`` object per patch hit, and a retry-doubling loop; the engine
+into image scores.  The legacy path did this with Python sets, a Python
+regrouping loop over patch hits, and a retry-doubling loop; the engine
 does it with flat arrays:
 
 * scores are masked once through a persistent :class:`~repro.engine.mask.SeenMask`;

@@ -2,7 +2,7 @@
 
 This module keeps the original ``SearchContext`` selection logic alive after
 the columnar rewrite: rebuild a vector-id exclusion ``set`` from the shown
-images, ask the store for hit objects, and regroup patches into images in a
+images, ask the store for the top patches, and regroup them into images in a
 Python loop with retry-doubling.  It exists for two reasons:
 
 * the parity test suite uses it as the oracle the engine must match
@@ -24,6 +24,16 @@ from repro.utils.linalg import ensure_dtype
 from repro.vectorstore.exact import ExactVectorStore
 
 
+def _vector_ids_for_images(
+    index: SeeSawIndex, image_ids: "frozenset[int] | set[int]"
+) -> "set[int]":
+    """The union of vector ids for a set of images, as a Python set."""
+    ids: set[int] = set()
+    for image_id in image_ids:
+        ids.update(index.vector_ids_for_image(image_id))
+    return ids
+
+
 def legacy_top_unseen_images(
     index: SeeSawIndex,
     query_vector: np.ndarray,
@@ -33,26 +43,30 @@ def legacy_top_unseen_images(
     """The original object-heavy best-unseen-images selection."""
     if count < 1:
         raise SessionError("count must be >= 1")
-    excluded_vectors = index.vector_ids_for_images(excluded_image_ids)
+    excluded_vectors = _vector_ids_for_images(index, excluded_image_ids)
+    exclude_mask = None
+    if excluded_vectors:
+        exclude_mask = np.zeros(index.vector_count, dtype=bool)
+        exclude_mask[list(excluded_vectors)] = True
     per_image = max(1, round(index.vector_count / max(1, len(index.image_ids))))
     k = count * per_image + len(excluded_vectors)
     results: list[ImageResult] = []
     while True:
         k = min(k, index.vector_count)
-        hits = index.store.search(query_vector, k=k, exclude_vector_ids=excluded_vectors)
+        ids, scores = index.store.search_arrays(query_vector, k, exclude_mask=exclude_mask)
         results = []
         seen: set[int] = set()
-        for hit in hits:
-            image_id = hit.record.image_id
+        for vector_id, score in zip(ids.tolist(), scores.tolist()):
+            image_id = index.image_id_for_vector(vector_id)
             if image_id in excluded_image_ids or image_id in seen:
                 continue
             seen.add(image_id)
             results.append(
                 ImageResult(
                     image_id=image_id,
-                    score=hit.score,
-                    vector_id=hit.vector_id,
-                    box=hit.record.box,
+                    score=score,
+                    vector_id=vector_id,
+                    box=index.patch_box(vector_id),
                 )
             )
             if len(results) >= count:

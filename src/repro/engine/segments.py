@@ -130,6 +130,11 @@ class ImageSegments:
         return self.vector_image_rows.size
 
     @property
+    def contiguous(self) -> bool:
+        """True when row ``r`` owns vectors ``offsets[r]:offsets[r + 1]``."""
+        return self._contiguous
+
+    @property
     def counts(self) -> np.ndarray:
         """Vectors per image, aligned with ``image_ids``."""
         return np.diff(self.offsets)

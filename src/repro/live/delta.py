@@ -36,7 +36,7 @@ from repro.utils.linalg import (
     normalize_rows,
     unit_norm_tolerance,
 )
-from repro.vectorstore.base import VectorRecord, VectorStore, deterministic_top_k
+from repro.vectorstore.base import VectorStore, deterministic_top_k
 
 
 class DeltaVectorStore(VectorStore):
@@ -55,7 +55,6 @@ class DeltaVectorStore(VectorStore):
         self,
         base: VectorStore,
         delta_vectors: np.ndarray,
-        delta_records: "list[VectorRecord]",
         tombstones: np.ndarray,
     ) -> None:
         # Deliberately does NOT call VectorStore.__init__: the base segment's
@@ -70,17 +69,6 @@ class DeltaVectorStore(VectorStore):
             )
         if delta.shape[0] == 0:
             delta = np.zeros((0, base.dim), dtype=dtype)
-        if len(delta_records) != delta.shape[0]:
-            raise VectorStoreError(
-                f"delta record count {len(delta_records)} does not match delta "
-                f"vector count {delta.shape[0]}"
-            )
-        for offset, record in enumerate(delta_records):
-            if record.vector_id != n_base + offset:
-                raise VectorStoreError(
-                    "delta records must be ordered so record.vector_id equals "
-                    "base length plus its delta row index"
-                )
         # The same canonical-row adoption the sealed store performs: rows
         # already unit (or zero) within the dtype's tolerance are kept
         # bit-exact, so a delta row embedded by the same deterministic
@@ -107,13 +95,6 @@ class DeltaVectorStore(VectorStore):
         self._base = base
         self._delta = delta
         self._tombstones = tombstones
-        self._records = list(base.records) + list(delta_records)
-        scale_levels = np.empty(len(self._records), dtype=np.int8)
-        scale_levels[:n_base] = base.scale_levels
-        for offset, record in enumerate(delta_records):
-            scale_levels[n_base + offset] = record.scale_level
-        scale_levels.setflags(write=False)
-        self._scale_levels = scale_levels
         self._compute_dtype = dtype
         # Instance attribute shadowing the class flag, the sharded-store
         # precedent: the live view is exactly as exhaustive as its base.

@@ -6,8 +6,8 @@ content-hash-keyed raw-``.npy`` entry the next process start can
 memory-map — executed *off the request path*.  It embeds nothing: every
 patch was embedded once, by the cold build or by its upsert, and the live
 view already holds those rows.  The merger gathers them in canonical order
-and hands them to ``SeeSawIndex.build``, which builds records, store, kNN
-graph and ``M_D`` exactly as a cold build of the same corpus would, so the
+and hands them to ``SeeSawIndex.build``, which builds patch columns, store,
+kNN graph and ``M_D`` exactly as a cold build of the same corpus would, so the
 sealed generation equals that cold build bit for bit and a merge costs the
 exact kNN scan.  While the build runs,
 queries keep flowing against the old generation and mutations keep landing

@@ -1,8 +1,8 @@
 """Versioned dataset registry: the control plane of the mutable tier.
 
 Every registered dataset gets a :class:`LiveDatasetState` — the sealed base
-index, the writable delta (rows, records, tombstones), the canonical image
-ordering, and a mutation journal — plus a monotonically increasing
+index, the writable delta (rows, boxes, levels, tombstones), the canonical
+image ordering, and a mutation journal — plus a monotonically increasing
 *version* (one per logical mutation) and *generation* (one per physical
 swap, so a compaction that changes no logical content still advances it).
 ``register_dataset`` publishes version 1; every upsert/delete publishes the
@@ -34,9 +34,10 @@ import numpy as np
 from repro import obs
 from repro.config import MultiscaleConfig, SeeSawConfig
 from repro.core.indexing import IndexBuildReport, SeeSawIndex
-from repro.core.multiscale import generate_patches
+from repro.core.multiscale import generate_patches, patch_columns
 from repro.data.dataset import ImageDataset
 from repro.data.image import SyntheticImage
+from repro.engine import ImageSegments
 from repro.exceptions import (
     ServiceOverloadedError,
     SessionError,
@@ -44,7 +45,6 @@ from repro.exceptions import (
 )
 from repro.live.delta import DeltaVectorStore
 from repro.store.serialize import write_json_atomic
-from repro.vectorstore.base import VectorRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.server.service import SeeSawService
@@ -82,8 +82,10 @@ class LiveDatasetState:
         self.current: "SeeSawIndex | None" = None
         self.images: "OrderedDict[int, SyntheticImage]" = OrderedDict()
         self.image_vector_ids: "OrderedDict[int, tuple[int, ...]]" = OrderedDict()
-        self.delta_vectors: "list[np.ndarray]" = []  # one block per upserted image
-        self.delta_records: "list[VectorRecord]" = []
+        # One block per upserted image in each list, aligned.
+        self.delta_vectors: "list[np.ndarray]" = []
+        self.delta_boxes: "list[np.ndarray]" = []
+        self.delta_levels: "list[np.ndarray]" = []
         self.tombstoned: "set[int]" = set()
         self.journal: "list[tuple[int, str, object]]" = []
         self.generations: "OrderedDict[int, SeeSawIndex]" = OrderedDict()
@@ -92,11 +94,11 @@ class LiveDatasetState:
 
     @property
     def delta_rows(self) -> int:
-        return len(self.delta_records)
+        return sum(block.size for block in self.delta_levels)
 
     @property
     def has_delta(self) -> bool:
-        return bool(self.delta_records) or bool(self.tombstoned)
+        return bool(self.delta_levels) or bool(self.tombstoned)
 
     def merged_dataset(self) -> ImageDataset:
         """The current logical corpus, in canonical (row-stable) order."""
@@ -219,7 +221,8 @@ class DatasetRegistry:
             for image_id in index.image_ids
         )
         state.delta_vectors = []
-        state.delta_records = []
+        state.delta_boxes = []
+        state.delta_levels = []
         state.tombstoned = set()
         state.journal = []
         cache = self.service._caches.get(state.name)
@@ -445,25 +448,19 @@ class DatasetRegistry:
                 state.tombstoned.update(old)
                 state.images.pop(image.image_id, None)
             patches = generate_patches(image.width, image.height, state.config.multiscale)
+            first = n_base + state.delta_rows
             state.delta_vectors.append(
                 embedding.embed_patches(image, [box for box, _ in patches])
             )
-            ids: "list[int]" = []
-            for box, scale_level in patches:
-                vector_id = n_base + len(state.delta_records)
-                state.delta_records.append(
-                    VectorRecord(
-                        vector_id=vector_id,
-                        image_id=image.image_id,
-                        box=box,
-                        scale_level=scale_level,
-                    )
-                )
-                ids.append(vector_id)
+            boxes, levels = patch_columns(patches)
+            state.delta_boxes.append(boxes)
+            state.delta_levels.append(levels)
             # Re-inserted at the end of both ordered maps: the canonical
             # position a from-scratch rebuild would give the image.
             state.images[image.image_id] = image
-            state.image_vector_ids[image.image_id] = tuple(ids)
+            state.image_vector_ids[image.image_id] = tuple(
+                range(first, first + levels.size)
+            )
 
     def _apply_delete(
         self, state: LiveDatasetState, image_ids: "Iterable[int]"
@@ -493,15 +490,13 @@ class DatasetRegistry:
             delta_matrix = np.concatenate(state.delta_vectors)
         else:
             delta_matrix = np.zeros((0, base.store.dim), dtype=base.store.compute_dtype)
-        total = len(base.store) + len(state.delta_records)
+        total = len(base.store) + state.delta_rows
         tombstones = np.zeros(total, dtype=bool)
         if state.tombstoned:
             tombstones[
                 np.fromiter(state.tombstoned, dtype=np.int64, count=len(state.tombstoned))
             ] = True
-        store = DeltaVectorStore(
-            base.store, delta_matrix, list(state.delta_records), tombstones
-        )
+        store = DeltaVectorStore(base.store, delta_matrix, tombstones)
         report = IndexBuildReport(
             dataset_name=state.name,
             image_count=len(state.images),
@@ -519,7 +514,9 @@ class DatasetRegistry:
             dataset=state.merged_dataset(),
             embedding=base.embedding,
             store=store,
-            image_vector_ids=dict(state.image_vector_ids),
+            segments=ImageSegments.from_mapping(state.image_vector_ids, total),
+            patch_boxes=np.concatenate([base.patch_boxes, *state.delta_boxes]),
+            patch_levels=np.concatenate([base.patch_levels, *state.delta_levels]),
             knn_graph=None,
             db_matrix=None,
             config=state.config,

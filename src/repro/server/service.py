@@ -191,7 +191,6 @@ class SeeSawService:
             index.replace_store(
                 GraphANNVectorStore(
                     index.store.vectors,
-                    list(index.store.records),
                     graph_degree=self.config.ann_graph_degree,
                     ef=self.config.ann_ef,
                 )
@@ -204,13 +203,14 @@ class SeeSawService:
             index.replace_store(
                 QuantizedVectorStore(
                     index.store.vectors,
-                    list(index.store.records),
                     rerank_factor=self.config.quantized_rerank_factor,
                 )
             )
         if self.config.n_shards > 1 and not isinstance(index.store, ShardedVectorStore):
             index.replace_store(
-                ShardedVectorStore.wrap(index.store, self.config.n_shards)
+                ShardedVectorStore.wrap(
+                    index.store, index.segments.vector_image_rows, self.config.n_shards
+                )
             )
         # An index built while the service is already overloaded starts at
         # the degraded beam, not the configured one.

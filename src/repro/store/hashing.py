@@ -19,7 +19,7 @@ from repro.config import SeeSawConfig
 from repro.data.dataset import ImageDataset
 from repro.embedding.base import EmbeddingModel
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 """Bumped whenever the on-disk layout changes; part of every cache key so
 stale-format entries are simply never matched."""
 

@@ -1,7 +1,8 @@
 """Serialize a built :class:`SeeSawIndex` to disk and load it back.
 
 The expensive preprocessing outputs — patch vectors, kNN graph, DB-alignment
-matrix — are written as raw ``.npy`` artifacts (one file per array), which
+matrix — and the patch table (boxes, scale levels, the image segment
+layout) are written as raw ``.npy`` artifacts (one file per array), which
 :func:`load_index` can open with ``mmap_mode="r"``: a cold start then *maps*
 the arrays instead of reading them into a private copy, and the vector
 store adopts the mapping zero-copy (its construction keeps read-only input
@@ -16,8 +17,8 @@ An entry always loads as an :class:`ExactVectorStore`.  Whatever tier wraps
 the store at save time (quantized, graph-ANN, sharded), only its vectors
 are written: tiers are runtime wraps the service re-applies after loading.
 
-Everything structural (records, image→vector mapping, configuration, build
-report) goes into a JSON sidecar.  The dataset and embedding model
+The configuration and build report go into a small JSON sidecar that holds
+no per-vector or per-image list.  The dataset and embedding model
 themselves are *not* serialized: they are cheap to recreate
 deterministically and the loader receives live instances, which keeps the
 on-disk format small and free of pickled code.  Arrays are stored in the
@@ -38,27 +39,33 @@ import numpy as np
 from repro.config import SeeSawConfig
 from repro.core.indexing import IndexBuildReport, SeeSawIndex
 from repro.data.dataset import ImageDataset
-from repro.data.geometry import BoundingBox
 from repro.embedding.base import EmbeddingModel
-from repro.exceptions import ConfigurationError, StoreError
+from repro.engine import ImageSegments
+from repro.exceptions import ConfigurationError, IndexingError, StoreError
 from repro.knng.graph import KnnGraph
 from repro.store.hashing import FORMAT_VERSION
 from repro.utils.linalg import assert_no_copy
-from repro.vectorstore.base import VectorRecord
 from repro.vectorstore.exact import ExactVectorStore
 
 META_FILE = "index.json"
 
-ARRAY_NAMES = ("vectors", "knn_neighbor_ids", "knn_neighbor_weights", "db_matrix")
+ARRAY_NAMES = (
+    "vectors",
+    "patch_boxes",
+    "patch_levels",
+    "image_ids",
+    "image_offsets",
+    "knn_neighbor_ids",
+    "knn_neighbor_weights",
+    "db_matrix",
+)
 """The array artifacts an entry may hold, one ``<name>.npy`` file each
-(``vectors`` is always present, the rest are optional)."""
+(the first five are always present, the kNN graph and ``M_D`` optional)."""
 
 REQUIRED_META = (
     "dataset_name",
     "embedding_dim",
     "config",
-    "records",
-    "image_vector_ids",
     "knn_sigma",
     "build_report",
 )
@@ -115,9 +122,21 @@ def save_index(index: SeeSawIndex, directory: "str | os.PathLike[str]") -> Path:
     """
     target = Path(directory)
     target.parent.mkdir(parents=True, exist_ok=True)
+    segments = index.segments
+    if not segments.contiguous:
+        raise StoreError(
+            "only an index whose images own contiguous vector ranges can be "
+            "saved (a sealed build, not a live view)"
+        )
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=target.parent))
     try:
-        arrays: dict[str, np.ndarray] = {"vectors": np.asarray(index.store.vectors)}
+        arrays: dict[str, np.ndarray] = {
+            "vectors": np.asarray(index.store.vectors),
+            "patch_boxes": index.patch_boxes,
+            "patch_levels": index.patch_levels,
+            "image_ids": segments.image_ids,
+            "image_offsets": segments.offsets,
+        }
         if index.knn_graph is not None:
             arrays["knn_neighbor_ids"] = index.knn_graph.neighbor_ids
             arrays["knn_neighbor_weights"] = index.knn_graph.neighbor_weights
@@ -133,23 +152,6 @@ def save_index(index: SeeSawIndex, directory: "str | os.PathLike[str]") -> Path:
             "dataset_name": index.dataset.name,
             "embedding_dim": index.embedding.dim,
             "config": index.config.to_dict(),
-            "records": [
-                [
-                    record.image_id,
-                    record.box.x,
-                    record.box.y,
-                    record.box.width,
-                    record.box.height,
-                    record.scale_level,
-                ]
-                for record in index.store.records
-            ],
-            # A list of pairs, not an object: JSON objects stringify the keys
-            # and lose the image ordering coarse_vector_ids() relies on.
-            "image_vector_ids": [
-                [image_id, list(index.vector_ids_for_image(image_id))]
-                for image_id in index.image_ids
-            ],
             "knn_sigma": None if index.knn_graph is None else index.knn_graph.sigma,
             "build_report": {
                 "dataset_name": report.dataset_name,
@@ -257,17 +259,6 @@ def load_index(
     except ConfigurationError as exc:
         raise StoreError(f"Index at '{source}' has an unreadable config: {exc}") from exc
     try:
-        records = [
-            VectorRecord(
-                vector_id=position,
-                image_id=int(image_id),
-                box=BoundingBox(float(x), float(y), float(width), float(height)),
-                scale_level=int(scale_level),
-            )
-            for position, (image_id, x, y, width, height, scale_level) in enumerate(
-                meta["records"]
-            )
-        ]
         report_meta = meta["build_report"]
         report = IndexBuildReport(
             dataset_name=report_meta["dataset_name"],
@@ -278,10 +269,6 @@ def load_index(
             graph_seconds=float(report_meta["graph_seconds"]),
             multiscale=bool(report_meta["multiscale"]),
         )
-        image_vector_ids = {
-            int(image_id): tuple(vector_ids)
-            for image_id, vector_ids in meta["image_vector_ids"]
-        }
     except (KeyError, TypeError, ValueError) as exc:
         raise StoreError(f"Index at '{source}' has malformed metadata: {exc!r}") from exc
 
@@ -293,11 +280,8 @@ def load_index(
             f"expected (N, {dim})"
         )
     count = vectors.shape[0]
-    if len(records) != count:
-        raise StoreError(
-            f"Index at '{source}' has {len(records)} records for {count} vectors"
-        )
-    store = ExactVectorStore(vectors, records)
+    _check_patch_table(source, arrays, count, dataset)
+    store = ExactVectorStore(vectors)
     if mmap and isinstance(vectors, np.memmap):
         # The zero-copy cold-start guarantee, enforced at runtime: the store
         # must have adopted the read-only mapping, not silently copied it.
@@ -320,16 +304,55 @@ def load_index(
             f"Index at '{source}' holds a db_matrix of shape {db_matrix.shape}, "
             f"expected {(dim, dim)}"
         )
-    return SeeSawIndex(
-        dataset=dataset,
-        embedding=embedding,
-        store=store,
-        image_vector_ids=image_vector_ids,
-        knn_graph=knn_graph,
-        db_matrix=db_matrix,
-        config=config,
-        build_report=report,
+    try:
+        return SeeSawIndex(
+            dataset=dataset,
+            embedding=embedding,
+            store=store,
+            segments=ImageSegments(
+                arrays["image_ids"], np.arange(count), arrays["image_offsets"], count
+            ),
+            patch_boxes=arrays["patch_boxes"],
+            patch_levels=arrays["patch_levels"],
+            knn_graph=knn_graph,
+            db_matrix=db_matrix,
+            config=config,
+            build_report=report,
+        )
+    except IndexingError as exc:
+        # Offsets that do not partition the vectors, a segment not led by its
+        # coarse patch, an empty box: the entry is corrupt, so it is a miss.
+        raise StoreError(f"Index at '{source}' has an invalid patch table: {exc}") from exc
+
+
+def _check_patch_table(
+    source: Path, arrays: "dict[str, np.ndarray]", count: int, dataset: ImageDataset
+) -> None:
+    """The patch-table arrays must have the shapes and dtypes the index reads
+    and list ``dataset``'s images in order; the index checks the rest."""
+    images = len(dataset)
+    expected = {
+        "patch_boxes": ((count, 4), np.float64),
+        "patch_levels": ((count,), np.int8),
+        "image_ids": ((images,), np.int64),
+        "image_offsets": ((images + 1,), np.int64),
+    }
+    for name, (shape, dtype) in expected.items():
+        array = arrays.get(name)
+        if array is None or array.shape != shape or array.dtype != dtype:
+            found = "nothing" if array is None else f"{array.dtype} {array.shape}"
+            raise StoreError(
+                f"Index at '{source}' holds {found} as {name}, expected "
+                f"{np.dtype(dtype)} {shape}"
+            )
+    dataset_ids = np.fromiter(
+        (image.image_id for image in dataset.images), np.int64, count=images
     )
+    if not np.array_equal(arrays["image_ids"], dataset_ids):
+        raise StoreError(
+            f"Index at '{source}' lists other images, or another order, than "
+            f"dataset '{dataset.name}'"
+        )
 
 
 def _load_knn_graph(

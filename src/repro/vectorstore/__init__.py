@@ -8,11 +8,12 @@ kNN-graph greedy descent with exact re-rank — the sublinear candidate
 tier), and :class:`ShardedVectorStore` (image-aligned
 partitions of any of them, scored in parallel), behind one
 :class:`VectorStore` interface.  Every store runs its scoring in a
-configurable compute dtype (float64 bit-parity default, float32 fast tier).  Vectors carry :class:`VectorRecord` metadata (image id, patch
-box, scale level) so the multiscale index can map patch hits back to images.
+configurable compute dtype (float64 bit-parity default, float32 fast tier).
+Stores hold vectors only and answer in vector ids; the patch metadata (box,
+scale level, owning image) lives once, as columns on the index.
 """
 
-from repro.vectorstore.base import VectorRecord, VectorStore
+from repro.vectorstore.base import VectorStore
 from repro.vectorstore.exact import ExactVectorStore
 from repro.vectorstore.forest import RandomProjectionForest
 from repro.vectorstore.graph import GraphANNVectorStore
@@ -20,7 +21,6 @@ from repro.vectorstore.quantized import QuantizedVectorStore
 from repro.vectorstore.sharded import ShardedVectorStore
 
 __all__ = [
-    "VectorRecord",
     "VectorStore",
     "ExactVectorStore",
     "GraphANNVectorStore",

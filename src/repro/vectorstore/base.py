@@ -1,13 +1,11 @@
-"""Vector-store interface and per-vector metadata records."""
+"""Vector-store interface: stores hold unit vectors and nothing else."""
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.geometry import BoundingBox
 from repro.exceptions import VectorStoreError
 from repro.utils.linalg import (
     COMPUTE_DTYPES,
@@ -52,37 +50,6 @@ def deterministic_top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarr
     return chosen[np.lexsort((ids[chosen], -scores[chosen]))]
 
 
-@dataclass(frozen=True)
-class VectorRecord:
-    """Metadata attached to one stored vector.
-
-    With the multiscale representation a single image contributes several
-    vectors; each record remembers which image and which patch the vector was
-    computed from so results can be grouped back into images and compared
-    against user box feedback.
-    """
-
-    vector_id: int
-    image_id: int
-    box: BoundingBox
-    scale_level: int = 0
-    """0 for the coarse full-image patch, 1 for the finer tiling."""
-
-    @property
-    def is_coarse(self) -> bool:
-        """True when this record is the whole-image (coarse) vector."""
-        return self.scale_level == 0
-
-
-@dataclass(frozen=True)
-class SearchHit:
-    """One result of a store lookup."""
-
-    vector_id: int
-    score: float
-    record: VectorRecord
-
-
 class VectorStore(ABC):
     """Maximum-inner-product lookup over a fixed set of unit vectors."""
 
@@ -96,7 +63,6 @@ class VectorStore(ABC):
     def __init__(
         self,
         vectors: np.ndarray,
-        records: "list[VectorRecord]",
         compute_dtype: "np.dtype | str | None" = None,
     ) -> None:
         source = np.asarray(vectors)
@@ -115,18 +81,6 @@ class VectorStore(ABC):
             raise VectorStoreError("vectors must be a 2-d array (count x dim)")
         if vectors.shape[0] == 0:
             raise VectorStoreError("cannot build a vector store with no vectors")
-        if len(records) != vectors.shape[0]:
-            raise VectorStoreError(
-                f"record count {len(records)} does not match vector count {vectors.shape[0]}"
-            )
-        scale_levels = np.empty(len(records), dtype=np.int8)
-        for position, record in enumerate(records):
-            if record.vector_id != position:
-                raise VectorStoreError(
-                    "records must be ordered so record.vector_id equals its row index"
-                )
-            scale_levels[position] = record.scale_level
-        scale_levels.setflags(write=False)
         # Rows already in canonical form are kept bit-exact instead of being
         # re-divided by a norm of 1±ulp: rebuilding a store from another
         # store's vectors (shard slices, cache loads) must not drift scores
@@ -150,8 +104,6 @@ class VectorStore(ABC):
                 self._vectors = vectors.copy()
         else:
             self._vectors = ensure_dtype(normalize_rows(vectors), dtype)
-        self._records = list(records)
-        self._scale_levels = scale_levels
         self._compute_dtype = dtype
 
     # ------------------------------------------------------------------
@@ -182,28 +134,6 @@ class VectorStore(ABC):
         view = self._vectors.view()
         view.setflags(write=False)
         return view
-
-    @property
-    def records(self) -> "tuple[VectorRecord, ...]":
-        """All metadata records in vector-id order."""
-        return tuple(self._records)
-
-    @property
-    def scale_levels(self) -> np.ndarray:
-        """Per-vector multiscale level as an int8 column (read-only).
-
-        Built during record validation at construction, so bulk level
-        checks (e.g. the coarse-first index invariant) are one vectorized
-        comparison instead of per-record attribute access.
-        """
-        return self._scale_levels
-
-    def record(self, vector_id: int) -> VectorRecord:
-        """Metadata for one stored vector."""
-        try:
-            return self._records[vector_id]
-        except IndexError as exc:
-            raise VectorStoreError(f"Unknown vector id {vector_id}") from exc
 
     def vector(self, vector_id: int) -> np.ndarray:
         """One stored vector by id."""
@@ -260,26 +190,6 @@ class VectorStore(ABC):
             )
         return query
 
-    def _hits_from_ids(self, ids: np.ndarray, scores: np.ndarray) -> "list[SearchHit]":
-        return [
-            SearchHit(vector_id=int(vid), score=float(score), record=self._records[int(vid)])
-            for vid, score in zip(ids, scores)
-        ]
-
-    def _mask_from_ids(self, exclude_vector_ids: "set[int] | None") -> "np.ndarray | None":
-        """Boolean exclusion mask from a legacy id set (out-of-range ids dropped)."""
-        if not exclude_vector_ids:
-            return None
-        valid = np.fromiter(
-            (vid for vid in exclude_vector_ids if 0 <= vid < len(self)),
-            dtype=np.int64,
-        )
-        if not valid.size:
-            return None
-        mask = np.zeros(len(self), dtype=bool)
-        mask[valid] = True
-        return mask
-
     # ------------------------------------------------------------------
     # interface
     # ------------------------------------------------------------------
@@ -293,8 +203,9 @@ class VectorStore(ABC):
         """Array-native top-``k``: aligned ``(vector_ids, scores)``, best first.
 
         ``exclude_mask`` is an optional boolean column over the stored
-        vectors (``True`` = excluded).  This is the hot-path entry point the
-        query engine drives each round; no per-hit objects are created.
+        vectors (``True`` = excluded).  This is the one top-``k`` entry
+        point; the query engine drives it each round and no per-hit objects
+        are created.
         """
 
     def score_all(self, query: np.ndarray) -> np.ndarray:
@@ -308,21 +219,3 @@ class VectorStore(ABC):
         """
         query = self._check_query(query)
         return dot_rows(self._vectors, query)
-
-    def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        exclude_vector_ids: "set[int] | None" = None,
-    ) -> "list[SearchHit]":
-        """Return up to ``k`` hits with the largest inner product with ``query``.
-
-        ``exclude_vector_ids`` removes already-inspected vectors from
-        consideration, which is how the interactive loop avoids re-showing
-        images the user has already labelled.  This is the legacy hit-object
-        API, kept as a thin adapter over :meth:`search_arrays`.
-        """
-        ids, scores = self.search_arrays(
-            query, k, exclude_mask=self._mask_from_ids(exclude_vector_ids)
-        )
-        return self._hits_from_ids(ids, scores)

@@ -2,8 +2,7 @@
 
 The paper notes that an exact scan is the accuracy reference Annoy is
 compared against (§2.2); it is also the store used in most tests because its
-results are unambiguous.  The array-native :meth:`search_arrays` is the real
-kernel; the legacy hit-object ``search`` is the base-class adapter over it.
+results are unambiguous.
 """
 
 from __future__ import annotations

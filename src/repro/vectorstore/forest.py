@@ -18,7 +18,7 @@ import numpy as np
 from repro.exceptions import VectorStoreError
 from repro.utils.linalg import normalize_vector
 from repro.utils.rng import ensure_rng
-from repro.vectorstore.base import SearchHit, VectorRecord, VectorStore
+from repro.vectorstore.base import VectorStore
 
 
 @dataclass
@@ -44,12 +44,11 @@ class RandomProjectionForest(VectorStore):
     def __init__(
         self,
         vectors: np.ndarray,
-        records: "list[VectorRecord]",
         tree_count: int = 8,
         leaf_size: int = 32,
         seed: int = 0,
     ) -> None:
-        super().__init__(vectors, records)
+        super().__init__(vectors)
         if tree_count < 1:
             raise VectorStoreError("tree_count must be >= 1")
         if leaf_size < 2:
@@ -138,22 +137,6 @@ class RandomProjectionForest(VectorStore):
         order = np.argsort(-scores)[:k]
         return candidates[order], scores[order]
 
-    def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        exclude_vector_ids: "set[int] | None" = None,
-        search_k: "int | None" = None,
-    ) -> "list[SearchHit]":
-        """Legacy hit-object adapter; forwards the ``search_k`` budget knob."""
-        ids, scores = self.search_arrays(
-            query,
-            k,
-            exclude_mask=self._mask_from_ids(exclude_vector_ids),
-            search_k=search_k,
-        )
-        return self._hits_from_ids(ids, scores)
-
     def _candidates(self, query: np.ndarray, budget: int) -> np.ndarray:
         """Gather candidate vector ids from all trees with a margin-ordered queue."""
         collected: set[int] = set()
@@ -194,7 +177,6 @@ class RandomProjectionForest(VectorStore):
         for query in queries:
             exact_scores = self._vectors @ query
             exact_top = set(np.argsort(-exact_scores)[:k].tolist())
-            approx = self.search(query, k=k, search_k=search_k)
-            approx_top = {hit.vector_id for hit in approx}
-            total += len(exact_top & approx_top) / max(1, len(exact_top))
+            approx_ids, _ = self.search_arrays(query, k=k, search_k=search_k)
+            total += len(exact_top & set(approx_ids.tolist())) / max(1, len(exact_top))
         return total / queries.shape[0]

@@ -50,7 +50,7 @@ import numpy as np
 from repro.exceptions import VectorStoreError
 from repro.knng.graph import exact_knn
 from repro.obs import trace_registry, trace_span
-from repro.vectorstore.base import VectorRecord, VectorStore, deterministic_top_k
+from repro.vectorstore.base import VectorStore, deterministic_top_k
 
 ANN_HOPS_METRIC = "seesaw_ann_hops_total"
 ANN_HOPS_HELP = (
@@ -79,12 +79,11 @@ class GraphANNVectorStore(VectorStore):
     def __init__(
         self,
         vectors: np.ndarray,
-        records: "list[VectorRecord]",
         graph_degree: int = 16,
         ef: int = 64,
         compute_dtype: "np.dtype | str | None" = None,
     ) -> None:
-        super().__init__(vectors, records, compute_dtype=compute_dtype)
+        super().__init__(vectors, compute_dtype=compute_dtype)
         if graph_degree < 2:
             raise VectorStoreError(
                 f"graph_degree must be >= 2, got {graph_degree}"
@@ -292,22 +291,6 @@ class GraphANNVectorStore(VectorStore):
         if not best:
             return np.zeros(0, dtype=np.int64), hops
         return np.fromiter((node for _, node in best), dtype=np.int64, count=len(best)), hops
-
-    def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        exclude_vector_ids: "set[int] | None" = None,
-        ef: "int | None" = None,
-    ) -> list:
-        """Legacy hit-object adapter; forwards the ``ef`` beam override."""
-        ids, scores = self.search_arrays(
-            query,
-            k,
-            exclude_mask=self._mask_from_ids(exclude_vector_ids),
-            ef=ef,
-        )
-        return self._hits_from_ids(ids, scores)
 
     # ------------------------------------------------------------------
     # diagnostics

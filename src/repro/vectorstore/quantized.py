@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.exceptions import VectorStoreError
 from repro.obs import trace_span
-from repro.vectorstore.base import VectorRecord, VectorStore, deterministic_top_k
+from repro.vectorstore.base import VectorStore, deterministic_top_k
 
 _QUANT_LEVELS = 127
 """Symmetric int8 range: codes in [-127, 127] (-128 unused, keeping the
@@ -53,11 +53,10 @@ class QuantizedVectorStore(VectorStore):
     def __init__(
         self,
         vectors: np.ndarray,
-        records: "list[VectorRecord]",
         rerank_factor: int = 4,
         compute_dtype: "np.dtype | str | None" = None,
     ) -> None:
-        super().__init__(vectors, records, compute_dtype=compute_dtype)
+        super().__init__(vectors, compute_dtype=compute_dtype)
         if rerank_factor < 1:
             raise VectorStoreError(
                 f"rerank_factor must be >= 1, got {rerank_factor}"

@@ -19,28 +19,28 @@ Equivalence is a hard guarantee, not a best effort:
   ascending vector id, the same deterministic rule the exact store uses.
 
 The wrapper subclasses :class:`VectorStore`, so every base accessor
-(``records``, ``vector``, ``vectors``, the legacy ``search``) works on the
-global id space unchanged, and the query engine drives a sharded store
-through the very same interface as a flat one.
+(``vector``, ``vectors``, ``take``) works on the global id space unchanged,
+and the query engine drives a sharded store through the very same interface
+as a flat one.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from repro.exceptions import VectorStoreError
 from repro.obs import trace_span
-from repro.vectorstore.base import VectorRecord, VectorStore, deterministic_top_k
+from repro.vectorstore.base import VectorStore, deterministic_top_k
 from repro.vectorstore.exact import ExactVectorStore
 from repro.vectorstore.forest import RandomProjectionForest
 from repro.vectorstore.graph import GraphANNVectorStore
 from repro.vectorstore.quantized import QuantizedVectorStore
 
-StoreFactory = Callable[[np.ndarray, "list[VectorRecord]"], VectorStore]
+StoreFactory = Callable[[np.ndarray], VectorStore]
 
 
 @dataclass(frozen=True)
@@ -56,36 +56,29 @@ class _Shard:
 
 
 class ShardedVectorStore(VectorStore):
-    """Image-aligned shards of any :class:`VectorStore`, scored in parallel."""
+    """Image-aligned shards of any :class:`VectorStore`, scored in parallel.
+
+    ``image_rows`` names each vector's image (the index's
+    ``segments.vector_image_rows`` column); shard bounds never split an image.
+    """
 
     def __init__(
         self,
         vectors: np.ndarray,
-        records: "list[VectorRecord]",
+        image_rows: np.ndarray,
         n_shards: int = 2,
         store_factory: "StoreFactory | None" = None,
         compute_dtype: "np.dtype | str | None" = None,
     ) -> None:
-        super().__init__(vectors, records, compute_dtype=compute_dtype)
+        super().__init__(vectors, compute_dtype=compute_dtype)
         if n_shards < 1:
             raise VectorStoreError(f"n_shards must be >= 1, got {n_shards}")
         factory = store_factory or ExactVectorStore
-        bounds = self._shard_bounds(records, n_shards)
+        bounds = self._shard_bounds(np.asarray(image_rows), len(self), n_shards)
         shards: "list[_Shard]" = []
         for start, stop in zip(bounds[:-1], bounds[1:]):
             start, stop = int(start), int(stop)
-            inner = factory(
-                self._vectors[start:stop],
-                [
-                    VectorRecord(
-                        vector_id=record.vector_id - start,
-                        image_id=record.image_id,
-                        box=record.box,
-                        scale_level=record.scale_level,
-                    )
-                    for record in records[start:stop]
-                ],
-            )
+            inner = factory(self._vectors[start:stop])
             # The inner store's construction copy holds the same bits as the
             # wrapper's rows (unit rows are preserved verbatim); swapping in
             # a view of the wrapper's matrix drops the copy so sharding does
@@ -102,47 +95,50 @@ class ShardedVectorStore(VectorStore):
     # partitioning
     # ------------------------------------------------------------------
     @staticmethod
-    def _shard_bounds(records: "list[VectorRecord]", n_shards: int) -> np.ndarray:
+    def _shard_bounds(image_rows: np.ndarray, count: int, n_shards: int) -> np.ndarray:
         """Split points: image-aligned, as close to an even split as possible."""
-        image_ids = np.fromiter(
-            (record.image_id for record in records), dtype=np.int64, count=len(records)
-        )
-        change_points = np.flatnonzero(np.diff(image_ids) != 0) + 1
-        if np.unique(image_ids).size != change_points.size + 1:
+        if image_rows.shape != (count,):
+            raise VectorStoreError(
+                f"image_rows must name the image of each of the {count} vectors, "
+                f"got shape {image_rows.shape}"
+            )
+        change_points = np.flatnonzero(np.diff(image_rows) != 0) + 1
+        if np.unique(image_rows).size != change_points.size + 1:
             raise VectorStoreError(
                 "image-aligned sharding requires each image's vectors to be "
                 "stored contiguously"
             )
-        boundaries = np.concatenate(([0], change_points, [len(records)]))
-        targets = np.linspace(0, len(records), min(n_shards, boundaries.size - 1) + 1)
+        boundaries = np.concatenate(([0], change_points, [count]))
+        targets = np.linspace(0, count, min(n_shards, boundaries.size - 1) + 1)
         # Snap each even-split target to the nearest image boundary; dedupe
         # keeps the bounds strictly increasing when images are few or lumpy.
         positions = boundaries[
             np.abs(boundaries[:, None] - targets[None, :]).argmin(axis=0)
         ]
-        positions[0], positions[-1] = 0, len(records)
+        positions[0], positions[-1] = 0, count
         return np.unique(positions)
 
     @classmethod
-    def wrap(cls, store: VectorStore, n_shards: int) -> "ShardedVectorStore":
+    def wrap(
+        cls, store: VectorStore, image_rows: np.ndarray, n_shards: int
+    ) -> "ShardedVectorStore":
         """Shard an existing flat store (the service's runtime topology knob).
 
-        The inner stores are rebuilt from the wrapped store's vectors and
-        records with the same kind and parameters; wrapping an already
-        sharded store reshards its flat content.
+        The inner stores are rebuilt from the wrapped store's vectors with
+        the same kind and parameters; wrapping an already sharded store
+        reshards its flat content.
         """
         # Kind/parameters come from the flat template store (the inner store
-        # when resharding), but vectors and records always come from `store`
-        # itself — the wrapper holds the full corpus.
+        # when resharding), but the vectors always come from `store` itself —
+        # the wrapper holds the full corpus.
         template = store.shard_example if isinstance(store, ShardedVectorStore) else store
         factory: StoreFactory
         if isinstance(template, RandomProjectionForest):
             forest = template
 
-            def factory(vectors: np.ndarray, records: "list[VectorRecord]") -> VectorStore:
+            def factory(vectors: np.ndarray) -> VectorStore:
                 return RandomProjectionForest(
                     vectors,
-                    records,
                     tree_count=forest.tree_count,
                     leaf_size=forest.leaf_size,
                     seed=forest.seed,
@@ -151,13 +147,12 @@ class ShardedVectorStore(VectorStore):
         elif isinstance(template, GraphANNVectorStore):
             graph = template
 
-            def factory(vectors: np.ndarray, records: "list[VectorRecord]") -> VectorStore:
+            def factory(vectors: np.ndarray) -> VectorStore:
                 # Each shard builds its own navigable graph over its slice;
                 # descent then runs per shard and the wrapper's deterministic
                 # merge selects across the shard-local candidate sets.
                 return GraphANNVectorStore(
                     vectors,
-                    records,
                     graph_degree=graph.graph_degree,
                     ef=graph.ef,
                 )
@@ -165,10 +160,8 @@ class ShardedVectorStore(VectorStore):
         elif isinstance(template, QuantizedVectorStore):
             quantized = template
 
-            def factory(vectors: np.ndarray, records: "list[VectorRecord]") -> VectorStore:
-                return QuantizedVectorStore(
-                    vectors, records, rerank_factor=quantized.rerank_factor
-                )
+            def factory(vectors: np.ndarray) -> VectorStore:
+                return QuantizedVectorStore(vectors, rerank_factor=quantized.rerank_factor)
 
         elif isinstance(template, ExactVectorStore):
             factory = ExactVectorStore
@@ -177,7 +170,7 @@ class ShardedVectorStore(VectorStore):
                 f"Cannot infer a shard factory for {type(template).__name__}; "
                 "construct ShardedVectorStore with an explicit store_factory"
             )
-        return cls(store.vectors, list(store.records), n_shards, store_factory=factory)
+        return cls(store.vectors, image_rows, n_shards, store_factory=factory)
 
     # ------------------------------------------------------------------
     # introspection
@@ -297,19 +290,3 @@ class ShardedVectorStore(VectorStore):
             results.append((ids + shard.start, scores))
         return results
 
-
-def image_spans(records: Sequence[VectorRecord]) -> "list[tuple[int, int]]":
-    """Contiguous ``[start, stop)`` vector-id spans per image, in id order.
-
-    Helper shared by tests asserting the image-aligned shard invariant.
-    """
-    spans: "list[tuple[int, int]]" = []
-    start = 0
-    for position in range(1, len(records) + 1):
-        if (
-            position == len(records)
-            or records[position].image_id != records[position - 1].image_id
-        ):
-            spans.append((start, position))
-            start = position
-    return spans

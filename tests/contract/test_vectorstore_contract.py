@@ -7,16 +7,17 @@ backends additionally run in the float32 compute tier.  A new backend (or tier) 
 adding one line to ``BACKENDS`` — the invariants below are the interface
 the query engine (and everything above it) is written against:
 
-* ``search`` is exactly the hit-object adapter over ``search_arrays``;
 * returned scores are true inner products of the returned vectors;
 * results come back best-first with deterministic ordering;
-* exclusions (mask or legacy id set) are honored absolutely;
+* exclusion masks are honored absolutely;
 * edge cases (k > n, everything excluded, bad k, bad dimensions) are
   handled identically everywhere;
 * ``score_all`` is deterministic and agrees with a manual scan and with
   the scores ``search_arrays`` reports;
-* ``take`` gathers exactly ``vectors[ids]``, on its own and as the base
-  segment of a live ``DeltaVectorStore``.
+* ``take`` and ``vector`` read exactly the rows of ``vectors``, on their
+  own and as the base segment of a live ``DeltaVectorStore``;
+* a live ``DeltaVectorStore`` over the backend scores base then delta rows
+  into one column and never returns a tombstoned row.
 
 Approximate backends may return *fewer or different* candidates than an
 exact scan — the contract never asserts recall — but whatever they return
@@ -28,7 +29,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data.geometry import BoundingBox
 from repro.exceptions import VectorStoreError
 from repro.live import DeltaVectorStore
 from repro.vectorstore import (
@@ -37,7 +37,6 @@ from repro.vectorstore import (
     QuantizedVectorStore,
     RandomProjectionForest,
     ShardedVectorStore,
-    VectorRecord,
 )
 
 DIM = 24
@@ -53,55 +52,48 @@ def _atol(store) -> float:
 
 
 def _corpus(seed: int = 11, image_count: int = 30):
-    """A multiscale-shaped corpus: images contribute 1-4 patch vectors."""
+    """A multiscale-shaped corpus: images contribute 1-4 patch vectors.
+
+    Returns the vectors and each vector's image row.
+    """
     rng = np.random.default_rng(seed)
-    records: "list[VectorRecord]" = []
-    vector_id = 0
-    for image_id in range(image_count):
-        for patch in range(int(rng.integers(1, 5))):
-            records.append(
-                VectorRecord(
-                    vector_id=vector_id,
-                    image_id=image_id,
-                    box=BoundingBox(0.0, 0.0, 32.0, 32.0),
-                    scale_level=0 if patch == 0 else 1,
-                )
-            )
-            vector_id += 1
-    vectors = rng.standard_normal((vector_id, DIM))
-    return vectors, records
+    image_rows = np.repeat(
+        np.arange(image_count), rng.integers(1, 5, size=image_count)
+    )
+    vectors = rng.standard_normal((image_rows.size, DIM))
+    return vectors, image_rows
 
 
 BACKENDS = {
-    "exact": lambda v, r: ExactVectorStore(v, r),
-    "exact-f32": lambda v, r: ExactVectorStore(v, r, compute_dtype="float32"),
-    "forest": lambda v, r: RandomProjectionForest(v, r, tree_count=4, leaf_size=8, seed=3),
-    "quantized": lambda v, r: QuantizedVectorStore(v, r),
-    "quantized-f32": lambda v, r: QuantizedVectorStore(v, r, compute_dtype="float32"),
+    "exact": lambda v, r: ExactVectorStore(v),
+    "exact-f32": lambda v, r: ExactVectorStore(v, compute_dtype="float32"),
+    "forest": lambda v, r: RandomProjectionForest(v, tree_count=4, leaf_size=8, seed=3),
+    "quantized": lambda v, r: QuantizedVectorStore(v),
+    "quantized-f32": lambda v, r: QuantizedVectorStore(v, compute_dtype="float32"),
     "sharded-exact": lambda v, r: ShardedVectorStore(v, r, n_shards=3),
     "sharded-exact-f32": lambda v, r: ShardedVectorStore(
         v, r, n_shards=3, compute_dtype="float32"
     ),
     "sharded-forest": lambda v, r: ShardedVectorStore.wrap(
-        RandomProjectionForest(v, r, tree_count=4, leaf_size=8, seed=3), 2
+        RandomProjectionForest(v, tree_count=4, leaf_size=8, seed=3), r, 2
     ),
     "sharded-quantized": lambda v, r: ShardedVectorStore.wrap(
-        QuantizedVectorStore(v, r), 3
+        QuantizedVectorStore(v), r, 3
     ),
-    "graph": lambda v, r: GraphANNVectorStore(v, r, graph_degree=8, ef=32),
+    "graph": lambda v, r: GraphANNVectorStore(v, graph_degree=8, ef=32),
     "graph-f32": lambda v, r: GraphANNVectorStore(
-        v, r, graph_degree=8, ef=32, compute_dtype="float32"
+        v, graph_degree=8, ef=32, compute_dtype="float32"
     ),
     "sharded-graph": lambda v, r: ShardedVectorStore.wrap(
-        GraphANNVectorStore(v, r, graph_degree=8, ef=32), 3
+        GraphANNVectorStore(v, graph_degree=8, ef=32), r, 3
     ),
 }
 
 
 @pytest.fixture(scope="module", params=sorted(BACKENDS))
 def store(request):
-    vectors, records = _corpus()
-    return BACKENDS[request.param](vectors, records)
+    vectors, image_rows = _corpus()
+    return BACKENDS[request.param](vectors, image_rows)
 
 
 @pytest.fixture(scope="module")
@@ -111,15 +103,6 @@ def queries():
 
 
 class TestSearchContract:
-    def test_search_is_the_adapter_over_search_arrays(self, store, queries):
-        for query in queries:
-            ids, scores = store.search_arrays(query, k=7)
-            hits = store.search(query, k=7)
-            assert [hit.vector_id for hit in hits] == ids.tolist()
-            assert np.allclose([hit.score for hit in hits], scores)
-            for hit in hits:
-                assert hit.record is store.record(hit.vector_id)
-
     def test_scores_are_true_inner_products(self, store, queries):
         for query in queries:
             ids, scores = store.search_arrays(query, k=9)
@@ -153,24 +136,11 @@ class TestExclusions:
             ids, _ = store.search_arrays(query, k=len(store), exclude_mask=mask)
             assert not mask[ids].any()
 
-    def test_legacy_id_set_agrees_with_mask(self, store, queries):
-        excluded = set(range(0, len(store), 3))
-        mask = np.zeros(len(store), dtype=bool)
-        mask[list(excluded)] = True
-        for query in queries:
-            from_mask, _ = store.search_arrays(query, k=8, exclude_mask=mask)
-            from_set = [hit.vector_id for hit in store.search(query, 8, excluded)]
-            assert from_mask.tolist() == from_set
-
     def test_everything_excluded_returns_empty(self, store, queries):
         mask = np.ones(len(store), dtype=bool)
         ids, scores = store.search_arrays(queries[0], k=4, exclude_mask=mask)
         assert ids.size == 0 and scores.size == 0
         assert ids.dtype == np.int64
-
-    def test_out_of_range_ids_in_legacy_set_are_dropped(self, store, queries):
-        hits = store.search(queries[0], 3, {-5, len(store) + 100})
-        assert len(hits) == 3
 
 
 class TestEdgeCases:
@@ -190,7 +160,7 @@ class TestEdgeCases:
 
     def test_unknown_vector_id_raises(self, store):
         with pytest.raises(VectorStoreError, match="Unknown vector id"):
-            store.record(len(store) + 1)
+            store.vector(len(store) + 1)
         with pytest.raises(VectorStoreError, match="Unknown vector id"):
             store.vector(-1)
 
@@ -220,10 +190,6 @@ class TestBulkScoring:
 
 
 class TestStructure:
-    def test_records_aligned_with_row_index(self, store):
-        for vector_id, record in enumerate(store.records):
-            assert record.vector_id == vector_id
-
     def test_vectors_are_unit_norm_and_read_only(self, store):
         norms = np.linalg.norm(store.vectors, axis=1)
         assert np.allclose(norms, 1.0)
@@ -257,17 +223,9 @@ def _with_delta(base, delta_count: int = 5, seed: int = 7) -> DeltaVectorStore:
     n_base = len(base)
     delta = rng.standard_normal((delta_count, DIM))
     delta /= np.linalg.norm(delta, axis=1, keepdims=True)
-    records = [
-        VectorRecord(
-            vector_id=n_base + offset,
-            image_id=1000 + offset,
-            box=BoundingBox(0.0, 0.0, 32.0, 32.0),
-        )
-        for offset in range(delta_count)
-    ]
     tombstones = np.zeros(n_base + delta_count, dtype=bool)
     tombstones[[0, 3, n_base + 1]] = True
-    return DeltaVectorStore(base, delta, records, tombstones)
+    return DeltaVectorStore(base, delta, tombstones)
 
 
 class TestTake:
@@ -306,3 +264,36 @@ class TestTake:
         assert np.array_equal(live.take(base_only), store.vectors[base_only])
         with pytest.raises(VectorStoreError, match="vector ids"):
             live.take(np.asarray([len(live)]))
+
+    def test_vector_is_a_copy_of_its_row(self, store):
+        for vector_id in (0, len(store) // 2, len(store) - 1):
+            row = store.vector(vector_id)
+            assert np.array_equal(row, store.vectors[vector_id])
+            row[0] += 1.0
+            assert not np.array_equal(row, store.vectors[vector_id])
+
+
+class TestDeltaOverBackend:
+    """A live view over the backend: base kernel + delta kernel, tombstones out."""
+
+    def test_delta_score_all_is_base_then_delta(self, store, queries):
+        live = _with_delta(store)
+        n_base = len(store)
+        for query in queries:
+            column = live.score_all(query)
+            assert np.array_equal(column[:n_base], store.score_all(query))
+            expected = np.asarray(live.vectors[n_base:], dtype=np.float64) @ query
+            assert np.allclose(column[n_base:], expected, rtol=0, atol=_atol(store))
+
+    def test_delta_search_never_returns_tombstoned_rows(self, store, queries):
+        live = _with_delta(store)
+        for query in queries:
+            ids, scores = live.search_arrays(query, k=len(live))
+            assert not live.tombstones[ids].any()
+            assert np.all(np.diff(scores) <= 1e-15)
+
+    def test_delta_search_finds_a_delta_row_by_itself(self, store):
+        live = _with_delta(store)
+        n_base = len(store)
+        ids, _ = live.search_arrays(live.vectors[n_base + 2], k=1)
+        assert ids.tolist() == [n_base + 2]

@@ -99,7 +99,7 @@ class TestApproximateStoreAccuracy:
         index = bdd_bundle.coarse_index
         vectors = np.asarray(index.store.vectors)
         forest = RandomProjectionForest(
-            vectors, list(index.store.records), tree_count=12, leaf_size=16, seed=0
+            vectors, tree_count=12, leaf_size=16, seed=0
         )
         queries = [
             bdd_bundle.embedding.embed_text(bdd_bundle.dataset.category(name).prompt)

@@ -15,13 +15,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data.geometry import BoundingBox
 from repro.exceptions import VectorStoreError
 from repro.vectorstore import (
     ExactVectorStore,
     GraphANNVectorStore,
     ShardedVectorStore,
-    VectorRecord,
 )
 
 DIM = 48
@@ -30,12 +28,7 @@ K = 10
 
 
 def _corpus(seed: int):
-    rng = np.random.default_rng(seed)
-    records = [
-        VectorRecord(vector_id=i, image_id=i, box=BoundingBox(0.0, 0.0, 16.0, 16.0))
-        for i in range(COUNT)
-    ]
-    return rng.standard_normal((COUNT, DIM)), records
+    return np.random.default_rng(seed).standard_normal((COUNT, DIM))
 
 
 def _recall(exact_ids: np.ndarray, graph_ids: np.ndarray) -> float:
@@ -45,10 +38,10 @@ def _recall(exact_ids: np.ndarray, graph_ids: np.ndarray) -> float:
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("compute_dtype", ["float64", "float32"])
 def test_recall_against_exact_oracle(seed, compute_dtype):
-    vectors, records = _corpus(seed)
-    exact = ExactVectorStore(vectors, records, compute_dtype=compute_dtype)
+    vectors = _corpus(seed)
+    exact = ExactVectorStore(vectors, compute_dtype=compute_dtype)
     graph = GraphANNVectorStore(
-        vectors, records, graph_degree=16, ef=64, compute_dtype=compute_dtype
+        vectors, graph_degree=16, ef=64, compute_dtype=compute_dtype
     )
     queries = np.random.default_rng(seed + 1000).standard_normal((20, DIM))
     recalls = []
@@ -65,9 +58,9 @@ def test_recall_against_exact_oracle(seed, compute_dtype):
 
 
 def test_search_is_deterministic_under_fixed_seed():
-    vectors, records = _corpus(6)
-    first = GraphANNVectorStore(vectors, records, graph_degree=12, ef=48)
-    second = GraphANNVectorStore(vectors, records, graph_degree=12, ef=48)
+    vectors = _corpus(6)
+    first = GraphANNVectorStore(vectors, graph_degree=12, ef=48)
+    second = GraphANNVectorStore(vectors, graph_degree=12, ef=48)
     for query in np.random.default_rng(7).standard_normal((10, DIM)):
         ids_a, scores_a = first.search_arrays(query, k=K)
         ids_b, scores_b = second.search_arrays(query, k=K)
@@ -80,8 +73,8 @@ def test_search_is_deterministic_under_fixed_seed():
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_exclusions_are_absolute(seed):
-    vectors, records = _corpus(seed)
-    graph = GraphANNVectorStore(vectors, records, graph_degree=16, ef=64)
+    vectors = _corpus(seed)
+    graph = GraphANNVectorStore(vectors, graph_degree=16, ef=64)
     rng = np.random.default_rng(seed + 1)
     for query in rng.standard_normal((10, DIM)):
         mask = rng.random(COUNT) < 0.4
@@ -91,10 +84,10 @@ def test_exclusions_are_absolute(seed):
 
 @pytest.mark.parametrize("n_shards", [2, 3])
 def test_sharded_graph_recall(n_shards):
-    vectors, records = _corpus(11)
-    exact = ExactVectorStore(vectors, records)
+    vectors = _corpus(11)
+    exact = ExactVectorStore(vectors)
     sharded = ShardedVectorStore.wrap(
-        GraphANNVectorStore(vectors, records, graph_degree=16, ef=64), n_shards
+        GraphANNVectorStore(vectors, graph_degree=16, ef=64), np.arange(COUNT), n_shards
     )
     rng = np.random.default_rng(12)
     recalls = []
@@ -112,8 +105,8 @@ def test_descent_really_is_sublinear():
     pass trivially; ``last_search_stats`` pins that the traversal actually
     pruned, while still scoring enough of the corpus to be a search.
     """
-    vectors, records = _corpus(3)
-    graph = GraphANNVectorStore(vectors, records, graph_degree=12, ef=32)
+    vectors = _corpus(3)
+    graph = GraphANNVectorStore(vectors, graph_degree=12, ef=32)
     query = np.random.default_rng(4).standard_normal(DIM)
     graph.search_arrays(query, k=K)
     stats = graph.last_search_stats
@@ -122,8 +115,8 @@ def test_descent_really_is_sublinear():
 
 
 def test_ef_override_widens_the_beam():
-    vectors, records = _corpus(8)
-    graph = GraphANNVectorStore(vectors, records, graph_degree=8, ef=8)
+    vectors = _corpus(8)
+    graph = GraphANNVectorStore(vectors, graph_degree=8, ef=8)
     query = np.random.default_rng(9).standard_normal(DIM)
     graph.search_arrays(query, k=K)
     narrow = graph.last_search_stats["visited"]
@@ -133,11 +126,11 @@ def test_ef_override_widens_the_beam():
 
 
 def test_parameters_validated():
-    vectors, records = _corpus(5)
+    vectors = _corpus(5)
     with pytest.raises(VectorStoreError, match="graph_degree"):
-        GraphANNVectorStore(vectors, records, graph_degree=1)
+        GraphANNVectorStore(vectors, graph_degree=1)
     with pytest.raises(VectorStoreError, match="ef"):
-        GraphANNVectorStore(vectors, records, ef=0)
-    graph = GraphANNVectorStore(vectors, records)
+        GraphANNVectorStore(vectors, ef=0)
+    graph = GraphANNVectorStore(vectors)
     with pytest.raises(VectorStoreError, match="ef"):
         graph.search_arrays(np.zeros(DIM), k=1, ef=0)

@@ -317,13 +317,8 @@ def assert_arrays_identical(actual, expected) -> None:
 def assert_same_artifacts(sealed: SeeSawIndex, cold: SeeSawIndex) -> None:
     """Every array a merge seals equals the cold build's, bits and dtype."""
     assert_arrays_identical(np.asarray(sealed.store.vectors), np.asarray(cold.store.vectors))
-    assert [
-        (record.image_id, record.box, record.scale_level)
-        for record in sealed.store.records
-    ] == [
-        (record.image_id, record.box, record.scale_level)
-        for record in cold.store.records
-    ]
+    assert_arrays_identical(sealed.patch_boxes, cold.patch_boxes)
+    assert_arrays_identical(sealed.patch_levels, cold.patch_levels)
     for column in ("image_ids", "order", "offsets", "vector_image_rows"):
         assert_arrays_identical(
             getattr(sealed.segments, column), getattr(cold.segments, column)

@@ -12,7 +12,6 @@ from repro.data.geometry import BoundingBox
 from repro.metrics import average_precision_at_cutoff, average_precision_full
 from repro.optim.objective import numerical_gradient
 from repro.utils.linalg import normalize_rows, normalize_vector
-from repro.vectorstore.base import VectorRecord
 from repro.vectorstore.exact import ExactVectorStore
 
 finite_floats = st.floats(
@@ -140,17 +139,12 @@ def test_full_ap_invariant_to_score_scaling(scores: np.ndarray, data) -> None:
 )
 def test_exact_store_matches_numpy_argsort(matrix: np.ndarray, k: int) -> None:
     # Rows that normalise to zero are acceptable; the store keeps them as zeros.
-    records = [
-        VectorRecord(vector_id=i, image_id=i, box=BoundingBox(0, 0, 1, 1))
-        for i in range(matrix.shape[0])
-    ]
-    store = ExactVectorStore(matrix, records)
+    store = ExactVectorStore(matrix)
     query = normalize_vector(matrix[0]) if np.any(matrix[0]) else np.ones(matrix.shape[1])
     query = normalize_vector(query)
-    hits = store.search(query, k=min(k, matrix.shape[0]))
+    _, hit_scores = store.search_arrays(query, k=min(k, matrix.shape[0]))
     scores = store.vectors @ query
-    best_scores = np.sort(scores)[::-1][: len(hits)]
-    hit_scores = np.array([hit.score for hit in hits])
+    best_scores = np.sort(scores)[::-1][: len(hit_scores)]
     assert np.allclose(np.sort(hit_scores)[::-1], best_scores, atol=1e-9)
 
 

@@ -14,12 +14,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data.geometry import BoundingBox
 from repro.vectorstore import (
     ExactVectorStore,
     QuantizedVectorStore,
     ShardedVectorStore,
-    VectorRecord,
 )
 
 DIM = 48
@@ -28,20 +26,15 @@ K = 10
 
 
 def _corpus(seed: int):
-    rng = np.random.default_rng(seed)
-    records = [
-        VectorRecord(vector_id=i, image_id=i, box=BoundingBox(0.0, 0.0, 16.0, 16.0))
-        for i in range(COUNT)
-    ]
-    return rng.standard_normal((COUNT, DIM)), records
+    return np.random.default_rng(seed).standard_normal((COUNT, DIM))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("compute_dtype", ["float64", "float32"])
 def test_reranked_top_k_matches_exact_top_k(seed, compute_dtype):
-    vectors, records = _corpus(seed)
-    exact = ExactVectorStore(vectors, records, compute_dtype=compute_dtype)
-    quantized = QuantizedVectorStore(vectors, records, compute_dtype=compute_dtype)
+    vectors = _corpus(seed)
+    exact = ExactVectorStore(vectors, compute_dtype=compute_dtype)
+    quantized = QuantizedVectorStore(vectors, compute_dtype=compute_dtype)
     assert quantized.rerank_factor == 4  # the default the guarantee is stated at
     queries = np.random.default_rng(seed + 1000).standard_normal((20, DIM))
     for query in queries:
@@ -55,9 +48,9 @@ def test_reranked_top_k_matches_exact_top_k(seed, compute_dtype):
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_recall_holds_under_exclusions(seed):
-    vectors, records = _corpus(seed)
-    exact = ExactVectorStore(vectors, records)
-    quantized = QuantizedVectorStore(vectors, records)
+    vectors = _corpus(seed)
+    exact = ExactVectorStore(vectors)
+    quantized = QuantizedVectorStore(vectors)
     rng = np.random.default_rng(seed + 1)
     for query in rng.standard_normal((10, DIM)):
         mask = rng.random(COUNT) < 0.4
@@ -68,9 +61,11 @@ def test_recall_holds_under_exclusions(seed):
 
 @pytest.mark.parametrize("n_shards", [2, 3])
 def test_sharded_quantized_recall(n_shards):
-    vectors, records = _corpus(11)
-    exact = ExactVectorStore(vectors, records)
-    sharded = ShardedVectorStore.wrap(QuantizedVectorStore(vectors, records), n_shards)
+    vectors = _corpus(11)
+    exact = ExactVectorStore(vectors)
+    sharded = ShardedVectorStore.wrap(
+        QuantizedVectorStore(vectors), np.arange(COUNT), n_shards
+    )
     rng = np.random.default_rng(12)
     for query in rng.standard_normal((10, DIM)):
         exact_ids, _ = exact.search_arrays(query, k=K)
@@ -80,9 +75,9 @@ def test_sharded_quantized_recall(n_shards):
 
 def test_int8_candidate_scores_really_are_approximate():
     """Guard against vacuity: the candidate pass must differ from exact."""
-    vectors, records = _corpus(3)
-    exact = ExactVectorStore(vectors, records)
-    quantized = QuantizedVectorStore(vectors, records)
+    vectors = _corpus(3)
+    exact = ExactVectorStore(vectors)
+    quantized = QuantizedVectorStore(vectors)
     query = np.random.default_rng(4).standard_normal(DIM)
     approximate = quantized.quantized_scores(query)
     true_scores = exact.score_all(query)
@@ -92,8 +87,8 @@ def test_int8_candidate_scores_really_are_approximate():
 
 
 def test_rerank_factor_validated():
-    vectors, records = _corpus(5)
+    vectors = _corpus(5)
     from repro.exceptions import VectorStoreError
 
     with pytest.raises(VectorStoreError, match="rerank_factor"):
-        QuantizedVectorStore(vectors, records, rerank_factor=0)
+        QuantizedVectorStore(vectors, rerank_factor=0)

@@ -15,36 +15,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.geometry import BoundingBox
 from repro.engine import ImageSegments, QueryEngine
 from repro.utils.linalg import dot_rows
 from repro.vectorstore import (
     ExactVectorStore,
     RandomProjectionForest,
     ShardedVectorStore,
-    VectorRecord,
 )
 
 DIM = 16
 
 
 def make_corpus(seed: int, image_count: int = 40):
-    """Random multiscale-shaped corpus plus its CSR segment layout."""
+    """Random multiscale-shaped corpus, each vector's image row, and the
+    CSR segment layout."""
     rng = np.random.default_rng(seed)
-    records: "list[VectorRecord]" = []
     image_vector_ids: "dict[int, list[int]]" = {}
     vector_id = 0
     for image_id in range(image_count):
         ids: "list[int]" = []
-        for patch in range(int(rng.integers(1, 5))):
-            records.append(
-                VectorRecord(
-                    vector_id=vector_id,
-                    image_id=image_id,
-                    box=BoundingBox(0.0, 0.0, 16.0, 16.0),
-                    scale_level=0 if patch == 0 else 1,
-                )
-            )
+        for _ in range(int(rng.integers(1, 5))):
             ids.append(vector_id)
             vector_id += 1
         image_vector_ids[image_id] = ids
@@ -52,7 +42,7 @@ def make_corpus(seed: int, image_count: int = 40):
     segments = ImageSegments.from_mapping(
         {k: tuple(v) for k, v in image_vector_ids.items()}, vector_id
     )
-    return vectors, records, segments, rng
+    return vectors, segments.vector_image_rows, segments, rng
 
 
 # ---------------------------------------------------------------------------
@@ -83,9 +73,9 @@ def test_dot_rows_is_bit_stable_under_row_partitioning(rows, split, seed):
 @pytest.mark.parametrize("n_shards", [1, 2, 3, 7])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sharded_exact_store_is_bit_identical(n_shards, seed):
-    vectors, records, _, rng = make_corpus(seed)
-    flat = ExactVectorStore(vectors, records)
-    sharded = ShardedVectorStore(vectors, records, n_shards=n_shards)
+    vectors, image_rows, _, rng = make_corpus(seed)
+    flat = ExactVectorStore(vectors)
+    sharded = ShardedVectorStore(vectors, image_rows, n_shards=n_shards)
     for _ in range(5):
         query = rng.standard_normal(DIM)
         assert np.array_equal(flat.score_all(query), sharded.score_all(query))
@@ -107,12 +97,8 @@ def test_sharded_store_tie_order_matches_flat(seed):
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((6, DIM))
     vectors = np.vstack([base, base, base])  # every row duplicated 3x
-    records = [
-        VectorRecord(i, image_id=i, box=BoundingBox(0, 0, 8, 8), scale_level=0)
-        for i in range(vectors.shape[0])
-    ]
-    flat = ExactVectorStore(vectors, records)
-    sharded = ShardedVectorStore(vectors, records, n_shards=3)
+    flat = ExactVectorStore(vectors)
+    sharded = ShardedVectorStore(vectors, np.arange(vectors.shape[0]), n_shards=3)
     query = rng.standard_normal(DIM)
     # Every k, including every cut *through* a tie group: the selected tied
     # subset must be deterministic (smallest ids win), not argpartition's
@@ -131,23 +117,21 @@ def test_sharded_store_tie_order_matches_flat(seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_shards_are_image_aligned(seed):
-    vectors, records, _, _ = make_corpus(seed)
-    sharded = ShardedVectorStore(vectors, records, n_shards=5)
+    vectors, image_rows, _, _ = make_corpus(seed)
+    sharded = ShardedVectorStore(vectors, image_rows, n_shards=5)
     boundaries = np.cumsum((0,) + sharded.shard_sizes)
     for start, stop in zip(boundaries[:-1], boundaries[1:]):
-        inside = {records[i].image_id for i in range(start, stop)}
-        outside = {
-            records[i].image_id for i in range(len(records)) if not start <= i < stop
-        }
+        inside = set(image_rows[start:stop].tolist())
+        outside = set(image_rows[:start].tolist()) | set(image_rows[stop:].tolist())
         assert inside.isdisjoint(outside)
 
 
 def test_sharded_forest_obeys_exclusions_and_scores():
     """No bit-identity promise for approximate shards, but exactness of the
     returned candidates' scores and exclusion honoring still hold."""
-    vectors, records, _, rng = make_corpus(3)
-    forest = RandomProjectionForest(vectors, records, tree_count=4, leaf_size=8, seed=1)
-    sharded = ShardedVectorStore.wrap(forest, 3)
+    vectors, image_rows, _, rng = make_corpus(3)
+    forest = RandomProjectionForest(vectors, tree_count=4, leaf_size=8, seed=1)
+    sharded = ShardedVectorStore.wrap(forest, image_rows, 3)
     query = rng.standard_normal(DIM)
     mask = rng.random(len(sharded)) < 0.4
     ids, scores = sharded.search_arrays(query, 12, exclude_mask=mask)
@@ -161,10 +145,10 @@ def test_sharded_forest_obeys_exclusions_and_scores():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("n_shards", [2, 3])
 def test_sharded_engine_rounds_match_flat(seed, n_shards):
-    vectors, records, segments, rng = make_corpus(seed)
-    flat = QueryEngine(ExactVectorStore(vectors, records), segments)
+    vectors, image_rows, segments, rng = make_corpus(seed)
+    flat = QueryEngine(ExactVectorStore(vectors), segments)
     sharded = QueryEngine(
-        ShardedVectorStore(vectors, records, n_shards=n_shards), segments
+        ShardedVectorStore(vectors, image_rows, n_shards=n_shards), segments
     )
     session_count, batch_size, rounds = 4, 3, 5
     queries = rng.standard_normal((session_count, DIM))
@@ -192,8 +176,8 @@ def test_sharded_engine_rounds_match_flat(seed, n_shards):
 
 def test_session_masks_are_isolated():
     """One session's mask must never affect another session's results."""
-    vectors, records, segments, rng = make_corpus(7)
-    engine = QueryEngine(ShardedVectorStore(vectors, records, n_shards=3), segments)
+    vectors, image_rows, segments, rng = make_corpus(7)
+    engine = QueryEngine(ShardedVectorStore(vectors, image_rows, n_shards=3), segments)
     query = rng.standard_normal(DIM)
     blind_mask = engine.new_mask()
     seen_mask = engine.new_mask()

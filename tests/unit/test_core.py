@@ -98,7 +98,7 @@ class TestFeedback:
         assert labels.max() == 1.0
         # Every labelled vector belongs to the image that received feedback.
         for vector_id in vector_ids:
-            assert tiny_index.store.record(int(vector_id)).image_id == image_id
+            assert tiny_index.image_id_for_vector(int(vector_id)) == image_id
 
     def test_negative_image_gives_all_zero_labels(self, tiny_index):
         image_id = tiny_index.dataset.images[0].image_id
@@ -233,11 +233,11 @@ class TestIndexing:
     def test_vector_ids_round_trip(self, tiny_index):
         for image_id in list(tiny_index.image_ids)[:5]:
             for vector_id in tiny_index.vector_ids_for_image(image_id):
-                assert tiny_index.store.record(vector_id).image_id == image_id
+                assert tiny_index.image_id_for_vector(vector_id) == image_id
 
     def test_coarse_vector_ids_are_coarse(self, tiny_index):
         for vector_id in tiny_index.coarse_vector_ids():
-            assert tiny_index.store.record(int(vector_id)).is_coarse
+            assert tiny_index.patch_levels[vector_id] == 0
 
     def test_db_matrix_present_and_square(self, tiny_index):
         dim = tiny_index.store.dim
@@ -257,7 +257,7 @@ class TestIndexing:
 
     def test_supplied_vectors_report_no_embedding_time(self, tiny_index, tiny_clip):
         # A merge build passes the rows it already holds: nothing is embedded,
-        # so nothing is timed as embedding (records are not embedding work).
+        # so nothing is timed as embedding (patch columns are not embedding work).
         assert tiny_index.build_report.embedding_seconds > 0.0
         rebuilt = SeeSawIndex.build(
             tiny_index.dataset,
@@ -278,9 +278,7 @@ class TestIndexing:
         config = SeeSawConfig(embedding_dim=64)
         index = SeeSawIndex.build(tiny_dataset, tiny_clip, config, build_graph=False)
         index.replace_store(
-            RandomProjectionForest(
-                index.store.vectors, list(index.store.records), seed=config.seed
-            )
+            RandomProjectionForest(index.store.vectors, seed=config.seed)
         )
         assert index.knn_graph is None and index.db_matrix is None
         assert index.vector_count > 0

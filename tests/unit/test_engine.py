@@ -14,12 +14,10 @@ from repro.core.indexing import SeeSawIndex
 from repro.core.interfaces import SearchContext
 from repro.core.seesaw_method import SeeSawSearchMethod
 from repro.core.session import SearchSession
-from repro.data.geometry import BoundingBox
 from repro.engine import ImageSegments, SeenMask
 from repro.engine.legacy import legacy_score_all_images, legacy_top_unseen_images
 from repro.exceptions import IndexingError, SessionError, VectorStoreError
 from repro.utils.linalg import normalize_rows
-from repro.vectorstore.base import VectorRecord
 from repro.vectorstore.exact import ExactVectorStore
 from repro.vectorstore.forest import RandomProjectionForest
 
@@ -34,34 +32,29 @@ def _random_index(store_kind: str, seed: int = 3) -> SeeSawIndex:
     """
     rng = np.random.default_rng(seed)
     patches_per_image = rng.integers(1, 7, size=40)
-    records: list[VectorRecord] = []
+    levels: list[int] = []
     mapping: dict[int, list[int]] = {}
     vector_id = 0
     for image_number, patch_count in enumerate(patches_per_image):
         image_id = 100 + image_number
         ids = []
         for patch in range(int(patch_count)):
-            records.append(
-                VectorRecord(
-                    vector_id=vector_id,
-                    image_id=image_id,
-                    box=BoundingBox(0, 0, 32, 32),
-                    scale_level=0 if patch == 0 else 1,
-                )
-            )
+            levels.append(0 if patch == 0 else 1)
             ids.append(vector_id)
             vector_id += 1
         mapping[image_id] = ids
     vectors = normalize_rows(rng.standard_normal((vector_id, 24)))
     if store_kind == "forest":
-        store = RandomProjectionForest(vectors, records, tree_count=6, leaf_size=8, seed=0)
+        store = RandomProjectionForest(vectors, tree_count=6, leaf_size=8, seed=0)
     else:
-        store = ExactVectorStore(vectors, records)
+        store = ExactVectorStore(vectors)
     return SeeSawIndex(
         dataset=None,
         embedding=None,
         store=store,
-        image_vector_ids=mapping,
+        segments=ImageSegments.from_mapping(mapping, vector_id),
+        patch_boxes=np.tile([0.0, 0.0, 32.0, 32.0], (vector_id, 1)),
+        patch_levels=np.asarray(levels, dtype=np.int8),
         knn_graph=None,
         db_matrix=None,
         config=SeeSawConfig(embedding_dim=24),
@@ -346,38 +339,29 @@ class TestStoreArrayApi:
         with pytest.raises(VectorStoreError):
             QueryEngine(tiny_index.store, small)
 
-    def test_search_arrays_matches_hit_api(self, tiny_index):
+    def test_search_arrays_matches_score_all(self, tiny_index):
         query = tiny_index.embed_query("a cat_easy")
         store = tiny_index.store
         ids, scores = store.search_arrays(query, k=8)
-        hits = store.search(query, k=8)
-        assert ids.tolist() == [hit.vector_id for hit in hits]
-        assert scores.tolist() == pytest.approx([hit.score for hit in hits], abs=0.0)
+        full = store.score_all(query)
+        assert ids.tolist() == np.argsort(-full, kind="stable")[:8].tolist()
+        assert scores.tolist() == pytest.approx(full[ids].tolist(), abs=0.0)
 
     def test_candidate_path_drops_uncovered_vectors(self):
         """A store vector no segment covers must never be attributed to an image."""
         rng = np.random.default_rng(5)
         vectors = normalize_rows(rng.standard_normal((30, 16)))
-        records = []
         mapping: dict[int, list[int]] = {}
-        for vector_id in range(30):
-            image_id = 100 + vector_id // 3
-            records.append(
-                VectorRecord(
-                    vector_id=vector_id,
-                    image_id=image_id,
-                    box=BoundingBox(0, 0, 8, 8),
-                    scale_level=0 if vector_id % 3 == 0 else 1,
-                )
-            )
-            if vector_id != 29:  # leave the last vector uncovered
-                mapping.setdefault(image_id, []).append(vector_id)
-        store = RandomProjectionForest(vectors, records, tree_count=4, leaf_size=4, seed=0)
+        for vector_id in range(29):  # leave the last vector uncovered
+            mapping.setdefault(100 + vector_id // 3, []).append(vector_id)
+        store = RandomProjectionForest(vectors, tree_count=4, leaf_size=4, seed=0)
         index = SeeSawIndex(
             dataset=None,
             embedding=None,
             store=store,
-            image_vector_ids=mapping,
+            segments=ImageSegments.from_mapping(mapping, 30),
+            patch_boxes=np.tile([0.0, 0.0, 8.0, 8.0], (30, 1)),
+            patch_levels=(np.arange(30) % 3 != 0).astype(np.int8),
             knn_graph=None,
             db_matrix=None,
             config=SeeSawConfig(embedding_dim=16),
@@ -407,16 +391,14 @@ class TestReplaceStore:
 
         index = _random_index("exact", seed=14)
         old_engine = index.engine
-        index.replace_store(ShardedVectorStore.wrap(index.store, 3))
+        index.replace_store(
+            ShardedVectorStore.wrap(index.store, index.segments.vector_image_rows, 3)
+        )
         assert index.engine is not old_engine
         assert index.engine.store is index.store
 
     def test_replace_store_rejects_size_mismatch(self):
         index = _random_index("exact", seed=14)
         vectors = np.asarray(index.store.vectors)[:-1]
-        records = [
-            VectorRecord(i, record.image_id, record.box, record.scale_level)
-            for i, record in enumerate(index.store.records[:-1])
-        ]
         with pytest.raises(IndexingError, match="replacement store"):
-            index.replace_store(ExactVectorStore(vectors, records))
+            index.replace_store(ExactVectorStore(vectors))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.bench.simulate import OracleUser
 from repro.config import MultiscaleConfig, SeeSawConfig
-from repro.core.feedback import BoxFeedback, FeedbackMap
+from repro.core.feedback import BoxFeedback, FeedbackMap, _label_block
 from repro.core.indexing import SeeSawIndex
 from repro.core.seesaw_method import SeeSawSearchMethod
 from repro.core.session import SearchSession
@@ -26,16 +26,20 @@ from repro.data.geometry import BoundingBox
 from repro.embedding import SyntheticClip
 
 
+def patch_box(index, vector_id):
+    """One patch's box, read row by row off the index's box column."""
+    return BoundingBox(*index.patch_boxes[vector_id].tolist())
+
+
 def reference_patch_labels(feedback_map, index, min_box_overlap=0.0):
     """The per-round from-scratch loop: re-label every judged image's patches."""
     vector_ids: list[int] = []
     labels: list[float] = []
     for feedback in feedback_map:
         for vector_id in index.vector_ids_for_image(feedback.image_id):
-            record = index.store.record(vector_id)
             if feedback.relevant:
                 overlap = any(
-                    record.box.intersection(box) > min_box_overlap
+                    patch_box(index, vector_id).intersection(box) > min_box_overlap
                     for box in feedback.boxes
                 )
                 labels.append(1.0 if overlap else 0.0)
@@ -52,11 +56,10 @@ def reference_patch_labels(feedback_map, index, min_box_overlap=0.0):
 
 def reference_weights(index, vector_ids):
     """1 / (patches of the vector's image), from per-image id lists."""
+    segments = index.segments
+    image_ids = segments.image_ids[segments.vector_image_rows[vector_ids]]
     return np.asarray(
-        [
-            1.0 / len(index.vector_ids_for_image(index.store.record(int(v)).image_id))
-            for v in vector_ids
-        ],
+        [1.0 / len(index.vector_ids_for_image(image_id)) for image_id in image_ids],
         dtype=np.float64,
     )
 
@@ -185,6 +188,77 @@ class TestMemoisedLabelsMatchReference:
         labels[:] = -1.0
         ids[:] = 0
         assert_matches_reference(feedback_map, tiny_index, 0.0)
+
+
+# ----------------------------------------------------------------------
+# the vectorised overlap against a frozen per-box loop
+# ----------------------------------------------------------------------
+PATCH_EDGES = [0.0, 120.0, 240.0, 360.0, 400.0, 480.0, 600.0, 640.0]
+"""Every patch edge of the tiny index (640x480 images, 240-pixel patches
+strided by 120): feedback boxes drawn on them share edges with patches."""
+
+FINE_PATCH_AREA = 240.0 * 240.0
+
+
+def frozen_label_block(feedback, index, min_box_overlap):
+    """The per-box loop the vectorised ``_label_block`` replaced."""
+    vector_ids = index.vector_ids_for_image(feedback.image_id)
+    labels = [0.0] * len(vector_ids)
+    if feedback.relevant:
+        for position, vector_id in enumerate(vector_ids):
+            box = patch_box(index, vector_id)
+            if any(box.intersection(other) > min_box_overlap for other in feedback.boxes):
+                labels[position] = 1.0
+    return np.asarray(vector_ids, dtype=np.int64), np.asarray(labels, dtype=np.float64)
+
+
+def assert_label_block_matches_loop(index, image_id, boxes, min_box_overlap):
+    for feedback in (BoxFeedback.positive(image_id, boxes), BoxFeedback.negative(image_id)):
+        assert_same_arrays(
+            _label_block(feedback, index, min_box_overlap),
+            frozen_label_block(feedback, index, min_box_overlap),
+        )
+
+
+coordinate = st.one_of(st.sampled_from(PATCH_EDGES), st.floats(-50, 700))
+side = st.one_of(st.sampled_from([120.0, 240.0, 480.0, 640.0]), st.floats(0.5, 700))
+oracle_box = st.one_of(
+    st.just(BoundingBox(0.0, 0.0, 640.0, 480.0)),  # the whole image
+    st.builds(BoundingBox, x=coordinate, y=coordinate, width=side, height=side),
+)
+
+
+class TestLabelBlockOracle:
+    def test_threshold_is_an_exact_patch_area(self, tiny_index):
+        areas = tiny_index.patch_boxes[:, 2] * tiny_index.patch_boxes[:, 3]
+        assert FINE_PATCH_AREA in areas.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        position=st.integers(0, 11),
+        boxes=st.lists(oracle_box, min_size=1, max_size=4),
+        min_box_overlap=st.sampled_from([-1.0, 0.0, 0.5, FINE_PATCH_AREA]),
+    )
+    def test_vectorised_overlap_equals_per_box_loop(
+        self, tiny_index, position, boxes, min_box_overlap
+    ):
+        image_id = tiny_index.dataset.images[position].image_id
+        assert_label_block_matches_loop(tiny_index, image_id, boxes, min_box_overlap)
+
+    @pytest.mark.parametrize("min_box_overlap", [-1.0, 0.0, 0.5, FINE_PATCH_AREA])
+    @pytest.mark.parametrize(
+        "boxes",
+        [
+            [BoundingBox(240.0, 0.0, 120.0, 480.0)],
+            [BoundingBox(700.0, 500.0, 10.0, 10.0)],
+            [BoundingBox(0.0, 0.0, 640.0, 480.0)],
+            [BoundingBox(120.0, 120.0, 240.0, 240.0), BoundingBox(640.0, 0.0, 5.0, 5.0)],
+        ],
+        ids=["shared-edges", "disjoint", "whole-image", "exact-patch-and-corner"],
+    )
+    def test_edge_cases_equal_per_box_loop(self, tiny_index, boxes, min_box_overlap):
+        image_id = tiny_index.dataset.images[0].image_id
+        assert_label_block_matches_loop(tiny_index, image_id, boxes, min_box_overlap)
 
 
 # ----------------------------------------------------------------------

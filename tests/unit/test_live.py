@@ -94,30 +94,15 @@ class TestDeltaVectorStore:
 
     def _delta_parts(self, base_index, rows: int):
         """Delta rows copied off the tail of the base (already unit-norm)."""
-        from repro.vectorstore.base import VectorRecord
-
         store = base_index.store
         n_base = len(store)
-        vectors = np.stack([store.vector(n_base - rows + i) for i in range(rows)])
-        records = []
-        for i in range(rows):
-            source = store.records[n_base - rows + i]
-            records.append(
-                VectorRecord(
-                    vector_id=n_base + i,
-                    image_id=source.image_id,
-                    box=source.box,
-                    scale_level=source.scale_level,
-                )
-            )
-        return vectors, records
+        return np.stack([store.vector(n_base - rows + i) for i in range(rows)])
 
     def test_empty_delta_scores_like_base(self, base_index):
         store = base_index.store
         delta = DeltaVectorStore(
             store,
             np.zeros((0, store.dim)),
-            [],
             np.zeros(len(store), dtype=bool),
         )
         assert len(delta) == len(store)
@@ -132,10 +117,8 @@ class TestDeltaVectorStore:
     def test_delta_rows_appear_in_scores_and_search(self, base_index):
         store = base_index.store
         n_base = len(store)
-        vectors, records = self._delta_parts(base_index, 2)
-        delta = DeltaVectorStore(
-            store, vectors, records, np.zeros(n_base + 2, dtype=bool)
-        )
+        vectors = self._delta_parts(base_index, 2)
+        delta = DeltaVectorStore(store, vectors, np.zeros(n_base + 2, dtype=bool))
         assert len(delta) == n_base + 2
         assert delta.delta_rows == 2
         query = vectors[0]
@@ -149,11 +132,11 @@ class TestDeltaVectorStore:
     def test_tombstones_masked_on_candidate_path(self, base_index):
         store = base_index.store
         n_base = len(store)
-        vectors, records = self._delta_parts(base_index, 2)
+        vectors = self._delta_parts(base_index, 2)
         tombstones = np.zeros(n_base + 2, dtype=bool)
         tombstones[n_base] = True  # first delta row dead
         query = vectors[0]
-        delta = DeltaVectorStore(store, vectors, records, tombstones)
+        delta = DeltaVectorStore(store, vectors, tombstones)
         ids, _ = delta.search_arrays(query, len(delta))
         assert n_base not in ids
         assert n_base + 1 in ids
@@ -166,17 +149,15 @@ class TestDeltaVectorStore:
         n_base = len(store)
         tombstones = np.zeros(n_base, dtype=bool)
         tombstones[0] = True
-        delta = DeltaVectorStore(store, np.zeros((0, store.dim)), [], tombstones)
+        delta = DeltaVectorStore(store, np.zeros((0, store.dim)), tombstones)
         ids, _ = delta.search_arrays(store.vector(0), len(delta))
         assert 0 not in ids
 
     def test_exclude_mask_composes_with_tombstones(self, base_index):
         store = base_index.store
         n_base = len(store)
-        vectors, records = self._delta_parts(base_index, 2)
-        delta = DeltaVectorStore(
-            store, vectors, records, np.zeros(n_base + 2, dtype=bool)
-        )
+        vectors = self._delta_parts(base_index, 2)
+        delta = DeltaVectorStore(store, vectors, np.zeros(n_base + 2, dtype=bool))
         mask = np.zeros(n_base + 2, dtype=bool)
         mask[n_base + 1] = True
         ids, _ = delta.search_arrays(vectors[1], len(delta), exclude_mask=mask)
@@ -185,29 +166,24 @@ class TestDeltaVectorStore:
     def test_validation_errors(self, base_index):
         store = base_index.store
         n_base = len(store)
-        vectors, records = self._delta_parts(base_index, 2)
+        vectors = self._delta_parts(base_index, 2)
         with pytest.raises(VectorStoreError, match="delta vectors"):
             DeltaVectorStore(
                 store,
                 np.zeros((2, store.dim + 1)),
-                records,
                 np.zeros(n_base + 2, dtype=bool),
             )
-        with pytest.raises(VectorStoreError, match="record count"):
-            DeltaVectorStore(
-                store, vectors, records[:1], np.zeros(n_base + 2, dtype=bool)
-            )
         with pytest.raises(VectorStoreError, match="tombstones"):
-            DeltaVectorStore(store, vectors, records, np.zeros(n_base, dtype=bool))
+            DeltaVectorStore(store, vectors, np.zeros(n_base, dtype=bool))
         with pytest.raises(VectorStoreError, match="k must be"):
             DeltaVectorStore(
-                store, vectors, records, np.zeros(n_base + 2, dtype=bool)
+                store, vectors, np.zeros(n_base + 2, dtype=bool)
             ).search_arrays(store.vector(0), 0)
 
     def test_matrix_is_never_shared(self, base_index):
         store = base_index.store
         delta = DeltaVectorStore(
-            store, np.zeros((0, store.dim)), [], np.zeros(len(store), dtype=bool)
+            store, np.zeros((0, store.dim)), np.zeros(len(store), dtype=bool)
         )
         with pytest.raises(VectorStoreError, match="share"):
             delta._share_vectors(np.zeros((1, store.dim)))

@@ -38,7 +38,20 @@ class TestSerializeRoundTrip:
 
     def test_structure_survives(self, saved_index, tiny_index, tiny_dataset, tiny_clip):
         loaded = load_index(saved_index, tiny_dataset, tiny_clip)
-        assert loaded.store.records == tiny_index.store.records
+        assert np.array_equal(loaded.patch_boxes, tiny_index.patch_boxes)
+        assert np.array_equal(loaded.patch_levels, tiny_index.patch_levels)
+        # The patch table is all .npy: index.json holds no per-vector or
+        # per-image list.
+        meta = json.loads((saved_index / META_FILE).read_text(encoding="utf-8"))
+        assert set(meta) == {
+            "format_version",
+            "arrays_format",
+            "dataset_name",
+            "embedding_dim",
+            "config",
+            "knn_sigma",
+            "build_report",
+        }
         assert loaded.image_ids == tiny_index.image_ids
         for image_id in tiny_index.image_ids:
             assert loaded.vector_ids_for_image(image_id) == (
@@ -164,11 +177,12 @@ class TestShardedTopologyAndCache:
         sharded = SeeSawIndex(
             dataset=tiny_dataset,
             embedding=tiny_clip,
-            store=ShardedVectorStore.wrap(tiny_index.store, 3),
-            image_vector_ids={
-                image_id: tiny_index.vector_ids_for_image(image_id)
-                for image_id in tiny_index.image_ids
-            },
+            store=ShardedVectorStore.wrap(
+                tiny_index.store, tiny_index.segments.vector_image_rows, 3
+            ),
+            segments=tiny_index.segments,
+            patch_boxes=tiny_index.patch_boxes,
+            patch_levels=tiny_index.patch_levels,
             knn_graph=tiny_index.knn_graph,
             db_matrix=tiny_index.db_matrix,
             config=tiny_index.config,
@@ -183,6 +197,36 @@ class TestShardedTopologyAndCache:
         assert np.array_equal(
             np.asarray(loaded.store.vectors), np.asarray(tiny_index.store.vectors)
         )
+
+    def test_index_without_contiguous_segments_is_refused(
+        self, tiny_index, tiny_dataset, tiny_clip, tmp_path
+    ):
+        """A live view's segments skip tombstoned rows; only sealed builds save."""
+        from repro.core.indexing import SeeSawIndex
+        from repro.engine import ImageSegments
+
+        reordered = ImageSegments.from_mapping(
+            {
+                image_id: tiny_index.vector_ids_for_image(image_id)
+                for image_id in reversed(tiny_index.image_ids)
+            },
+            tiny_index.vector_count,
+        )
+        index = SeeSawIndex(
+            dataset=tiny_dataset,
+            embedding=tiny_clip,
+            store=tiny_index.store,
+            segments=reordered,
+            patch_boxes=tiny_index.patch_boxes,
+            patch_levels=tiny_index.patch_levels,
+            knn_graph=None,
+            db_matrix=None,
+            config=tiny_index.config,
+            build_report=tiny_index.build_report,
+        )
+        with pytest.raises(StoreError, match="contiguous"):
+            save_index(index, tmp_path / "entry")
+        assert not (tmp_path / "entry").exists()
 
     def test_service_shards_cache_loaded_index(self, tiny_dataset, tiny_clip, tmp_path):
         from repro.server import SeeSawService
@@ -552,20 +596,15 @@ class TestReviewRegressions:
 
     def test_zero_row_corpus_round_trips_through_mmap(self, tmp_path):
         """Zero vectors are canonical: they must not break the zero-copy load."""
-        from repro.data.geometry import BoundingBox
-        from repro.vectorstore import ExactVectorStore, VectorRecord
+        from repro.vectorstore import ExactVectorStore
 
         rng = np.random.default_rng(0)
         vectors = rng.standard_normal((6, 8))
         vectors[2] = 0.0  # a legitimately zero (e.g. padded) vector
-        records = [
-            VectorRecord(vector_id=i, image_id=i, box=BoundingBox(0, 0, 4, 4))
-            for i in range(6)
-        ]
-        store = ExactVectorStore(vectors, records)
+        store = ExactVectorStore(vectors)
         assert np.all(store.vectors[2] == 0.0)
         # Re-adopting the canonical rows (as a cache load does) is zero-copy.
-        readopted = ExactVectorStore(store.vectors, records)
+        readopted = ExactVectorStore(store.vectors)
         assert np.shares_memory(readopted.vectors, store.vectors)
 
     def test_slow_builder_does_not_release_a_stolen_lock(
@@ -618,19 +657,21 @@ class TestReviewRegressions:
         assert other._try_acquire_build_lock(key) is not None
 
 
-def _tier(name: str, store):
-    """``store``'s vectors wrapped in the named runtime tier."""
+def _tier(name: str, index):
+    """The index's vectors wrapped in the named runtime tier."""
     from repro.vectorstore import (
         GraphANNVectorStore,
         QuantizedVectorStore,
         ShardedVectorStore,
     )
 
-    records = list(store.records)
+    vectors = index.store.vectors
     if name == "quantized":
-        return QuantizedVectorStore(store.vectors, records)
-    graph = GraphANNVectorStore(store.vectors, records, graph_degree=8, ef=48)
-    return ShardedVectorStore.wrap(graph, 3) if name == "sharded-graph" else graph
+        return QuantizedVectorStore(vectors)
+    graph = GraphANNVectorStore(vectors, graph_degree=8, ef=48)
+    if name == "sharded-graph":
+        return ShardedVectorStore.wrap(graph, index.segments.vector_image_rows, 3)
+    return graph
 
 
 class TestEntryPortability:
@@ -648,13 +689,17 @@ class TestEntryPortability:
         from repro.vectorstore import ExactVectorStore
 
         index = load_index(saved_index, tiny_dataset, tiny_clip, mmap=False)
-        index.replace_store(_tier(tier, index.store))
+        index.replace_store(_tier(tier, index))
         directory = tmp_path / tier
         save_index(index, directory)
         assert sorted(path.name for path in directory.glob("*.npy")) == [
             "db_matrix.npy",
+            "image_ids.npy",
+            "image_offsets.npy",
             "knn_neighbor_ids.npy",
             "knn_neighbor_weights.npy",
+            "patch_boxes.npy",
+            "patch_levels.npy",
             "vectors.npy",
         ]
         loaded = load_index(directory, tiny_dataset, tiny_clip)
@@ -769,6 +814,20 @@ def _drop_build_report(entry):
     (entry / META_FILE).write_text(json.dumps(meta), encoding="utf-8")
 
 
+def _set(name, position, value):
+    """A corruption writing ``value`` at ``position`` of one array artifact."""
+
+    def edit(array):
+        array[position] = value
+        return array
+
+    return lambda entry: _rewrite_array(entry, name, edit)
+
+
+def _swap_first_image_ids(entry):
+    _rewrite_array(entry, "image_ids", lambda ids: ids[[1, 0, *range(2, ids.size)]])
+
+
 class TestCorruptEntries:
     """An entry whose arrays or metadata do not fit together is a miss.
 
@@ -786,6 +845,21 @@ class TestCorruptEntries:
             _set_unknown_neighbour,
             lambda entry: _rewrite_array(entry, "db_matrix", lambda _: np.eye(10)),
             _drop_build_report,
+            lambda entry: (entry / "patch_boxes.npy").unlink(),
+            lambda entry: _rewrite_array(entry, "patch_boxes", lambda boxes: boxes[:-1]),
+            lambda entry: _rewrite_array(
+                entry, "patch_levels", lambda levels: levels.astype(np.int64)
+            ),
+            lambda entry: _rewrite_array(entry, "image_ids", lambda ids: ids[:-1]),
+            lambda entry: _rewrite_array(
+                entry, "image_offsets", lambda offsets: offsets.astype(np.int32)
+            ),
+            _set("image_offsets", 0, 1),
+            _set("image_offsets", 2, 1),
+            _set("image_offsets", -1, 10**6),
+            _swap_first_image_ids,
+            _set("patch_levels", 0, 1),
+            _set("patch_boxes", (3, 2), 0.0),
         ],
         ids=[
             "knn-rows-cut",
@@ -793,6 +867,17 @@ class TestCorruptEntries:
             "knn-id-out-of-range",
             "db-matrix-shape",
             "meta-without-build-report",
+            "patch-boxes-missing",
+            "patch-boxes-shape",
+            "patch-levels-dtype",
+            "image-ids-shape",
+            "image-offsets-dtype",
+            "offsets-start-past-zero",
+            "offsets-not-increasing",
+            "offsets-end-past-vectors",
+            "image-ids-out-of-order",
+            "segment-led-by-fine-patch",
+            "box-without-width",
         ],
     )
     def test_corrupt_entry_is_evicted_and_rebuilt(
