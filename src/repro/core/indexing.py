@@ -160,35 +160,29 @@ class SeeSawIndex:
             build, and ``embedding_seconds`` reports 0.
         """
         config = config or SeeSawConfig()
-        embedded: list[np.ndarray] = []
-        box_blocks: list[np.ndarray] = []
-        level_blocks: list[np.ndarray] = []
-        offsets = np.zeros(len(dataset) + 1, dtype=np.int64)
-        embedding_seconds = 0.0
-        for row, image in enumerate(dataset.images):
-            patch_specs = generate_patches(image.width, image.height, config.multiscale)
-            if vectors is None:
-                embed_start = time.perf_counter()
-                embedded.append(
-                    embedding.embed_patches(image, [box for box, _ in patch_specs])
-                )
-                embedding_seconds += time.perf_counter() - embed_start
-            boxes, levels = patch_columns(patch_specs)
-            box_blocks.append(boxes)
-            level_blocks.append(levels)
-            offsets[row + 1] = offsets[row] + levels.size
+        patches = [generate_patches(i.width, i.height, config.multiscale) for i in dataset.images]
+        offsets = np.cumsum([0] + [len(specs) for specs in patches], dtype=np.int64)
         patch_count = int(offsets[-1])
+        dtype = resolve_compute_dtype(config.compute_dtype)
+        embedding_seconds = 0.0
         if vectors is None:
-            vectors = np.concatenate(embedded)
+            # Each image's rows go straight into the one matrix the store
+            # adopts: read-only, so the store skips its defensive copy.
+            matrix = np.empty((patch_count, embedding.dim), dtype=dtype)
+            embed_start = time.perf_counter()
+            for row, (image, specs) in enumerate(zip(dataset.images, patches)):
+                matrix[offsets[row] : offsets[row + 1]] = embedding.embed_patches(
+                    image, [box for box, _ in specs]
+                )
+            embedding_seconds = time.perf_counter() - embed_start
+            matrix.setflags(write=False)
         elif vectors.shape[0] != patch_count:
             raise IndexingError(
                 f"supplied vectors have {vectors.shape[0]} rows, the dataset "
                 f"enumerates {patch_count} patches"
             )
-        # Cast once to the configured compute dtype; the store then adopts
-        # the stacked matrix as-is (float64 default stays the bit-parity
-        # reference, float32 halves every scoring pass's memory traffic).
-        matrix = ensure_dtype(vectors, resolve_compute_dtype(config.compute_dtype))
+        else:
+            matrix = ensure_dtype(vectors, dtype)
 
         store_start = time.perf_counter()
         store = ExactVectorStore(matrix)
@@ -203,6 +197,7 @@ class SeeSawIndex:
                 db_matrix = compute_db_alignment_matrix(store.vectors, knn_graph)
         graph_seconds = time.perf_counter() - graph_start
 
+        patch_boxes, patch_levels = patch_columns([p for specs in patches for p in specs])
         report = IndexBuildReport(
             dataset_name=dataset.name,
             image_count=len(dataset),
@@ -222,8 +217,8 @@ class SeeSawIndex:
                 offsets,
                 patch_count,
             ),
-            patch_boxes=np.concatenate(box_blocks),
-            patch_levels=np.concatenate(level_blocks),
+            patch_boxes=patch_boxes,
+            patch_levels=patch_levels,
             knn_graph=knn_graph,
             db_matrix=db_matrix,
             config=config,

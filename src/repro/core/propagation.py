@@ -18,6 +18,46 @@ import numpy as np
 from repro.exceptions import IndexingError
 from repro.knng.graph import KnnGraph
 
+_BLOCK_ROWS = 512
+"""Rows of ``(D - W) X`` summed at a time, so the product's two buffers
+besides its result are ``_BLOCK_ROWS x d``."""
+
+
+def _laplacian_product(graph: KnnGraph, vectors: np.ndarray) -> np.ndarray:
+    """``(D - W) @ vectors`` with the bits of scipy's CSR product.
+
+    Each row starts at zero and adds its terms (``-w_ij x_j``, and ``d_i x_i``
+    at column ``i``) one at a time in ascending column order, as scipy does.
+    A block's rows go by decreasing term count, so the rows adding a
+    ``step``-th term are a prefix and each step runs on contiguous buffers.
+    """
+    indptr, indices, weights, degrees = graph.csr()
+    count, dim = vectors.shape
+    nodes = np.arange(count)
+    # D - W in CSR form: every row gains its diagonal (W has no self-edges).
+    rows = np.concatenate([np.repeat(nodes, np.diff(indptr)), nodes])
+    columns = np.concatenate([indices, nodes])
+    order = np.lexsort((columns, rows))
+    columns, values = columns[order], np.concatenate([-weights, degrees])[order]
+    starts = indptr + np.arange(count + 1)
+    lengths = np.diff(starts)
+
+    product = np.empty((count, dim))
+    sums, terms = np.empty((2, min(count, _BLOCK_ROWS), dim))
+    for start in range(0, count, _BLOCK_ROWS):
+        stop = min(count, start + _BLOCK_ROWS)
+        block = start + np.argsort(-lengths[start:stop], kind="stable")
+        firsts, remaining = starts[block], lengths[block]
+        sums[:] = 0.0
+        for step in range(remaining[0]):
+            live = np.count_nonzero(remaining > step)
+            positions = firsts[:live] + step
+            np.take(vectors, columns[positions], axis=0, out=terms[:live], mode="clip")
+            terms[:live] *= values[positions, None]
+            sums[:live] += terms[:live]
+        product[block] = sums[: stop - start]
+    return product
+
 
 def compute_db_alignment_matrix(
     vectors: np.ndarray,
@@ -45,8 +85,9 @@ def compute_db_alignment_matrix(
         raise IndexingError(
             f"graph has {graph.node_count} nodes but {vectors.shape[0]} vectors were given"
         )
-    laplacian = graph.laplacian()
-    matrix = vectors.T @ (laplacian @ vectors)
+    # One GEMM over the whole product: splitting it into row blocks would
+    # change its summation order, and so the bits of M_D.
+    matrix = vectors.T @ _laplacian_product(graph, vectors)
     if normalize_by_count:
         matrix = matrix / float(vectors.shape[0])
     # Numerical symmetrisation; the Laplacian is symmetric so M_D should be.
@@ -102,13 +143,18 @@ def propagate_labels(
         raise IndexingError("labeled node index out of range")
     labeled_values = np.array([labeled[int(i)] for i in labeled_ids], dtype=np.float64)
 
-    # The row-normalized D^{-1} W is cached on the graph: the propagation
-    # baseline calls this once per feedback round and must not rebuild it.
-    transition = graph.transition()
+    # A sweep is D^{-1} W s; an isolated node's degree is taken as 1.  The
+    # package imports scipy here only.
+    from scipy import sparse
+
+    indptr, indices, weights, degrees = graph.csr()
+    adjacency = sparse.csr_matrix((weights, indices, indptr), shape=(count, count))
+    inverse_degrees = 1.0 / np.where(degrees == 0.0, 1.0, degrees)
 
     scores[labeled_ids] = labeled_values
     for _ in range(iterations):
-        updated = transition @ scores
+        updated = adjacency @ scores
+        updated *= inverse_degrees
         updated[labeled_ids] = labeled_values
         change = float(np.max(np.abs(updated - scores))) if count else 0.0
         scores = updated

@@ -1,18 +1,18 @@
-"""kNN graph with the matrices DB alignment and label propagation need.
+"""kNN graph and the symmetrised adjacency DB alignment and propagation read.
 
 :func:`exact_knn` finds every vector's ``k`` nearest neighbours with one
 chunked brute-force scan; it is the only kNN builder, shared by the index
 build and the graph-ANN store tier.  The graph stores, for every vector, its
 ``k`` nearest neighbours and the Gaussian edge weight between them.  From
-those it derives the (symmetrised) sparse adjacency matrix ``W``, the
-diagonal degree matrix ``D``, and the graph Laplacian ``D - W`` used in
-Equation 4 of the paper.
+those it derives the symmetrised adjacency ``W`` as plain numpy CSR arrays
+together with the degrees ``D`` (its row sums): the inputs of the Laplacian
+``D - W`` in Equation 4 of the paper and of label propagation.  Nothing here
+imports scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,12 +20,6 @@ from repro.config import KnnGraphConfig
 from repro.exceptions import IndexingError
 from repro.knng.kernels import gaussian_similarity, squared_distance_from_inner
 from repro.utils.linalg import ensure_dtype, unit_rows
-
-# scipy.sparse is imported inside the methods that build a matrix: it is the
-# package's only scipy dependency, and a server that loads an index without
-# a graph should not pay for importing it.
-if TYPE_CHECKING:
-    from scipy import sparse
 
 
 _CHUNK_BYTES = 4 * 1024 * 1024
@@ -81,10 +75,8 @@ def exact_knn(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 class KnnGraph:
     """A weighted, symmetrised k-nearest-neighbour graph.
 
-    The derived matrices (adjacency, row-normalized transition) are cached
-    after first use: the propagation baseline asks for the transition matrix
-    on every feedback round, and rebuilding ``D^{-1} W`` from the neighbour
-    arrays each time dominated its per-round cost.
+    The symmetrised adjacency's CSR arrays are cached: the propagation
+    baseline reads them on every feedback round.
     """
 
     neighbor_ids: np.ndarray
@@ -96,8 +88,7 @@ class KnnGraph:
             raise IndexingError("neighbor ids and weights must have the same shape")
         if self.neighbor_ids.ndim != 2:
             raise IndexingError("neighbor arrays must be 2-d (count x k)")
-        self._adjacency: "sparse.csr_matrix | None" = None
-        self._transition: "sparse.csr_matrix | None" = None
+        self._csr: "tuple[np.ndarray, ...] | None" = None
 
     @property
     def node_count(self) -> int:
@@ -109,55 +100,36 @@ class KnnGraph:
         """Number of neighbours stored per node."""
         return self.neighbor_ids.shape[1]
 
-    def adjacency(self) -> sparse.csr_matrix:
-        """The symmetrised sparse adjacency matrix ``W`` (cached).
+    def csr(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
+        """``W`` in CSR form and its row sums: ``(indptr, indices, weights, degrees)``.
 
-        Symmetrisation takes the maximum of the two directed edge weights so
-        the Laplacian is positive semi-definite, the standard construction for
-        label propagation.
+        An edge ``i - j`` exists when either node lists the other, weighs the
+        larger of the two directed weights (so ``D - W`` is positive
+        semi-definite), and is dropped at weight 0.  Columns ascend within a
+        row, and the degrees are ``np.add.reduceat`` over each row's weights:
+        the layout and summation of ``scipy.sparse``, whose bits ``M_D`` keeps.
         """
-        if self._adjacency is None:
-            from scipy import sparse
-
+        if self._csr is None:
             count, k = self.neighbor_ids.shape
-            rows = np.repeat(np.arange(count), k)
-            cols = self.neighbor_ids.ravel()
-            data = self.neighbor_weights.ravel()
-            directed = sparse.csr_matrix((data, (rows, cols)), shape=(count, count))
-            self._adjacency = directed.maximum(directed.T)
-        return self._adjacency
-
-    def transition(self) -> sparse.csr_matrix:
-        """The row-normalized transition matrix ``D^{-1} W`` (cached).
-
-        This is the operator one label-propagation sweep applies; isolated
-        nodes (zero degree) keep a zero row, implemented by treating their
-        degree as 1.  Computed once per graph and reused by every
-        ``propagate_labels`` call — i.e. every feedback round of the
-        propagation baseline.
-        """
-        if self._transition is None:
-            from scipy import sparse
-
-            adjacency = self.adjacency()
-            degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-            degrees[degrees == 0.0] = 1.0
-            self._transition = sparse.diags(1.0 / degrees) @ adjacency
-        return self._transition
-
-    def degree(self, adjacency: "sparse.csr_matrix | None" = None) -> sparse.csr_matrix:
-        """The diagonal degree matrix ``D`` (row sums of ``W``)."""
-        from scipy import sparse
-
-        if adjacency is None:
-            adjacency = self.adjacency()
-        degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-        return sparse.diags(degrees, format="csr")
-
-    def laplacian(self) -> sparse.csr_matrix:
-        """The unnormalised graph Laplacian ``D - W`` of Equation 4."""
-        adjacency = self.adjacency()
-        return (self.degree(adjacency) - adjacency).tocsr()
+            sources = np.repeat(np.arange(count), k)
+            targets = self.neighbor_ids.ravel().astype(np.int64)
+            # Each directed edge stands for both of its entries in W; a mutual
+            # pair then holds two entries under one (row, column) key.
+            keys = np.concatenate([sources * count + targets, targets * count + sources])
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            firsts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            weights = np.tile(self.neighbor_weights.ravel(), 2)[order]
+            weights = np.maximum.reduceat(weights, firsts)
+            kept = weights != 0.0
+            rows, indices = np.divmod(keys[firsts][kept], count)
+            weights = weights[kept]
+            indptr = np.searchsorted(rows, np.arange(count + 1))
+            degrees = np.zeros(count)
+            filled = np.flatnonzero(np.diff(indptr))
+            degrees[filled] = np.add.reduceat(weights, indptr[filled])
+            self._csr = (indptr, indices, weights, degrees)
+        return self._csr
 
     def neighbors_of(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         """Neighbour ids and weights of one node."""
@@ -171,12 +143,6 @@ def build_knn_graph(
 ) -> KnnGraph:
     """Build a :class:`KnnGraph` over ``vectors`` following ``config``."""
     config = config or KnnGraphConfig()
-    # Graph weights are always computed in float64 (edge weights feed the
-    # Laplacian; a float32 store's rounding shouldn't reach the propagation
-    # math), but a store's already-unit float64 rows flow through zero-copy:
-    # ensure_dtype skips the conversion and unit_rows skips the re-divide
-    # that used to copy the whole matrix per build.
-    vectors = unit_rows(ensure_dtype(vectors, np.float64))
     neighbor_ids, neighbor_sims = exact_knn(vectors, k=config.k)
     squared = squared_distance_from_inner(neighbor_sims)
     sigma = config.sigma

@@ -29,13 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import VectorStoreError
-from repro.utils.linalg import (
-    ZERO_NORM_EPSILON,
-    dot_rows,
-    ensure_dtype,
-    normalize_rows,
-    unit_norm_tolerance,
-)
+from repro.utils.linalg import dot_rows, ensure_dtype, has_canonical_rows, normalize_rows
 from repro.vectorstore.base import VectorStore, deterministic_top_k
 
 
@@ -74,11 +68,7 @@ class DeltaVectorStore(VectorStore):
         # bit-exact, so a delta row embedded by the same deterministic
         # embedding a rebuild would run scores identically in both views.
         if delta.shape[0]:
-            norms = np.linalg.norm(delta, axis=1)
-            canonical = (np.abs(norms - 1.0) < unit_norm_tolerance(dtype)) | (
-                norms < ZERO_NORM_EPSILON
-            )
-            if not bool(canonical.all()):
+            if not has_canonical_rows(delta):
                 delta = ensure_dtype(normalize_rows(delta), dtype)
             elif delta.flags.writeable:
                 delta = delta.copy()

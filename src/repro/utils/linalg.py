@@ -53,6 +53,18 @@ def unit_norm_tolerance(dtype: "np.dtype | type") -> float:
     return 1e-6 if np.dtype(dtype) == np.float32 else 1e-12
 
 
+def has_canonical_rows(matrix: np.ndarray) -> bool:
+    """True when every row is unit within :func:`unit_norm_tolerance` or
+    (near-)zero, the form :func:`normalize_rows` gives, so callers can adopt
+    the rows bit-exact.  ``einsum`` takes the norms without an ``x * x`` copy.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+    canonical = (np.abs(norms - 1.0) < unit_norm_tolerance(matrix.dtype)) | (
+        norms < ZERO_NORM_EPSILON
+    )
+    return bool(canonical.all())
+
+
 def ensure_dtype(array: np.ndarray, dtype: "np.dtype | type") -> np.ndarray:
     """Return ``array`` in ``dtype`` — the same object when already there.
 
@@ -111,13 +123,8 @@ def unit_rows(matrix: np.ndarray) -> np.ndarray:
     same bits — otherwise it is normalised in float64 and cast back.
     """
     matrix = np.asarray(matrix)
-    if matrix.dtype in COMPUTE_DTYPES and matrix.size:
-        norms = np.linalg.norm(matrix, axis=1)
-        canonical = (np.abs(norms - 1.0) < unit_norm_tolerance(matrix.dtype)) | (
-            norms < ZERO_NORM_EPSILON  # zero rows: normalize_rows keeps them
-        )
-        if bool(canonical.all()):
-            return matrix
+    if matrix.dtype in COMPUTE_DTYPES and matrix.size and has_canonical_rows(matrix):
+        return matrix
     normalized = normalize_rows(matrix)
     if matrix.dtype in COMPUTE_DTYPES:
         normalized = ensure_dtype(normalized, matrix.dtype)

@@ -9,12 +9,11 @@ import numpy as np
 from repro.exceptions import VectorStoreError
 from repro.utils.linalg import (
     COMPUTE_DTYPES,
-    ZERO_NORM_EPSILON,
     dot_rows,
     ensure_dtype,
+    has_canonical_rows,
     normalize_rows,
     resolve_compute_dtype,
-    unit_norm_tolerance,
 )
 
 
@@ -85,19 +84,12 @@ class VectorStore(ABC):
         # re-divided by a norm of 1±ulp: rebuilding a store from another
         # store's vectors (shard slices, cache loads) must not drift scores
         # in the last bits — the sharded store's equivalence guarantee and
-        # the index cache's reproducibility both rest on this.  Canonical
-        # means unit norm within the dtype's tolerance *or* (near-)zero:
-        # ``normalize_rows`` preserves zero rows verbatim, so they are
-        # already in the form it would produce.  The defensive copy is
-        # skipped when nobody else can mutate the rows: the dtype conversion
-        # already produced a private array, and a read-only input (another
-        # store's ``vectors`` view, an ``mmap_mode="r"`` artifact) stays
-        # zero-copy — the point of the mmap cold-start path.
-        norms = np.linalg.norm(vectors, axis=1)
-        canonical = (np.abs(norms - 1.0) < unit_norm_tolerance(dtype)) | (
-            norms < ZERO_NORM_EPSILON
-        )
-        if bool(canonical.all()):
+        # the index cache's reproducibility both rest on this.  The defensive
+        # copy is skipped when nobody else can mutate the rows: the dtype
+        # conversion already produced a private array, and a read-only input
+        # (another store's ``vectors`` view, an ``mmap_mode="r"`` artifact, a
+        # cold build's frozen matrix) stays zero-copy.
+        if has_canonical_rows(vectors):
             if converted or not vectors.flags.writeable:
                 self._vectors = vectors
             else:

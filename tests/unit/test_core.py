@@ -1,5 +1,7 @@
 """Tests for core SeeSaw pieces: multiscale, feedback, propagation, aligner, indexing, session."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,13 @@ from repro.core.propagation import (
 )
 from repro.core.seesaw_method import SeeSawSearchMethod
 from repro.core.session import SearchSession
+from repro.data.catalogs import load_dataset
 from repro.data.geometry import BoundingBox
+from repro.embedding.synthetic_clip import SyntheticClip
 from repro.exceptions import SessionError
-from repro.knng.graph import build_knn_graph
+from repro.core import propagation
+from repro.knng import graph as knng_graph
+from repro.knng.graph import KnnGraph, build_knn_graph
 from repro.config import KnnGraphConfig
 from repro.utils.linalg import cosine_similarity, normalize_rows, normalize_vector
 from repro.vectorstore.forest import RandomProjectionForest
@@ -165,6 +171,106 @@ class TestPropagation:
             compute_db_alignment_matrix(vectors[:-1], graph)
 
 
+def scipy_db_matrix(sparse, vectors, graph):
+    """``M_D`` by the CSR formula: ``X^T ((diag(W 1) - max(W_d, W_d^T)) X)``."""
+    count, k = graph.neighbor_ids.shape
+    rows = np.repeat(np.arange(count), k)
+    directed = sparse.csr_matrix(
+        (graph.neighbor_weights.ravel(), (rows, graph.neighbor_ids.ravel())),
+        shape=(count, count),
+    )
+    adjacency = directed.maximum(directed.T)
+    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
+    laplacian = (sparse.diags(degrees, format="csr") - adjacency).tocsr()
+    matrix = vectors.T @ (laplacian @ vectors) / float(count)
+    return (matrix + matrix.T) / 2.0, adjacency, degrees
+
+
+def scipy_propagation(sparse, graph, labeled, iterations, prior):
+    """Label propagation with the transition ``diag(1 / d) @ W`` built by scipy."""
+    _, adjacency, degrees = scipy_db_matrix(sparse, np.zeros((graph.node_count, 1)), graph)
+    transition = sparse.diags(1.0 / np.where(degrees == 0.0, 1.0, degrees)) @ adjacency
+    ids = np.array(sorted(labeled))
+    values = np.array([labeled[i] for i in sorted(labeled)])
+    scores = prior.copy()
+    scores[ids] = values
+    for _ in range(iterations):
+        updated = transition @ scores
+        updated[ids] = values
+        change = float(np.max(np.abs(updated - scores)))
+        scores = updated
+        if change < 1e-5:
+            break
+    return np.clip(scores, 0.0, 1.0)
+
+
+def random_graph(rng, count, k, hubs=0, zeros=0):
+    """Random distinct neighbours without self-edges and uneven weights.
+
+    With ``hubs``, every other node lists nodes ``0 .. hubs - 1`` first, so
+    their in-degree is about ``count``; ``zeros`` edge weights are set to 0.
+    """
+    ids = np.empty((count, k), dtype=np.int64)
+    for node in range(count):
+        others = np.delete(np.arange(count), node)
+        preferred = [h for h in range(hubs) if h != node][:k]
+        rest = np.setdiff1d(others, preferred)
+        ids[node] = np.concatenate(
+            [preferred, rng.choice(rest, size=k - len(preferred), replace=False)]
+        )
+    weights = rng.uniform(0.05, 1.0, size=(count, k))
+    weights.ravel()[rng.choice(weights.size, size=zeros, replace=False)] = 0.0
+    return KnnGraph(neighbor_ids=ids, neighbor_weights=weights, sigma=1.0)
+
+
+class TestDbAlignmentOracle:
+    """The numpy ``M_D`` keeps the bits of the scipy CSR formula."""
+
+    @pytest.fixture()
+    def sparse(self):
+        return pytest.importorskip("scipy.sparse")
+
+    @staticmethod
+    def cases(rng):
+        centers = normalize_rows(rng.standard_normal((4, 16)))
+        clustered = normalize_rows(
+            np.repeat(centers, 150, axis=0) + 0.1 * rng.standard_normal((600, 16))
+        )
+        yield "clustered", clustered, build_knn_graph(clustered, KnnGraphConfig(k=10))
+        small = clustered[::5]
+        yield "clustered k=5", small, build_knn_graph(small, KnnGraphConfig(k=5))
+        for name, count, k, hubs, zeros in (
+            ("hub-heavy", 200, 4, 3, 0),
+            ("one-way and mutual, some weights 0", 80, 6, 0, 25),
+            ("k = n - 1", 30, 29, 0, 0),
+            ("n = 2", 2, 1, 0, 0),
+        ):
+            vectors = normalize_rows(rng.standard_normal((count, 8)))
+            yield name, vectors, random_graph(rng, count, k, hubs, zeros)
+
+    @pytest.mark.parametrize("block_rows", [propagation._BLOCK_ROWS, 7])
+    def test_matches_the_csr_formula_bit_for_bit(self, sparse, rng, monkeypatch, block_rows):
+        monkeypatch.setattr(propagation, "_BLOCK_ROWS", block_rows)
+        for name, vectors, graph in self.cases(rng):
+            expected, adjacency, degrees = scipy_db_matrix(sparse, vectors, graph)
+            computed = compute_db_alignment_matrix(vectors, graph)
+            assert computed.tobytes() == expected.tobytes(), name
+            indptr, indices, weights, ours = graph.csr()
+            assert np.array_equal(indptr, adjacency.indptr), name
+            assert np.array_equal(indices, adjacency.indices), name
+            assert weights.tobytes() == adjacency.data.tobytes(), name
+            assert ours.tobytes() == degrees.tobytes(), name
+
+    def test_propagation_matches_the_scipy_transition(self, sparse, rng):
+        for name, vectors, graph in self.cases(rng):
+            count = graph.node_count
+            labeled = {0: 1.0, count - 1: 0.0}
+            prior = rng.uniform(size=count)
+            expected = scipy_propagation(sparse, graph, labeled, 20, prior)
+            computed = propagate_labels(graph, labeled, iterations=20, prior=prior)
+            assert np.max(np.abs(computed - expected)) <= 1e-12, name
+
+
 class TestAligner:
     def test_no_feedback_keeps_text_vector(self, rng):
         query = normalize_vector(rng.standard_normal(16))
@@ -225,6 +331,27 @@ class TestAligner:
 
 
 class TestIndexing:
+    def test_cold_build_peak_memory_holds_one_copy_of_the_corpus(self):
+        """Embedding, store, kNN scan and ``M_D`` together stay within one
+        patch matrix, the scan's chunk budget, one ``(D - W) X`` product and
+        the graph's outputs; a second copy of the corpus would not fit."""
+        dataset = load_dataset("bdd", seed=0, size_scale=0.1)
+        embedding = SyntheticClip.for_dataset(dataset, dim=512, seed=0)
+        config = SeeSawConfig(embedding_dim=512).with_overrides(
+            multiscale=MultiscaleConfig(enabled=True)
+        )
+        tracemalloc.start()
+        try:
+            index = SeeSawIndex.build(dataset, embedding, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        count, dim = index.store.vectors.shape
+        matrix = count * dim * 8
+        knn_outputs = 2 * count * index.knn_graph.k * 8
+        assert index.db_matrix is not None
+        assert peak <= 2 * matrix + 3 * knng_graph._CHUNK_BYTES + knn_outputs
+
     def test_index_counts(self, tiny_index, tiny_dataset):
         assert tiny_index.vector_count == len(tiny_index.store)
         assert set(tiny_index.image_ids) == {image.image_id for image in tiny_dataset}

@@ -7,7 +7,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from repro.config import KnnGraphConfig
 from repro.exceptions import IndexingError
@@ -110,24 +109,47 @@ class TestExactKnnChunkBoundaries:
         assert all(np.array_equal(ids, results[0][0]) for ids, _ in results)
 
 
+def dense_reference(graph):
+    """``W`` built densely: each directed weight, then the max with its transpose."""
+    count = graph.node_count
+    directed = np.zeros((count, count))
+    rows = np.repeat(np.arange(count), graph.k)
+    directed[rows, graph.neighbor_ids.ravel()] = graph.neighbor_weights.ravel()
+    return np.maximum(directed, directed.T)
+
+
+def densify(adjacency):
+    indptr, indices, weights, _ = adjacency
+    count = indptr.size - 1
+    dense = np.zeros((count, count))
+    dense[np.repeat(np.arange(count), np.diff(indptr)), indices] = weights
+    return dense
+
+
 class TestKnnGraph:
     def test_adjacency_is_symmetric_and_sparse(self, clustered_vectors):
         graph = build_knn_graph(clustered_vectors, KnnGraphConfig(k=5))
-        adjacency = graph.adjacency()
-        assert sparse.issparse(adjacency)
-        assert (abs(adjacency - adjacency.T)).nnz == 0
+        adjacency = graph.csr()
+        indptr, indices, _, _ = adjacency
+        dense = densify(adjacency)
+        assert np.array_equal(dense, dense_reference(graph))
+        assert np.array_equal(dense, dense.T)
+        assert indices.size == np.count_nonzero(dense) < dense.size // 4
+        for row in range(graph.node_count):
+            assert np.all(np.diff(indices[indptr[row] : indptr[row + 1]]) > 0)
+        assert graph.csr() is adjacency  # cached
 
     def test_laplacian_is_psd(self, clustered_vectors):
         graph = build_knn_graph(clustered_vectors, KnnGraphConfig(k=5))
-        laplacian = graph.laplacian().toarray()
-        eigenvalues = np.linalg.eigvalsh((laplacian + laplacian.T) / 2)
-        assert eigenvalues.min() > -1e-8
+        adjacency = graph.csr()
+        laplacian = np.diag(adjacency[3]) - densify(adjacency)
+        assert np.array_equal(laplacian, laplacian.T)
+        assert np.linalg.eigvalsh(laplacian).min() > -1e-8
 
     def test_degree_matches_adjacency_row_sums(self, clustered_vectors):
         graph = build_knn_graph(clustered_vectors, KnnGraphConfig(k=4))
-        adjacency = graph.adjacency()
-        degree = graph.degree(adjacency).diagonal()
-        assert np.allclose(degree, np.asarray(adjacency.sum(axis=1)).ravel())
+        _, _, _, degrees = graph.csr()
+        assert np.allclose(degrees, dense_reference(graph).sum(axis=1), rtol=0, atol=1e-12)
 
     def test_neighbors_within_cluster(self, clustered_vectors):
         graph = build_knn_graph(clustered_vectors, KnnGraphConfig(k=5))
@@ -146,9 +168,10 @@ class TestKnnGraph:
 
 
 class TestScipyStaysOffTheRestartPath:
-    """Only building a graph's matrices imports ``scipy.sparse``."""
+    """Only the propagation baseline imports ``scipy``: neither a cold build
+    with the graph and ``M_D`` nor a warm start loads it."""
 
-    SCRIPT = textwrap.dedent(
+    WARM_SCRIPT = textwrap.dedent(
         """
         import sys
 
@@ -167,12 +190,46 @@ class TestScipyStaysOffTheRestartPath:
         """
     )
 
-    def test_warm_start_without_a_graph_never_imports_scipy(self, tmp_path):
-        def run() -> str:
-            return subprocess.run(
-                [sys.executable, "-c", self.SCRIPT, str(tmp_path)],
-                check=True, capture_output=True, text=True,
-            ).stdout.strip()
+    COLD_SCRIPT = textwrap.dedent(
+        """
+        import sys
 
-        assert run() == "False False"  # cold: builds and stores the entry
-        assert run() == "True False"  # warm: a cache hit
+        from repro.config import SeeSawConfig
+        from repro.data.catalogs import load_dataset
+        from repro.embedding.synthetic_clip import SyntheticClip
+        from repro.server import (
+            FeedbackRequest, InProcessClient, SeeSawApp, SeeSawService,
+            SessionManager, StartSessionRequest,
+        )
+
+        dataset = load_dataset("bdd", seed=0, size_scale=0.02)
+        embedding = SyntheticClip.for_dataset(dataset, dim=32, seed=0)
+        service = SeeSawService(SeeSawConfig(embedding_dim=32))
+        service.register_dataset(dataset, embedding)
+        client = InProcessClient(SeeSawApp(SessionManager(service)))
+        info = client.start_session(StartSessionRequest(
+            dataset="bdd", text_query=dataset.category_names[0], batch_size=2
+        ))
+        for relevant in (True, False):
+            for item in client.next_results(info.session_id).items:
+                client.give_feedback(FeedbackRequest(
+                    session_id=info.session_id, image_id=item.image_id, relevant=relevant
+                ))
+        client.next_results(info.session_id)
+        index = service.index_for("bdd", multiscale=True)
+        print(index.db_matrix is not None, any(m.startswith("scipy") for m in sys.modules))
+        """
+    )
+
+    def run(self, script: str, *args: str) -> str:
+        return subprocess.run(
+            [sys.executable, "-c", script, *args],
+            check=True, capture_output=True, text=True,
+        ).stdout.strip()
+
+    def test_warm_start_without_a_graph_never_imports_scipy(self, tmp_path):
+        assert self.run(self.WARM_SCRIPT, str(tmp_path)) == "False False"  # cold: builds and stores
+        assert self.run(self.WARM_SCRIPT, str(tmp_path)) == "True False"  # warm: a cache hit
+
+    def test_cold_build_with_the_graph_and_a_session_never_imports_scipy(self):
+        assert self.run(self.COLD_SCRIPT) == "True False"

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.live.delta import DeltaVectorStore
 from repro.utils import memory
 from repro.utils.linalg import (
     angular_distance,
     assert_no_copy,
     cosine_similarity,
     ensure_dtype,
+    has_canonical_rows,
     normalize_rows,
     normalize_vector,
     pairwise_inner,
@@ -35,6 +37,7 @@ from repro.utils.validation import (
     check_shape,
     check_unit_norm,
 )
+from repro.vectorstore.exact import ExactVectorStore
 
 
 class TestRng:
@@ -178,6 +181,63 @@ class TestComputeDtypeHelpers:
         assert unit_rows(raw32).dtype == np.float32
         # ...and promoted to float64 for everything else.
         assert unit_rows(np.array([[3, 4]], dtype=np.int64)).dtype == np.float64
+
+
+class TestCanonicalRows:
+    """One canonical-row rule, and the adopt / copy / normalise choice on it."""
+
+    @staticmethod
+    def reference(matrix):
+        """The rule as first written, over ``np.linalg.norm``'s row norms."""
+        norms = np.linalg.norm(matrix, axis=1)
+        return bool(
+            ((np.abs(norms - 1.0) < unit_norm_tolerance(matrix.dtype)) | (norms < 1e-12)).all()
+        )
+
+    @staticmethod
+    def scaled(dtype, row, factor):
+        """Unit rows with one row's norm moved to ``factor`` (set in float64)."""
+        matrix = random_unit_vectors(6, 16, seed=0)
+        matrix[row] *= factor
+        return matrix.astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_unit_zero_and_off_tolerance_rows(self, dtype):
+        tolerance = unit_norm_tolerance(dtype)
+        with_zero = self.scaled(dtype, 2, 1.0)
+        with_zero[2] = 0.0
+        cases = {
+            "unit": (self.scaled(dtype, 0, 1.0), True),
+            "inside tolerance": (self.scaled(dtype, 3, 1.0 + tolerance / 4), True),
+            "zero row": (with_zero, True),
+            "off by 4x tolerance": (self.scaled(dtype, 3, 1.0 + 4 * tolerance), False),
+            "short by 4x tolerance": (self.scaled(dtype, 5, 1.0 - 4 * tolerance), False),
+            "near-zero but not zero": (self.scaled(dtype, 1, 1e-6), False),
+        }
+        for name, (matrix, expected) in cases.items():
+            assert has_canonical_rows(matrix) is expected, name
+            assert self.reference(matrix) is expected, name
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_stores_adopt_copy_or_normalise(self, dtype):
+        unit = self.scaled(dtype, 0, 1.0)
+        copied = ExactVectorStore(unit)
+        assert not np.shares_memory(copied.vectors, unit)
+        assert np.array_equal(copied.vectors, unit)
+        frozen = unit.copy()
+        frozen.setflags(write=False)
+        assert np.shares_memory(ExactVectorStore(frozen).vectors, frozen)
+        assert unit_rows(unit) is unit
+        off = self.scaled(dtype, 3, 2.0)
+        for vectors in (
+            ExactVectorStore(off).vectors,
+            unit_rows(off),
+            DeltaVectorStore(copied, off, np.zeros(12, dtype=bool)).take(np.arange(6, 12)),
+        ):
+            assert vectors.dtype == dtype
+            assert np.allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=1e-6)
+        delta = DeltaVectorStore(copied, unit, np.zeros(12, dtype=bool))
+        assert np.array_equal(delta.take(np.arange(6, 12)), unit)
 
 
 class TestReleaseFreeHeap:
