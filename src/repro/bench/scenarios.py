@@ -126,8 +126,8 @@ class TailGates:
     recovery_p99_ms: "float | None" = None
     """For fault scenarios with a bounded window: p99 over the primaries
     scheduled *after* the fault window closed.  The recovery gate is what
-    proves the service healed — breakers re-closed, degradation lifted,
-    no stranded waiters — instead of merely surviving the chaos."""
+    proves the service healed — breakers re-closed, no stranded
+    waiters — instead of merely surviving the chaos."""
 
     def __post_init__(self) -> None:
         if self.p99_ms <= 0:

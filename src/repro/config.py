@@ -24,6 +24,16 @@ RETIRED_FIELDS = frozenset(
         "knn.use_nn_descent",
         "knn.nn_descent_iterations",
         "knn.nn_descent_sample_rate",
+        "overload_ef_floor",
+        "retry_max_attempts",
+        "retry_base_ms",
+        "retry_max_ms",
+        "breaker_failure_threshold",
+        "breaker_reset_s",
+        "optimizer.history_size",
+        "optimizer.initial_step",
+        "optimizer.wolfe_c1",
+        "optimizer.max_line_search_steps",
     }
 )
 """Config fields that no longer exist, as ``name`` or ``section.name``.
@@ -102,21 +112,12 @@ class OptimizerConfig:
     """L-BFGS settings used when minimising the SeeSaw loss (§4.4)."""
 
     max_iterations: int = 50
-    history_size: int = 10
     gradient_tolerance: float = 1e-6
-    initial_step: float = 1.0
-    wolfe_c1: float = 1e-4
-    max_line_search_steps: int = 25
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ConfigurationError("max_iterations must be >= 1")
-        if self.history_size < 1:
-            raise ConfigurationError("history_size must be >= 1")
         check_positive("gradient_tolerance", self.gradient_tolerance)
-        check_positive("initial_step", self.initial_step)
-        if not 0 < self.wolfe_c1 < 1:
-            raise ConfigurationError("require 0 < wolfe_c1 < 1")
 
 
 @dataclass(frozen=True)
@@ -277,29 +278,6 @@ class SeeSawConfig:
     a ``Retry-After`` hint — a cheap rejection *before* queueing collapse
     rather than an expensive timeout after it.  ``0`` disables shedding.
     Runtime knob, excluded from the cache key."""
-    overload_ef_floor: int = 8
-    """Graceful-degradation floor for the graph-ANN beam: while the service
-    is overloaded (in-flight at or beyond ``max_in_flight``), admitted
-    queries run with a reduced ``ef`` no lower than this floor, trading
-    recall for latency until load drains.  Runtime knob, excluded from the
-    cache key."""
-    retry_max_attempts: int = 3
-    """Client-side retry budget: total attempts per logical call (first try
-    included) for retryable failures (429/503/transient 500s, connection
-    failures on idempotent calls).  ``1`` disables retries."""
-    retry_base_ms: float = 50.0
-    """Base of the client's exponential backoff: attempt ``n`` sleeps a
-    uniform random draw from ``[0, min(retry_max_ms, retry_base_ms * 2**n))``
-    (full jitter), unless the server's ``Retry-After`` hint says longer."""
-    retry_max_ms: float = 2000.0
-    """Cap (milliseconds) on a single client backoff sleep."""
-    breaker_failure_threshold: int = 5
-    """Consecutive transport-level failures per host before the client's
-    circuit breaker opens and calls fail fast with ``CircuitOpenError``
-    instead of hammering a dead host.  ``0`` disables the breaker."""
-    breaker_reset_s: float = 5.0
-    """Cooldown (seconds) an open breaker waits before letting one probe
-    call through (half-open); a successful probe closes it."""
     drain_timeout_s: float = 10.0
     """Graceful-drain budget: on SIGTERM/``shutdown()`` the server flips
     ``/healthz`` to ``draining``, rejects new sessions with a typed 503,
@@ -370,32 +348,6 @@ class SeeSawConfig:
             raise ConfigurationError(
                 f"max_in_flight must be >= 0, got {self.max_in_flight}"
             )
-        if self.overload_ef_floor < 1:
-            raise ConfigurationError(
-                f"overload_ef_floor must be >= 1, got {self.overload_ef_floor}"
-            )
-        if self.retry_max_attempts < 1:
-            raise ConfigurationError(
-                f"retry_max_attempts must be >= 1, got {self.retry_max_attempts}"
-            )
-        if self.retry_base_ms <= 0:
-            raise ConfigurationError(
-                f"retry_base_ms must be > 0, got {self.retry_base_ms}"
-            )
-        if self.retry_max_ms < self.retry_base_ms:
-            raise ConfigurationError(
-                f"retry_max_ms ({self.retry_max_ms}) must be >= retry_base_ms "
-                f"({self.retry_base_ms})"
-            )
-        if self.breaker_failure_threshold < 0:
-            raise ConfigurationError(
-                f"breaker_failure_threshold must be >= 0, got "
-                f"{self.breaker_failure_threshold}"
-            )
-        if self.breaker_reset_s <= 0:
-            raise ConfigurationError(
-                f"breaker_reset_s must be > 0, got {self.breaker_reset_s}"
-            )
         if self.drain_timeout_s < 0:
             raise ConfigurationError(
                 f"drain_timeout_s must be >= 0, got {self.drain_timeout_s}"
@@ -441,44 +393,6 @@ class SeeSawConfig:
                 section = sections[key]
                 kwargs[key] = section(**_known_fields(section, value, f"{key}."))
         return cls(**kwargs)
-
-    def describe(self) -> Mapping[str, Any]:
-        """A flat mapping of the most important knobs, handy for reports."""
-        return {
-            "embedding_dim": self.embedding_dim,
-            "lambda_norm": self.loss.lambda_norm,
-            "lambda_clip": self.loss.lambda_clip,
-            "lambda_db": self.loss.lambda_db,
-            "knn_k": self.knn.k,
-            "knn_sigma": self.knn.sigma,
-            "multiscale": self.multiscale.enabled,
-            "use_clip_alignment": self.use_clip_alignment,
-            "use_db_alignment": self.use_db_alignment,
-            "fit_bias": self.fit_bias,
-            "target_results": self.task.target_results,
-            "max_images": self.task.max_images,
-            "seed": self.seed,
-            "n_shards": self.n_shards,
-            "compute_dtype": self.compute_dtype,
-            "quantized_store": self.quantized_store,
-            "quantized_rerank_factor": self.quantized_rerank_factor,
-            "ann_search": self.ann_search,
-            "ann_ef": self.ann_ef,
-            "ann_graph_degree": self.ann_graph_degree,
-            "rate_limit_rps": self.rate_limit_rps,
-            "rate_limit_burst": self.rate_limit_burst,
-            "mmap_index": self.mmap_index,
-            "telemetry_enabled": self.telemetry.enabled,
-            "slow_request_ms": self.telemetry.slow_request_ms,
-            "request_deadline_ms": self.request_deadline_ms,
-            "max_in_flight": self.max_in_flight,
-            "retry_max_attempts": self.retry_max_attempts,
-            "drain_timeout_s": self.drain_timeout_s,
-            "faults": self.faults is not None and self.faults.any_faults,
-            "live_datasets": self.live_datasets,
-            "delta_max_rows": self.delta_max_rows,
-            "merge_trigger_ratio": self.merge_trigger_ratio,
-        }
 
 
 def _known_fields(

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.exceptions import IndexingError
 from repro.knng.graph import KnnGraph
+from repro.utils.linalg import ensure_dtype
 
 _BLOCK_ROWS = 512
 """Rows of ``(D - W) X`` summed at a time, so the product's two buffers
@@ -30,6 +31,8 @@ def _laplacian_product(graph: KnnGraph, vectors: np.ndarray) -> np.ndarray:
     at column ``i``) one at a time in ascending column order, as scipy does.
     A block's rows go by decreasing term count, so the rows adding a
     ``step``-th term are a prefix and each step runs on contiguous buffers.
+    Rows of any other float dtype are widened to float64 as they are
+    gathered, which gives the bits of a float64 copy without holding one.
     """
     indptr, indices, weights, degrees = graph.csr()
     count, dim = vectors.shape
@@ -52,7 +55,10 @@ def _laplacian_product(graph: KnnGraph, vectors: np.ndarray) -> np.ndarray:
         for step in range(remaining[0]):
             live = np.count_nonzero(remaining > step)
             positions = firsts[:live] + step
-            np.take(vectors, columns[positions], axis=0, out=terms[:live], mode="clip")
+            if vectors.dtype == np.float64:
+                np.take(vectors, columns[positions], axis=0, out=terms[:live], mode="clip")
+            else:
+                terms[:live] = vectors[columns[positions]]
             terms[:live] *= values[positions, None]
             sums[:live] += terms[:live]
         product[block] = sums[: stop - start]
@@ -78,16 +84,18 @@ def compute_db_alignment_matrix(
         implicit in ``lambda_DB``; normalising keeps the reported
         ``lambda_DB = 1000`` meaningful across database sizes.
     """
-    vectors = np.asarray(vectors, dtype=np.float64)
+    vectors = np.asarray(vectors)
     if vectors.ndim != 2:
         raise IndexingError("vectors must be 2-d (count x dim)")
     if vectors.shape[0] != graph.node_count:
         raise IndexingError(
             f"graph has {graph.node_count} nodes but {vectors.shape[0]} vectors were given"
         )
-    # One GEMM over the whole product: splitting it into row blocks would
-    # change its summation order, and so the bits of M_D.
-    matrix = vectors.T @ _laplacian_product(graph, vectors)
+    product = _laplacian_product(graph, vectors)
+    # Widened only now, so a float32 corpus's float64 copy never sits beside
+    # the product's block buffers.  One GEMM over the whole product: row
+    # blocks would change its summation order, and so the bits of M_D.
+    matrix = ensure_dtype(vectors, np.float64).T @ product
     if normalize_by_count:
         matrix = matrix / float(vectors.shape[0])
     # Numerical symmetrisation; the Laplacian is symmetric so M_D should be.

@@ -45,7 +45,10 @@ def exact_knn(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(neighbor_ids, neighbor_similarities)``, two ``(count, k)``
     arrays with each row's similarities sorted descending.
     """
-    vectors = unit_rows(ensure_dtype(vectors, np.float64))
+    vectors = np.asarray(vectors)
+    # A float32 corpus's float64 cast is ours: normalise it in place.
+    cast = vectors.dtype != np.float64
+    vectors = unit_rows(ensure_dtype(vectors, np.float64), owned=cast)
     count = vectors.shape[0]
     if count < 2:
         raise IndexingError("exact_knn requires at least two vectors")

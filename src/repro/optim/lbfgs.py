@@ -20,6 +20,13 @@ from repro.config import OptimizerConfig
 from repro.exceptions import OptimizationError
 from repro.optim.objective import ValueAndGradient
 
+# Curvature pairs kept; a line search's first step, its Armijo
+# sufficient-decrease constant, and the halvings it tries before giving up.
+HISTORY_SIZE = 10
+INITIAL_STEP = 1.0
+ARMIJO_C1 = 1e-4
+MAX_LINE_SEARCH_STEPS = 25
+
 
 @dataclass
 class LbfgsResult:
@@ -65,26 +72,25 @@ def _armijo_line_search(
     value: float,
     gradient: np.ndarray,
     direction: np.ndarray,
-    config: OptimizerConfig,
 ) -> tuple[float, float, np.ndarray, int]:
     """Armijo backtracking: halve the step until it gives sufficient decrease.
 
     The first step satisfying the Armijo condition (constant
-    ``config.wolfe_c1``) is accepted; no curvature condition is checked,
+    :data:`ARMIJO_C1`) is accepted; no curvature condition is checked,
     which suits the smooth, low-dimensional SeeSaw loss.  Returns ``(step,
     new_value, new_gradient, evaluations)``; a step of 0 means the search
-    found no decrease within ``config.max_line_search_steps`` halvings.
+    found no decrease within :data:`MAX_LINE_SEARCH_STEPS` halvings.
     """
     directional = float(gradient @ direction)
     if directional >= 0:
         raise OptimizationError("line search called with a non-descent direction")
-    step = config.initial_step
+    step = INITIAL_STEP
     evaluations = 0
-    for _ in range(config.max_line_search_steps):
+    for _ in range(MAX_LINE_SEARCH_STEPS):
         candidate = parameters + step * direction
         candidate_value, candidate_gradient = objective(candidate)
         evaluations += 1
-        if candidate_value <= value + config.wolfe_c1 * step * directional:
+        if candidate_value <= value + ARMIJO_C1 * step * directional:
             return step, candidate_value, candidate_gradient, evaluations
         step *= 0.5
     return 0.0, value, gradient, evaluations
@@ -112,9 +118,9 @@ def lbfgs_minimize(
     if not np.isfinite(value) or not np.all(np.isfinite(gradient)):
         raise OptimizationError("objective returned non-finite value or gradient")
     evaluations = 1
-    s_history: deque[np.ndarray] = deque(maxlen=config.history_size)
-    y_history: deque[np.ndarray] = deque(maxlen=config.history_size)
-    rho_history: deque[float] = deque(maxlen=config.history_size)
+    s_history: deque[np.ndarray] = deque(maxlen=HISTORY_SIZE)
+    y_history: deque[np.ndarray] = deque(maxlen=HISTORY_SIZE)
+    rho_history: deque[float] = deque(maxlen=HISTORY_SIZE)
 
     iteration = 0
     converged = float(np.linalg.norm(gradient)) <= config.gradient_tolerance
@@ -127,7 +133,7 @@ def lbfgs_minimize(
             rho_history.clear()
             direction = -gradient
         step, new_value, new_gradient, line_evaluations = _armijo_line_search(
-            objective, parameters, value, gradient, direction, config
+            objective, parameters, value, gradient, direction
         )
         evaluations += line_evaluations
         iteration += 1

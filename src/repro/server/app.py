@@ -83,8 +83,7 @@ def default_middlewares(manager: SessionManager) -> "list[Middleware]":
     a client over its own budget is rejected by the cheapest check; the
     deadline scope opens before admission so even the shed path observes
     the request's budget.  The admission tracker is registered with the
-    manager (``/v1/healthz`` reports the live in-flight count) and its
-    overload transitions drive the service's graceful-degradation hook.
+    manager (``/v1/healthz`` reports the live in-flight count).
     """
     config = manager.service.config
     middlewares: "list[Middleware]" = [
@@ -99,10 +98,7 @@ def default_middlewares(manager: SessionManager) -> "list[Middleware]":
             RateLimitMiddleware(config.rate_limit_rps, config.rate_limit_burst)
         )
     middlewares.append(DeadlineMiddleware(config.request_deadline_ms))
-    tracker = InFlightTracker(
-        limit=config.max_in_flight,
-        on_overload=manager.service.set_overload_degraded,
-    )
+    tracker = InFlightTracker(limit=config.max_in_flight)
     manager.attach_inflight_tracker(tracker)
     middlewares.append(
         AdmissionControlMiddleware(tracker, registry=manager.service.metrics)

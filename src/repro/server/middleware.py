@@ -26,9 +26,7 @@ handlers and into a small composable pipeline that wraps the router:
   typed 504 instead of finishing work nobody is waiting for;
 * :class:`AdmissionControlMiddleware` — a bounded in-flight gauge
   (:class:`InFlightTracker`); past ``max_in_flight`` new work is shed with
-  a 503 + ``Retry-After`` *before* it queues, and sustained overload
-  triggers the service's graceful-degradation hook (graph-ANN ``ef``
-  lowered toward the configured floor) until load drains.
+  a 503 + ``Retry-After`` *before* it queues.
 
 Middlewares see the transport-agnostic :class:`Request`/:class:`Response`
 pair, so the pipeline runs identically under the HTTP transport and under
@@ -469,61 +467,30 @@ class DeadlineMiddleware:
 class InFlightTracker:
     """The service's bounded in-flight gauge.
 
-    One instance is shared by three consumers: the
-    :class:`AdmissionControlMiddleware` (admit or shed), ``/healthz`` (the
-    current count), and the graceful-degradation hook (``on_overload`` fires
-    with ``True`` when a request is shed at the bound and with ``False``
-    once in-flight drains back to ``resume_fraction`` of the limit — the
-    hysteresis keeps the service from flapping between full-quality and
-    degraded search on every admit/release).
+    One instance is shared by the :class:`AdmissionControlMiddleware`
+    (admit or shed), ``/healthz`` and the manager's drain (the count).
     """
 
-    def __init__(
-        self,
-        limit: int = 0,
-        on_overload: "Callable[[bool], None] | None" = None,
-        resume_fraction: float = 0.5,
-    ) -> None:
+    def __init__(self, limit: int = 0) -> None:
         self.limit = int(limit)
-        self.on_overload = on_overload
-        self._resume_below = max(1.0, self.limit * float(resume_fraction))
         self._lock = threading.Lock()
         self._count = 0
-        self._overloaded = False
 
     @property
     def count(self) -> int:
         return self._count
 
-    @property
-    def overloaded(self) -> bool:
-        return self._overloaded
-
     def try_enter(self) -> bool:
-        """Admit one request, or refuse (and mark overload) at the bound."""
-        fire: "bool | None" = None
+        """Admit one request, or refuse at the bound."""
         with self._lock:
             if 0 < self.limit <= self._count:
-                if not self._overloaded:
-                    self._overloaded = True
-                    fire = True
-                admitted = False
-            else:
-                self._count += 1
-                admitted = True
-        if fire is not None and self.on_overload is not None:
-            self.on_overload(fire)
-        return admitted
+                return False
+            self._count += 1
+            return True
 
     def release(self) -> None:
-        fire: "bool | None" = None
         with self._lock:
             self._count = max(0, self._count - 1)
-            if self._overloaded and self._count <= self._resume_below:
-                self._overloaded = False
-                fire = False
-        if fire is not None and self.on_overload is not None:
-            self.on_overload(fire)
 
 
 class AdmissionControlMiddleware:
@@ -550,7 +517,6 @@ class AdmissionControlMiddleware:
         self.tracker = tracker
         self._registry = registry
         self.retry_after_hint_s = float(retry_after_hint_s)
-        self.shed_requests = 0
         self.registry.gauge(
             "seesaw_in_flight",
             "Requests currently being processed (admission-control gauge).",
@@ -565,7 +531,6 @@ class AdmissionControlMiddleware:
         if request.route in PROBE_ROUTES:
             return handler(request)
         if not self.tracker.try_enter():
-            self.shed_requests += 1
             self.registry.counter(
                 "seesaw_shed_total",
                 "Requests shed before processing, by reason.",

@@ -3,7 +3,7 @@
 The policy here encodes three hard-won distributed-systems rules:
 
 * **Full jitter.**  Attempt *n* sleeps a uniform draw from ``[0,
-  min(retry_max_ms, retry_base_ms * 2**n))``.  Deterministic exponential
+  min(max_ms, base_ms * 2**n))``.  Deterministic exponential
   backoff synchronizes a fleet of retrying clients into waves that re-arrive
   together; the uniform draw de-correlates them.  A server ``Retry-After``
   hint (a rate limiter's refill time, a shedder's backoff hint) acts as a
@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from typing import Any, Callable, TypeVar
+from typing import Callable, TypeVar
 
 from repro.exceptions import (
     CircuitOpenError,
@@ -198,19 +198,6 @@ class RetryPolicy:
         self._registry = registry
         self._breakers: "dict[str, CircuitBreaker]" = {}
         self._breakers_lock = threading.Lock()
-
-    @classmethod
-    def from_config(cls, config: Any, **overrides: Any) -> "RetryPolicy":
-        """Build a policy from the ``retry_*``/``breaker_*`` config knobs."""
-        kwargs: "dict[str, Any]" = dict(
-            max_attempts=config.retry_max_attempts,
-            base_ms=config.retry_base_ms,
-            max_ms=config.retry_max_ms,
-            breaker_failure_threshold=config.breaker_failure_threshold,
-            breaker_reset_s=config.breaker_reset_s,
-        )
-        kwargs.update(overrides)
-        return cls(**kwargs)
 
     @property
     def registry(self) -> MetricsRegistry:

@@ -30,6 +30,7 @@ from repro.server.api import (
     StartSessionRequest,
 )
 from repro.store.cache import IndexCache
+from repro.utils.memory import release_free_heap
 from repro.vectorstore.graph import GraphANNVectorStore
 from repro.vectorstore.quantized import QuantizedVectorStore
 from repro.vectorstore.sharded import ShardedVectorStore
@@ -51,7 +52,6 @@ class SeeSawService:
         self._session_counter = itertools.count(1)
         self.cache_hits = 0
         self.cache_misses = 0
-        self._overload_degraded = False
         # Builds for *different* datasets can run concurrently under the
         # SessionManager's per-dataset locks, so the shared counters need
         # their own guard.
@@ -151,6 +151,7 @@ class SeeSawService:
                 multiscale=MultiscaleConfig(enabled=multiscale)
             )
             cache = self._caches.get(dataset_name)
+            was_cached = False
             if cache is not None:
                 index, was_cached = cache.load_or_build(dataset, embedding, config)
                 with self._counter_lock:
@@ -170,6 +171,10 @@ class SeeSawService:
             # dataset shares one engine instead of paying a first-round
             # build under a request.
             index.engine
+            if not was_cached:
+                # The build's temporaries are freed by now; without a trim
+                # glibc keeps them resident under everything served next.
+                release_free_heap()
             self._indexes[key] = index
         return self._indexes[key]
 
@@ -212,55 +217,6 @@ class SeeSawService:
                     index.store, index.segments.vector_image_rows, self.config.n_shards
                 )
             )
-        # An index built while the service is already overloaded starts at
-        # the degraded beam, not the configured one.
-        if self._overload_degraded:
-            self._set_graph_ef(index, self._degraded_ef())
-
-    # ------------------------------------------------------------------
-    # graceful degradation under overload
-    # ------------------------------------------------------------------
-    def set_overload_degraded(self, degraded: bool) -> None:
-        """Trade graph-ANN recall for latency while the service is overloaded.
-
-        The admission tracker fires this on overload *transitions* (shedding
-        began / in-flight drained back down).  Degradation lowers every
-        graph store's beam width (``ef``) to the configured
-        ``overload_ef_floor`` — each admitted query then walks a shorter
-        descent, which drains the backlog faster; recovery restores the
-        configured ``ann_ef``.  The write is one int attribute per graph
-        store, read per search, so flipping costs nothing on the hot path.
-        Exhaustive and quantized tiers have no quality knob to turn and are
-        left alone.
-        """
-        degraded = bool(degraded)
-        if degraded == self._overload_degraded:
-            return
-        self._overload_degraded = degraded
-        target_ef = self._degraded_ef() if degraded else self.config.ann_ef
-        for index in self._indexes.values():
-            self._set_graph_ef(index, target_ef)
-        self.metrics.gauge(
-            "seesaw_overload_degraded",
-            "1 while overload has the graph-ANN beam lowered to the floor.",
-        ).set(1.0 if degraded else 0.0)
-
-    @property
-    def overload_degraded(self) -> bool:
-        return self._overload_degraded
-
-    def _degraded_ef(self) -> int:
-        return min(self.config.ann_ef, self.config.overload_ef_floor)
-
-    @staticmethod
-    def _set_graph_ef(index: SeeSawIndex, ef: int) -> None:
-        store = index.store
-        stores = (
-            store.shard_stores if isinstance(store, ShardedVectorStore) else (store,)
-        )
-        for inner in stores:
-            if isinstance(inner, GraphANNVectorStore):
-                inner.ef = int(ef)
 
     @property
     def cached_engine_count(self) -> int:

@@ -112,7 +112,12 @@ def normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return matrix / norms
 
 
-def unit_rows(matrix: np.ndarray) -> np.ndarray:
+_IN_PLACE_BLOCK_ROWS = 256
+"""Rows :func:`unit_rows` normalises at a time in place, so its only
+temporary is one block's squares."""
+
+
+def unit_rows(matrix: np.ndarray, *, owned: bool = False) -> np.ndarray:
     """Rows at unit L2 norm, skipping the work (and the copy) when they already are.
 
     :func:`normalize_rows` always allocates and divides; callers on warm paths
@@ -121,9 +126,19 @@ def unit_rows(matrix: np.ndarray) -> np.ndarray:
     copy per call for data that was unit norm all along.  Within the dtype's
     :func:`unit_norm_tolerance` the input is returned unchanged — same object,
     same bits — otherwise it is normalised in float64 and cast back.
+
+    ``owned`` says nothing else holds ``matrix`` (the caller just made it): a
+    float64 one is then divided in place, block by block, with the bits of
+    :func:`normalize_rows` and no second copy.
     """
     matrix = np.asarray(matrix)
     if matrix.dtype in COMPUTE_DTYPES and matrix.size and has_canonical_rows(matrix):
+        return matrix
+    if owned and matrix.dtype == np.float64:
+        for start in range(0, matrix.shape[0], _IN_PLACE_BLOCK_ROWS):
+            block = matrix[start : start + _IN_PLACE_BLOCK_ROWS]
+            norms = np.linalg.norm(block, axis=1, keepdims=True)
+            block /= np.where(norms < _EPSILON, 1.0, norms)
         return matrix
     normalized = normalize_rows(matrix)
     if matrix.dtype in COMPUTE_DTYPES:

@@ -3,8 +3,8 @@
 glibc's malloc serves large temporaries from the ``brk`` heap once its
 dynamic mmap threshold has grown, and a few small long-lived allocations
 near the top of that heap keep the freed space resident.  After a bulk
-release (a live merge dropping its build temporaries) ``malloc_trim(0)``
-hands those pages back.
+release (a cold index build or a live merge dropping its temporaries)
+``malloc_trim(0)`` hands those pages back.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable
 @functools.lru_cache(maxsize=1)
 def _malloc_trim() -> "Callable[[int], int] | None":
     """glibc's ``malloc_trim``, or ``None`` where the C library lacks it."""
-    import ctypes  # only a process that merges pays for the import
+    import ctypes  # only a process that builds or merges pays for the import
 
     try:
         trim = ctypes.CDLL(None).malloc_trim

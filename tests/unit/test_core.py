@@ -261,6 +261,17 @@ class TestDbAlignmentOracle:
             assert weights.tobytes() == adjacency.data.tobytes(), name
             assert ours.tobytes() == degrees.tobytes(), name
 
+    @pytest.mark.parametrize("block_rows", [propagation._BLOCK_ROWS, 7])
+    def test_float32_rows_give_the_bits_of_their_float64_cast(
+        self, rng, monkeypatch, block_rows
+    ):
+        monkeypatch.setattr(propagation, "_BLOCK_ROWS", block_rows)
+        for name, vectors, graph in self.cases(rng):
+            narrow = vectors.astype(np.float32)
+            expected = compute_db_alignment_matrix(narrow.astype(np.float64), graph)
+            computed = compute_db_alignment_matrix(narrow, graph)
+            assert computed.tobytes() == expected.tobytes(), name
+
     def test_propagation_matches_the_scipy_transition(self, sparse, rng):
         for name, vectors, graph in self.cases(rng):
             count = graph.node_count

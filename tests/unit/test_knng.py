@@ -77,6 +77,26 @@ class TestExactKnn:
         outputs = 2 * count * k * 8
         assert peak <= 3 * knng_graph._CHUNK_BYTES + outputs
 
+    def test_float32_rows_hold_one_float64_copy(self, rng):
+        """A float32 corpus is widened once and normalised in place: the
+        scan holds that one float64 copy, not a second normalised one, and
+        returns the bits of the float64 path over the normalised rows."""
+        count, dim, k = 4096, 512, 10
+        vectors = normalize_rows(rng.standard_normal((count, dim))).astype(np.float32)
+        tracemalloc.start()
+        try:
+            ids, sims = exact_knn(vectors, k=k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = 2 * count * k * 8
+        assert peak <= count * dim * 8 + 3 * knng_graph._CHUNK_BYTES + outputs
+        expected_ids, expected_sims = exact_knn(
+            normalize_rows(vectors.astype(np.float64)), k=k
+        )
+        assert ids.tobytes() == expected_ids.tobytes()
+        assert sims.tobytes() == expected_sims.tobytes()
+
 
 class TestExactKnnChunkBoundaries:
     """Every chunk size gives the same neighbours, and the brute-force ones.

@@ -1,16 +1,18 @@
-"""The documented metric catalog and span taxonomy match the code.
+"""The documented metric catalog, span taxonomy and knobs match the code.
 
 ``docs/observability.md`` (and the runbook's series table in
 ``docs/operations.md``) are the operator's reference.  A series or stage
 that the docs name but no code emits is a stale row, and a stage the code
 emits (or a series a live scrape shows) without a row is an undocumented
 one; both fail here, so deleting a code path cannot leave its catalog
-entries behind, and adding one cannot skip its row.
+entries behind, and adding one cannot skip its row.  Likewise every knob
+the runbook's configuration table names must be a ``SeeSawConfig`` field.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -53,6 +55,7 @@ DOCUMENTED_SERIES = _section_rows(
     DOCS / "observability.md", "Metric catalog"
 ) | _section_rows(DOCS / "operations.md", "Resilience metric catalog")
 DOCUMENTED_STAGES = _section_rows(DOCS / "observability.md", "Span taxonomy")
+DOCUMENTED_KNOBS = _section_rows(DOCS / "operations.md", "Configuration at a glance")
 
 
 def test_tables_were_found():
@@ -77,6 +80,12 @@ def test_every_emitted_stage_has_a_row():
 def test_every_stage_help_stage_has_a_row():
     listed = set(re.search(r"\(([^)]*)\)", STAGE_HELP).group(1).split("/"))
     assert listed <= DOCUMENTED_STAGES, sorted(listed - DOCUMENTED_STAGES)
+
+
+def test_every_documented_knob_is_a_config_field():
+    assert {"max_in_flight", "drain_timeout_s"} <= DOCUMENTED_KNOBS
+    stale = DOCUMENTED_KNOBS - {item.name for item in fields(SeeSawConfig)}
+    assert not stale, f"knobs documented but not on SeeSawConfig: {sorted(stale)}"
 
 
 def test_every_scraped_family_has_a_row(tiny_dataset, tiny_clip):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import OptimizerConfig
 from repro.exceptions import OptimizationError
+from repro.optim import lbfgs
 from repro.optim.lbfgs import lbfgs_minimize
 from repro.optim.objective import numerical_gradient
 
@@ -86,6 +87,25 @@ class TestLbfgs:
         result = lbfgs_minimize(quadratic(np.zeros(2), np.ones(2)), np.zeros(2))
         assert result.converged
         assert result.iterations == 0
+
+    def test_line_search_gives_up_after_its_halvings(self):
+        """A gradient that promises a decrease no step delivers: the line
+        search tries its first step and every halving, then stops."""
+        start = np.zeros(2)
+        steps: "list[float]" = []
+
+        def misleading(x: np.ndarray) -> tuple[float, np.ndarray]:
+            if not np.array_equal(x, start):
+                steps.append(float(-x[0]))
+            return (0.0 if np.array_equal(x, start) else 1.0), np.ones(2)
+
+        result = lbfgs_minimize(misleading, start)
+        assert result.iterations == 1
+        assert not result.converged
+        assert result.function_evaluations == 1 + lbfgs.MAX_LINE_SEARCH_STEPS
+        assert steps[0] == lbfgs.INITIAL_STEP
+        assert steps[-1] == lbfgs.INITIAL_STEP * 0.5 ** (lbfgs.MAX_LINE_SEARCH_STEPS - 1)
+        assert np.array_equal(result.parameters, start)
 
 
 class TestNumericalGradient:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.config import MultiscaleConfig, SeeSawConfig
+from repro.config import RETIRED_FIELDS, MultiscaleConfig, SeeSawConfig
 from repro.core.seesaw_method import SeeSawSearchMethod
 from repro.core.session import SearchSession
 from repro.exceptions import StoreError
@@ -336,6 +336,39 @@ class TestMmapLayout:
         assert loaded.config == config
         assert (entry / META_FILE).exists()
 
+    def test_entry_carrying_every_retired_field_is_a_hit(
+        self, tiny_index, tiny_dataset, tiny_clip, tmp_path
+    ):
+        """An entry written while every retired field still existed, each
+        set away from its old default, loads warm with today's config."""
+        retired_values = {
+            "batch_window_ms": 2.0,
+            "optimizer.wolfe_c2": 0.5,
+            "knn.use_nn_descent": True,
+            "knn.nn_descent_iterations": 3,
+            "knn.nn_descent_sample_rate": 0.5,
+            "overload_ef_floor": 4,
+            "retry_max_attempts": 7,
+            "retry_base_ms": 10.0,
+            "retry_max_ms": 80.0,
+            "breaker_failure_threshold": 2,
+            "breaker_reset_s": 1.5,
+            "optimizer.history_size": 5,
+            "optimizer.initial_step": 0.5,
+            "optimizer.wolfe_c1": 1e-3,
+            "optimizer.max_line_search_steps": 10,
+        }
+        assert set(retired_values) == RETIRED_FIELDS
+        config = tiny_index.config
+        _entry_with_config(
+            tmp_path, tiny_index, tiny_dataset, tiny_clip, **retired_values
+        )
+        loaded, was_cached = IndexCache(tmp_path / "cache").load_or_build(
+            tiny_dataset, tiny_clip, config
+        )
+        assert was_cached is True
+        assert loaded.config == config
+
     def test_entry_with_unknown_config_field_is_rebuilt(
         self, tiny_index, tiny_dataset, tiny_clip, tmp_path
     ):
@@ -589,6 +622,35 @@ class TestServiceStoreTiers:
         response = service.next_results(info.session_id)
         assert len(response.items) == 4
         assert all(np.isfinite(item.score) for item in response.items)
+
+
+class TestServiceHeapTrim:
+    """A cold build hands its freed temporaries back; a cache hit has none."""
+
+    def test_cold_build_trims_and_warm_hit_does_not(
+        self, tiny_dataset, tiny_clip, tmp_path, monkeypatch
+    ):
+        from repro.server import SeeSawService
+        from repro.server import service as service_module
+
+        calls: "list[int]" = []
+        monkeypatch.setattr(
+            service_module, "release_free_heap", lambda: calls.append(1)
+        )
+        config = SeeSawConfig(
+            embedding_dim=64, seed=7, index_cache_dir=str(tmp_path / "cache")
+        )
+        cold = SeeSawService(config)
+        cold.register_dataset(tiny_dataset, tiny_clip, preprocess=True)
+        assert cold.cache_misses == 1
+        assert calls == [1]
+        warm = SeeSawService(config)
+        warm.register_dataset(tiny_dataset, tiny_clip, preprocess=True)
+        assert warm.cache_hits == 1
+        assert calls == [1]
+        uncached = SeeSawService(config.with_overrides(index_cache_dir=None))
+        uncached.register_dataset(tiny_dataset, tiny_clip, preprocess=True)
+        assert calls == [1, 1]
 
 
 class TestReviewRegressions:
