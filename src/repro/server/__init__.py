@@ -25,13 +25,13 @@ from repro.server.api import (
     PROTOCOL_REVISION,
     PROTOCOL_VERSION,
     BoxPayload,
-    DatasetInfo,
     FeedbackRequest,
     NextResultsResponse,
     ResultItem,
     SessionInfo,
     SessionListEntry,
     SessionPage,
+    SessionTelemetry,
     StartSessionRequest,
 )
 from repro.server.app import SeeSawApp, default_middlewares
@@ -84,11 +84,11 @@ __all__ = [
     "PROTOCOL_REVISION",
     "StartSessionRequest",
     "BoxPayload",
-    "DatasetInfo",
     "FeedbackRequest",
     "NextResultsResponse",
     "ResultItem",
     "SessionInfo",
     "SessionListEntry",
     "SessionPage",
+    "SessionTelemetry",
 ]

@@ -1,9 +1,19 @@
-"""Request/response dataclasses of the SeeSaw service.
+"""The `/v1` wire schema: one frozen dataclass per message.
 
-The paper's deployment has a browser UI talking to a server layer (the "query
-aligner", Figure 3).  This reproduction keeps that layer in-process, but the
-message shapes are preserved so a thin HTTP wrapper could be added without
-touching the core library.
+These declarations are the only statement of the messages between the UI
+and the server layer (the "query aligner", Figure 3 of the paper);
+:mod:`repro.server.codec` compiles them into its JSON encode and decode.
+
+* A field's annotation is its wire type: ``str``, ``int``, ``float``,
+  ``bool``, ``X | None``, a nested dataclass (a JSON object), a
+  ``tuple``/``Sequence`` of one of these (a JSON array), or ``dict`` (an
+  object passed through as is).
+* A field with a default may be absent from a payload.
+* ``field(metadata=...)`` carries the rest: ``"max"`` bounds an integer,
+  ``"nonempty"`` rejects an empty array, and ``"revision"`` names the
+  protocol revision that added the field.  A field added after revision 1
+  whose default is ``None`` is left out of the payload while unset, so
+  servers older than the field keep accepting the message.
 """
 
 from __future__ import annotations
@@ -11,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.data.geometry import BoundingBox
+from repro.data.image import ObjectInstance, SyntheticImage
 
 PROTOCOL_VERSION = "v1"
 """URL prefix of the versioned wire protocol (``GET /v1/...``).  Bumped only
@@ -40,6 +50,11 @@ structured 404) with its capability and ``/healthz`` keys, so every
 ``next`` is one session's round (``docs/api.md``, "Removed in this
 release")."""
 
+MAX_RESULT_COUNT = 1024
+"""Upper bound on one ``next``'s count, explicit (``?count=``) or a session's
+``batch_size``: a count in the millions would pin a worker on one top-k over
+the whole corpus."""
+
 
 @dataclass(frozen=True)
 class StartSessionRequest:
@@ -47,9 +62,9 @@ class StartSessionRequest:
 
     dataset: str
     text_query: str
-    batch_size: int = 3
+    batch_size: int = field(default=3, metadata={"max": MAX_RESULT_COUNT})
     multiscale: bool = True
-    dataset_version: "int | None" = None
+    dataset_version: "int | None" = field(default=None, metadata={"revision": 4})
     """Pin the session to one retained dataset version for reproducibility.
     ``None`` (the default) follows the newest version.  Pinning requires the
     multiscale index (the live tier maintains only that path) and fails with
@@ -57,17 +72,13 @@ class StartSessionRequest:
 
 
 @dataclass(frozen=True)
-class DatasetInfo:
-    """One row of ``GET /v1/datasets``: the registry manifest view."""
+class BoxPayload:
+    """One box, in image pixel coordinates: user-drawn, or a result's patch."""
 
-    name: str
-    version: int
-    generation: int
-    image_count: int
-    delta_rows: int
-    tombstones: int
-    merges_completed: int
-    retained_versions: "tuple[int, ...]" = ()
+    x: float
+    y: float
+    width: float
+    height: float
 
 
 @dataclass(frozen=True)
@@ -76,22 +87,7 @@ class ResultItem:
 
     image_id: int
     score: float
-    box_x: float
-    box_y: float
-    box_width: float
-    box_height: float
-
-    @staticmethod
-    def from_box(image_id: int, score: float, box: BoundingBox) -> "ResultItem":
-        """Build an item from an internal bounding box."""
-        return ResultItem(
-            image_id=image_id,
-            score=score,
-            box_x=box.x,
-            box_y=box.y,
-            box_width=box.width,
-            box_height=box.height,
-        )
+    box: BoxPayload
 
 
 @dataclass(frozen=True)
@@ -105,17 +101,12 @@ class NextResultsResponse:
 
 
 @dataclass(frozen=True)
-class BoxPayload:
-    """One user-drawn box, in image pixel coordinates."""
+class StreamRecord:
+    """One NDJSON line of a streamed ``next``: a ``meta`` line, one ``item``
+    line per result, then ``end``."""
 
-    x: float
-    y: float
-    width: float
-    height: float
-
-    def to_bounding_box(self) -> BoundingBox:
-        """Convert to the internal geometry type."""
-        return BoundingBox(self.x, self.y, self.width, self.height)
+    kind: str
+    item: "ResultItem | None" = None
 
 
 @dataclass(frozen=True)
@@ -125,7 +116,7 @@ class FeedbackRequest:
     session_id: str
     image_id: int
     relevant: bool
-    boxes: Sequence[BoxPayload] = field(default_factory=tuple)
+    boxes: Sequence[BoxPayload] = ()
 
 
 @dataclass(frozen=True)
@@ -141,17 +132,22 @@ class SessionInfo:
 
 
 @dataclass(frozen=True)
-class SessionListEntry:
-    """One row of ``GET /v1/sessions``: progress summary plus telemetry."""
+class SessionTelemetry:
+    """A session's cumulative latency accounting."""
 
-    info: SessionInfo
     idle_seconds: float
     lookup_seconds: float
     update_seconds: float
-    seconds_per_round: float = 0.0
+    seconds_per_round: float = field(default=0.0, metadata={"revision": 2})
     """Mean round latency this session has observed (lookup + update credit
-    per completed round) — the per-session cumulative stat the obs PR
-    surfaces; 0.0 before the first round completes."""
+    per completed round); 0.0 before the first round completes."""
+
+
+@dataclass(frozen=True)
+class SessionListEntry(SessionInfo):
+    """One row of ``GET /v1/sessions``: progress summary plus telemetry."""
+
+    telemetry: SessionTelemetry
 
 
 @dataclass(frozen=True)
@@ -164,4 +160,36 @@ class SessionPage:
     """
 
     sessions: Sequence[SessionListEntry]
-    next_cursor: "str | None"
+    next_cursor: "str | None" = None
+
+
+@dataclass(frozen=True)
+class DatasetList:
+    """``GET /v1/datasets``: every registry manifest (``docs/datasets.md``)."""
+
+    datasets: "tuple[dict, ...]"
+
+
+@dataclass(frozen=True)
+class UpsertRequest:
+    """Add or replace images in a live dataset (protocol revision 4)."""
+
+    images: "tuple[SyntheticImage, ...]" = field(metadata={"nonempty": True})
+
+
+@dataclass(frozen=True)
+class DeleteRequest:
+    """Delete images from a live dataset (protocol revision 4)."""
+
+    image_ids: "tuple[int, ...]" = field(metadata={"nonempty": True})
+
+
+CONTEXT_NAMES: "dict[type, str]" = {BoxPayload: "Box", SyntheticImage: "Image"}
+"""Names in "<name> must be a JSON object" errors; the rest go by class."""
+
+DATASET_RECORDS: "dict[type, str]" = {
+    SyntheticImage: "image",
+    ObjectInstance: "object instance",
+}
+"""Dataset records whose own validation (a :class:`DatasetError`) surfaces
+as ``Invalid <name>: ...`` when a request carries a bad one."""

@@ -44,19 +44,16 @@ from repro.exceptions import (
     TransportError,
     UnknownResourceError,
 )
-from repro.server.api import PROTOCOL_VERSION, NextResultsResponse
-from repro.server.codec import (
-    decode_delete_request,
-    decode_feedback_request,
-    decode_start_session_request,
-    decode_upsert_request,
-    encode_next_results_response,
-    encode_result_item,
-    encode_session_info,
-    encode_session_page,
-    parse_json,
-    validate_count,
+from repro.server.api import (
+    PROTOCOL_VERSION,
+    DatasetList,
+    DeleteRequest,
+    FeedbackRequest,
+    NextResultsResponse,
+    StartSessionRequest,
+    UpsertRequest,
 )
+from repro.server.codec import decode, encode, parse_json, validate_count
 from repro.server.errors import encode_error
 from repro.server.manager import SessionManager
 from repro.server.middleware import (
@@ -227,20 +224,18 @@ class SeeSawApp:
                 cursor=_str_param(query, "cursor"),
                 limit=_int_param(query, "limit"),
             )
-            return Response(200, encode_session_page(page))
+            return Response(200, encode(page))
 
         if segments == ["sessions"] and method == "POST":
             info = self.manager.start_session(
-                decode_start_session_request(parse_json(request.body))
+                decode(StartSessionRequest, parse_json(request.body))
             )
-            return Response(201, encode_session_info(info))
+            return Response(201, encode(info))
 
         if len(segments) == 2 and segments[0] == "sessions":
             session_id = segments[1]
             if method == "GET":
-                return Response(
-                    200, encode_session_info(self.manager.session_info(session_id))
-                )
+                return Response(200, encode(self.manager.session_info(session_id)))
             if method == "DELETE":
                 self.manager.close_session(session_id)
                 return Response(200, {"closed": session_id})
@@ -254,18 +249,19 @@ class SeeSawApp:
                 response = self.manager.next_results(session_id, count)
                 if _wants_ndjson(request, query):
                     return Response(200, stream=_next_stream(response))
-                return Response(200, encode_next_results_response(response))
+                return Response(200, encode(response))
             if segments[2] == "feedback" and method == "POST":
-                feedback = decode_feedback_request(
-                    parse_json(request.body), session_id=session_id
+                feedback = decode(
+                    FeedbackRequest, parse_json(request.body), session_id=session_id
                 )
                 info = self.manager.give_feedback(
                     feedback, idempotency_key=request.header("Idempotency-Key")
                 )
-                return Response(200, encode_session_info(info))
+                return Response(200, encode(info))
 
         if segments == ["datasets"] and method == "GET":
-            return Response(200, {"datasets": self.manager.list_datasets()})
+            listing = DatasetList(tuple(self.manager.list_datasets()))
+            return Response(200, encode(listing))
 
         if len(segments) == 2 and segments[0] == "datasets" and method == "GET":
             return Response(200, self.manager.describe_dataset(segments[1]))
@@ -273,11 +269,11 @@ class SeeSawApp:
         if len(segments) == 3 and segments[0] == "datasets" and method == "POST":
             name, action = segments[1], segments[2]
             if action == "upsert":
-                images = decode_upsert_request(parse_json(request.body))
-                return Response(200, self.manager.upsert_images(name, images))
+                upsert = decode(UpsertRequest, parse_json(request.body))
+                return Response(200, self.manager.upsert_images(name, upsert.images))
             if action == "delete":
-                image_ids = decode_delete_request(parse_json(request.body))
-                return Response(200, self.manager.delete_images(name, image_ids))
+                delete = decode(DeleteRequest, parse_json(request.body))
+                return Response(200, self.manager.delete_images(name, delete.image_ids))
             if action == "merge":
                 return Response(200, self.manager.force_merge(name))
 
@@ -351,5 +347,5 @@ def _next_stream(response: NextResultsResponse) -> "Iterator[dict[str, Any]]":
         "positives_found": response.positives_found,
     }
     for item in response.items:
-        yield {"kind": "item", "item": encode_result_item(item)}
+        yield {"kind": "item", "item": encode(item)}
     yield {"kind": "end"}

@@ -24,23 +24,18 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 from repro.exceptions import ConnectionFailedError, ReproError, TransportError
 from repro.server.api import (
+    DatasetList,
+    DeleteRequest,
     FeedbackRequest,
     NextResultsResponse,
     ResultItem,
     SessionInfo,
     SessionPage,
     StartSessionRequest,
+    StreamRecord,
+    UpsertRequest,
 )
-from repro.server.codec import (
-    decode_next_results_response,
-    decode_result_item,
-    decode_session_info,
-    decode_session_page,
-    encode_delete_request,
-    encode_feedback_request,
-    encode_start_session_request,
-    encode_upsert_request,
-)
+from repro.server.codec import decode, encode
 from repro.server.deadlines import DEADLINE_HEADER, current_deadline
 from repro.server.errors import decode_error
 from repro.server.middleware import Request
@@ -112,19 +107,20 @@ class _V1Client(SeeSawClientProtocol):
         payload = self._request(
             "POST",
             "/v1/sessions",
-            encode_start_session_request(request),
+            encode(request),
             operation="start_session",
         )
-        return decode_session_info(payload)
+        return decode(SessionInfo, payload)
 
     def session_info(self, session_id: str) -> SessionInfo:
-        return decode_session_info(
+        return decode(
+            SessionInfo,
             self._request(
                 "GET",
                 f"/v1/sessions/{session_id}",
                 idempotent=True,
                 operation="session_info",
-            )
+            ),
         )
 
     def list_sessions(
@@ -138,8 +134,9 @@ class _V1Client(SeeSawClientProtocol):
         path = "/v1/sessions"
         if params:
             path += "?" + urllib.parse.urlencode(params)
-        return decode_session_page(
-            self._request("GET", path, idempotent=True, operation="list_sessions")
+        return decode(
+            SessionPage,
+            self._request("GET", path, idempotent=True, operation="list_sessions"),
         )
 
     def close_session(self, session_id: str) -> None:
@@ -162,9 +159,7 @@ class _V1Client(SeeSawClientProtocol):
         # GET in shape only: each call advances the session's result
         # cursor, so a blind replay after a mid-flight failure would skip a
         # batch.  Clean pre-dispatch rejections (429/503/504) still retry.
-        return decode_next_results_response(
-            self._request("GET", path, operation="next")
-        )
+        return decode(NextResultsResponse, self._request("GET", path, operation="next"))
 
     def stream_next_results(
         self, session_id: str, count: "int | None" = None
@@ -179,14 +174,16 @@ class _V1Client(SeeSawClientProtocol):
         if count is not None:
             path += f"&count={count}"
         saw_end = False
-        for record in self._stream(path):
-            kind = record.get("kind")
-            if kind == "item":
-                yield decode_result_item(record["item"])
-            elif kind == "end":
+        for line in self._stream(path):
+            record = decode(StreamRecord, line)
+            if record.kind == "item":
+                if record.item is None:
+                    raise TransportError("Missing required field 'item'")
+                yield record.item
+            elif record.kind == "end":
                 saw_end = True
-            elif kind != "meta":
-                raise TransportError(f"Unexpected NDJSON record kind '{kind}'")
+            elif record.kind != "meta":
+                raise TransportError(f"Unexpected NDJSON record kind '{record.kind}'")
         if not saw_end:
             raise TransportError(
                 "NDJSON stream ended without the terminal 'end' record "
@@ -202,12 +199,12 @@ class _V1Client(SeeSawClientProtocol):
         payload = self._request(
             "POST",
             f"/v1/sessions/{request.session_id}/feedback",
-            encode_feedback_request(request),
+            encode(request),
             headers=headers,
             idempotent=idempotency_key is not None,
             operation="feedback",
         )
-        return decode_session_info(payload)
+        return decode(SessionInfo, payload)
 
     # ------------------------------------------------------------------
     # live datasets (protocol revision 4)
@@ -216,7 +213,7 @@ class _V1Client(SeeSawClientProtocol):
         data = self._request(
             "GET", "/v1/datasets", idempotent=True, operation="list_datasets"
         )
-        return list(data["datasets"])
+        return list(decode(DatasetList, data).datasets)
 
     def describe_dataset(self, name: str) -> "dict[str, Any]":
         return self._request(
@@ -234,7 +231,7 @@ class _V1Client(SeeSawClientProtocol):
         return self._request(
             "POST",
             f"/v1/datasets/{urllib.parse.quote(name)}/upsert",
-            encode_upsert_request(images),
+            encode(UpsertRequest(tuple(images))),
             operation="upsert_images",
         )
 
@@ -244,7 +241,7 @@ class _V1Client(SeeSawClientProtocol):
         return self._request(
             "POST",
             f"/v1/datasets/{urllib.parse.quote(name)}/delete",
-            encode_delete_request(image_ids),
+            encode(DeleteRequest(tuple(int(image_id) for image_id in image_ids))),
             operation="delete_images",
         )
 

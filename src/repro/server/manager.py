@@ -39,6 +39,7 @@ from repro.obs import timed_acquire
 from repro.server.deadlines import check_deadline
 from repro.server.middleware import InFlightTracker
 from repro.server.api import (
+    MAX_RESULT_COUNT,
     PROTOCOL_REVISION,
     PROTOCOL_VERSION,
     FeedbackRequest,
@@ -46,18 +47,17 @@ from repro.server.api import (
     SessionInfo,
     SessionListEntry,
     SessionPage,
+    SessionTelemetry,
     StartSessionRequest,
 )
-from repro.server.codec import (
-    MAX_PAGE_LIMIT,
-    MAX_RESULT_COUNT,
-    decode_cursor,
-    encode_cursor,
-)
+from repro.server.codec import decode_cursor, encode_cursor
 from repro.server.service import SeeSawService
 
 DEFAULT_PAGE_LIMIT = 50
 """Page size of ``GET /v1/sessions`` when the client does not pass one."""
+
+MAX_PAGE_LIMIT = 500
+"""Upper bound on one ``GET /v1/sessions`` page."""
 
 IDEMPOTENCY_KEYS_PER_SESSION = 256
 """How many feedback idempotency records one session retains (FIFO).  A
@@ -284,15 +284,13 @@ class SessionManager:
                 # Closed between the registry snapshot and this read; the
                 # listing simply skips it (its cursor slot stays consumed).
                 continue
-            entries.append(
-                SessionListEntry(
-                    info=info,
-                    idle_seconds=max(0.0, now - last_used.get(session_id, now)),
-                    lookup_seconds=stats.lookup_seconds,
-                    update_seconds=stats.update_seconds,
-                    seconds_per_round=stats.seconds_per_round,
-                )
+            telemetry = SessionTelemetry(
+                idle_seconds=max(0.0, now - last_used.get(session_id, now)),
+                lookup_seconds=stats.lookup_seconds,
+                update_seconds=stats.update_seconds,
+                seconds_per_round=stats.seconds_per_round,
             )
+            entries.append(SessionListEntry(**vars(info), telemetry=telemetry))
         next_cursor = encode_cursor(page[-1][0]) if remainder and page else None
         return SessionPage(sessions=tuple(entries), next_cursor=next_cursor)
 

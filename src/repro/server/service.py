@@ -18,11 +18,13 @@ from repro.core.indexing import SeeSawIndex
 from repro.core.seesaw_method import SeeSawSearchMethod
 from repro.core.session import SearchSession, SessionStats
 from repro.data.dataset import ImageDataset
+from repro.data.geometry import BoundingBox
 from repro.embedding.base import EmbeddingModel
 from repro.exceptions import SessionError, UnknownResourceError
 from repro.live.delta import DeltaVectorStore
 from repro.live.registry import DatasetRegistry
 from repro.server.api import (
+    BoxPayload,
     FeedbackRequest,
     NextResultsResponse,
     ResultItem,
@@ -329,10 +331,10 @@ class SeeSawService:
     def next_results(self, session_id: str, count: "int | None" = None) -> NextResultsResponse:
         """Fetch the next batch of results for a session."""
         session = self._session(session_id)
-        items = [
-            ResultItem.from_box(result.image_id, result.score, result.box)
-            for result in session.next_batch(count)
-        ]
+        items = []
+        for result in session.next_batch(count):
+            box = BoxPayload(result.box.x, result.box.y, result.box.width, result.box.height)
+            items.append(ResultItem(result.image_id, result.score, box))
         return NextResultsResponse(
             session_id=session_id,
             items=items,
@@ -343,7 +345,9 @@ class SeeSawService:
     def give_feedback(self, request: FeedbackRequest) -> SessionInfo:
         """Submit feedback for one image of the session's current batch."""
         session = self._session(request.session_id)
-        boxes = tuple(box.to_bounding_box() for box in request.boxes)
+        boxes = tuple(
+            BoundingBox(box.x, box.y, box.width, box.height) for box in request.boxes
+        )
         session.give_feedback(request.image_id, request.relevant, boxes)
         return self.session_info(request.session_id)
 

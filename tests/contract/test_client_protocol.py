@@ -15,6 +15,7 @@ compares the normalized transcripts event by event.
 from __future__ import annotations
 
 import logging
+import re
 
 import pytest
 
@@ -77,7 +78,7 @@ def clean_sessions(stack):
     app, _ = stack
     yield
     for entry in list(InProcessClient(app).iter_sessions()):
-        app.manager.close_session(entry.info.session_id)
+        app.manager.close_session(entry.session_id)
 
 
 def start(client, query: str = "a cat_easy", batch_size: int = 2):
@@ -186,9 +187,9 @@ class TestSearchLoop:
         expected = client.next_results(single.session_id).items
         received = list(client.stream_next_results(streamed.session_id))
         assert [
-            (item.image_id, item.score, item.box_x, item.box_y) for item in received
+            (item.image_id, item.score, item.box.x, item.box.y) for item in received
         ] == [
-            (item.image_id, item.score, item.box_x, item.box_y) for item in expected
+            (item.image_id, item.score, item.box.x, item.box.y) for item in expected
         ]
 
     def test_failed_next_does_not_disturb_other_sessions(self, client):
@@ -225,6 +226,15 @@ class TestValidationParity:
         with pytest.raises(TransportError, match="count"):
             client.next_results(info.session_id, count=count)
 
+    def test_batch_size_bound_rejected_at_start(self, client):
+        """A session's ``batch_size`` is the count of every bare ``next``."""
+        too_large = 1_024_000
+        message = f"Field 'batch_size' must be <= {MAX_RESULT_COUNT}, got {too_large}"
+        with pytest.raises(TransportError, match=re.escape(message)):
+            start(client, batch_size=too_large)
+        assert list(client.iter_sessions()) == []
+        assert start(client, batch_size=MAX_RESULT_COUNT).total_shown == 0
+
     def test_removed_batch_next_route_is_the_structured_404(self, client):
         with pytest.raises(UnknownResourceError, match="No route for POST"):
             client._request("POST", "/v1/sessions/batch-next", {"requests": []})
@@ -242,6 +252,46 @@ class TestValidationParity:
                     session_id=info.session_id, image_id=999_999, relevant=True
                 )
             )
+
+
+class TestMalformedServerPayloads:
+    """A reply the server should never send still surfaces as a typed error."""
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"kind": "item"}, "Missing required field 'item'"),
+            ({"kind": "item", "item": None}, "Missing required field 'item'"),
+            ([1, 2], "StreamRecord must be a JSON object"),
+            ({"item": {}}, "Missing required field 'kind'"),
+            ({"kind": "item", "item": {"image_id": 1}}, "Missing required field 'score'"),
+            (
+                {"kind": "item", "item": {"image_id": 1, "score": 0.5, "box": []}},
+                "Field 'item.box' must be a JSON object",
+            ),
+            ({"kind": "mystery"}, "Unexpected NDJSON record kind 'mystery'"),
+        ],
+    )
+    def test_stream_record(self, client, monkeypatch, record, message):
+        monkeypatch.setattr(
+            client, "_stream", lambda path: iter([{"kind": "meta"}, record])
+        )
+        with pytest.raises(TransportError, match=re.escape(message)):
+            list(client.stream_next_results("session-1"))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b'{"sessions": []}', "Missing required field 'datasets'"),
+            (b"[]", "DatasetList must be a JSON object"),
+            (b'{"datasets": {}}', "Field 'datasets' must be an array"),
+            (b'{"datasets": [3]}', "Field 'datasets' must be a JSON object"),
+        ],
+    )
+    def test_dataset_listing(self, client, monkeypatch, body, message):
+        monkeypatch.setattr(client, "_exchange", lambda *args, **kwargs: body)
+        with pytest.raises(TransportError, match=re.escape(message)):
+            client.list_datasets()
 
 
 class TestIdempotencyParity:
@@ -283,7 +333,7 @@ class TestIdempotencyParity:
 class TestListingParity:
     def test_cursor_walk_sees_every_session(self, client):
         ids = [start(client).session_id for _ in range(5)]
-        walked = [entry.info.session_id for entry in client.iter_sessions(page_size=2)]
+        walked = [entry.session_id for entry in client.iter_sessions(page_size=2)]
         assert walked == ids
         page = client.list_sessions(limit=2)
         assert len(page.sessions) == 2
@@ -294,12 +344,12 @@ class TestListingParity:
         batch = client.next_results(info.session_id)
         label_all(client, info.session_id, batch.items)
         [entry] = client.list_sessions().sessions
-        assert entry.info.session_id == info.session_id
-        assert entry.info.rounds == 1
-        assert entry.lookup_seconds > 0.0
-        assert entry.update_seconds > 0.0
-        assert entry.idle_seconds >= 0.0
-        assert entry.seconds_per_round > 0.0
+        assert entry.session_id == info.session_id
+        assert entry.rounds == 1
+        assert entry.telemetry.lookup_seconds > 0.0
+        assert entry.telemetry.update_seconds > 0.0
+        assert entry.telemetry.idle_seconds >= 0.0
+        assert entry.telemetry.seconds_per_round > 0.0
 
 
 class TestMetricsParity:
@@ -426,5 +476,5 @@ def test_scenario_transcripts_identical_across_transports(make_client, stack):
     for kind in TRANSPORTS:
         transcripts[kind] = run_scenario(make_client(kind))
         for entry in list(InProcessClient(app).iter_sessions()):
-            app.manager.close_session(entry.info.session_id)
+            app.manager.close_session(entry.session_id)
     assert transcripts["inprocess"] == transcripts["http"]

@@ -20,7 +20,6 @@ from repro.config import SeeSawConfig
 from repro.core.interfaces import SearchContext
 from repro.core.multiscale import generate_patches
 from repro.server import (
-    BoxPayload,
     FeedbackRequest,
     InProcessClient,
     SeeSawApp,
@@ -59,7 +58,7 @@ def assert_boxes_are_patch_boxes(items, index, returned) -> None:
         image = index.dataset.image(item.image_id)
         box, _ = generate_patches(image.width, image.height, index.config.multiscale)[k]
         assert _box_json(
-            item.box_x, item.box_y, item.box_width, item.box_height
+            item.box.x, item.box.y, item.box.width, item.box.height
         ) == _box_json(box.x, box.y, box.width, box.height)
 
 
@@ -99,9 +98,8 @@ def test_result_boxes_are_generated_patch_boxes(
         # One positive judgement boxed on its returned patch, the rest negative:
         # the round labels patches from the same columns the boxes came from.
         boxed, *rest = first
-        box = BoxPayload(boxed.box_x, boxed.box_y, boxed.box_width, boxed.box_height)
         client.give_feedback(
-            FeedbackRequest(info.session_id, boxed.image_id, True, boxes=(box,))
+            FeedbackRequest(info.session_id, boxed.image_id, True, boxes=(boxed.box,))
         )
         for item in rest:
             client.give_feedback(FeedbackRequest(info.session_id, item.image_id, False))

@@ -1,4 +1,4 @@
-"""Round-trip and validation tests for the service JSON codecs.
+"""Round-trip and validation tests for the `/v1` JSON codec.
 
 The golden byte strings below are the `/v1` wire: every message type's
 ``dump_json`` bytes, the NDJSON lines of a streamed ``next``, and the exact
@@ -28,34 +28,18 @@ from repro.server import (
 )
 from repro.server.api import (
     BoxPayload,
+    DeleteRequest,
     FeedbackRequest,
     NextResultsResponse,
     ResultItem,
     SessionInfo,
     SessionListEntry,
     SessionPage,
+    SessionTelemetry,
     StartSessionRequest,
+    UpsertRequest,
 )
-from repro.server.codec import (
-    decode_box_payload,
-    decode_delete_request,
-    decode_feedback_request,
-    decode_next_results_response,
-    decode_session_info,
-    decode_session_page,
-    decode_start_session_request,
-    decode_upsert_request,
-    dump_json,
-    encode_box_payload,
-    encode_delete_request,
-    encode_feedback_request,
-    encode_next_results_response,
-    encode_session_info,
-    encode_session_page,
-    encode_start_session_request,
-    encode_upsert_request,
-    parse_json,
-)
+from repro.server.codec import decode, dump_json, encode, parse_json
 from repro.server.middleware import Request
 
 
@@ -64,16 +48,16 @@ class TestRoundTrips:
         request = StartSessionRequest(
             dataset="bdd", text_query="a wheelchair", batch_size=5, multiscale=False
         )
-        assert decode_start_session_request(encode_start_session_request(request)) == request
+        assert decode(StartSessionRequest, encode(request)) == request
 
     def test_start_session_request_defaults(self):
-        decoded = decode_start_session_request({"dataset": "bdd", "text_query": "a dog"})
+        decoded = decode(StartSessionRequest, {"dataset": "bdd", "text_query": "a dog"})
         assert decoded.batch_size == 3
         assert decoded.multiscale is True
 
     def test_box_payload(self):
         box = BoxPayload(x=1.5, y=2.0, width=10.0, height=20.0)
-        assert decode_box_payload(encode_box_payload(box)) == box
+        assert decode(BoxPayload, encode(box)) == box
 
     def test_feedback_request(self):
         request = FeedbackRequest(
@@ -82,26 +66,23 @@ class TestRoundTrips:
             relevant=True,
             boxes=(BoxPayload(0.0, 0.0, 5.0, 5.0), BoxPayload(1.0, 2.0, 3.0, 4.0)),
         )
-        assert decode_feedback_request(encode_feedback_request(request)) == request
+        assert decode(FeedbackRequest, encode(request)) == request
 
     def test_feedback_request_url_session_id_wins(self):
-        encoded = encode_feedback_request(
-            FeedbackRequest(session_id="body-id", image_id=3, relevant=False)
-        )
-        decoded = decode_feedback_request(encoded, session_id="url-id")
+        encoded = encode(FeedbackRequest(session_id="body-id", image_id=3, relevant=False))
+        decoded = decode(FeedbackRequest, encoded, session_id="url-id")
         assert decoded.session_id == "url-id"
 
     def test_next_results_response(self):
         response = NextResultsResponse(
             session_id="session-1",
             items=(
-                ResultItem(image_id=4, score=0.75, box_x=0.0, box_y=1.0,
-                           box_width=24.0, box_height=48.0),
+                ResultItem(image_id=4, score=0.75, box=BoxPayload(0.0, 1.0, 24.0, 48.0)),
             ),
             total_shown=12,
             positives_found=3,
         )
-        decoded = decode_next_results_response(encode_next_results_response(response))
+        decoded = decode(NextResultsResponse, encode(response))
         assert decoded.session_id == response.session_id
         assert tuple(decoded.items) == tuple(response.items)
         assert decoded.total_shown == response.total_shown
@@ -116,34 +97,34 @@ class TestRoundTrips:
             positives_found=1,
             rounds=2,
         )
-        assert decode_session_info(encode_session_info(info)) == info
+        assert decode(SessionInfo, encode(info)) == info
 
 
 class TestValidation:
     def test_missing_field_names_the_field(self):
         with pytest.raises(TransportError, match="text_query"):
-            decode_start_session_request({"dataset": "bdd"})
+            decode(StartSessionRequest, {"dataset": "bdd"})
 
     def test_wrong_type_rejected(self):
         with pytest.raises(TransportError, match="batch_size"):
-            decode_start_session_request(
-                {"dataset": "bdd", "text_query": "a dog", "batch_size": "many"}
+            decode(
+                StartSessionRequest,
+                {"dataset": "bdd", "text_query": "a dog", "batch_size": "many"},
             )
 
     def test_bool_is_not_an_int(self):
         with pytest.raises(TransportError, match="image_id"):
-            decode_feedback_request(
-                {"session_id": "s", "image_id": True, "relevant": False}
-            )
+            decode(FeedbackRequest, {"session_id": "s", "image_id": True, "relevant": False})
 
     def test_non_object_body_rejected(self):
         with pytest.raises(TransportError, match="JSON object"):
-            decode_start_session_request([1, 2, 3])
+            decode(StartSessionRequest, [1, 2, 3])
 
     def test_boxes_must_be_array(self):
         with pytest.raises(TransportError, match="boxes"):
-            decode_feedback_request(
-                {"session_id": "s", "image_id": 1, "relevant": True, "boxes": "nope"}
+            decode(
+                FeedbackRequest,
+                {"session_id": "s", "image_id": 1, "relevant": True, "boxes": "nope"},
             )
 
     def test_parse_json_rejects_empty_and_garbage(self):
@@ -177,18 +158,20 @@ FEEDBACK = FeedbackRequest(
 FEEDBACK_PLAIN = FeedbackRequest(session_id="session-1", image_id=18, relevant=False)
 INFO = SessionInfo("session-1", "bdd", "a wheelchair", 6, 2, 2)
 ITEMS = (
-    ResultItem(17, 0.83, 40.0, 60.0, 120.0, 90.0),
-    ResultItem(5, -0.125, 0.0, 0.0, 640.0, 480.0),
+    ResultItem(17, 0.83, BoxPayload(40.0, 60.0, 120.0, 90.0)),
+    ResultItem(5, -0.125, BoxPayload(0.0, 0.0, 640.0, 480.0)),
 )
 NEXT = NextResultsResponse("session-1", ITEMS, total_shown=8, positives_found=2)
 PAGE = SessionPage(
     sessions=(
         SessionListEntry(
-            INFO,
-            idle_seconds=4.2,
-            lookup_seconds=0.011,
-            update_seconds=0.094,
-            seconds_per_round=0.052,
+            **vars(INFO),
+            telemetry=SessionTelemetry(
+                idle_seconds=4.2,
+                lookup_seconds=0.011,
+                update_seconds=0.094,
+                seconds_per_round=0.052,
+            ),
         ),
     ),
     next_cursor="czox",
@@ -205,8 +188,8 @@ IMAGE = SyntheticImage(
         ),
     ),
 )
-UPSERT = [IMAGE]
-DELETE = [4, 8]
+UPSERT = UpsertRequest(images=(IMAGE,))
+DELETE = DeleteRequest(image_ids=(4, 8))
 DATASETS = [{"name": "bdd", "version": 2}]
 
 GOLDEN = {
@@ -274,37 +257,15 @@ GOLDEN_NDJSON = (
 
 GOLDEN_DATASETS = b'{"datasets": [{"name": "bdd", "version": 2}]}'
 
-_CODECS = {
-    "start": (encode_start_session_request, decode_start_session_request),
-    "start_pinned": (encode_start_session_request, decode_start_session_request),
-    "feedback": (encode_feedback_request, decode_feedback_request),
-    "feedback_plain": (encode_feedback_request, decode_feedback_request),
-    "info": (encode_session_info, decode_session_info),
-    "next": (encode_next_results_response, decode_next_results_response),
-    "page": (encode_session_page, decode_session_page),
-    "last_page": (encode_session_page, decode_session_page),
-    "upsert": (encode_upsert_request, decode_upsert_request),
-    "delete": (encode_delete_request, decode_delete_request),
-}
-
-
-def _wire(name: str, message) -> bytes:
-    return dump_json(_CODECS[name][0](message))
-
-
-def _unwire(name: str, body: bytes):
-    return _CODECS[name][1](parse_json(body))
-
-
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 class TestGoldenWire:
     def test_encode_bytes(self, name):
         message, golden = GOLDEN[name]
-        assert _wire(name, message) == golden
+        assert dump_json(encode(message)) == golden
 
     def test_decode_bytes(self, name):
         message, golden = GOLDEN[name]
-        assert _unwire(name, golden) == message
+        assert decode(type(message), parse_json(golden)) == message
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +346,15 @@ def test_both_transports_carry_the_golden_bytes(kind, wire_app):
     assert received[-1] == GOLDEN_DATASETS
 
     seen.clear()
-    client.upsert_images("bdd", UPSERT)
+    client.upsert_images("bdd", UPSERT.images)
     assert sent[-1] == GOLDEN["upsert"][1]
     [(name, images)] = seen
-    assert list(images) == UPSERT
+    assert images == UPSERT.images
     seen.clear()
-    client.delete_images("bdd", DELETE)
+    client.delete_images("bdd", DELETE.image_ids)
     assert sent[-1] == GOLDEN["delete"][1]
     [(name, image_ids)] = seen
-    assert list(image_ids) == DELETE
+    assert image_ids == DELETE.image_ids
 
     assert list(client.stream_next_results("session-1")) == list(ITEMS)
 
@@ -455,6 +416,8 @@ MALFORMED = [
      "Field 'batch_size' must be an integer"),
     ("start", {"dataset": "bdd", "text_query": "a dog", "batch_size": 2.5},
      "Field 'batch_size' must be an integer"),
+    ("start", {"dataset": "bdd", "text_query": "a dog", "batch_size": 1_024_000},
+     "Field 'batch_size' must be <= 1024, got 1024000"),
     ("start", {"dataset": "bdd", "text_query": "a dog", "multiscale": 1},
      "Field 'multiscale' must be a boolean"),
     ("start", {"dataset": "bdd", "text_query": "a dog", "dataset_version": "2"},

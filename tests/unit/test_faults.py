@@ -31,6 +31,7 @@ from repro.faults.inject import (
 from repro.faults.middleware import ChaosMiddleware
 from repro.obs import MetricsRegistry
 from repro.server.api import (
+    BoxPayload,
     NextResultsResponse,
     ResultItem,
     SessionInfo,
@@ -294,9 +295,7 @@ class FakeInnerClient(SeeSawClientProtocol):
     def stream_next_results(self, session_id: str, count=None):
         self._record("stream")
         for i in range(3):
-            yield ResultItem(
-                image_id=i, score=0.5, box_x=0, box_y=0, box_width=1, box_height=1
-            )
+            yield ResultItem(image_id=i, score=0.5, box=BoxPayload(0, 0, 1, 1))
 
     def give_feedback(self, request, idempotency_key=None) -> SessionInfo:
         self._record("feedback")

@@ -35,19 +35,21 @@ DOCS = ROOT / "docs"
 SOURCE = "\n".join(
     path.read_text(encoding="utf-8") for path in sorted((ROOT / "src").rglob("*.py"))
 )
-ROW_NAME = re.compile(r"^\| `([a-z_]+)`")
+FIRST_CELL = re.compile(r"^\| (`[^|]*)\|")
+CELL_NAME = re.compile(r"`([a-z_]+)`")
 EMITTED_STAGE = re.compile(r"\b(?:trace_span|observe_stage)\(\s*\"([a-z_]+)\"")
 SCRAPED_FAMILY = re.compile(r"^# TYPE (seesaw_[a-z_]+) ", re.MULTILINE)
 
 
 def _section_rows(path: Path, heading: str) -> "set[str]":
-    """The backticked first-cell names of the table rows under ``heading``."""
+    """Every backticked name in the first cell of the table rows under ``heading``."""
     text = path.read_text(encoding="utf-8")
     section = text.split(f"## {heading}\n", 1)[1].split("\n## ", 1)[0]
     return {
-        match.group(1)
+        name
         for line in section.splitlines()
-        if (match := ROW_NAME.match(line))
+        if (match := FIRST_CELL.match(line))
+        for name in CELL_NAME.findall(match.group(1))
     }
 
 
@@ -83,7 +85,7 @@ def test_every_stage_help_stage_has_a_row():
 
 
 def test_every_documented_knob_is_a_config_field():
-    assert {"max_in_flight", "drain_timeout_s"} <= DOCUMENTED_KNOBS
+    assert {"max_in_flight", "drain_timeout_s", "rate_limit_burst"} <= DOCUMENTED_KNOBS
     stale = DOCUMENTED_KNOBS - {item.name for item in fields(SeeSawConfig)}
     assert not stale, f"knobs documented but not on SeeSawConfig: {sorted(stale)}"
 

@@ -599,7 +599,7 @@ class TestSessionListing:
         pages = 0
         while True:
             page = own_manager.list_sessions(cursor=cursor, limit=3)
-            seen.extend(entry.info.session_id for entry in page.sessions)
+            seen.extend(entry.session_id for entry in page.sessions)
             pages += 1
             if page.next_cursor is None:
                 break
@@ -610,12 +610,12 @@ class TestSessionListing:
     def test_cursor_survives_deletion_at_the_boundary(self, own_manager):
         ids = self._start_many(own_manager, 5)
         page = own_manager.list_sessions(limit=2)
-        assert [e.info.session_id for e in page.sessions] == ids[:2]
+        assert [e.session_id for e in page.sessions] == ids[:2]
         # Delete the session the cursor points at, and one after it.
         own_manager.close_session(ids[1])
         own_manager.close_session(ids[2])
         rest = own_manager.list_sessions(cursor=page.next_cursor, limit=10)
-        assert [e.info.session_id for e in rest.sessions] == ids[3:]
+        assert [e.session_id for e in rest.sessions] == ids[3:]
         assert rest.next_cursor is None
 
     def test_entries_carry_telemetry(self, own_manager):
@@ -627,11 +627,11 @@ class TestSessionListing:
                 )
             )
         [entry] = own_manager.list_sessions().sessions
-        assert entry.info.session_id == info.session_id
-        assert entry.info.rounds == 1
-        assert entry.idle_seconds >= 0.0
-        assert entry.lookup_seconds > 0.0
-        assert entry.update_seconds > 0.0
+        assert entry.session_id == info.session_id
+        assert entry.rounds == 1
+        assert entry.telemetry.idle_seconds >= 0.0
+        assert entry.telemetry.lookup_seconds > 0.0
+        assert entry.telemetry.update_seconds > 0.0
 
     def test_bad_limit_rejected(self, own_manager):
         with pytest.raises(TransportError, match="limit"):
