@@ -43,7 +43,7 @@ def validate_count(count: int) -> int:
 # ---------------------------------------------------------------------------
 def encode(message: Any) -> "dict[str, Any]":
     """The JSON payload of one declared message."""
-    return _encoder(type(message))(message)
+    return (_ENCODERS.get(type(message)) or _encoder(type(message)))(message)
 
 
 def decode(cls: "type[T]", data: Any, **known: Any) -> T:
@@ -56,6 +56,9 @@ def decode(cls: "type[T]", data: Any, **known: Any) -> T:
         data = {**data, **known}
     return _decoder(cls)(data)
 
+
+_ENCODERS: "dict[type, Callable[[Any], dict[str, Any]]]" = {}
+"""Every declared message's encoder, for the one lookup ``encode`` makes."""
 
 _SCALARS = {
     str: ("not isinstance({0}, str)", "a string"),
@@ -99,37 +102,32 @@ def _raise(message: str) -> str:
 @functools.cache
 def _encoder(cls: type) -> "Callable[[Any], dict[str, Any]]":
     namespace: "dict[str, Any]" = {}
-    bindings: "list[str]" = []
-    payload, omitted = _payload(cls, "obj", namespace, bindings)
-    body = [*bindings, f"out = {payload}", *omitted, "return out"]
-    return _compile("obj", body, namespace)
+    payload, omitted = _payload(cls, "obj", namespace)
+    return _compile("obj", [f"out = {payload}", *omitted, "return out"], namespace)
 
 
-def _payload(
-    cls: type, obj: str, namespace: "dict[str, Any]", bindings: "list[str]"
-) -> "tuple[str, list[str]]":
+def _payload(cls: type, obj: str, namespace: "dict[str, Any]") -> "tuple[str, list[str]]":
     """A dict display of the ``cls`` at ``obj``, and the statements adding the
     fields it omits while unset.
 
-    A nested object is displayed inline, as a hand-written encoder would,
-    from a local that ``bindings`` assigns; array items and optional objects
-    call their class's encoder.
+    Nested objects and array items are displayed inline, as a hand-written
+    encoder would; one that may be null or omits unset fields calls its
+    class's encoder.
     """
     entries, omitted = [], []
     for f, item, array, nullable in _wire_fields(cls):
         value = expr = f"{obj}.{f.name}"
         if dataclasses.is_dataclass(item):
-            local, nested = value.replace(".", "_"), []
-            inline, inline_omits = _payload(item, local, namespace, nested)
-            if array or nullable or inline_omits:
+            each = f"{f.name}_item"  # comprehensions scope it: nesting cannot clash
+            inline, inline_omits = _payload(item, each if array else value, namespace)
+            if nullable or inline_omits:
                 convert = f"encode_{len(namespace)}"
                 namespace[convert] = _encoder(item)
                 expr = f"[{convert}(x) for x in {value}]" if array else f"{convert}({value})"
                 if nullable:
                     expr = f"(None if {value} is None else {expr})"
             else:
-                bindings += [f"{local} = {value}", *nested]
-                expr = inline
+                expr = f"[{inline} for {each} in {value}]" if array else inline
         elif array:
             expr = f"list({value})"
         if f.metadata.get("revision", 1) > 1 and f.default is None:
@@ -216,7 +214,7 @@ def _check(
 # pins the heap blocks they free (live_rw's peak RSS read 5.4 MB higher).
 for _message in vars(api).values():
     if dataclasses.is_dataclass(_message) and _message.__module__ == api.__name__:
-        _encoder(_message)
+        _ENCODERS[_message] = _encoder(_message)
         _decoder(_message)
 
 # The direct codec timings of perf/run.py call these names.
