@@ -210,8 +210,9 @@ def _check(
     return lines
 
 
-# Compiled at import: a codec compiled on first use, between index merges,
-# pins the heap blocks they free (live_rw's peak RSS read 5.4 MB higher).
+# Compiled at import (≈ 10 ms for all): no request pays a compile, and no
+# codec is allocated between index merges, where it can pin the heap blocks
+# they free (compiled on first use, live_rw's peak RSS read 5.4 MB higher).
 for _message in vars(api).values():
     if dataclasses.is_dataclass(_message) and _message.__module__ == api.__name__:
         _ENCODERS[_message] = _encoder(_message)
