@@ -26,17 +26,23 @@ _CHUNK_BYTES = 4 * 1024 * 1024
 """Size of one chunk's ``rows x count`` float64 similarity block in
 :func:`exact_knn`; the chunk's row count is derived from it."""
 
+_SELECT_ROWS = 16
+"""Rows per ``argpartition`` call in :func:`exact_knn`: its full-width int64
+result is ``_SELECT_ROWS x count``, not a second block."""
+
 
 def exact_knn(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact kNN graph via a brute-force scan in fixed-size chunks.
 
     Similarity is computed for as many rows at a time as fit one
     ``count``-wide float64 block in :data:`_CHUNK_BYTES` (at least one row),
-    so the scan's temporaries stay about two such blocks — the product
-    buffer and ``argpartition``'s int64 result — whatever the corpus size,
-    and never the full pairwise matrix.  The product buffer is negated in
-    place, so selection sees the same values a negated copy would without a
-    third block.
+    so the scan's temporaries are that one block, the int64 result of one
+    :data:`_SELECT_ROWS`-row ``argpartition`` and a few ``(rows, k)``
+    arrays, whatever the corpus size, and never the full pairwise matrix.
+    The product buffer is negated in place, so selection sees the same
+    values a negated copy would without a second block.  ``argpartition``
+    treats every row on its own, so selecting a few rows per call gives the
+    ids one call over the whole block gives.
 
     ``neighbor_ids`` do not depend on the chunk size on tie-free data.  The
     similarities may move in the last bits: BLAS's blocking (and therefore
@@ -64,9 +70,10 @@ def exact_knn(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         sims = np.dot(vectors[start:stop], vectors.T, out=buffer[: stop - start])
         sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf  # no self-edges
         np.negative(sims, out=sims)
-        # A copy, not a view: the view would keep argpartition's full-width
-        # result alive into the next chunk's argpartition (a third block).
-        top = np.argpartition(sims, k - 1, axis=1)[:, :k].copy()
+        top = np.empty((stop - start, k), dtype=np.intp)
+        for row in range(0, stop - start, _SELECT_ROWS):
+            rows = slice(row, row + _SELECT_ROWS)
+            top[rows] = np.argpartition(sims[rows], k - 1, axis=1)[:, :k]
         top_sims = -np.take_along_axis(sims, top, axis=1)
         order = np.argsort(-top_sims, axis=1)
         neighbor_ids[start:stop] = np.take_along_axis(top, order, axis=1)

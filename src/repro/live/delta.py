@@ -67,6 +67,8 @@ class DeltaVectorStore(VectorStore):
         # already unit (or zero) within the dtype's tolerance are kept
         # bit-exact, so a delta row embedded by the same deterministic
         # embedding a rebuild would run scores identically in both views.
+        # Read-only rows are adopted without a copy: the registry hands
+        # every view a read-only prefix of one append-only buffer.
         if delta.shape[0]:
             if not has_canonical_rows(delta):
                 delta = ensure_dtype(normalize_rows(delta), dtype)
@@ -79,8 +81,9 @@ class DeltaVectorStore(VectorStore):
                 f"tombstones must be a boolean column over all "
                 f"{n_base + delta.shape[0]} rows, got shape {tombstones.shape}"
             )
-        tombstones = tombstones.copy()
-        tombstones.setflags(write=False)
+        if tombstones.flags.writeable:
+            tombstones = tombstones.copy()
+            tombstones.setflags(write=False)
 
         self._base = base
         self._delta = delta

@@ -139,6 +139,10 @@ class SegmentMerger:
                 with obs.trace_span(
                     "merge", dataset=state.name, images=len(snapshot)
                 ):
+                    # What was freed since the last merge (an expired base,
+                    # its views' buffers) goes back to the OS before the new
+                    # build lands on top of it.
+                    release_free_heap()
                     # The view's segment order lists each image's rows, images
                     # in canonical order, coarse patch first: the order a cold
                     # build embeds them.  Read-only, so the store adopts the

@@ -24,6 +24,7 @@ never evicts them.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -55,7 +56,13 @@ MANIFEST_FORMAT = 1
 RETAINED_GENERATIONS = 8
 """How many past versions stay pinnable per dataset.  Old in-memory indexes
 are dropped beyond this window (a pin to an expired version fails with a
-typed 404), which bounds memory across an unbounded mutation stream."""
+typed 404), which bounds memory across an unbounded mutation stream.
+
+A retained version costs its O(N) per-view state (tombstone column, image
+segments, dataset listing, engine columns), not a copy of the delta: every
+view of one base reads prefixes of the state's append-only delta matrix and
+patch columns.  Only a view published before the buffers last grew keeps
+the old, smaller buffers resident until it expires."""
 
 
 class LiveDatasetState:
@@ -82,10 +89,15 @@ class LiveDatasetState:
         self.current: "SeeSawIndex | None" = None
         self.images: "OrderedDict[int, SyntheticImage]" = OrderedDict()
         self.image_vector_ids: "OrderedDict[int, tuple[int, ...]]" = OrderedDict()
-        # One block per upserted image in each list, aligned.
-        self.delta_vectors: "list[np.ndarray]" = []
-        self.delta_boxes: "list[np.ndarray]" = []
-        self.delta_levels: "list[np.ndarray]" = []
+        # Append-only: an upsert writes its rows after the last ones, and
+        # every published view reads read-only prefixes, so the views of one
+        # base share these buffers (rows below a view's prefix never change).
+        # The delta matrix holds delta rows only; the patch columns run over
+        # base and delta rows alike.  See ``append_delta``.
+        self.delta_rows = 0
+        self.delta_vectors = np.zeros((0, 0))
+        self.patch_boxes = np.zeros((0, 4))
+        self.patch_levels = np.zeros(0, dtype=np.int8)
         self.tombstoned: "set[int]" = set()
         self.journal: "list[tuple[int, str, object]]" = []
         self.generations: "OrderedDict[int, SeeSawIndex]" = OrderedDict()
@@ -93,12 +105,37 @@ class LiveDatasetState:
         self.merges_completed = 0
 
     @property
-    def delta_rows(self) -> int:
-        return sum(block.size for block in self.delta_levels)
-
-    @property
     def has_delta(self) -> bool:
-        return bool(self.delta_levels) or bool(self.tombstoned)
+        return self.delta_rows > 0 or bool(self.tombstoned)
+
+    def append_delta(
+        self, vectors: np.ndarray, boxes: np.ndarray, levels: np.ndarray
+    ) -> "range":
+        """Write one image's rows after the last delta row; their vector ids.
+
+        A full buffer is replaced by one of twice the capacity (at first,
+        room up to the merge trigger, so a delta that merges on schedule
+        never grows).  Views published earlier keep reading the old buffer,
+        whose prefix holds the same bytes.
+        """
+        assert self.base_index is not None
+        n_base = len(self.base_index.store)
+        start, stop = self.delta_rows, self.delta_rows + levels.size
+        capacity = self.delta_vectors.shape[0]
+        if stop > capacity:
+            first_capacity = min(
+                self.config.delta_max_rows,
+                math.ceil(self.config.merge_trigger_ratio * n_base),
+            )
+            capacity = max(stop, 2 * capacity, first_capacity)
+            self.delta_vectors = _grown(self.delta_vectors, start, capacity)
+            self.patch_boxes = _grown(self.patch_boxes, n_base + start, n_base + capacity)
+            self.patch_levels = _grown(self.patch_levels, n_base + start, n_base + capacity)
+        self.delta_vectors[start:stop] = vectors
+        self.patch_boxes[n_base + start : n_base + stop] = boxes
+        self.patch_levels[n_base + start : n_base + stop] = levels
+        self.delta_rows = stop
+        return range(n_base + start, n_base + stop)
 
     def merged_dataset(self) -> ImageDataset:
         """The current logical corpus, in canonical (row-stable) order."""
@@ -115,6 +152,13 @@ class LiveDatasetState:
         self.generations.move_to_end(self.version)
         while len(self.generations) > RETAINED_GENERATIONS:
             self.generations.popitem(last=False)
+
+
+def _grown(buffer: np.ndarray, used: int, capacity: int) -> np.ndarray:
+    """A writable ``capacity``-row buffer holding ``buffer``'s first ``used`` rows."""
+    grown = np.empty((capacity, *buffer.shape[1:]), dtype=buffer.dtype)
+    grown[:used] = buffer[:used]
+    return grown
 
 
 class DatasetRegistry:
@@ -220,9 +264,15 @@ class DatasetRegistry:
             (image_id, index.vector_ids_for_image(image_id))
             for image_id in index.image_ids
         )
-        state.delta_vectors = []
-        state.delta_boxes = []
-        state.delta_levels = []
+        # Empty delta buffers; the patch columns start as the base's own
+        # (read-only) arrays and are copied once, when the first upsert
+        # grows them.
+        state.delta_rows = 0
+        state.delta_vectors = np.empty(
+            (0, index.store.dim), dtype=index.store.compute_dtype
+        )
+        state.patch_boxes = index.patch_boxes
+        state.patch_levels = index.patch_levels
         state.tombstoned = set()
         state.journal = []
         cache = self.service._caches.get(state.name)
@@ -441,26 +491,18 @@ class DatasetRegistry:
     ) -> None:
         assert state.base_index is not None
         embedding = state.base_index.embedding
-        n_base = len(state.base_index.store)
         for image in images:
             old = state.image_vector_ids.pop(image.image_id, None)
             if old is not None:
                 state.tombstoned.update(old)
                 state.images.pop(image.image_id, None)
             patches = generate_patches(image.width, image.height, state.config.multiscale)
-            first = n_base + state.delta_rows
-            state.delta_vectors.append(
-                embedding.embed_patches(image, [box for box, _ in patches])
-            )
-            boxes, levels = patch_columns(patches)
-            state.delta_boxes.append(boxes)
-            state.delta_levels.append(levels)
+            vectors = embedding.embed_patches(image, [box for box, _ in patches])
+            vector_ids = state.append_delta(vectors, *patch_columns(patches))
             # Re-inserted at the end of both ordered maps: the canonical
             # position a from-scratch rebuild would give the image.
             state.images[image.image_id] = image
-            state.image_vector_ids[image.image_id] = tuple(
-                range(first, first + levels.size)
-            )
+            state.image_vector_ids[image.image_id] = tuple(vector_ids)
 
     def _apply_delete(
         self, state: LiveDatasetState, image_ids: "Iterable[int]"
@@ -486,16 +528,17 @@ class DatasetRegistry:
         base = state.base_index
         if not state.has_delta:
             return base
-        if state.delta_vectors:
-            delta_matrix = np.concatenate(state.delta_vectors)
-        else:
-            delta_matrix = np.zeros((0, base.store.dim), dtype=base.store.compute_dtype)
         total = len(base.store) + state.delta_rows
+        # Read-only prefixes of the append-only buffers: the store and the
+        # index adopt them without a copy, and later appends write past them.
+        delta_matrix = state.delta_vectors[: state.delta_rows]
+        delta_matrix.setflags(write=False)
         tombstones = np.zeros(total, dtype=bool)
         if state.tombstoned:
             tombstones[
                 np.fromiter(state.tombstoned, dtype=np.int64, count=len(state.tombstoned))
             ] = True
+        tombstones.setflags(write=False)
         store = DeltaVectorStore(base.store, delta_matrix, tombstones)
         report = IndexBuildReport(
             dataset_name=state.name,
@@ -515,8 +558,8 @@ class DatasetRegistry:
             embedding=base.embedding,
             store=store,
             segments=ImageSegments.from_mapping(state.image_vector_ids, total),
-            patch_boxes=np.concatenate([base.patch_boxes, *state.delta_boxes]),
-            patch_levels=np.concatenate([base.patch_levels, *state.delta_levels]),
+            patch_boxes=state.patch_boxes[:total],
+            patch_levels=state.patch_levels[:total],
             knn_graph=None,
             db_matrix=None,
             config=state.config,

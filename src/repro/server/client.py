@@ -75,15 +75,17 @@ class _V1Client(SeeSawClientProtocol):
     # discovery
     # ------------------------------------------------------------------
     def capabilities(self) -> "dict[str, Any]":
-        return self._request(
+        return self._request_object(
             "GET", "/v1/capabilities", idempotent=True, operation="capabilities"
         )
 
     def healthz(self) -> "dict[str, Any]":
-        return self._request("GET", "/v1/healthz", idempotent=True, operation="healthz")
+        return self._request_object(
+            "GET", "/v1/healthz", idempotent=True, operation="healthz"
+        )
 
     def metrics_json(self) -> "dict[str, Any]":
-        return self._request(
+        return self._request_object(
             "GET", "/v1/metrics?format=json", idempotent=True, operation="metrics"
         )
 
@@ -216,7 +218,7 @@ class _V1Client(SeeSawClientProtocol):
         return list(decode(DatasetList, data).datasets)
 
     def describe_dataset(self, name: str) -> "dict[str, Any]":
-        return self._request(
+        return self._request_object(
             "GET",
             f"/v1/datasets/{urllib.parse.quote(name)}",
             idempotent=True,
@@ -228,7 +230,7 @@ class _V1Client(SeeSawClientProtocol):
     ) -> "dict[str, Any]":
         # Not idempotent: a replay after an ambiguous outcome would publish
         # a second version with duplicate delta rows.
-        return self._request(
+        return self._request_object(
             "POST",
             f"/v1/datasets/{urllib.parse.quote(name)}/upsert",
             encode(UpsertRequest(tuple(images))),
@@ -238,7 +240,7 @@ class _V1Client(SeeSawClientProtocol):
     def delete_images(
         self, name: str, image_ids: "Sequence[int]"
     ) -> "dict[str, Any]":
-        return self._request(
+        return self._request_object(
             "POST",
             f"/v1/datasets/{urllib.parse.quote(name)}/delete",
             encode(DeleteRequest(tuple(int(image_id) for image_id in image_ids))),
@@ -249,7 +251,7 @@ class _V1Client(SeeSawClientProtocol):
         # Merging an already-compacted dataset is a no-op server-side, but
         # the manifest it returns reflects whichever attempt ran — keep the
         # retry semantics aligned with the other mutations.
-        return self._request(
+        return self._request_object(
             "POST",
             f"/v1/datasets/{urllib.parse.quote(name)}/merge",
             {},
@@ -306,6 +308,25 @@ class _V1Client(SeeSawClientProtocol):
                 raise TransportError(f"Server returned invalid JSON: {exc}") from exc
 
         return self._call(attempt, idempotent, operation)
+
+    def _request_object(
+        self,
+        method: str,
+        path: str,
+        payload: "Mapping[str, Any] | None" = None,
+        idempotent: bool = False,
+        operation: str = "request",
+    ) -> "dict[str, Any]":
+        """:meth:`_request` for a call whose reply is an open-ended JSON object."""
+        data = self._request(
+            method, path, payload, idempotent=idempotent, operation=operation
+        )
+        if not isinstance(data, dict):
+            raise TransportError(
+                f"Server reply to {operation} must be a JSON object, "
+                f"got {type(data).__name__}"
+            )
+        return data
 
     @staticmethod
     def _error_from_response(status: int, raw: bytes) -> ReproError:

@@ -32,7 +32,7 @@ from repro.server.api import (
     StartSessionRequest,
 )
 from repro.store.cache import IndexCache
-from repro.utils.memory import release_free_heap
+from repro.utils.memory import freeze_heap_thresholds, release_free_heap
 from repro.vectorstore.graph import GraphANNVectorStore
 from repro.vectorstore.quantized import QuantizedVectorStore
 from repro.vectorstore.sharded import ShardedVectorStore
@@ -47,6 +47,9 @@ class SeeSawService:
         registry: "obs.MetricsRegistry | None" = None,
     ) -> None:
         self.config = config or SeeSawConfig()
+        # Before the first build: corpus-sized temporaries are then mmapped
+        # and returned when freed, whatever was allocated between them.
+        freeze_heap_thresholds()
         self._indexes: dict[tuple[str, bool], SeeSawIndex] = {}
         self._datasets: dict[str, tuple[ImageDataset, EmbeddingModel]] = {}
         self._caches: dict[str, IndexCache] = {}

@@ -20,6 +20,7 @@ import re
 import pytest
 
 from repro.config import SeeSawConfig
+from repro.data.image import SyntheticImage
 from repro.exceptions import (
     IdempotencyConflictError,
     RateLimitedError,
@@ -292,6 +293,31 @@ class TestMalformedServerPayloads:
         monkeypatch.setattr(client, "_exchange", lambda *args, **kwargs: body)
         with pytest.raises(TransportError, match=re.escape(message)):
             client.list_datasets()
+
+    @pytest.mark.parametrize(
+        "method, args, operation",
+        [
+            ("capabilities", (), "capabilities"),
+            ("healthz", (), "healthz"),
+            ("metrics_json", (), "metrics"),
+            ("describe_dataset", ("bdd",), "describe_dataset"),
+            (
+                "upsert_images",
+                ("bdd", [SyntheticImage(1, 64, 48, "indoor", ())]),
+                "upsert_images",
+            ),
+            ("delete_images", ("bdd", [1]), "delete_images"),
+            ("merge_dataset", ("bdd",), "merge_dataset"),
+        ],
+    )
+    @pytest.mark.parametrize("body, kind", [(b"[1, 2]", "list"), (b'"ok"', "str")])
+    def test_object_replies(self, client, monkeypatch, method, args, operation, body, kind):
+        """The calls that return the server's JSON object as a dict check
+        that it is one."""
+        monkeypatch.setattr(client, "_exchange", lambda *args, **kwargs: body)
+        message = f"Server reply to {operation} must be a JSON object, got {kind}"
+        with pytest.raises(TransportError, match=re.escape(message)):
+            getattr(client, method)(*args)
 
 
 class TestIdempotencyParity:

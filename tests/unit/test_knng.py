@@ -75,7 +75,11 @@ class TestExactKnn:
         finally:
             tracemalloc.stop()
         outputs = 2 * count * k * 8
-        assert peak <= 3 * knng_graph._CHUNK_BYTES + outputs
+        block = knng_graph._CHUNK_BYTES
+        selection = knng_graph._SELECT_ROWS * count * 8  # one argpartition result
+        chunk_rows = block // (8 * count)
+        top_k = 8 * chunk_rows * k * 8  # the chunk's (rows, k) ids, sims and orders
+        assert peak <= block + selection + top_k + outputs
 
     def test_float32_rows_hold_one_float64_copy(self, rng):
         """A float32 corpus is widened once and normalised in place: the
@@ -94,6 +98,49 @@ class TestExactKnn:
         expected_ids, expected_sims = exact_knn(
             normalize_rows(vectors.astype(np.float64)), k=k
         )
+        assert ids.tobytes() == expected_ids.tobytes()
+        assert sims.tobytes() == expected_sims.tobytes()
+
+
+def full_block_knn(vectors, k):
+    """The scan with one ``argpartition`` over each whole chunk: the
+    selection :func:`exact_knn` does a few rows at a time."""
+    count = vectors.shape[0]
+    k = min(k, count - 1)
+    neighbor_ids = np.empty((count, k), dtype=np.int64)
+    neighbor_sims = np.empty((count, k), dtype=np.float64)
+    chunk_rows = max(1, min(count, knng_graph._CHUNK_BYTES // (8 * count)))
+    buffer = np.empty((chunk_rows, count), dtype=np.float64)
+    for start in range(0, count, chunk_rows):
+        stop = min(count, start + chunk_rows)
+        sims = np.dot(vectors[start:stop], vectors.T, out=buffer[: stop - start])
+        sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
+        np.negative(sims, out=sims)
+        top = np.argpartition(sims, k - 1, axis=1)[:, :k].copy()
+        top_sims = -np.take_along_axis(sims, top, axis=1)
+        order = np.argsort(-top_sims, axis=1)
+        neighbor_ids[start:stop] = np.take_along_axis(top, order, axis=1)
+        neighbor_sims[start:stop] = np.take_along_axis(top_sims, order, axis=1)
+    return neighbor_ids, neighbor_sims
+
+
+class TestExactKnnSelection:
+    """Selecting a few rows per ``argpartition`` call returns the bytes of
+    one call per chunk, ties included."""
+
+    @pytest.mark.parametrize("count", [61, 300])
+    @pytest.mark.parametrize("k", [1, 5, 60])
+    @pytest.mark.parametrize("chunk_rows", [37, None])  # None: one chunk
+    def test_matches_full_block_selection(self, rng, monkeypatch, count, k, chunk_rows):
+        if chunk_rows is not None:
+            monkeypatch.setattr(knng_graph, "_CHUNK_BYTES", 8 * count * chunk_rows)
+        # Few distinct coordinates and repeated rows: many exact ties.
+        vectors = rng.integers(0, 3, size=(count, 4)).astype(np.float64)
+        vectors[:, 0] += 1.0  # no zero rows
+        vectors[::5] = vectors[1]
+        vectors = normalize_rows(vectors)
+        ids, sims = exact_knn(vectors, k=k)
+        expected_ids, expected_sims = full_block_knn(vectors, k)
         assert ids.tobytes() == expected_ids.tobytes()
         assert sims.tobytes() == expected_sims.tobytes()
 

@@ -10,6 +10,11 @@ pinning, and the merge triggers.
 
 from __future__ import annotations
 
+import gc
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -392,6 +397,142 @@ class TestDatasetRegistry:
 
 
 # ---------------------------------------------------------------------------
+# append-only delta buffers
+# ---------------------------------------------------------------------------
+def view_bytes(view) -> "tuple[bytes, ...]":
+    rows = view.store.take(np.arange(len(view.store)))
+    return rows.tobytes(), view.patch_boxes.tobytes(), view.patch_levels.tobytes()
+
+
+def first_page(service, category: str, version: int) -> list:
+    info = service.start_session(
+        StartSessionRequest(
+            dataset="live", text_query=f"a {category}", dataset_version=version
+        )
+    )
+    page = service.next_results(info.session_id).items
+    service.close_session(info.session_id)
+    return [(item.image_id, item.score, item.box) for item in page]
+
+
+class TestAppendOnlyDelta:
+    """Every view of one base reads prefixes of the state's buffers."""
+
+    def test_retained_views_share_the_state_buffers(self):
+        # A trigger far above the delta: no merge, and the buffers never grow.
+        service, dataset = make_service(merge_trigger_ratio=4.0)
+        try:
+            category = dataset.categories[0].name
+            state = service.live.state_for("live")
+            for step in range(RETAINED_GENERATIONS):
+                service.live.upsert_images("live", [new_image(940 + step, category)])
+            service.live.delete_images("live", [940])
+            views = list(state.generations.values())
+            assert len(views) == RETAINED_GENERATIONS
+            for view in views:
+                assert isinstance(view.store, DeltaVectorStore)
+                assert not view.store._delta.flags.writeable
+                assert np.shares_memory(view.store._delta, state.delta_vectors)
+                assert np.shares_memory(view.patch_boxes, state.patch_boxes)
+                assert np.shares_memory(view.patch_levels, state.patch_levels)
+        finally:
+            service.live.close()
+
+    def test_pinned_version_is_stable_across_appends_and_growth(self, monkeypatch):
+        service, dataset = make_service()
+        # No background merge: the delta outgrows its first buffer instead.
+        monkeypatch.setattr(service.live.merger, "maybe_schedule", lambda state: False)
+        try:
+            category = dataset.categories[0].name
+            state = service.live.state_for("live")
+            service.live.upsert_images("live", [new_image(950, category)])
+            pinned = state.version
+            view = service.live.index_for_version("live", pinned)
+            before = view_bytes(view), first_page(service, category, pinned)
+            first_buffer = state.delta_vectors
+            for step in range(1, RETAINED_GENERATIONS):
+                service.live.upsert_images("live", [new_image(950 + step, category)])
+            assert state.delta_rows > first_buffer.shape[0]  # the buffers grew
+            assert np.shares_memory(view.store._delta, first_buffer)
+            assert service.live.index_for_version("live", pinned) is view
+            after = view_bytes(view), first_page(service, category, pinned)
+            assert after == before
+        finally:
+            service.live.close()
+
+    def test_pinned_reads_race_appends_and_growth(self, monkeypatch):
+        """Lock-free readers of a published view see its bytes while upserts
+        append past its prefix and regrow the buffers."""
+        service, dataset = make_service()
+        monkeypatch.setattr(service.live.merger, "maybe_schedule", lambda state: False)
+        interval = sys.getswitchinterval()
+        try:
+            category = dataset.categories[0].name
+            state = service.live.state_for("live")
+            service.live.upsert_images("live", [new_image(970, category)])
+            view = service.live.index_for_version("live", state.version)
+            query = view.store.vector(0)
+
+            def read():
+                return view.store.score_all(query).tobytes(), view_bytes(view)
+
+            expected = read()
+            mismatches = []
+            stop = threading.Event()
+
+            def reader():
+                while not stop.is_set():
+                    if read() != expected:
+                        mismatches.append(1)
+
+            readers = [threading.Thread(target=reader) for _ in range(4)]
+            sys.setswitchinterval(1e-5)
+            for thread in readers:
+                thread.start()
+            try:
+                for step in range(1, 12):
+                    service.live.upsert_images("live", [new_image(970 + step, category)])
+            finally:
+                stop.set()
+                for thread in readers:
+                    thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in readers)
+            assert not np.shares_memory(view.store._delta, state.delta_vectors)
+            assert mismatches == []
+        finally:
+            sys.setswitchinterval(interval)
+            service.live.close()
+
+    def test_retained_views_hold_no_delta_copies(self):
+        """Eight retained views over Δ delta rows trace less than two
+        Δ-row matrices plus each view's O(N) state; copying the delta into
+        every view held about eight."""
+        service, dataset = make_service(merge_trigger_ratio=4.0)
+        try:
+            category = dataset.categories[0].name
+            store = service.index_for("live", multiscale=True).store
+            n_base, dim = len(store), store.dim
+            gc.collect()
+            tracemalloc.start()
+            try:
+                for step in range(40):
+                    service.live.upsert_images("live", [new_image(960 + step, category)])
+                gc.collect()
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            state = service.live.state_for("live")
+            assert state.merges_completed == 0
+            assert len(state.generations) == RETAINED_GENERATIONS
+            delta = state.delta_rows
+            # Tombstones, segments, engine columns and the image listing.
+            per_view = 64 * (n_base + delta)
+            assert held < 2 * delta * dim * 8 + RETAINED_GENERATIONS * per_view
+        finally:
+            service.live.close()
+
+
+# ---------------------------------------------------------------------------
 # SegmentMerger
 # ---------------------------------------------------------------------------
 class TestSegmentMerger:
@@ -414,6 +555,7 @@ class TestSegmentMerger:
             service.live.close()
 
     def test_each_swap_returns_freed_heap_once(self, monkeypatch):
+        """One trim before the sealed build allocates, one after the swap."""
         calls = []
         monkeypatch.setattr(merger, "release_free_heap", lambda: calls.append(1))
         service, dataset = make_service()
@@ -425,7 +567,7 @@ class TestSegmentMerger:
                 service.live.upsert_images("live", [new_image(image_id, category)])
                 service.live.force_merge("live")
             assert service.live.describe("live")["merges_completed"] == 2
-            assert len(calls) == 2
+            assert len(calls) == 2 * 2
         finally:
             service.live.close()
 

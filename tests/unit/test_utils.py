@@ -255,3 +255,55 @@ class TestReleaseFreeHeap:
             assert memory.release_free_heap() is False
         finally:
             memory._malloc_trim.cache_clear()
+
+
+def _mallinfo2():
+    """glibc's ``mallinfo2`` (2.33+), or ``None`` where the C library lacks it."""
+
+    class Mallinfo2(ctypes.Structure):
+        _fields_ = [
+            (name, ctypes.c_size_t)
+            for name in (
+                "arena", "ordblks", "smblks", "hblks", "hblkhd",
+                "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost",
+            )
+        ]
+
+    try:
+        function = ctypes.CDLL(None).mallinfo2
+    except (AttributeError, OSError, TypeError):
+        return None
+    function.restype = Mallinfo2
+    return function
+
+
+class TestFreezeHeapThresholds:
+    def test_noop_without_mallopt(self, monkeypatch):
+        """macOS and musl libcs lack the symbol: the helper does nothing."""
+        class LibcWithoutMallopt:
+            pass
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: LibcWithoutMallopt())
+        memory._mallopt.cache_clear()
+        try:
+            assert memory.freeze_heap_thresholds() is False
+        finally:
+            memory._mallopt.cache_clear()
+
+    def test_service_start_mmaps_corpus_sized_blocks_only(self):
+        """After a service starts, a 3 MiB block is mmapped (``hblkhd``
+        counts it) and a 1 MiB one comes from the heap, whatever glibc's
+        dynamic threshold had grown to."""
+        mallinfo2 = _mallinfo2()
+        if mallinfo2 is None:
+            pytest.skip("the C library has no mallinfo2")
+        from repro.config import SeeSawConfig
+        from repro.server.service import SeeSawService
+
+        SeeSawService(SeeSawConfig())
+        before = mallinfo2().hblkhd
+        small = np.ones((1 << 20) // 8)
+        assert mallinfo2().hblkhd == before
+        large = np.ones((3 << 20) // 8)
+        assert mallinfo2().hblkhd >= before + large.nbytes
+        del small, large
