@@ -15,9 +15,11 @@ in how a request reaches :meth:`SeeSawApp.handle_request
 from __future__ import annotations
 
 import abc
-import http.client
 import json
-import selectors
+import re
+import select
+import socket
+import ssl
 import threading
 import urllib.parse
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
@@ -41,6 +43,7 @@ from repro.server.errors import decode_error
 from repro.server.middleware import Request
 from repro.server.protocol import SeeSawClientProtocol
 from repro.server.retry import RetryPolicy
+from repro.server.wire import FramingError, Reply
 
 if TYPE_CHECKING:
     from repro.server.app import SeeSawApp
@@ -49,8 +52,9 @@ _MAX_IDLE_CONNECTIONS = 8
 """Idle connections one :class:`HTTPClient` keeps; a connection checked in
 past this is closed, never queued."""
 
-_ProbeSelector = getattr(selectors, "PollSelector", selectors.SelectSelector)
-"""``poll`` where the platform has it: unlike ``select`` it has no fd limit."""
+_UNSAFE_TARGET = re.compile(r"[^!-~]").search
+"""Anything but printable ASCII (a space, a control character) would break
+the request line."""
 
 
 class _V1Client(SeeSawClientProtocol):
@@ -355,6 +359,25 @@ class _V1Client(SeeSawClientProtocol):
         """One ``GET`` answered with NDJSON; its decoded records, lazily."""
 
 
+class _Connection:
+    """A pooled socket and the ``poll`` object that probes it while idle."""
+
+    __slots__ = ("sock", "_probe")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self._probe = select.poll()
+        self._probe.register(sock, select.POLLIN)
+
+    def stale(self) -> bool:
+        """Readable while idle: it holds EOF (the server closed it — idle
+        timeout, drain, restart) or stray bytes; either way, unusable."""
+        return bool(self._probe.poll(0))
+
+    def close(self) -> None:
+        self.sock.close()
+
+
 class HTTPClient(_V1Client):
     """The `/v1` wire-protocol client — blocking, stdlib-only.
 
@@ -372,6 +395,11 @@ class HTTPClient(_V1Client):
     hangs them up.  A connection the server closed while it sat idle is
     replaced before anything is sent; the transport itself never resends a
     request.  NDJSON streams run on a one-shot connection of their own.
+
+    The HTTP/1.1 framing is this module's and :mod:`repro.server.wire`'s,
+    not ``http.client``'s: a request's line, headers and body leave in one
+    ``sendall`` on a ``TCP_NODELAY`` socket, and the reply is framed by
+    ``Content-Length``, or by chunks for NDJSON.
     """
 
     def __init__(
@@ -388,14 +416,21 @@ class HTTPClient(_V1Client):
         parts = urllib.parse.urlsplit(self.base_url)
         self._host = parts.netloc or self.base_url
         secure = parts.scheme == "https"
-        self._connection_type = (
-            http.client.HTTPSConnection if secure else http.client.HTTPConnection
-        )
-        self._address = (parts.hostname or "", parts.port or (443 if secure else 80))
+        self._tls = ssl.create_default_context() if secure else None
+        host, default_port = parts.hostname or "", 443 if secure else 80
+        self._address = (host, parts.port or default_port)
         self._prefix = parts.path
+        # The Host header as http.client writes it: IDNA-encoded, an IPv6
+        # literal in brackets, the port only when it is not the default.
+        host_field = host if host.isascii() else host.encode("idna").decode("ascii")
+        if ":" in host_field:
+            host_field = f"[{host_field}]"
+        if self._address[1] != default_port:
+            host_field += f":{self._address[1]}"
+        self._request_fields = f"Host: {host_field}\r\nAccept-Encoding: identity\r\n"
         # Idle keep-alive connections, most recently used last.  Threads
         # sharing the client check one out per call and back in after it.
-        self._idle: "list[http.client.HTTPConnection]" = []
+        self._idle: "list[_Connection]" = []
         self._idle_lock = threading.Lock()
 
     def _stream(self, path: str) -> "Iterator[dict[str, Any]]":
@@ -406,32 +441,34 @@ class HTTPClient(_V1Client):
         pooled connection: it dials its own and closes it when the
         generator ends, however it ends.
         """
-        connection = self._dial()
+        message = self._message(
+            "GET",
+            path,
+            None,
+            self._headers(False, {"Accept": "application/x-ndjson", "Connection": "close"}),
+        )
+        sock = self._dial()
         try:
-            connection.request(
-                "GET",
-                self._prefix + path,
-                headers=self._headers(
-                    False, {"Accept": "application/x-ndjson", "Connection": "close"}
-                ),
-            )
-            response = connection.getresponse()
-            if response.status >= 400:
-                raise self._error_from_response(response.status, response.read())
-            for raw_line in response:
-                line = raw_line.strip()
-                if not line:
-                    continue
-                try:
-                    yield json.loads(line.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                    raise TransportError(
-                        f"Server sent an invalid NDJSON line: {exc}"
-                    ) from exc
-        except (OSError, http.client.HTTPException) as exc:
+            sock.sendall(message)
+            with sock.makefile("rb") as rfile:
+                reply = Reply(rfile)
+                if reply.status >= 400:
+                    raise self._error_from_response(reply.status, reply.read())
+                for line in _lines(reply.chunks()):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        record = json.loads(line.decode("utf-8"))
+                    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                        raise TransportError(
+                            f"Server sent an invalid NDJSON line: {exc}"
+                        ) from exc
+                    yield record
+        except (OSError, FramingError) as exc:
             raise self._died_mid_request(exc) from exc
         finally:
-            connection.close()
+            sock.close()
 
     # ------------------------------------------------------------------
     # the wire: pooled keep-alive connections
@@ -458,85 +495,114 @@ class HTTPClient(_V1Client):
         first request byte surfaces as ``request_sent=True`` and replaying
         is the retry policy's decision, made per call on idempotency.
         """
+        message = self._message(method, path, body, self._headers(body is not None, headers))
         connection = self._checkout()
         reusable = False
         try:
-            connection.request(
-                method,
-                self._prefix + path,
-                body=body,
-                headers=self._headers(body is not None, headers),
-            )
-            response = connection.getresponse()
-            raw = response.read()
-            reusable = not response.will_close
-        except (OSError, http.client.HTTPException) as exc:
+            connection.sock.sendall(message)
+            # A reader per reply, as http.client has: bytes past the reply
+            # are dropped with it, never read as the next reply's start.
+            with connection.sock.makefile("rb") as rfile:
+                reply = Reply(rfile)
+                raw = reply.read()
+            reusable = reply.reusable
+        except (OSError, FramingError) as exc:
             raise self._died_mid_request(exc) from exc
         finally:
             if reusable:
                 self._checkin(connection)
             else:
                 connection.close()
-        if response.status >= 400:
-            raise self._error_from_response(response.status, raw)
+        if reply.status >= 400:
+            raise self._error_from_response(reply.status, raw)
         return raw
 
-    def _checkout(self) -> http.client.HTTPConnection:
+    def _message(
+        self, method: str, path: str, body: "bytes | None", fields: "Mapping[str, str]"
+    ) -> bytes:
+        """The whole request, head and body, in http.client's header order:
+        ``Host``, ``Accept-Encoding``, ``Content-Length``, then ``fields``."""
+        target = self._prefix + path
+        if _UNSAFE_TARGET(target):
+            raise TransportError(f"Request target {target!r} is not printable ASCII")
+        lines = "".join(f"{name}: {value}\r\n" for name, value in fields.items())
+        # One CR and one LF per line: a name or value holding either would
+        # smuggle a header of its own.
+        if lines.count("\n") != len(fields) or lines.count("\r") != len(fields):
+            raise TransportError(f"Header fields {dict(fields)!r} hold a line break")
+        if body is not None:
+            lines = f"Content-Length: {len(body)}\r\n{lines}"
+        head = f"{method} {target} HTTP/1.1\r\n{self._request_fields}{lines}\r\n"
+        return head.encode("latin-1") + body if body else head.encode("latin-1")
+
+    def _checkout(self) -> _Connection:
         """The most recently used idle connection that is still alive, else
         a new one.
 
-        An idle HTTP connection has nothing to read, so a socket that polls
-        readable holds EOF (the server closed it: idle timeout, drain,
-        restart) or stray bytes.  It is discarded *before any request byte
-        is sent*, which is what keeps ``request_sent`` exact.
+        A stale connection is discarded *before any request byte is sent*,
+        which is what keeps ``request_sent`` exact.
         """
         while True:
             with self._idle_lock:
                 connection = self._idle.pop() if self._idle else None
             if connection is None:
-                return self._dial()
-            with _ProbeSelector() as selector:
-                selector.register(connection.sock, selectors.EVENT_READ)
-                stale = bool(selector.select(0))
-            if not stale:
+                return _Connection(self._dial())
+            if not connection.stale():
                 return connection
             connection.close()
 
-    def _checkin(self, connection: http.client.HTTPConnection) -> None:
+    def _checkin(self, connection: _Connection) -> None:
         with self._idle_lock:
             if len(self._idle) < _MAX_IDLE_CONNECTIONS:
                 self._idle.append(connection)
                 return
         connection.close()
 
-    def _dial(self) -> http.client.HTTPConnection:
-        """A freshly connected connection; failing here sent nothing."""
-        connection = self._connection_type(
-            self._address[0], self._address[1], timeout=self.timeout
-        )
+    def _dial(self) -> socket.socket:
+        """A freshly connected socket; failing here sent nothing."""
         try:
-            connection.connect()
+            sock = socket.create_connection(self._address, timeout=self.timeout)
         except OSError as exc:
-            raise ConnectionFailedError(
-                f"Could not reach SeeSaw service at {self.base_url}: {exc}",
-                request_sent=False,
-            ) from exc
-        return connection
+            raise self._unreachable(exc) from exc
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        except OSError as exc:
+            sock.close()
+            raise self._unreachable(exc) from exc
+        return sock
+
+    def _unreachable(self, exc: OSError) -> ConnectionFailedError:
+        return ConnectionFailedError(
+            f"Could not reach SeeSaw service at {self.base_url}: {exc}",
+            request_sent=False,
+        )
 
     def _died_mid_request(self, exc: Exception) -> ConnectionFailedError:
-        """Anything the socket layer raises once a request is under way.
+        """Anything the socket or the framing raises once a request is under way.
 
-        A reset, a timeout, ``IncompleteRead``, a server that closed without
-        answering: the connection died partway, and the request may have
-        been acted on.  Surfaces as the typed error the protocol promises,
-        never raw ``http.client``/``OSError`` leakage; the retry policy and
-        circuit breaker branch on ``request_sent``.
+        A reset, a timeout, a short body, a bad status line or chunk, a
+        server that closed without answering: the connection died partway,
+        and the request may have been acted on.  Surfaces as the typed error
+        the protocol promises, never raw ``OSError`` leakage; the retry
+        policy and circuit breaker branch on ``request_sent``.
         """
         return ConnectionFailedError(
             f"Connection to SeeSaw service at {self.base_url} failed "
             f"mid-request: {exc!r}",
             request_sent=True,
         )
+
+
+def _lines(chunks: "Iterator[bytes]") -> "Iterator[bytes]":
+    """The lines of a body that arrives in chunks: a line may span chunks,
+    and a chunk may hold several."""
+    pending = b""
+    for chunk in chunks:
+        *lines, pending = (pending + chunk).split(b"\n")
+        yield from lines
+    yield pending
 
 
 class InProcessClient(_V1Client):

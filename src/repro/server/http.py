@@ -10,6 +10,11 @@ closes it — the server does so after :data:`IDLE_TIMEOUT_S` without a
 request, by answering ``Connection: close`` while it drains, and by
 hanging up on every idle connection when it stops.
 
+The header block of an ``HTTP/1.0|1.1`` request is split by
+:func:`~repro.server.wire.read_fields`, not by ``http.client`` and the
+``email`` package; any other request line is left to the stdlib.  Bodies
+are framed by ``Content-Length`` alone, up to :data:`MAX_BODY_BYTES`.
+
 Typical embedded use::
 
     service = SeeSawService(config)
@@ -34,6 +39,7 @@ from repro.exceptions import TransportError
 from repro.server.app import SeeSawApp
 from repro.server.errors import encode_error
 from repro.server.middleware import Request, Response
+from repro.server.wire import FramingError, read_fields
 
 logger = logging.getLogger("repro.server")
 
@@ -41,6 +47,10 @@ IDLE_TIMEOUT_S = 60.0
 """How long a handler thread waits on a kept-alive socket for the next
 request (or the rest of one) before it closes the connection: a peer that
 vanished without a FIN must not pin a thread forever."""
+
+MAX_BODY_BYTES = 64 * 1024 * 1024
+"""The largest request body read.  A larger ``Content-Length`` is answered
+413 before any byte of the body is read, and the connection is closed."""
 
 
 class SeeSawRequestHandler(BaseHTTPRequestHandler):
@@ -62,6 +72,40 @@ class SeeSawRequestHandler(BaseHTTPRequestHandler):
     # on, every small write after the first would wait out the peer's
     # delayed ACK (~40 ms) on a long-lived connection.
     disable_nagle_algorithm = True
+
+    def parse_request(self) -> bool:
+        """The request line and header block of an ``HTTP/1.0|1.1`` request.
+
+        ``self.headers`` becomes the :func:`~repro.server.wire.read_fields`
+        dict (lower-cased names, the first occurrence wins), not an
+        ``email`` message; a malformed header block is a 400 or a 431.
+        The stdlib's ``Connection``, ``Expect: 100-continue`` and ``//``
+        handling is kept.  Any other request line goes to the stdlib, so a
+        malformed one gets exactly its reply.
+        """
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = requestline.split()
+        if len(words) != 3 or words[2] not in ("HTTP/1.1", "HTTP/1.0"):
+            return super().parse_request()
+        self.requestline = requestline
+        self.command, path, self.request_version = words
+        # As the stdlib does: a //path would read as a scheme-less URL.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = read_fields(self.rfile)  # type: ignore[assignment]
+        except FramingError as exc:
+            self.send_error(exc.status, str(exc))
+            return False
+        connection = self.headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            self.request_version == "HTTP/1.0" and connection != "keep-alive"
+        )
+        if (
+            self.request_version == "HTTP/1.1"
+            and self.headers.get("expect", "").lower() == "100-continue"
+        ):
+            return self.handle_expect_100()
+        return True
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming convention
         self._dispatch("GET")
@@ -105,14 +149,14 @@ class SeeSawRequestHandler(BaseHTTPRequestHandler):
         # The body is framed by Content-Length alone.  Without a trustworthy
         # length — or with a Transfer-Encoding body, whose bytes would be
         # parsed as the next request — answer typed and read nothing more.
-        if self.headers.get("Transfer-Encoding") is not None:
+        if self.headers.get("transfer-encoding") is not None:
             self.send_error(
                 400,
                 "Transfer-Encoding request bodies are not supported; "
                 "send Content-Length",
             )
             return
-        raw_length = (self.headers.get("Content-Length") or "0").strip()
+        raw_length = (self.headers.get("content-length") or "0").strip()
         if not (raw_length.isascii() and raw_length.isdigit()):
             self.send_error(
                 400,
@@ -120,6 +164,13 @@ class SeeSawRequestHandler(BaseHTTPRequestHandler):
             )
             return
         length = int(raw_length)
+        if length > MAX_BODY_BYTES:
+            self.send_error(
+                413,
+                f"Request body of {length} bytes is over the limit of "
+                f"{MAX_BODY_BYTES} bytes",
+            )
+            return
         body = self.rfile.read(length) if length else None
         response = self.server.app.handle_request(
             Request(

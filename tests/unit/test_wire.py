@@ -8,17 +8,22 @@ them.  A raw-socket capture server records the exact bytes
 
 from __future__ import annotations
 
+import json
 import queue
 import re
 import socket
 import threading
+import time
 
 import pytest
 
 from repro.data.geometry import BoundingBox
 from repro.data.image import ObjectInstance, SyntheticImage
-from repro.server import HTTPClient
+from repro.exceptions import ConnectionFailedError, TransportError
+from repro.server import HTTPClient, serve_in_background
 from repro.server import client as client_module
+from repro.server.http import MAX_BODY_BYTES
+from repro.server.middleware import Request, Response
 from repro.server.api import BoxPayload, FeedbackRequest, StartSessionRequest
 
 
@@ -26,7 +31,10 @@ class CaptureServer:
     """Records each request's bytes and answers with the next canned reply.
 
     One thread per accepted connection, so a stream's one-shot connection
-    is served while the client's pooled connection sits idle.
+    is served while the client's pooled connection sits idle.  A reply may
+    be a list of pieces, sent apart so that the client's reads split them;
+    the connection is closed after a reply marked ``Connection: close`` or
+    framed by neither ``Content-Length`` nor chunks.
     """
 
     def __init__(self) -> None:
@@ -34,7 +42,7 @@ class CaptureServer:
         self.port = self._listener.getsockname()[1]
         self.url = f"http://127.0.0.1:{self.port}"
         self.requests: "list[bytes]" = []
-        self.replies: "queue.Queue[bytes]" = queue.Queue()
+        self.replies: "queue.Queue[bytes | list[bytes]]" = queue.Queue()
         self.accepted = 0
         threading.Thread(target=self._accept, daemon=True).start()
 
@@ -60,8 +68,14 @@ class CaptureServer:
                 body = rfile.read(int(length.group(1))) if length else b""
                 self.requests.append(head + body)
                 reply = self.replies.get(timeout=10.0)
-                connection.sendall(reply)
-                if b"\r\nConnection: close\r\n" in reply:
+                pieces = [reply] if isinstance(reply, bytes) else reply
+                for piece in pieces:
+                    connection.sendall(piece)
+                    time.sleep(0.005 if len(pieces) > 1 else 0)
+                whole = b"".join(pieces)
+                if b"\r\nConnection: close\r\n" in whole or not (
+                    b"\r\nContent-Length: " in whole or b"chunked" in whole
+                ):
                     return
 
     def close(self) -> None:
@@ -356,3 +370,293 @@ def test_deadline_header_sits_between_the_client_id_and_the_call_headers(
         b"\r\n"
         b'{"session_id": "session-1", "image_id": 18, "relevant": false, "boxes": []}'
     ]
+
+
+# ---------------------------------------------------------------------------
+# client framing: what is pooled, what is a mid-request death
+# ---------------------------------------------------------------------------
+HEALTHY = b'{"state": "serving"}'
+
+
+class TestClientFraming:
+    def test_reply_without_a_length_is_read_to_eof_and_not_pooled(self, capture):
+        capture.replies.put(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n" + HEALTHY)
+        with HTTPClient(capture.url) as client:
+            assert client.healthz() == {"state": "serving"}
+            assert client._idle == []
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"HTTP/1.1 200 OK\r\nConnection: close\r\n",
+            b"HTTP/1.1 200 OK\r\nConnection: Close\r\n",
+            b"HTTP/1.0 200 OK\r\n",
+        ],
+    )
+    def test_closing_replies_are_not_pooled(self, capture, head):
+        capture.replies.put(head + b"Content-Length: %d\r\n\r\n%s" % (len(HEALTHY), HEALTHY))
+        with HTTPClient(capture.url) as client:
+            assert client.healthz() == {"state": "serving"}
+            assert client._idle == []
+
+    def test_framed_reply_is_pooled_and_an_interim_100_is_skipped(self, capture):
+        capture.replies.put(b"HTTP/1.1 100 Continue\r\n\r\n" + reply(HEALTHY))
+        capture.replies.put(reply(HEALTHY))
+        with HTTPClient(capture.url) as client:
+            assert client.healthz() == {"state": "serving"}
+            assert len(client._idle) == 1
+            assert client.healthz() == {"state": "serving"}
+        assert capture.accepted == 1
+
+    @pytest.mark.parametrize(
+        "canned",
+        [
+            b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\nConnection: close\r\n\r\n" + HEALTHY,
+            b"HTCPCP/1.0 418 I'm a teapot\r\n\r\n",
+            b"HTTP/1.1 2000 OK\r\nContent-Length: 0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nbroken header\r\n\r\n",
+            b"",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
+            b"10\r\nshort",
+        ],
+        ids=["short-body", "bad-protocol", "bad-status", "bad-header", "no-reply",
+             "bad-chunk-size", "short-chunk"],
+    )
+    def test_a_broken_reply_is_a_death_after_sending(self, capture, canned):
+        capture.replies.put(canned)
+        client = HTTPClient(capture.url, timeout=5.0)
+        with pytest.raises(ConnectionFailedError) as excinfo:
+            client.session_info("session-1")
+        assert excinfo.value.request_sent is True
+        assert client._idle == []
+
+    def test_a_refused_connect_sent_nothing(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with pytest.raises(ConnectionFailedError) as excinfo:
+            HTTPClient(f"http://127.0.0.1:{port}").healthz()
+        assert excinfo.value.request_sent is False
+
+    def test_ndjson_records_split_across_chunks_and_reads(self, capture):
+        body = b"".join(NDJSON)
+        head = (
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n"
+            b"Transfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
+        )
+        # Chunk boundaries fall mid-record, one chunk carries an extension,
+        # and the pieces go out apart, splitting a size line and a CRLF.
+        cut = [0, 7, 90, 91, len(body) - 3, len(body)]
+        chunks = [body[a:b] for a, b in zip(cut, cut[1:])]
+        framed = b"".join(
+            b"%x%s\r\n%s\r\n" % (len(chunk), b";ext=1" if i == 1 else b"", chunk)
+            for i, chunk in enumerate(chunks)
+        ) + b"0\r\nX-Trailer: done\r\n\r\n"
+        pieces = [head + framed[:5], framed[5:60], framed[60:61], framed[61:]]
+        capture.replies.put(pieces)
+        with HTTPClient(capture.url) as client:
+            items = list(client.stream_next_results("session-1"))
+        assert [item.image_id for item in items] == [17]
+
+    def test_a_truncated_stream_is_a_death_after_sending(self, capture):
+        capture.replies.put(
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
+            + b"%X\r\n%s\r\n" % (len(NDJSON[0]), NDJSON[0])
+        )
+        with pytest.raises(ConnectionFailedError) as excinfo:
+            list(HTTPClient(capture.url).stream_next_results("session-1"))
+        assert excinfo.value.request_sent is True
+
+    def test_a_line_break_in_a_header_value_is_refused_before_sending(self, capture):
+        client = HTTPClient(capture.url, client_id="me\r\nX-Admin: 1")
+        with pytest.raises(TransportError, match="line break"):
+            client.healthz()
+        with pytest.raises(TransportError, match="printable ASCII"):
+            HTTPClient(capture.url).session_info("two words")
+        assert capture.requests == [] and capture.accepted == 0
+
+
+# ---------------------------------------------------------------------------
+# server framing: the request line and header block, byte for byte
+# ---------------------------------------------------------------------------
+class EchoApp:
+    """Answers every request with what the handler made of it."""
+
+    def handle_request(self, request: Request) -> Response:
+        return Response(
+            200,
+            payload={
+                "target": request.target,
+                "headers": dict(request.headers),
+                "body": (request.body or b"").decode(),
+            },
+        )
+
+
+@pytest.fixture(scope="module")
+def echo_server():
+    with serve_in_background(EchoApp()) as server:
+        yield server
+
+
+def _send(server, data: bytes) -> "tuple[socket.socket, object]":
+    sock = socket.create_connection(server.server.server_address[:2], timeout=10.0)
+    sock.sendall(data)
+    return sock, sock.makefile("rb")
+
+
+def _answer(rfile) -> "tuple[int, dict[str, str], dict]":
+    """Status, header fields and JSON body of one ``Content-Length`` reply."""
+    status = int(rfile.readline().split()[1])
+    fields = {}
+    while (line := rfile.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        fields[name.lower()] = value.strip()
+    return status, fields, json.loads(rfile.read(int(fields["content-length"])))
+
+
+def _ask(server, data: bytes) -> "tuple[int, dict[str, str], dict, bool]":
+    """One request on a fresh connection: status, header fields, JSON body,
+    and whether the server closed the connection behind the reply."""
+    sock, rfile = _send(server, data)
+    with sock, rfile:
+        status, fields, payload = _answer(rfile)
+        # A server that closes does so right behind the reply.
+        sock.settimeout(0.3)
+        try:
+            closed = rfile.read(1) == b""
+        except TimeoutError:
+            closed = False
+        return status, fields, payload, closed
+
+
+def _get(*header_lines: bytes, target: bytes = b"/v1/echo", version: bytes = b"HTTP/1.1") -> bytes:
+    return b"GET %s %s\r\n" % (target, version) + b"".join(
+        line + b"\r\n" for line in header_lines
+    ) + b"\r\n"
+
+
+class TestServerFraming:
+    def test_a_folded_header_line_is_a_400(self, echo_server):
+        status, fields, payload, closed = _ask(
+            echo_server, _get(b"Host: x", b"X-Long: first", b"  continued")
+        )
+        assert status == 400 and closed
+        assert fields["connection"] == "close"
+        assert payload["error"]["message"] == "Bad header line (b'  continued\\r\\n')"
+
+    def test_a_header_line_without_a_colon_is_a_400(self, echo_server):
+        status, _, payload, closed = _ask(echo_server, _get(b"Host x", b"X-After: dropped"))
+        assert status == 400 and closed
+        assert payload["error"]["message"] == "Bad header line (b'Host x\\r\\n')"
+
+    def test_whitespace_before_the_colon_is_a_400(self, echo_server):
+        status, _, _, closed = _ask(echo_server, _get(b"Host : x"))
+        assert status == 400 and closed
+
+    def test_99_headers_are_served_and_100_are_a_431(self, echo_server):
+        many = [b"X-H%d: %d" % (i, i) for i in range(99)]
+        status, _, payload, _ = _ask(echo_server, _get(*many))
+        assert status == 200 and len(payload["headers"]) == 99
+        status, _, payload, closed = _ask(echo_server, _get(*many, b"X-Last: 1"))
+        assert status == 431 and closed
+        assert payload["error"]["message"] == "Too many headers"
+        status, _, _, closed = _ask(echo_server, _get(*many, b"X-Last: 1", b"X-More: 2"))
+        assert status == 431 and closed
+
+    def test_a_65537_byte_header_line_is_a_431(self, echo_server):
+        line = b"X-Big: " + b"a" * (65537 - len(b"X-Big: ") - 2)
+        status, _, payload, closed = _ask(echo_server, _get(line))
+        assert status == 431 and closed
+        assert payload["error"]["message"] == "Line too long"
+        # One byte shorter is the longest line served.
+        status, _, payload, _ = _ask(echo_server, _get(line[:-1]))
+        assert status == 200 and len(payload["headers"]["x-big"]) == 65536 - 9
+
+    def test_the_first_of_duplicate_headers_wins_and_names_are_folded(self, echo_server):
+        status, _, payload, closed = _ask(
+            echo_server, _get(b"x-CLIENT-id: first", b"X-Client-Id: second")
+        )
+        assert status == 200 and not closed
+        assert payload["headers"]["x-client-id"] == "first"
+
+    def test_values_lose_the_whitespace_around_them(self, echo_server):
+        status, _, payload, _ = _ask(echo_server, _get(b"X-Pad:   spaced out  "))
+        assert status == 200 and payload["headers"]["x-pad"] == "spaced out"
+
+    def test_expect_100_continue_gets_a_100_then_the_reply(self, echo_server):
+        sock, rfile = _send(
+            echo_server,
+            b"POST /v1/echo HTTP/1.1\r\nContent-Length: 2\r\nExpect: 100-continue\r\n\r\n",
+        )
+        with sock, rfile:
+            assert rfile.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert rfile.readline() == b"\r\n"
+            sock.sendall(b"{}")
+            status, _, payload = _answer(rfile)
+        assert status == 200 and payload["body"] == "{}"
+
+    def test_an_http_1_0_request_is_answered_then_closed(self, echo_server):
+        status, fields, payload, closed = _ask(echo_server, _get(version=b"HTTP/1.0"))
+        assert status == 200 and payload["target"] == "/v1/echo"
+        assert closed and fields["connection"] == "close"
+        status, _, _, closed = _ask(
+            echo_server, _get(b"Connection: keep-alive", version=b"HTTP/1.0")
+        )
+        assert status == 200 and not closed
+
+    def test_connection_close_is_honoured_and_keep_alive_is_the_default(self, echo_server):
+        assert _ask(echo_server, _get(b"Connection: close"))[3]
+        sock, rfile = _send(echo_server, _get() + _get(target=b"/v1/second"))
+        with sock, rfile:
+            assert _answer(rfile)[2]["target"] == "/v1/echo"
+            assert _answer(rfile)[2]["target"] == "/v1/second"
+
+    def test_a_leading_double_slash_is_collapsed(self, echo_server):
+        status, _, payload, _ = _ask(echo_server, _get(target=b"//v1//echo?x=1"))
+        assert status == 200 and payload["target"] == "/v1//echo?x=1"
+
+    @pytest.mark.parametrize(
+        "line, status, message",
+        [
+            (b"GARBAGE", 400, "Bad request syntax ('GARBAGE')"),
+            (b"GET /v1/echo HTTP/1.1 extra", 400, "Bad request version ('extra')"),
+            (b"GET /v1/echo extra HTTP/1.1", 400,
+             "Bad request syntax ('GET /v1/echo extra HTTP/1.1')"),
+            (b"GET /v1/echo HTTP/1.x", 400, "Bad request version ('HTTP/1.x')"),
+            (b"GET /v1/echo FTP/1.1", 400, "Bad request version ('FTP/1.1')"),
+            (b"GET /v1/echo HTTP/2.0", 505, "Invalid HTTP version (2.0)"),
+            (b"POST /v1/echo", 400, "Bad HTTP/0.9 request type ('POST')"),
+            (b"PUT /v1/echo HTTP/1.1", 501, "Unsupported method ('PUT')"),
+        ],
+    )
+    def test_malformed_request_lines_get_the_stdlib_replies(
+        self, echo_server, line, status, message
+    ):
+        got_status, _, payload, closed = _ask(echo_server, line + b"\r\nHost: x\r\n\r\n")
+        assert (got_status, payload["error"]["message"]) == (status, message)
+        assert closed
+
+    def test_a_non_canonical_version_goes_to_the_stdlib(self, echo_server):
+        status, _, payload, _ = _ask(echo_server, _get(b"X-Client-Id: v", version=b"HTTP/1.01"))
+        assert status == 200 and payload["headers"]["x-client-id"] == "v"
+
+    @pytest.mark.parametrize("length", [1_000_000_000_000, 2_000_000_000, MAX_BODY_BYTES + 1])
+    def test_an_oversized_body_is_a_413_before_any_body_byte(self, echo_server, length):
+        started = time.monotonic()
+        status, fields, payload, closed = _ask(
+            echo_server, b"POST /v1/echo HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % length
+        )
+        assert status == 413 and closed and fields["connection"] == "close"
+        assert payload["error"]["message"] == (
+            f"Request body of {length} bytes is over the limit of {MAX_BODY_BYTES} bytes"
+        )
+        assert time.monotonic() - started < 5.0
+
+    def test_a_body_at_the_limit_is_still_read(self, echo_server):
+        sock, rfile = _send(
+            echo_server, b"POST /v1/echo HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}"
+        )
+        with sock, rfile:
+            assert _answer(rfile)[0] == 200
