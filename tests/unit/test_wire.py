@@ -12,8 +12,10 @@ import json
 import queue
 import re
 import socket
+import ssl
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -660,3 +662,39 @@ class TestServerFraming:
         )
         with sock, rfile:
             assert _answer(rfile)[0] == 200
+
+
+# ---------------------------------------------------------------------------
+# https: the default SSL context, verified against a test-only certificate
+# ---------------------------------------------------------------------------
+TLS = Path(__file__).parent / "tls"
+"""A self-signed certificate for ``localhost`` (and its key), for tests only."""
+
+
+@pytest.fixture()
+def tls_server(monkeypatch):
+    # The client's default context trusts what SSL_CERT_FILE names.
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS / "localhost.pem"))
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(TLS / "localhost.pem", TLS / "localhost.key")
+    server = serve_in_background(EchoApp())
+    server.server.socket = context.wrap_socket(server.server.socket, server_side=True)
+    with server:
+        yield server.server.server_address[1]
+
+
+class TestHTTPS:
+    def test_a_verified_server_is_served_over_tls(self, tls_server):
+        with HTTPClient(f"https://localhost:{tls_server}", client_id="tls") as client:
+            for _ in range(2):
+                echoed = client.healthz()
+                assert echoed["target"] == "/v1/healthz"
+                assert echoed["headers"]["host"] == f"localhost:{tls_server}"
+                assert echoed["headers"]["x-client-id"] == "tls"
+            assert len(client._idle) == 1
+
+    def test_a_certificate_for_another_name_fails_before_sending(self, tls_server):
+        with pytest.raises(ConnectionFailedError) as excinfo:
+            HTTPClient(f"https://127.0.0.1:{tls_server}").healthz()
+        assert excinfo.value.request_sent is False
+        assert "CERTIFICATE_VERIFY_FAILED" in str(excinfo.value)
