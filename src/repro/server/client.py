@@ -559,25 +559,22 @@ class HTTPClient(_V1Client):
         connection.close()
 
     def _dial(self) -> socket.socket:
-        """A freshly connected socket; failing here sent nothing."""
+        """A freshly connected socket (TLS handshake included); failing
+        here sent nothing."""
+        sock = None
         try:
             sock = socket.create_connection(self._address, timeout=self.timeout)
-        except OSError as exc:
-            raise self._unreachable(exc) from exc
-        try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if self._tls is not None:
                 sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
         except OSError as exc:
-            sock.close()
-            raise self._unreachable(exc) from exc
+            if sock is not None:
+                sock.close()
+            raise ConnectionFailedError(
+                f"Could not reach SeeSaw service at {self.base_url}: {exc}",
+                request_sent=False,
+            ) from exc
         return sock
-
-    def _unreachable(self, exc: OSError) -> ConnectionFailedError:
-        return ConnectionFailedError(
-            f"Could not reach SeeSaw service at {self.base_url}: {exc}",
-            request_sent=False,
-        )
 
     def _died_mid_request(self, exc: Exception) -> ConnectionFailedError:
         """Anything the socket or the framing raises once a request is under way.
