@@ -1,6 +1,6 @@
 """Open-loop traffic harness for the `/v1` service.
 
-Fires requests at a :class:`~repro.server.protocol.SeeSawClientProtocol`
+Fires requests at a :class:`~repro.server.client.SeeSawClientProtocol`
 (so the in-process and HTTP transports run the exact same workload) on a
 Poisson arrival schedule that is fixed *before* the run starts and never
 waits for responses.  That open-loop decoupling is the whole point: a
@@ -42,7 +42,7 @@ from repro.data.geometry import BoundingBox
 from repro.data.image import ObjectInstance, SyntheticImage
 from repro.exceptions import BenchmarkError, ReproError
 from repro.server.api import FeedbackRequest, StartSessionRequest
-from repro.server.protocol import SeeSawClientProtocol
+from repro.server.client import SeeSawClientProtocol
 
 __all__ = [
     "RequestRecord",

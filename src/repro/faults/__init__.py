@@ -12,7 +12,9 @@ The subsystem has three pieces:
 * :mod:`repro.faults.middleware` — :class:`ChaosMiddleware`, the server-side
   injector (sits in the `/v1` pipeline, gated on ``SeeSawConfig.faults``);
 * :mod:`repro.faults.client` — :class:`FaultyClient`, the client-side fault
-  transport wrapping any :class:`~repro.server.protocol.SeeSawClientProtocol`.
+  transport: every call of another
+  :class:`~repro.server.client.SeeSawClientProtocol`, through that
+  client's own transport.
 
 Every injected fault is a *typed* failure the resilience layer is supposed
 to absorb — the chaos traffic scenario's gates assert that nothing else

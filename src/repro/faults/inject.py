@@ -22,9 +22,12 @@ import random
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.faults.plan import FaultPlan
+
+if TYPE_CHECKING:
+    from repro.obs import MetricsRegistry
 
 #: Injection kinds, in decision priority order.
 KIND_SKEW = "skew"
@@ -101,3 +104,12 @@ class FaultDecider:
         if plan.latency_probability > 0.0 and rng.random() < plan.latency_probability:
             latency = plan.latency_ms / 1000.0
         return FaultOutcome(index=index, kind=kind, latency_seconds=latency)
+
+
+def count_injected(registry: "MetricsRegistry", kind: str) -> None:
+    """Count one injected fault of ``kind`` (both injectors share the series)."""
+    registry.counter(
+        "seesaw_faults_injected_total",
+        "Faults injected by the chaos layer, by kind.",
+        labels=("kind",),
+    ).labels(kind).inc()

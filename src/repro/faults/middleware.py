@@ -18,7 +18,7 @@ through a healthy socket cannot fake a dead one honestly.  When the shared
 decider draws one of those kinds here it is treated as no fault, so a
 single plan drives both injectors without double-counting probabilities.
 
-Probe routes (:data:`~repro.server.middleware.PROBE_ROUTES`) are exempt:
+Probe routes (:data:`~repro.server.api.PROBE_ROUTES`) are exempt:
 the chaos harness reads them to judge the run, and a load balancer's health
 checker is not part of the experiment.
 """
@@ -29,10 +29,11 @@ import time
 from typing import Callable
 
 from repro.exceptions import InternalServiceError
-from repro.faults.inject import KIND_ERROR, FaultDecider
+from repro.faults.inject import KIND_ERROR, FaultDecider, count_injected
 from repro.faults.plan import FaultPlan
 from repro.obs import MetricsRegistry, get_registry
-from repro.server.middleware import PROBE_ROUTES, Handler, Request, Response
+from repro.server.api import PROBE_ROUTES
+from repro.server.middleware import Handler, Request, Response
 
 
 class ChaosMiddleware:
@@ -54,22 +55,15 @@ class ChaosMiddleware:
     def registry(self) -> MetricsRegistry:
         return self._registry if self._registry is not None else get_registry()
 
-    def _count(self, kind: str) -> None:
-        self.registry.counter(
-            "seesaw_faults_injected_total",
-            "Faults injected by the chaos layer, by kind.",
-            labels=("kind",),
-        ).labels(kind).inc()
-
     def __call__(self, request: Request, handler: Handler) -> Response:
         if request.route in PROBE_ROUTES:
             return handler(request)
         outcome = self.decider.decide()
         if outcome.latency_seconds > 0.0:
-            self._count("latency")
+            count_injected(self.registry, "latency")
             self._sleep(outcome.latency_seconds)
         if outcome.kind == KIND_ERROR:
-            self._count("error")
+            count_injected(self.registry, "error")
             raise InternalServiceError(
                 f"chaos: injected server fault (opportunity {outcome.index})"
             )

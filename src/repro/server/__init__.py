@@ -10,10 +10,11 @@ Innermost out:
 * :class:`SeeSawApp` — the versioned `/v1` wire protocol behind a
   middleware pipeline (request ids, access logs, rate limiting), over the
   stdlib ``ThreadingHTTPServer`` transport;
-* :class:`SeeSawClientProtocol` — the transport-agnostic client surface,
-  implemented by :class:`HTTPClient` (the `/v1` wire client) and
-  :class:`InProcessClient` (the same `/v1` requests handed to a
-  :class:`SeeSawApp` in this process, no socket).
+* :class:`SeeSawClientProtocol` — the one client base: each call a thin
+  wrapper over its row of ``api.ROUTES``, over the transport of
+  :class:`HTTPClient` (the `/v1` wire client) or :class:`InProcessClient`
+  (the same `/v1` requests handed to a :class:`SeeSawApp` in this process,
+  no socket).
 
 Every layer records into the :mod:`repro.obs` metrics registry (request
 counters and latency in the middleware, lock waits in the manager,
@@ -35,7 +36,7 @@ from repro.server.api import (
     StartSessionRequest,
 )
 from repro.server.app import SeeSawApp, default_middlewares
-from repro.server.client import HTTPClient, InProcessClient
+from repro.server.client import HTTPClient, InProcessClient, SeeSawClientProtocol
 from repro.server.http import (
     BackgroundServer,
     SeeSawHTTPServer,
@@ -53,9 +54,7 @@ from repro.server.middleware import (
     Response,
     emit_access_record,
     record_request_metrics,
-    route_template,
 )
-from repro.server.protocol import SeeSawClientProtocol
 from repro.server.service import SeeSawService
 
 __all__ = [
@@ -79,7 +78,6 @@ __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
     "emit_access_record",
     "record_request_metrics",
-    "route_template",
     "PROTOCOL_VERSION",
     "PROTOCOL_REVISION",
     "StartSessionRequest",

@@ -14,12 +14,17 @@ and the server layer (the "query aligner", Figure 3 of the paper);
   protocol revision that added the field.  A field added after revision 1
   whose default is ``None`` is left out of the payload while unset, so
   servers older than the field keep accepting the message.
+
+:data:`ROUTES` states the routes that carry them, once: the router, the
+metric labels, both clients and the fault transport read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from operator import itemgetter
+from typing import Any, Sequence
+from urllib.parse import unquote
 
 from repro.data.image import ObjectInstance, SyntheticImage
 
@@ -193,3 +198,111 @@ DATASET_RECORDS: "dict[type, str]" = {
 }
 """Dataset records whose own validation (a :class:`DatasetError`) surfaces
 as ``Invalid <name>: ...`` when a request carries a bad one."""
+
+
+@dataclass(frozen=True)
+class Route:
+    """One `/v1` route."""
+
+    method: str
+    template: str
+    """The path, ``{name}`` for each parameter; also the ``route`` label."""
+    operation: str
+    """The ``SessionManager`` method that serves the route, by name: the
+    router looks it up on every call, so a wrapper set on the class after
+    import (a tracer) is the one that runs."""
+    label: str
+    """The client's ``operation`` label (retry counters, error messages)."""
+    request: "type | None" = None
+    response: type = dict
+    """What the reply decodes as: a declaration, ``dict`` for an open JSON
+    object, or ``str`` for text."""
+    idempotent: bool = True
+    """Whether a client may replay the call after an ambiguous failure.  A
+    call that sends an ``Idempotency-Key`` may be replayed either way."""
+    probe: bool = False
+    """Admission control and the chaos layers let a probe through."""
+    status: int = 200
+
+
+ROUTES: "tuple[Route, ...]" = (
+    Route("GET", "/v1/healthz", "health", "healthz", probe=True),
+    Route("GET", "/v1/capabilities", "capabilities", "capabilities", probe=True),
+    Route("GET", "/v1/metrics", "metrics_text", "metrics", response=str, probe=True),
+    Route("GET", "/v1/sessions", "list_sessions", "list_sessions", response=SessionPage),
+    # A replay after the connection died mid-request could start a second,
+    # orphaned session; a clean 429/503 refusal still retries.
+    Route(
+        "POST", "/v1/sessions", "start_session", "start_session",
+        StartSessionRequest, SessionInfo, idempotent=False, status=201,
+    ),
+    Route("GET", "/v1/sessions/{id}", "session_info", "session_info", response=SessionInfo),
+    Route("DELETE", "/v1/sessions/{id}", "close_session", "close_session"),
+    # GET in shape only: each call advances the session's result cursor.
+    Route(
+        "GET", "/v1/sessions/{id}/next", "next_results", "next",
+        response=NextResultsResponse, idempotent=False,
+    ),
+    Route(
+        "POST", "/v1/sessions/{id}/feedback", "give_feedback", "feedback",
+        FeedbackRequest, SessionInfo, idempotent=False,
+    ),
+    Route("GET", "/v1/datasets", "list_datasets", "list_datasets", response=DatasetList),
+    Route("GET", "/v1/datasets/{name}", "describe_dataset", "describe_dataset"),
+    # A replay after an ambiguous outcome would publish another version.
+    Route(
+        "POST", "/v1/datasets/{name}/upsert", "upsert_images", "upsert_images",
+        UpsertRequest, idempotent=False,
+    ),
+    Route(
+        "POST", "/v1/datasets/{name}/delete", "delete_images", "delete_images",
+        DeleteRequest, idempotent=False,
+    ),
+    Route("POST", "/v1/datasets/{name}/merge", "force_merge", "merge_dataset", idempotent=False),
+)
+"""Every `/v1` route."""
+
+
+def _index() -> "dict[int, list[tuple[itemgetter, dict[Any, tuple]]]]":
+    """The templates by segment count, grouped by where their literal
+    segments sit.  A group is a getter of those segments and, by their
+    values, each template with the positions of its parameters and its rows
+    by method; a path is matched with one dict lookup per group."""
+    groups: "dict[tuple[int, tuple[int, ...]], dict[Any, tuple]]" = {}
+    for route in ROUTES:
+        parts = route.template[1:].split("/")
+        literals = tuple(i for i, part in enumerate(parts) if part[0] != "{")
+        params = [i for i in range(len(parts)) if i not in literals]
+        table = groups.setdefault((len(parts), literals), {})
+        key = itemgetter(*literals)(parts)
+        table.setdefault(key, (route.template, params, {}))[2][route.method] = route
+    index: "dict[int, list[tuple[itemgetter, dict[Any, tuple]]]]" = {}
+    for (count, literals), table in groups.items():
+        index.setdefault(count, []).append((itemgetter(*literals), table))
+    return index
+
+
+_INDEX = _index()
+
+
+def resolve(method: str, path: str) -> "tuple[str, Route | None, tuple[str, ...]]":
+    """The route label of ``path``, the row serving ``method`` on it, and its
+    path parameters, each percent-decoded.
+
+    The label follows the path alone, so a wrong method on a known path
+    keeps the path's template (and no row).  Empty segments do not count;
+    an unknown path under `/v1` is ``/v1/other``, anything else ``/other``.
+    """
+    segments = [segment for segment in path.split("/") if segment]
+    if not segments or segments[0] != PROTOCOL_VERSION:
+        return "/other", None, ()
+    for literals, table in _INDEX.get(len(segments), ()):
+        match = table.get(literals(segments))
+        if match is not None:
+            template, params, rows = match
+            return template, rows.get(method.upper()), tuple([unquote(segments[i]) for i in params])
+    return ("/v1" if len(segments) == 1 else "/v1/other"), None, ()
+
+
+PROBE_ROUTES = frozenset(route.template for route in ROUTES if route.probe)
+"""The labels admission control and chaos let through (any method)."""

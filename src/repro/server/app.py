@@ -6,28 +6,12 @@ invocation, the middleware pipeline, and the exception→envelope mapping; it
 knows nothing about sockets, which keeps the whole routing layer
 unit-testable without binding a port.
 
-The `/v1` wire protocol
------------------------
-``GET  /v1/healthz``                    liveness + registry summary
-``GET  /v1/capabilities``               negotiated features, limits, topology
-``GET  /v1/metrics``                    metrics exposition (Prometheus text,
-                                        ``?format=json`` for JSON)
-``GET  /v1/sessions``                   cursor-paged session listing
-``POST /v1/sessions``                   start a session
-``GET  /v1/sessions/{id}``              session progress summary
-``GET  /v1/sessions/{id}/next``         next result batch (``?count=N``)
-``POST /v1/sessions/{id}/feedback``     submit feedback (idempotency keys)
-``DELETE /v1/sessions/{id}``            close a session
-``GET  /v1/datasets``                   registry manifests of every dataset
-``GET  /v1/datasets/{name}``            one dataset's manifest
-``POST /v1/datasets/{name}/upsert``     add/replace images (live tier)
-``POST /v1/datasets/{name}/delete``     delete images (live tier)
-``POST /v1/datasets/{name}/merge``      force a delta-segment compaction
-
-Every error uses the structured envelope of :mod:`repro.server.errors`
-(``{code, message, retryable, details}``) — a path outside `/v1` is the
-structured 404; ``next`` streams chunked NDJSON when the client asks for it
-(``Accept: application/x-ndjson`` or ``?stream=ndjson``).
+The `/v1` routes are the rows of :data:`repro.server.api.ROUTES`.  Every
+error uses the structured envelope of :mod:`repro.server.errors`
+(``{code, message, retryable, details}``): a path outside `/v1`, or a
+method a path does not serve, is the structured 404; ``next`` streams
+chunked NDJSON when the client asks for it (``Accept:
+application/x-ndjson`` or ``?stream=ndjson``).
 """
 
 from __future__ import annotations
@@ -45,13 +29,11 @@ from repro.exceptions import (
     UnknownResourceError,
 )
 from repro.server.api import (
-    PROTOCOL_VERSION,
     DatasetList,
-    DeleteRequest,
     FeedbackRequest,
     NextResultsResponse,
+    Route,
     StartSessionRequest,
-    UpsertRequest,
 )
 from repro.server.codec import decode, encode, parse_json, validate_count
 from repro.server.errors import encode_error
@@ -170,13 +152,10 @@ class SeeSawApp:
     # routing
     # ------------------------------------------------------------------
     def _endpoint(self, request: Request) -> Response:
-        segments = [segment for segment in request.path.split("/") if segment]
-        query = parse_qs(request.query)
-        method = request.method.upper()
         try:
-            if segments[:1] != [PROTOCOL_VERSION]:
-                raise UnknownResourceError(f"No route for {method} {request.path}")
-            return self._route_v1(request, method, segments[1:], query)
+            if request.row is None:
+                raise UnknownResourceError(f"No route for {request.method.upper()} {_shown(request)}")
+            return self._serve(request, request.row)
         except Exception as exc:
             return self._error_response(request, exc)
 
@@ -200,91 +179,57 @@ class SeeSawApp:
             ).labels(request.route).inc()
         return response
 
-    def _route_v1(
-        self,
-        request: Request,
-        method: str,
-        segments: "list[str]",
-        query: "dict[str, list[str]]",
-    ) -> Response:
-        """The versioned `/v1` routes."""
-        if segments == ["healthz"] and method == "GET":
-            return Response(200, self.manager.health())
+    def _serve(self, request: Request, row: Route) -> Response:
+        """Call ``row``'s manager operation on the path parameters, then the
+        decoded body or the query, and wrap its result as ``row`` declares.
 
-        if segments == ["capabilities"] and method == "GET":
-            return Response(200, self.manager.capabilities())
-
-        if segments == ["metrics"] and method == "GET":
-            if _wants_metrics_json(request, query):
-                return Response(200, self.manager.metrics_json())
-            return Response(200, text=self.manager.metrics_text())
-
-        if segments == ["sessions"] and method == "GET":
-            page = self.manager.list_sessions(
-                cursor=_str_param(query, "cursor"),
-                limit=_int_param(query, "limit"),
-            )
-            return Response(200, encode(page))
-
-        if segments == ["sessions"] and method == "POST":
-            info = self.manager.start_session(
-                decode(StartSessionRequest, parse_json(request.body))
-            )
-            return Response(201, encode(info))
-
-        if len(segments) == 2 and segments[0] == "sessions":
-            session_id = segments[1]
-            if method == "GET":
-                return Response(200, encode(self.manager.session_info(session_id)))
-            if method == "DELETE":
-                self.manager.close_session(session_id)
-                return Response(200, {"closed": session_id})
-
-        if len(segments) == 3 and segments[0] == "sessions":
-            session_id = segments[1]
-            if segments[2] == "next" and method == "GET":
-                count = _int_param(query, "count")
-                if count is not None:
-                    validate_count(count)
-                response = self.manager.next_results(session_id, count)
-                if _wants_ndjson(request, query):
-                    return Response(200, stream=_next_stream(response))
-                return Response(200, encode(response))
-            if segments[2] == "feedback" and method == "POST":
-                feedback = decode(
-                    FeedbackRequest, parse_json(request.body), session_id=session_id
-                )
-                info = self.manager.give_feedback(
-                    feedback, idempotency_key=request.header("Idempotency-Key")
-                )
-                return Response(200, encode(info))
-
-        if segments == ["datasets"] and method == "GET":
-            listing = DatasetList(tuple(self.manager.list_datasets()))
-            return Response(200, encode(listing))
-
-        if len(segments) == 2 and segments[0] == "datasets" and method == "GET":
-            return Response(200, self.manager.describe_dataset(segments[1]))
-
-        if len(segments) == 3 and segments[0] == "datasets" and method == "POST":
-            name, action = segments[1], segments[2]
-            if action == "upsert":
-                upsert = decode(UpsertRequest, parse_json(request.body))
-                return Response(200, self.manager.upsert_images(name, upsert.images))
-            if action == "delete":
-                delete = decode(DeleteRequest, parse_json(request.body))
-                return Response(200, self.manager.delete_images(name, delete.image_ids))
-            if action == "merge":
-                return Response(200, self.manager.force_merge(name))
-
-        raise UnknownResourceError(
-            f"No route for {method} /v1/{'/'.join(segments)}"
-        )
+        The operation is looked up by name on each call, so a wrapper set on
+        the manager's class after import (a tracer) is the one that runs.
+        """
+        query = parse_qs(request.query)
+        operation, args, kwargs = row.operation, list(request.params), {}
+        if row.request is FeedbackRequest:
+            # The session id comes from the URL, the replay key from a header.
+            args = [decode(FeedbackRequest, parse_json(request.body), session_id=args[0])]
+            kwargs["idempotency_key"] = request.header("Idempotency-Key")
+        elif row.request is StartSessionRequest:
+            args.append(decode(StartSessionRequest, parse_json(request.body)))
+        elif row.request is not None:
+            # upsert and delete: the operation takes the message's one field
+            args += vars(decode(row.request, parse_json(request.body))).values()
+        elif operation == "list_sessions":
+            kwargs = {"cursor": _str_param(query, "cursor"), "limit": _int_param(query, "limit")}
+        elif operation == "next_results":
+            count = _int_param(query, "count")
+            args.append(None if count is None else validate_count(count))
+        elif row.response is str and _asks_for(
+            request, query, "format", ("prometheus", "json"), "json", "application/json"
+        ):
+            return Response(row.status, self.manager.metrics_json())
+        result = getattr(self.manager, operation)(*args, **kwargs)
+        if row.response is str:
+            return Response(row.status, text=result)
+        if operation == "next_results" and _asks_for(
+            request, query, "stream", ("ndjson", "json"), "ndjson", "application/x-ndjson"
+        ):
+            return Response(row.status, stream=_next_stream(result))
+        if operation == "close_session":
+            result = {"closed": args[0]}
+        elif row.response is DatasetList:
+            result = DatasetList(tuple(result))
+        return Response(row.status, result if row.response is dict else encode(result))
 
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+def _shown(request: Request) -> str:
+    """The path a 404 names: under `/v1`, without its empty segments."""
+    if request.route == "/other":
+        return request.path
+    return "/v1/" + "/".join([segment for segment in request.path.split("/") if segment][1:])
+
+
 def _str_param(query: "dict[str, list[str]]", name: str) -> "str | None":
     values = query.get(name)
     return values[-1] if values else None
@@ -302,33 +247,24 @@ def _int_param(query: "dict[str, list[str]]", name: str) -> "int | None":
         ) from exc
 
 
-def _wants_metrics_json(request: Request, query: "dict[str, list[str]]") -> bool:
-    """Format negotiation for `/v1/metrics`: Prometheus text by default.
-
-    ``?format=json`` (or an ``Accept: application/json`` header) selects the
-    JSON exposition; ``?format=prometheus`` forces the text format.
-    """
-    fmt = _str_param(query, "format")
-    if fmt is not None:
-        if fmt not in ("prometheus", "json"):
-            raise TransportError(
-                f"Query parameter 'format' must be 'prometheus' or 'json', "
-                f"got '{fmt}'"
-            )
-        return fmt == "json"
-    return "application/json" in (request.header("Accept") or "")
-
-
-def _wants_ndjson(request: Request, query: "dict[str, list[str]]") -> bool:
-    stream = _str_param(query, "stream")
-    if stream is not None:
-        if stream not in ("ndjson", "json"):
-            raise TransportError(
-                f"Query parameter 'stream' must be 'ndjson' or 'json', "
-                f"got '{stream}'"
-            )
-        return stream == "ndjson"
-    return "application/x-ndjson" in (request.header("Accept") or "")
+def _asks_for(
+    request: Request,
+    query: "dict[str, list[str]]",
+    name: str,
+    choices: "tuple[str, str]",
+    wanted: str,
+    media_type: str,
+) -> bool:
+    """Whether the request asks for ``media_type``: by ``?name=wanted`` (one
+    of ``choices``, any other value is a 400), else by its ``Accept``."""
+    value = _str_param(query, name)
+    if value is None:
+        return media_type in (request.header("Accept") or "")
+    if value not in choices:
+        raise TransportError(
+            f"Query parameter '{name}' must be '{choices[0]}' or '{choices[1]}', got '{value}'"
+        )
+    return value == wanted
 
 
 def _next_stream(response: NextResultsResponse) -> "Iterator[dict[str, Any]]":

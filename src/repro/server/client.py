@@ -1,15 +1,16 @@
 """The typed `/v1` clients for the SeeSaw service.
 
-Both implement the transport-agnostic
-:class:`~repro.server.protocol.SeeSawClientProtocol` with one body of `/v1`
-calls (:class:`_V1Client`: paths, codecs, idempotency flags, the deadline
-header, typed errors rebuilt from the structured envelope) and differ only
-in how a request reaches :meth:`SeeSawApp.handle_request
+:class:`SeeSawClientProtocol` is the one client surface every caller
+programs against: each call a thin wrapper over its row of
+:data:`~repro.server.api.ROUTES`.  The transports differ only in how a
+request reaches :meth:`SeeSawApp.handle_request
 <repro.server.app.SeeSawApp.handle_request>`:
 
 * :class:`HTTPClient` sends it over pooled keep-alive connections;
 * :class:`InProcessClient` hands it to an app in this process — no socket,
-  the same middleware pipeline, the same response bytes.
+  the same middleware pipeline, the same response bytes;
+* :class:`~repro.faults.client.FaultyClient` passes it through the fault
+  plan to another client's transport.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 from repro.exceptions import ConnectionFailedError, ReproError, TransportError
 from repro.server.api import (
-    DatasetList,
+    ROUTES,
     DeleteRequest,
     FeedbackRequest,
     NextResultsResponse,
     ResultItem,
+    Route,
     SessionInfo,
+    SessionListEntry,
     SessionPage,
     StartSessionRequest,
     StreamRecord,
@@ -41,7 +44,6 @@ from repro.server.codec import decode, encode
 from repro.server.deadlines import DEADLINE_HEADER, current_deadline
 from repro.server.errors import decode_error
 from repro.server.middleware import Request
-from repro.server.protocol import SeeSawClientProtocol
 from repro.server.retry import RetryPolicy
 from repro.server.wire import FramingError, Reply
 
@@ -56,13 +58,16 @@ _UNSAFE_TARGET = re.compile(r"[^!-~]").search
 """Anything but printable ASCII (a space, a control character) would break
 the request line."""
 
+_BY_LABEL = {route.label: route for route in ROUTES}
 
-class _V1Client(SeeSawClientProtocol):
-    """The `/v1` calls, written once for every transport.
 
-    Paths, encoders, decoders, idempotency flags, the deadline header and
-    the typed errors live here; a transport supplies :meth:`_exchange` and
-    :meth:`_stream`.  ``retry_policy`` opts into the resilience layer
+class SeeSawClientProtocol(abc.ABC):
+    """Every `/v1` call, written once for every transport.
+
+    A call's method, path, idempotency flag, ``operation`` label and reply
+    declaration come from its row; the deadline header and the typed errors
+    live here; a transport supplies :meth:`_exchange` and :meth:`_stream`.
+    ``retry_policy`` opts into the resilience layer
     (:mod:`repro.server.retry`): retry with jittered backoff on retryable
     errors, ``Retry-After`` honoured, and — for a transport with a host —
     the per-host circuit breaker.  ``None`` raises the first error.  Calls
@@ -71,87 +76,63 @@ class _V1Client(SeeSawClientProtocol):
     never retried: a replay could not un-yield the items already handed out.
     """
 
-    client_id: "str | None"
-    retry_policy: "RetryPolicy | None"
-    _host: "str | None"
+    client_id: "str | None" = None
+    retry_policy: "RetryPolicy | None" = None
+    _host: "str | None" = None
 
     # ------------------------------------------------------------------
     # discovery
     # ------------------------------------------------------------------
     def capabilities(self) -> "dict[str, Any]":
-        return self._request_object(
-            "GET", "/v1/capabilities", idempotent=True, operation="capabilities"
-        )
+        """The server's negotiated features, limits and compute topology."""
+        return self._call("capabilities")
 
     def healthz(self) -> "dict[str, Any]":
-        return self._request_object(
-            "GET", "/v1/healthz", idempotent=True, operation="healthz"
-        )
+        """Liveness plus live registry and telemetry counters."""
+        return self._call("healthz")
 
     def metrics_json(self) -> "dict[str, Any]":
-        return self._request_object(
-            "GET", "/v1/metrics?format=json", idempotent=True, operation="metrics"
-        )
+        """The metrics registry in the JSON exposition shape: every family
+        with its series, histograms with p50/p99/p999 estimates."""
+        return self._call("metrics", query={"format": "json"}, reply=dict)
 
     def metrics_text(self) -> str:
-        def attempt() -> str:
-            raw = self._exchange("GET", "/v1/metrics")
-            try:
-                return raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise TransportError(f"Server returned invalid UTF-8: {exc}") from exc
-
-        return self._call(attempt, True, "metrics")
+        """The metrics registry in the Prometheus text exposition format."""
+        return self._call("metrics")
 
     # ------------------------------------------------------------------
     # session lifecycle
     # ------------------------------------------------------------------
     def start_session(self, request: StartSessionRequest) -> SessionInfo:
-        # Not idempotent: a retry after a connection died mid-request could
-        # start a second (orphaned) session.  Clean 429/503 rejections
-        # still retry — the server refused before creating anything.
-        payload = self._request(
-            "POST",
-            "/v1/sessions",
-            encode(request),
-            operation="start_session",
-        )
-        return decode(SessionInfo, payload)
+        """Start a session; its summary carries the new session id."""
+        return self._call("start_session", payload=encode(request))
 
     def session_info(self, session_id: str) -> SessionInfo:
-        return decode(
-            SessionInfo,
-            self._request(
-                "GET",
-                f"/v1/sessions/{session_id}",
-                idempotent=True,
-                operation="session_info",
-            ),
-        )
+        """Progress summary for one session."""
+        return self._call("session_info", session_id)
 
     def list_sessions(
         self, cursor: "str | None" = None, limit: "int | None" = None
     ) -> SessionPage:
-        params: "dict[str, str]" = {}
-        if cursor is not None:
-            params["cursor"] = cursor
-        if limit is not None:
-            params["limit"] = str(limit)
-        path = "/v1/sessions"
-        if params:
-            path += "?" + urllib.parse.urlencode(params)
-        return decode(
-            SessionPage,
-            self._request("GET", path, idempotent=True, operation="list_sessions"),
-        )
+        """One cursor-delimited page of live sessions, with telemetry."""
+        return self._call("list_sessions", query={"cursor": cursor, "limit": limit})
+
+    def iter_sessions(
+        self, page_size: "int | None" = None
+    ) -> "Iterator[SessionListEntry]":
+        """Walk the full session listing, following cursors page by page."""
+        cursor: "str | None" = None
+        while True:
+            page = self.list_sessions(cursor=cursor, limit=page_size)
+            yield from page.sessions
+            if page.next_cursor is None:
+                return
+            cursor = page.next_cursor
 
     def close_session(self, session_id: str) -> None:
-        self._request(
-            "DELETE",
-            f"/v1/sessions/{session_id}",
-            idempotent=True,
-            operation="close_session",
-        )
+        """Close a session."""
+        if "closed" not in self._call("close_session", session_id):
+            raise TransportError("Server reply to close_session lacks the field 'closed'")
 
     # ------------------------------------------------------------------
     # the search loop
@@ -159,26 +140,19 @@ class _V1Client(SeeSawClientProtocol):
     def next_results(
         self, session_id: str, count: "int | None" = None
     ) -> NextResultsResponse:
-        path = f"/v1/sessions/{session_id}/next"
-        if count is not None:
-            path += f"?count={count}"
-        # GET in shape only: each call advances the session's result
-        # cursor, so a blind replay after a mid-flight failure would skip a
-        # batch.  Clean pre-dispatch rejections (429/503/504) still retry.
-        return decode(NextResultsResponse, self._request("GET", path, operation="next"))
+        """The next result batch for a session."""
+        return self._call("next", session_id, query={"count": count})
 
     def stream_next_results(
         self, session_id: str, count: "int | None" = None
     ) -> "Iterator[ResultItem]":
-        """Decode items straight off the chunked NDJSON response.
+        """The next batch, its items decoded straight off the NDJSON stream.
 
         The terminal ``end`` record is required: a stream that stops
         without it was truncated (server died mid-batch), and silently
         yielding the partial batch would look exactly like a complete one.
         """
-        path = f"/v1/sessions/{session_id}/next?stream=ndjson"
-        if count is not None:
-            path += f"&count={count}"
+        path = _path(_BY_LABEL["next"], (session_id,), {"stream": "ndjson", "count": count})
         saw_end = False
         for line in self._stream(path):
             record = decode(StreamRecord, line)
@@ -199,72 +173,56 @@ class _V1Client(SeeSawClientProtocol):
     def give_feedback(
         self, request: FeedbackRequest, idempotency_key: "str | None" = None
     ) -> SessionInfo:
+        """Feedback for one image of the session's current batch.
+
+        With an ``idempotency_key`` the server dedupes replays, which is what
+        makes retrying a maybe-applied submission safe.
+        """
         headers = {} if idempotency_key is None else {"Idempotency-Key": idempotency_key}
-        # With an idempotency key the server dedupes replays, which is what
-        # makes retrying a maybe-applied feedback submission safe.
-        payload = self._request(
-            "POST",
-            f"/v1/sessions/{request.session_id}/feedback",
-            encode(request),
-            headers=headers,
-            idempotent=idempotency_key is not None,
-            operation="feedback",
+        return self._call(
+            "feedback", request.session_id, payload=encode(request), headers=headers
         )
-        return decode(SessionInfo, payload)
 
     # ------------------------------------------------------------------
     # live datasets (protocol revision 4)
     # ------------------------------------------------------------------
     def list_datasets(self) -> "list[dict[str, Any]]":
-        data = self._request(
-            "GET", "/v1/datasets", idempotent=True, operation="list_datasets"
-        )
-        return list(decode(DatasetList, data).datasets)
+        """Every registered dataset's manifest."""
+        return list(self._call("list_datasets").datasets)
 
     def describe_dataset(self, name: str) -> "dict[str, Any]":
-        return self._request_object(
-            "GET",
-            f"/v1/datasets/{urllib.parse.quote(name)}",
-            idempotent=True,
-            operation="describe_dataset",
-        )
+        """The registry manifest of one dataset."""
+        return self._call("describe_dataset", name)
 
     def upsert_images(
         self, name: str, images: "Sequence[Any]"
     ) -> "dict[str, Any]":
-        # Not idempotent: a replay after an ambiguous outcome would publish
-        # a second version with duplicate delta rows.
-        return self._request_object(
-            "POST",
-            f"/v1/datasets/{urllib.parse.quote(name)}/upsert",
-            encode(UpsertRequest(tuple(images))),
-            operation="upsert_images",
-        )
+        """Add or replace images in a live dataset; the new manifest."""
+        return self._call("upsert_images", name, payload=encode(UpsertRequest(tuple(images))))
 
     def delete_images(
         self, name: str, image_ids: "Sequence[int]"
     ) -> "dict[str, Any]":
-        return self._request_object(
-            "POST",
-            f"/v1/datasets/{urllib.parse.quote(name)}/delete",
-            encode(DeleteRequest(tuple(int(image_id) for image_id in image_ids))),
-            operation="delete_images",
-        )
+        """Delete images from a live dataset; the new manifest."""
+        ids = tuple(int(image_id) for image_id in image_ids)
+        return self._call("delete_images", name, payload=encode(DeleteRequest(ids)))
 
     def merge_dataset(self, name: str) -> "dict[str, Any]":
-        # Merging an already-compacted dataset is a no-op server-side, but
-        # the manifest it returns reflects whichever attempt ran — keep the
-        # retry semantics aligned with the other mutations.
-        return self._request_object(
-            "POST",
-            f"/v1/datasets/{urllib.parse.quote(name)}/merge",
-            {},
-            operation="merge_dataset",
-        )
+        """Force a synchronous delta-segment compaction; the manifest."""
+        return self._call("merge_dataset", name, payload={})
 
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Release any transport resources (no-op by default)."""
+
+    def __enter__(self) -> "SeeSawClientProtocol":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
     def _headers(
         self, has_body: bool, extra: "Mapping[str, str] | None" = None
     ) -> "dict[str, str]":
@@ -283,15 +241,41 @@ class _V1Client(SeeSawClientProtocol):
             merged.update(extra)
         return merged
 
-    def _call(
-        self, attempt: "Any", idempotent: bool, operation: str
-    ) -> "Any":
+    def _retrying(self, attempt: "Any", idempotent: bool, operation: str) -> "Any":
         """Run one transport attempt under the retry policy, if any."""
         if self.retry_policy is None:
             return attempt()
         return self.retry_policy.call(
             attempt, idempotent=idempotent, host=self._host, operation=operation
         )
+
+    def _call(
+        self,
+        label: str,
+        *params: str,
+        query: "Mapping[str, Any] | None" = None,
+        payload: "Mapping[str, Any] | None" = None,
+        headers: "Mapping[str, str] | None" = None,
+        reply: "type | None" = None,
+    ) -> "Any":
+        """One call of the row ``label``: the reply, as the row declares it
+        (or as ``reply``)."""
+        route = _BY_LABEL[label]
+        path = _path(route, params, query)
+        reply = reply or route.response
+        if reply is str:
+            return self._retrying(
+                lambda: _text(self._exchange(route.method, path)), route.idempotent, label
+            )
+        idempotent = route.idempotent or "Idempotency-Key" in (headers or {})
+        data = self._request(route.method, path, payload, headers, idempotent, label)
+        if reply is not dict:
+            return decode(reply, data)
+        if not isinstance(data, dict):
+            raise TransportError(
+                f"Server reply to {label} must be a JSON object, got {type(data).__name__}"
+            )
+        return data
 
     def _request(
         self,
@@ -301,36 +285,18 @@ class _V1Client(SeeSawClientProtocol):
         headers: "Mapping[str, str] | None" = None,
         idempotent: bool = False,
         operation: str = "request",
-    ) -> "dict[str, Any]":
+    ) -> "Any":
+        """One JSON exchange under the retry policy: the parsed reply."""
         body = None if payload is None else json.dumps(payload).encode("utf-8")
 
-        def attempt() -> "dict[str, Any]":
+        def attempt() -> "Any":
             raw = self._exchange(method, path, body, headers)
             try:
                 return json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise TransportError(f"Server returned invalid JSON: {exc}") from exc
 
-        return self._call(attempt, idempotent, operation)
-
-    def _request_object(
-        self,
-        method: str,
-        path: str,
-        payload: "Mapping[str, Any] | None" = None,
-        idempotent: bool = False,
-        operation: str = "request",
-    ) -> "dict[str, Any]":
-        """:meth:`_request` for a call whose reply is an open-ended JSON object."""
-        data = self._request(
-            method, path, payload, idempotent=idempotent, operation=operation
-        )
-        if not isinstance(data, dict):
-            raise TransportError(
-                f"Server reply to {operation} must be a JSON object, "
-                f"got {type(data).__name__}"
-            )
-        return data
+        return self._retrying(attempt, idempotent, operation)
 
     @staticmethod
     def _error_from_response(status: int, raw: bytes) -> ReproError:
@@ -359,6 +325,31 @@ class _V1Client(SeeSawClientProtocol):
         """One ``GET`` answered with NDJSON; its decoded records, lazily."""
 
 
+def _path(route: Route, params: "Sequence[str]", query: "Mapping[str, Any] | None") -> str:
+    """``route``'s path with its parameters in, and the query items that are set.
+
+    A dataset name is the caller's and is quoted whole; a session id is the
+    server's own token and goes as it is, so one the server could not have
+    issued is refused before anything is sent.
+    """
+    parts, values = route.template.split("/"), iter(params)
+    for i, part in enumerate(parts):
+        if part == "{id}":
+            parts[i] = next(values)
+        elif part == "{name}":
+            parts[i] = urllib.parse.quote(next(values), safe="")
+    path = "/".join(parts)
+    items = {name: value for name, value in (query or {}).items() if value is not None}
+    return f"{path}?{urllib.parse.urlencode(items)}" if items else path
+
+
+def _text(raw: bytes) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TransportError(f"Server returned invalid UTF-8: {exc}") from exc
+
+
 class _Connection:
     """A pooled socket and the ``poll`` object that probes it while idle."""
 
@@ -378,14 +369,14 @@ class _Connection:
         self.sock.close()
 
 
-class HTTPClient(_V1Client):
+class HTTPClient(SeeSawClientProtocol):
     """The `/v1` wire-protocol client — blocking, stdlib-only.
 
     ``client_id`` (sent as ``X-Client-Id``) names this caller for rate
     limiting and access logs; without it the server falls back to the
     remote address.
 
-    ``retry_policy`` is described on :class:`_V1Client`; over HTTP it also
+    ``retry_policy`` is described on :class:`SeeSawClientProtocol`; over HTTP it also
     engages the circuit breaker of the server's host.
 
     Calls reuse connections: each instance keeps up to
@@ -498,16 +489,22 @@ class HTTPClient(_V1Client):
         message = self._message(method, path, body, self._headers(body is not None, headers))
         connection = self._checkout()
         reusable = False
+        unsent: "OSError | None" = None
         try:
-            connection.sock.sendall(message)
+            try:
+                connection.sock.sendall(message)
+            except (BrokenPipeError, ConnectionResetError) as exc:
+                # A server refusing the body (a 413) answers and closes
+                # before reading it all: its reply may be waiting.
+                unsent = exc
             # A reader per reply, as http.client has: bytes past the reply
             # are dropped with it, never read as the next reply's start.
             with connection.sock.makefile("rb") as rfile:
                 reply = Reply(rfile)
                 raw = reply.read()
-            reusable = reply.reusable
+            reusable = reply.reusable and unsent is None
         except (OSError, FramingError) as exc:
-            raise self._died_mid_request(exc) from exc
+            raise self._died_mid_request(unsent or exc) from (unsent or exc)
         finally:
             if reusable:
                 self._checkin(connection)
@@ -515,6 +512,8 @@ class HTTPClient(_V1Client):
                 connection.close()
         if reply.status >= 400:
             raise self._error_from_response(reply.status, raw)
+        if unsent is not None:
+            raise self._died_mid_request(unsent) from unsent
         return raw
 
     def _message(
@@ -602,7 +601,7 @@ def _lines(chunks: "Iterator[bytes]") -> "Iterator[bytes]":
     yield pending
 
 
-class InProcessClient(_V1Client):
+class InProcessClient(SeeSawClientProtocol):
     """The `/v1` calls handed to a :class:`~repro.server.app.SeeSawApp` in
     this process.
 
@@ -616,9 +615,6 @@ class InProcessClient(_V1Client):
     With no host there is no circuit breaker; retries follow
     ``retry_policy`` as in :class:`HTTPClient`.
     """
-
-    client_id = None
-    _host = None
 
     def __init__(
         self, app: "SeeSawApp", retry_policy: "RetryPolicy | None" = None

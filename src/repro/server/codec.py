@@ -214,7 +214,12 @@ def _check(
 # RSS no longer depends on it: with the heap thresholds the service freezes,
 # compiling on first use reads within 0.5 MB of this on live_rw.
 for _message in vars(api).values():
-    if dataclasses.is_dataclass(_message) and _message.__module__ == api.__name__:
+    if (
+        isinstance(_message, type)
+        and dataclasses.is_dataclass(_message)
+        and _message.__module__ == api.__name__
+        and _message is not api.Route
+    ):
         _ENCODERS[_message] = _encoder(_message)
         _decoder(_message)
 

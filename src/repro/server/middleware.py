@@ -54,6 +54,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 from urllib.parse import urlsplit
 
 from repro.exceptions import RateLimitedError, ServiceOverloadedError
+from repro.server.api import PROBE_ROUTES, Route, resolve
 from repro.server.deadlines import (
     DEADLINE_HEADER,
     Deadline,
@@ -82,8 +83,10 @@ class Request:
 
     What every layer asks of a request more than once is resolved here,
     once: header names are folded to lower case (``headers`` holds the
-    folded mapping), and the target is split into ``path``, ``query`` and
-    the bounded-cardinality ``route`` template.
+    folded mapping), and the target is split into ``path`` and ``query``,
+    then resolved against :data:`~repro.server.api.ROUTES`: the
+    bounded-cardinality ``route`` label, the ``row`` that serves the
+    method there (``None`` for no route) and its path ``params``.
     """
 
     method: str
@@ -95,6 +98,8 @@ class Request:
     path: str = field(init=False)
     query: str = field(init=False)
     route: str = field(init=False)
+    row: "Route | None" = field(init=False)
+    params: "tuple[str, ...]" = field(init=False)
 
     def __post_init__(self) -> None:
         folded: "dict[str, str]" = {}
@@ -103,7 +108,7 @@ class Request:
         self.headers = folded
         parts = urlsplit(self.target)
         self.path, self.query = parts.path, parts.query
-        self.route = _template(self.path)
+        self.route, self.row, self.params = resolve(self.method, self.path)
 
     def header(self, name: str, default: "str | None" = None) -> "str | None":
         """Case-insensitive header lookup."""
@@ -174,50 +179,6 @@ def _bind(middleware: Middleware, inner: Handler) -> Handler:
         return middleware(request, inner)
 
     return handler
-
-
-def route_template(target: str) -> str:
-    """Collapse a request target onto its route template.
-
-    Metric labels must stay bounded, so raw paths (which embed session ids)
-    never reach a label — every target maps onto one of the fixed `/v1`
-    templates (``/v1/sessions/{id}/next``, ...), anything unrecognized
-    under `/v1` onto ``/v1/other`` and anything outside it onto ``/other``.
-    """
-    return _template(urlsplit(target).path)
-
-
-def _template(path: str) -> str:
-    segments = [segment for segment in path.split("/") if segment]
-    if segments[:1] != ["v1"]:
-        return "/other"
-    segments = segments[1:]
-    if not segments:
-        return "/v1"
-    head = segments[0]
-    if head in ("healthz", "capabilities", "metrics") and len(segments) == 1:
-        return f"/v1/{head}"
-    if head == "sessions":
-        rest = segments[1:]
-        if not rest:
-            return "/v1/sessions"
-        if len(rest) == 1:
-            return "/v1/sessions/{id}"
-        if len(rest) == 2 and rest[1] in ("next", "feedback"):
-            return f"/v1/sessions/{{id}}/{rest[1]}"
-    if head == "datasets":
-        rest = segments[1:]
-        if not rest:
-            return "/v1/datasets"
-        if len(rest) == 1:
-            return "/v1/datasets/{name}"
-        if len(rest) == 2 and rest[1] in ("upsert", "delete", "merge"):
-            return f"/v1/datasets/{{name}}/{rest[1]}"
-    return "/v1/other"
-
-
-PROBE_ROUTES = frozenset({"/v1/healthz", "/v1/capabilities", "/v1/metrics"})
-"""Probe/observability routes admission control and chaos never touch."""
 
 
 def emit_access_record(

@@ -1,8 +1,9 @@
-"""``docs/api.md``'s JSON examples are messages that ``repro.server.api`` declares.
+"""``docs/api.md`` states what ``repro.server.api`` declares.
 
-Each ``json`` example under the session headings decodes as its declared
-type, so the reference cannot name a key the declaration lacks or omit a
-field the declaration requires.
+Each route of ``ROUTES`` has exactly one endpoint heading, and each
+endpoint heading names a route.  Each ``json`` example under the session
+headings decodes as its declared type, so the reference cannot name a key
+the declaration lacks or omit a field the declaration requires.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Any
 import pytest
 
 from repro.server.api import (
+    ROUTES,
     FeedbackRequest,
     NextResultsResponse,
     SessionInfo,
@@ -35,6 +37,12 @@ EXAMPLES = {
 
 URL_FIELDS = {FeedbackRequest: {"session_id": "session-1"}}
 """Fields a route takes from the URL rather than the body."""
+
+
+def test_every_route_has_exactly_one_heading_and_every_heading_a_route():
+    headings = re.findall(r"^### `([A-Z]+) (/[^`?]*)", API_DOC.read_text(encoding="utf-8"), re.M)
+    routes = [(row.method, row.template) for row in ROUTES]
+    assert sorted(headings) == sorted(routes)
 
 
 def _json_examples(heading: str) -> "list[Any]":

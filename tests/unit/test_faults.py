@@ -3,11 +3,13 @@
 Determinism is the load-bearing property — a chaos run that cannot be
 replayed is a flake generator, not a test — so the decider assertions pin
 the decision stream to ``(seed, opportunity-index)`` exactly.  The injector
-tests drive a fake inner client / handler and a fake clock, so every fault
+tests drive a fake transport / handler and a fake clock, so every fault
 family is exercised without sockets or sleeps.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -30,16 +32,12 @@ from repro.faults.inject import (
 )
 from repro.faults.middleware import ChaosMiddleware
 from repro.obs import MetricsRegistry
-from repro.server.api import (
-    BoxPayload,
-    NextResultsResponse,
-    ResultItem,
-    SessionInfo,
-    StartSessionRequest,
-)
+from repro.server.api import BoxPayload, FeedbackRequest, ResultItem, resolve
+from repro.server.client import SeeSawClientProtocol
+from repro.server.codec import encode
 from repro.server.deadlines import check_deadline, current_deadline
+from repro.server.retry import RetryPolicy
 from repro.server.middleware import Request, Response
-from repro.server.protocol import SeeSawClientProtocol
 
 
 class FakeClock:
@@ -237,73 +235,49 @@ class TestChaosMiddleware:
 # ----------------------------------------------------------------------
 # client-side injector
 # ----------------------------------------------------------------------
-class FakeInnerClient(SeeSawClientProtocol):
-    """A protocol stub that honours the deadline contextvar like the manager."""
+class FakeTransport(SeeSawClientProtocol):
+    """A transport stub that answers every route and honours the deadline
+    contextvar like the manager; ``calls`` records each row's label."""
+
+    REPLIES = {
+        "healthz": {"status": "ok"},
+        "capabilities": {"features": {}},
+        "metrics": {"metrics": []},
+        "next": {"session_id": "s1", "items": [], "total_shown": 0, "positives_found": 0},
+        "close_session": {"closed": "s1"},
+        "list_sessions": {"sessions": []},
+    }
+    INFO = {
+        "session_id": "s1",
+        "dataset": "tiny",
+        "text_query": "q",
+        "total_shown": 0,
+        "positives_found": 0,
+        "rounds": 0,
+    }
 
     def __init__(self) -> None:
         self.calls: "list[str]" = []
-        self.info = SessionInfo(
-            session_id="s1",
-            dataset="tiny",
-            text_query="q",
-            total_shown=0,
-            positives_found=0,
-            rounds=0,
-        )
 
-    def _record(self, op: str) -> None:
-        check_deadline(op)
-        self.calls.append(op)
+    def _exchange(self, method, path, body=None, headers=None) -> bytes:
+        _, route, _ = resolve(method, path.partition("?")[0])
+        if not route.probe:
+            check_deadline(route.label)
+        self.calls.append(route.label)
+        return json.dumps(self.REPLIES.get(route.label, self.INFO)).encode()
 
-    def capabilities(self):
-        self.calls.append("capabilities")
-        return {"features": {}}
-
-    def healthz(self):
-        self.calls.append("healthz")
-        return {"status": "ok"}
-
-    def metrics_json(self):
-        self.calls.append("metrics_json")
-        return {"metrics": []}
-
-    def metrics_text(self):
-        self.calls.append("metrics_text")
-        return ""
-
-    def start_session(self, request: StartSessionRequest) -> SessionInfo:
-        self._record("start")
-        return self.info
-
-    def session_info(self, session_id: str) -> SessionInfo:
-        self._record("info")
-        return self.info
-
-    def list_sessions(self, cursor=None, limit=None):
-        self._record("list")
-        raise NotImplementedError
-
-    def close_session(self, session_id: str) -> None:
-        self._record("close")
-
-    def next_results(self, session_id: str, count=None) -> NextResultsResponse:
-        self._record("next")
-        return NextResultsResponse(
-            session_id=session_id, items=(), total_shown=0, positives_found=0
-        )
-
-    def stream_next_results(self, session_id: str, count=None):
-        self._record("stream")
+    def _stream(self, path):
+        check_deadline("stream")
+        self.calls.append("stream")
+        yield {"kind": "meta"}
         for i in range(3):
-            yield ResultItem(image_id=i, score=0.5, box=BoxPayload(0, 0, 1, 1))
-
-    def give_feedback(self, request, idempotency_key=None) -> SessionInfo:
-        self._record("feedback")
-        return self.info
+            item = ResultItem(image_id=i, score=0.5, box=BoxPayload(0, 0, 1, 1))
+            yield {"kind": "item", "item": encode(item)}
+        yield {"kind": "end"}
 
 
-def _faulty(kind: "str | None", **plan_extra) -> "tuple[FaultyClient, FakeInnerClient]":
-    inner = FakeInnerClient()
+def _faulty(kind: "str | None", **plan_extra) -> "tuple[FaultyClient, FakeTransport]":
+    inner = FakeTransport()
     plan = (
         _plan_only(kind, **plan_extra)
         if kind is not None
@@ -337,6 +311,7 @@ class TestFaultyClient:
         with pytest.raises(ConnectionFailedError) as excinfo:
             client.session_info("s1")
         assert excinfo.value.request_sent is True
+        assert inner.calls == []
 
     def test_truncate_on_stream_yields_prefix_then_typed_error(self):
         client, inner = _faulty(KIND_TRUNCATE)
@@ -351,12 +326,12 @@ class TestFaultyClient:
         client, inner = _faulty(KIND_SKEW)
         with pytest.raises(DeadlineExceededError):
             client.next_results("s1")
-        assert inner.calls == []  # FakeInner's check fired before recording
+        assert inner.calls == []  # FakeTransport's check fired before recording
         assert current_deadline() is None  # the scope did not leak
 
     def test_latency_decorates_without_failing(self):
         sleeps: "list[float]" = []
-        inner = FakeInnerClient()
+        inner = FakeTransport()
         plan = FaultPlan(seed=5, latency_ms=30.0, latency_probability=1.0)
         client = FaultyClient(
             inner, plan, registry=MetricsRegistry(), sleep=sleeps.append
@@ -370,17 +345,18 @@ class TestFaultyClient:
         assert client.healthz() == {"status": "ok"}
         assert client.metrics_json() == {"metrics": []}
         assert client.capabilities() == {"features": {}}
-        assert inner.calls == ["healthz", "metrics_json", "capabilities"]
+        assert client.metrics_text() == '{"metrics": []}'
+        assert inner.calls == ["healthz", "metrics", "capabilities", "metrics"]
 
     def test_no_faults_is_a_clean_passthrough(self):
         client, inner = _faulty(None)
         client.next_results("s1")
-        client.give_feedback(object())
+        client.give_feedback(FeedbackRequest(session_id="s1", image_id=1, relevant=True))
         assert inner.calls == ["next", "feedback"]
 
     def test_injections_counted_by_kind(self):
         registry = MetricsRegistry()
-        inner = FakeInnerClient()
+        inner = FakeTransport()
         client = FaultyClient(
             inner, _plan_only(KIND_ERROR), registry=registry, sleep=lambda s: None
         )
@@ -391,6 +367,36 @@ class TestFaultyClient:
             "seesaw_faults_injected_total", "", labels=("kind",)
         )
         assert counter.labels("error").value == 3.0
+
+    def test_the_inner_retry_policy_absorbs_a_pre_send_reset(self):
+        clock, registry = FakeClock(), MetricsRegistry()
+        inner = FakeTransport()
+        inner.retry_policy = RetryPolicy(
+            sleep=lambda seconds: clock.advance(1.0), registry=registry
+        )
+        plan = _plan_only(KIND_RESET, window_stop_seconds=0.5)
+        client = FaultyClient(inner, plan, clock=clock, registry=registry)
+        assert client.session_info("s1").session_id == "s1"
+        assert inner.calls == ["session_info"]  # the second attempt, outside the window
+        faults = registry.counter("seesaw_faults_injected_total", "", labels=("kind",))
+        retries = registry.counter(
+            "seesaw_retries_total", "", labels=("operation", "error")
+        )
+        assert faults.labels("reset").value == 1.0
+        assert retries.labels("session_info", "ConnectionFailedError").value == 1.0
+
+    def test_a_mid_flight_reset_of_a_non_idempotent_call_is_not_retried(self):
+        clock, registry = FakeClock(), MetricsRegistry()
+        inner = FakeTransport()
+        inner.retry_policy = RetryPolicy(sleep=lambda seconds: None, registry=registry)
+        plan = _plan_only(KIND_RESET, window_start_seconds=1.0)
+        client = FaultyClient(inner, plan, clock=clock, registry=registry)
+        client.next_results("s1")  # opportunity 0, before the window
+        clock.advance(1.0)
+        with pytest.raises(ConnectionFailedError) as excinfo:
+            client.next_results("s1")  # opportunity 1: after sending
+        assert excinfo.value.request_sent is True
+        assert inner.calls == ["next"]
 
 
 # ----------------------------------------------------------------------

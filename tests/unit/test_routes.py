@@ -1,4 +1,4 @@
-"""The `/v1` route labels and the probe set.
+"""The `/v1` route labels, the probe set, and the route table.
 
 A request's ``route`` is the bounded-cardinality template every metric
 series, access record and slow log carries.  The table below pins it for
@@ -6,16 +6,37 @@ each `/v1` route, for a wrong method on a known path (labels follow the
 path alone; the router answers the structured 404), and for paths outside
 the surface.  The probe routes are the ones admission control and the
 chaos middleware let through untouched.
+
+``api.ROUTES`` states each route once; the last tests check that every
+user reads it: each row resolves, every client call rejects a reply that
+is not what its row declares, and a path parameter survives quoting.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import InternalServiceError, ServiceOverloadedError
+from repro.config import SeeSawConfig
+from repro.data.dataset import ImageDataset
+from repro.exceptions import (
+    InternalServiceError,
+    ServiceOverloadedError,
+    TransportError,
+)
 from repro.faults import FaultPlan
 from repro.faults.middleware import ChaosMiddleware
 from repro.obs import MetricsRegistry
+from repro.server import (
+    FeedbackRequest,
+    HTTPClient,
+    InProcessClient,
+    SeeSawApp,
+    SeeSawService,
+    SessionManager,
+    StartSessionRequest,
+    serve_in_background,
+)
+from repro.server.api import ROUTES, resolve
 from repro.server.middleware import (
     AdmissionControlMiddleware,
     InFlightTracker,
@@ -121,3 +142,81 @@ def test_other_requests_are_shed_and_faulted(method, target):
         _full_admission()(Request(method, target), _ok)
     with pytest.raises(InternalServiceError):
         _always_failing_chaos()(Request(method, target), _ok)
+
+
+# ---------------------------------------------------------------------------
+# the route table: every user of a route reads its row
+# ---------------------------------------------------------------------------
+CALLS = {
+    "healthz": [("healthz", ())],
+    "capabilities": [("capabilities", ())],
+    "metrics": [("metrics_json", ())],
+    "list_sessions": [("list_sessions", ()), ("iter_sessions", ())],
+    "start_session": [("start_session", (StartSessionRequest("tiny", "a cat"),))],
+    "session_info": [("session_info", ("session-1",))],
+    "close_session": [("close_session", ("session-1",))],
+    "next": [("next_results", ("session-1",)), ("stream_next_results", ("session-1",))],
+    "feedback": [("give_feedback", (FeedbackRequest("session-1", 1, True),))],
+    "list_datasets": [("list_datasets", ())],
+    "describe_dataset": [("describe_dataset", ("tiny",))],
+    "upsert_images": [("upsert_images", ("tiny", []))],
+    "delete_images": [("delete_images", ("tiny", [1]))],
+    "merge_dataset": [("merge_dataset", ("tiny",))],
+}
+"""Every client call, by the label of the row it goes through.
+``metrics_text`` is left out: its reply is text."""
+
+
+def test_every_row_is_one_route():
+    assert len({(row.method, row.template) for row in ROUTES}) == len(ROUTES)
+    assert len({row.label for row in ROUTES}) == len(ROUTES)
+    assert {row.label for row in ROUTES} == set(CALLS)
+
+
+@pytest.mark.parametrize("row", ROUTES, ids=lambda row: f"{row.method} {row.template}")
+def test_each_row_resolves_with_its_decoded_parameters(row):
+    path, params = row.template, ()
+    if "{id}" in path:
+        path, params = path.replace("{id}", "session-1"), ("session-1",)
+    if "{name}" in path:
+        path, params = path.replace("{name}", "tiny%20set"), ("tiny set",)
+    assert resolve(row.method.lower(), path) == (row.template, row, params)
+    assert resolve("PATCH", path) == (row.template, None, params)
+
+
+@pytest.mark.parametrize("transport", ["inprocess", "http"])
+@pytest.mark.parametrize(
+    "name, args",
+    [call for calls in CALLS.values() for call in calls],
+    ids=[name for calls in CALLS.values() for name, _ in calls],
+)
+def test_a_reply_that_is_not_an_object_is_a_transport_error(transport, name, args):
+    client = InProcessClient(None) if transport == "inprocess" else HTTPClient("http://unused")
+    client._exchange = lambda *args, **kwargs: b"[1, 2]"
+    client._stream = lambda path: iter([[1, 2]])
+    with pytest.raises(TransportError):
+        result = getattr(client, name)(*args)
+        if name in ("iter_sessions", "stream_next_results"):
+            list(result)  # a generator: its first step makes the call
+
+
+@pytest.fixture(scope="module")
+def spaced_stack(tiny_dataset, tiny_clip):
+    """A live dataset whose name needs quoting in a URL."""
+    service = SeeSawService(SeeSawConfig(embedding_dim=64, seed=7, live_datasets=True))
+    spaced = ImageDataset("tiny set", tiny_dataset.images, tiny_dataset.categories)
+    service.register_dataset(spaced, tiny_clip, preprocess=True)
+    app = SeeSawApp(SessionManager(service))
+    with serve_in_background(app) as server:
+        yield app, server.url, spaced
+
+
+@pytest.mark.parametrize("transport, deleted", [("inprocess", 1), ("http", 2)])
+def test_a_dataset_name_with_a_space_is_reachable(spaced_stack, transport, deleted):
+    app, url, dataset = spaced_stack
+    with (InProcessClient(app) if transport == "inprocess" else HTTPClient(url)) as client:
+        version = client.describe_dataset("tiny set")["version"]
+        assert client.upsert_images("tiny set", [dataset.images[0]])["version"] == version + 1
+        gone = [dataset.images[deleted].image_id]
+        assert client.delete_images("tiny set", gone)["version"] == version + 2
+        assert client.merge_dataset("tiny set")["name"] == "tiny set"

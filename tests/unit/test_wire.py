@@ -664,6 +664,35 @@ class TestServerFraming:
             assert _answer(rfile)[0] == 200
 
 
+class TestClientSendFailure:
+    """A send the server cut short: its reply, if it wrote one, is the answer."""
+
+    def test_an_oversized_body_gets_the_servers_413(self, echo_server):
+        client = HTTPClient(echo_server.url)
+        length = MAX_BODY_BYTES + 1
+        with pytest.raises(TransportError) as excinfo:
+            client._exchange("POST", "/v1/sessions", b"x" * length)
+        assert type(excinfo.value) is TransportError
+        assert str(excinfo.value) == (
+            f"Request body of {length} bytes is over the limit of {MAX_BODY_BYTES} bytes"
+        )
+        assert client._idle == []
+
+    def test_a_failed_send_without_a_reply_is_a_death_after_sending(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def hang_up() -> None:
+            connection, _ = listener.accept()
+            with connection:
+                connection.recv(1024)
+
+        threading.Thread(target=hang_up, daemon=True).start()
+        client = HTTPClient(f"http://127.0.0.1:{listener.getsockname()[1]}")
+        with listener, pytest.raises(ConnectionFailedError) as excinfo:
+            client._exchange("POST", "/v1/sessions", b"x" * (8 << 20))
+        assert excinfo.value.request_sent is True
+
+
 # ---------------------------------------------------------------------------
 # https: the default SSL context, verified against a test-only certificate
 # ---------------------------------------------------------------------------
