@@ -67,9 +67,7 @@ class FewShotClipMethod(SearchMethod):
         if self._context is None or self._aligner is None:
             raise SessionError("begin must be called before observe")
         with trace_span("labels", images=len(feedback)):
-            features, labels, weights, _ = feedback.to_weighted_patch_labels(
-                self._context.index
-            )
+            features, labels, weights, _ = feedback.training_set(self._context.index)
         if labels.size == 0 or labels.max() == labels.min():
             # Without at least one positive and one negative example a purely
             # data-driven linear model is unidentifiable, so the method keeps

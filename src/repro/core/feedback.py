@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.data.geometry import BoundingBox
 from repro.exceptions import SessionError
+from repro.utils.validation import check_finite
 
 if TYPE_CHECKING:  # pragma: no cover - import only used for type checking
     from repro.core.indexing import SeeSawIndex
@@ -55,14 +56,16 @@ class FeedbackMap:
     """Accumulated feedback across a search session (Listing 1, line 6)."""
 
     _items: "dict[int, BoxFeedback]" = field(default_factory=dict)
-    # image id -> (vector_ids, labels), valid for _blocks_for's index and
-    # min_box_overlap; update() drops the block of the image it re-judges.
-    _blocks: "dict[int, tuple[np.ndarray, np.ndarray]]" = field(
-        init=False, default_factory=dict, repr=False, compare=False
-    )
+    # The training set for _blocks_for's index and min_box_overlap, in row
+    # arrays that are only ever appended to: _rows maps an image id to its
+    # rows, _stale holds the images judged since the last training_set().
     _blocks_for: "tuple[SeeSawIndex, float] | None" = field(
         init=False, default=None, repr=False, compare=False
     )
+    _rows: "dict[int, slice]" = field(init=False, default_factory=dict, repr=False, compare=False)
+    _stale: "dict[int, None]" = field(init=False, default_factory=dict, repr=False, compare=False)
+    _arrays: "tuple[np.ndarray, ...]" = field(init=False, default=(), repr=False, compare=False)
+    _size: int = field(init=False, default=0, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -76,7 +79,7 @@ class FeedbackMap:
     def update(self, feedback: BoxFeedback) -> None:
         """Record (or overwrite) the feedback for one image."""
         self._items[feedback.image_id] = feedback
-        self._blocks.pop(feedback.image_id, None)
+        self._stale[feedback.image_id] = None
 
     def get(self, image_id: int) -> "BoxFeedback | None":
         """The feedback recorded for ``image_id``, if any."""
@@ -104,60 +107,74 @@ class FeedbackMap:
     # ------------------------------------------------------------------
     # training-set construction
     # ------------------------------------------------------------------
+    def training_set(
+        self, index: "SeeSawIndex", min_box_overlap: float = 0.0
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(vectors, labels, weights, vector_ids)`` of every judged patch, as views.
+
+        Each row is a stored patch vector of an image with feedback; its
+        label is 1 when the patch overlaps a positive feedback box and 0
+        otherwise, and its weight is 1 / (patches of its image).  Rows follow
+        the order in which images were first judged.
+
+        The rows live in arrays that are only ever appended to, reserved for
+        every vector of ``index`` (untouched rows cost no memory): a call
+        labels and gathers only the images judged since the last one with
+        the same ``index`` and ``min_box_overlap``, and a re-judged image
+        rewrites its labels in place.  Read the views; do not write them.
+        """
+        memo_for, self._blocks_for = self._blocks_for, None  # a failed call rebuilds
+        if memo_for is None or memo_for[0] is not index or memo_for[1] != min_box_overlap:
+            store = index.store
+            self._rows, self._stale, self._size = {}, dict.fromkeys(self._items), 0
+            self._arrays = (
+                np.empty((len(store), store.dim), dtype=store.compute_dtype),
+                np.empty(len(store)),
+                np.empty(len(store)),
+                np.empty(len(store), dtype=np.int64),
+            )
+        vectors, labels, weights, ids = self._arrays
+        start = self._size
+        for image_id in self._stale:
+            block_ids, block_labels = _label_block(self._items[image_id], index, min_box_overlap)
+            rows = self._rows.get(image_id)
+            if rows is None:
+                rows = self._rows[image_id] = slice(self._size, self._size + block_ids.size)
+                self._size = rows.stop
+                ids[rows] = block_ids
+            labels[rows] = block_labels
+        self._stale = {}
+        if self._size > start:
+            new = slice(start, self._size)
+            vectors[new] = check_finite("patch vectors", index.store.take(ids[new]))
+            segments = index.segments
+            weights[new] = 1.0 / segments.counts[segments.vector_image_rows[ids[new]]]
+        self._blocks_for = (index, min_box_overlap)
+        return vectors[: self._size], labels[: self._size], weights[: self._size], ids[: self._size]
+
     def to_patch_labels(
         self, index: "SeeSawIndex", min_box_overlap: float = 0.0
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Convert feedback into a patch-level training set.
-
-        Returns ``(vectors, labels, vector_ids)`` where each row of ``vectors``
-        is a stored patch vector of an image with feedback, and ``labels`` is 1
-        for patches overlapping a positive feedback box and 0 otherwise.  Rows
-        follow the order in which images were first judged.
-
-        Labels are memoised per image: an image's block is built on the first
-        call after it is judged and reused by every later call with the same
-        ``index`` and ``min_box_overlap``, so each round labels only the
-        images judged since the last one.
-        """
-        memo_for = self._blocks_for
-        if memo_for is None or memo_for[0] is not index or memo_for[1] != min_box_overlap:
-            self._blocks = {}
-            self._blocks_for = (index, min_box_overlap)
-        blocks = []
-        for image_id, feedback in self._items.items():
-            block = self._blocks.get(image_id)
-            if block is None:
-                block = self._blocks[image_id] = _label_block(
-                    feedback, index, min_box_overlap
-                )
-            blocks.append(block)
-        if not any(ids.size for ids, _ in blocks):
-            dim = index.store.dim
-            return np.zeros((0, dim)), np.zeros(0), np.zeros(0, dtype=np.int64)
-        ids = np.concatenate([ids for ids, _ in blocks])
-        labels = np.concatenate([labels for _, labels in blocks])
-        vectors = index.store.take(ids)
-        return vectors, labels, ids
+        """A fresh copy of :meth:`training_set`'s ``(vectors, labels, vector_ids)``."""
+        vectors, labels, _, vector_ids = self.to_weighted_patch_labels(index, min_box_overlap)
+        return vectors, labels, vector_ids
 
     def to_weighted_patch_labels(
         self, index: "SeeSawIndex", min_box_overlap: float = 0.0
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Patch training set plus per-example weights of 1 / (patches per image).
+        """A fresh copy of :meth:`training_set`.
 
-        With the multiscale representation a single image contributes an order
-        of magnitude more labelled vectors than a coarse index does; these
-        weights keep each *image* contributing one unit to the data term, so
-        the loss weights behave the same in both regimes.
+        The weights of 1 / (patches per image) keep each *image* contributing
+        one unit to the data term: with the multiscale representation a
+        single image contributes an order of magnitude more labelled vectors
+        than a coarse index does, so the loss weights behave the same in
+        both regimes.
         """
-        vectors, labels, vector_ids = self.to_patch_labels(index, min_box_overlap)
+        vectors, labels, weights, vector_ids = self.training_set(index, min_box_overlap)
         if vector_ids.size == 0:
-            return vectors, labels, np.zeros(0), vector_ids
-        # Patch counts come straight from the index's CSR segment columns:
-        # vector id -> image row -> segment length, no per-vector record
-        # lookups or dict walks.
-        segments = index.segments
-        weights = 1.0 / segments.counts[segments.vector_image_rows[vector_ids]]
-        return vectors, labels, weights, vector_ids
+            dim = index.store.dim
+            return np.zeros((0, dim)), np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64)
+        return vectors.copy(), labels.copy(), weights.copy(), vector_ids.copy()
 
     def to_image_labels(self) -> "dict[int, float]":
         """Image-level labels (1 relevant / 0 not), used by coarse-only methods."""

@@ -16,6 +16,7 @@ vector's quality as a query.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +29,10 @@ _EPSILON = 1e-12
 
 
 def sigmoid(values: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid."""
+    """Numerically stable logistic sigmoid: ``exp`` only ever sees ``-|z|``."""
     values = np.asarray(values, dtype=np.float64)
-    out = np.empty_like(values)
-    positive = values >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-values[positive]))
-    exponent = np.exp(values[~positive])
-    out[~positive] = exponent / (1.0 + exponent)
-    return out
+    decay = np.exp(-np.abs(values))
+    return np.where(values >= 0, 1.0, decay) / (1.0 + decay)
 
 
 def log_loss(labels: np.ndarray, probabilities: np.ndarray) -> float:
@@ -45,18 +42,6 @@ def log_loss(labels: np.ndarray, probabilities: np.ndarray) -> float:
     return float(
         -np.sum(labels * np.log(probabilities) + (1.0 - labels) * np.log(1.0 - probabilities))
     )
-
-
-def weighted_log_loss(
-    labels: np.ndarray, probabilities: np.ndarray, sample_weights: np.ndarray
-) -> float:
-    """Binary cross-entropy with a non-negative weight per example."""
-    probabilities = np.clip(probabilities, 1e-12, 1.0 - 1e-12)
-    labels = np.asarray(labels, dtype=np.float64)
-    per_example = -(
-        labels * np.log(probabilities) + (1.0 - labels) * np.log(1.0 - probabilities)
-    )
-    return float(np.sum(sample_weights * per_example))
 
 
 @dataclass
@@ -82,7 +67,8 @@ class SeeSawLoss:
     features:
         ``(n, d)`` matrix of patch vectors with user feedback.
     labels:
-        ``(n,)`` vector of 0/1 labels derived from box feedback.
+        ``(n,)`` vector of 0/1 labels derived from box feedback; any other
+        value is an :class:`OptimizationError`.
     query_text_vector:
         The original CLIP text vector ``q_0`` (unit norm).
     db_matrix:
@@ -109,26 +95,10 @@ class SeeSawLoss:
         fit_bias: bool = False,
         sample_weights: "np.ndarray | None" = None,
     ) -> None:
-        self.features = check_finite("features", np.atleast_2d(np.asarray(features, dtype=np.float64)))
-        self.labels = np.asarray(labels, dtype=np.float64).ravel()
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise OptimizationError("features and labels must have the same length")
-        if sample_weights is None:
-            self.sample_weights = np.ones_like(self.labels)
-        else:
-            self.sample_weights = np.asarray(sample_weights, dtype=np.float64).ravel()
-            if self.sample_weights.shape != self.labels.shape:
-                raise OptimizationError("sample_weights must match labels in length")
-            if np.any(self.sample_weights < 0):
-                raise OptimizationError("sample_weights must be non-negative")
         self.query_text_vector = check_finite(
             "query_text_vector", np.asarray(query_text_vector, dtype=np.float64).ravel()
         )
         self.dim = self.query_text_vector.shape[0]
-        if self.features.size and self.features.shape[1] != self.dim:
-            raise OptimizationError(
-                "feature dimension does not match the query vector dimension"
-            )
         self.weights = weights or LossWeights()
         self.fit_bias = bool(fit_bias)
         if db_matrix is None:
@@ -141,6 +111,40 @@ class SeeSawLoss:
                 )
             # Work with the symmetrised matrix so the gradient 2 M w is exact.
             self.db_matrix = (db_matrix + db_matrix.T) / 2.0
+        self._negative_query = -self.query_text_vector
+        self._twice_lambda_norm = 2.0 * self.weights.lambda_norm
+        self._twice_lambda_db = self.weights.lambda_db * 2.0
+        self.use_feedback(check_finite("features", features), labels, sample_weights)
+
+    def use_feedback(
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        sample_weights: "np.ndarray | None" = None,
+    ) -> None:
+        """Make these rows the training set, without a copy (one loss serves a
+        session).  Rows are not checked for finiteness: a non-finite row makes
+        the objective non-finite, which ``lbfgs_minimize`` rejects."""
+        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        labels = np.asarray(labels, dtype=np.float64).ravel()
+        if features.shape[0] != labels.shape[0]:
+            raise OptimizationError("features and labels must have the same length")
+        if features.size and features.shape[1] != self.dim:
+            raise OptimizationError(
+                "feature dimension does not match the query vector dimension"
+            )
+        positive = labels == 1.0
+        if not np.all(positive | (labels == 0.0)):
+            raise OptimizationError("labels must be 0 or 1")
+        if sample_weights is not None:
+            sample_weights = np.asarray(sample_weights, dtype=np.float64).ravel()
+            if sample_weights.shape != labels.shape:
+                raise OptimizationError("sample_weights must match labels in length")
+            if np.any(sample_weights < 0):
+                raise OptimizationError("sample_weights must be non-negative")
+        self.features, self.labels, self.sample_weights = features, labels, sample_weights
+        self._features_t = features.T
+        self._positive = positive
 
     # ------------------------------------------------------------------
     # parameter packing
@@ -175,14 +179,23 @@ class SeeSawLoss:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
+    def _data_term(self, logits: np.ndarray) -> tuple[float, np.ndarray]:
+        """``-sum(weight * log(c or 1 - c))`` at ``logits``, ``c`` the clipped
+        probability of a positive or a negative; and the probabilities."""
+        probabilities = sigmoid(logits)
+        clipped = np.minimum(np.maximum(probabilities, 1e-12), 1.0 - 1e-12)  # np.clip's bits
+        logs = np.log(np.where(self._positive, clipped, 1.0 - clipped))
+        if self.sample_weights is not None:
+            logs *= self.sample_weights
+        return -float(logs.sum()), probabilities
+
     def breakdown(self, parameters: np.ndarray) -> LossBreakdown:
         """The value of each loss term at ``parameters``."""
         w, b = self.split_parameters(parameters)
         norm = float(np.linalg.norm(w))
         data_term = 0.0
         if self.features.size:
-            probabilities = sigmoid(self.features @ w + b)
-            data_term = weighted_log_loss(self.labels, probabilities, self.sample_weights)
+            data_term = self._data_term(self.features @ w + b)[0]
         norm_term = self.weights.lambda_norm * float(w @ w)
         clip_term = 0.0
         if self.weights.lambda_clip > 0:
@@ -197,39 +210,40 @@ class SeeSawLoss:
     def __call__(self, parameters: np.ndarray) -> tuple[float, np.ndarray]:
         """Loss value and gradient with respect to the flat parameter vector."""
         w, b = self.split_parameters(parameters)
-        norm = float(np.linalg.norm(w))
-        norm = max(norm, _EPSILON)
-        gradient_w = np.zeros_like(w)
-        gradient_b = 0.0
+        squared = float(w @ w)
+        norm = max(math.sqrt(squared), _EPSILON)  # np.linalg.norm's sqrt(w . w)
         value = 0.0
-
+        gradient_b = 0.0
         if self.features.size:
-            logits = self.features @ w + b
-            probabilities = sigmoid(logits)
-            value += weighted_log_loss(self.labels, probabilities, self.sample_weights)
-            error = self.sample_weights * (probabilities - self.labels)
-            gradient_w += self.features.T @ error
-            gradient_b += float(np.sum(error))
+            logits = self.features @ w
+            if self.fit_bias:
+                logits += b
+            value, probabilities = self._data_term(logits)
+            error = probabilities - self.labels
+            if self.sample_weights is not None:
+                error *= self.sample_weights
+            gradient_w = self._features_t @ error
+            if self.fit_bias:
+                gradient_b += float(np.sum(error))
+        else:
+            gradient_w = np.zeros_like(w)
 
-        value += self.weights.lambda_norm * float(w @ w)
-        gradient_w += 2.0 * self.weights.lambda_norm * w
+        value += self.weights.lambda_norm * squared
+        gradient_w += self._twice_lambda_norm * w
 
         if self.weights.lambda_clip > 0:
             inner = float(w @ self.query_text_vector)
-            cosine = inner / norm
-            value += self.weights.lambda_clip * (1.0 - cosine)
+            value += self.weights.lambda_clip * (1.0 - inner / norm)
             gradient_w += self.weights.lambda_clip * (
-                -self.query_text_vector / norm + inner * w / norm**3
+                self._negative_query / norm + inner * w / norm**3
             )
 
         if self.db_matrix is not None and self.weights.lambda_db > 0:
             mw = self.db_matrix @ w
             quadratic = float(w @ mw) / (norm * norm)
             value += self.weights.lambda_db * quadratic
-            gradient_w += self.weights.lambda_db * 2.0 * (mw - quadratic * w) / (norm * norm)
+            gradient_w += self._twice_lambda_db * (mw - quadratic * w) / (norm * norm)
 
         if self.fit_bias:
-            gradient = np.concatenate([gradient_w, [gradient_b]])
-        else:
-            gradient = gradient_w
-        return float(value), gradient
+            return value, np.concatenate([gradient_w, [gradient_b]])
+        return value, gradient_w

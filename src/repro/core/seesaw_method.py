@@ -55,9 +55,9 @@ class SeeSawSearchMethod(SearchMethod):
     def observe(self, feedback: FeedbackMap) -> None:
         context, aligner = self._require_started()
         with trace_span("labels", images=len(feedback)):
-            features, labels, weights, _ = feedback.to_weighted_patch_labels(context.index)
+            features, labels, weights, _ = feedback.training_set(context.index)
         with trace_span("align", rows=labels.size):
-            aligner.align(features, labels, sample_weights=weights if weights.size else None)
+            aligner.align(features, labels, sample_weights=weights)
 
     @property
     def query_vector(self) -> "np.ndarray | None":

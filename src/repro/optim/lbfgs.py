@@ -11,6 +11,7 @@ positive definite are skipped.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -40,60 +41,67 @@ class LbfgsResult:
     function_evaluations: int
 
 
+@dataclass
+class _CurvaturePair:
+    """One ``(s, y)`` pair with the scalars the recursion reads: ``rho = 1/s.y``
+    and, for the initial Hessian scale ``gamma``, ``s.y`` and ``y.y``."""
+
+    s: np.ndarray
+    y: np.ndarray
+    sy: float
+    yy: float
+    rho: float
+
+
 def _two_loop_direction(
-    gradient: np.ndarray,
-    s_history: "deque[np.ndarray]",
-    y_history: "deque[np.ndarray]",
-    rho_history: "deque[float]",
+    gradient: np.ndarray, history: "deque[_CurvaturePair]", scratch: np.ndarray
 ) -> np.ndarray:
     """Compute the L-BFGS search direction via the two-loop recursion."""
     q = gradient.copy()
     alphas: list[float] = []
-    for s, y, rho in zip(reversed(s_history), reversed(y_history), reversed(rho_history)):
-        alpha = rho * float(s @ q)
+    for pair in reversed(history):
+        alpha = pair.rho * float(pair.s.dot(q))
         alphas.append(alpha)
-        q -= alpha * y
-    if s_history:
-        s_last = s_history[-1]
-        y_last = y_history[-1]
-        gamma = float(s_last @ y_last) / max(float(y_last @ y_last), 1e-12)
-        q *= gamma
-    for (s, y, rho), alpha in zip(
-        zip(s_history, y_history, rho_history), reversed(alphas)
-    ):
-        beta = rho * float(y @ q)
-        q += (alpha - beta) * s
-    return -q
+        q -= np.multiply(alpha, pair.y, out=scratch)
+    if history:
+        last = history[-1]
+        q *= last.sy / max(last.yy, 1e-12)
+    for pair, alpha in zip(history, reversed(alphas)):
+        beta = pair.rho * float(pair.y.dot(q))
+        q += np.multiply(alpha - beta, pair.s, out=scratch)
+    return np.negative(q, out=q)
 
 
 def _armijo_line_search(
     objective: ValueAndGradient,
     parameters: np.ndarray,
     value: float,
-    gradient: np.ndarray,
     direction: np.ndarray,
-) -> tuple[float, float, np.ndarray, int]:
+    directional: float,
+) -> "tuple[np.ndarray, float, np.ndarray, int] | None":
     """Armijo backtracking: halve the step until it gives sufficient decrease.
 
     The first step satisfying the Armijo condition (constant
-    :data:`ARMIJO_C1`) is accepted; no curvature condition is checked,
-    which suits the smooth, low-dimensional SeeSaw loss.  Returns ``(step,
-    new_value, new_gradient, evaluations)``; a step of 0 means the search
-    found no decrease within :data:`MAX_LINE_SEARCH_STEPS` halvings.
+    :data:`ARMIJO_C1`) along ``direction`` (whose slope is ``directional``
+    = ``gradient . direction``) is accepted; no curvature condition is
+    checked, which suits the smooth, low-dimensional SeeSaw loss.  Returns
+    ``(candidate, new_value, new_gradient, evaluations)``, or ``None`` when
+    no decrease was found within :data:`MAX_LINE_SEARCH_STEPS` halvings
+    (which all count as evaluations).
     """
-    directional = float(gradient @ direction)
-    if directional >= 0:
-        raise OptimizationError("line search called with a non-descent direction")
     step = INITIAL_STEP
-    evaluations = 0
-    for _ in range(MAX_LINE_SEARCH_STEPS):
+    for evaluations in range(1, MAX_LINE_SEARCH_STEPS + 1):
         candidate = parameters + step * direction
         candidate_value, candidate_gradient = objective(candidate)
-        evaluations += 1
         if candidate_value <= value + ARMIJO_C1 * step * directional:
-            return step, candidate_value, candidate_gradient, evaluations
+            return candidate, candidate_value, candidate_gradient, evaluations
         step *= 0.5
-    return 0.0, value, gradient, evaluations
+    return None
+
+
+def _norm(vector: np.ndarray) -> float:
+    """``np.linalg.norm(vector)``, which is ``sqrt(vector . vector)``."""
+    return math.sqrt(vector.dot(vector))
 
 
 def lbfgs_minimize(
@@ -118,41 +126,39 @@ def lbfgs_minimize(
     if not np.isfinite(value) or not np.all(np.isfinite(gradient)):
         raise OptimizationError("objective returned non-finite value or gradient")
     evaluations = 1
-    s_history: deque[np.ndarray] = deque(maxlen=HISTORY_SIZE)
-    y_history: deque[np.ndarray] = deque(maxlen=HISTORY_SIZE)
-    rho_history: deque[float] = deque(maxlen=HISTORY_SIZE)
+    history: deque[_CurvaturePair] = deque(maxlen=HISTORY_SIZE)
+    scratch = np.empty_like(parameters)
 
     iteration = 0
-    converged = float(np.linalg.norm(gradient)) <= config.gradient_tolerance
+    converged = _norm(gradient) <= config.gradient_tolerance
     while iteration < config.max_iterations and not converged:
-        direction = _two_loop_direction(gradient, s_history, y_history, rho_history)
-        if float(gradient @ direction) >= 0:
+        direction = _two_loop_direction(gradient, history, scratch)
+        directional = float(gradient.dot(direction))
+        if directional >= 0:
             # The curvature history is unhelpful; restart from steepest descent.
-            s_history.clear()
-            y_history.clear()
-            rho_history.clear()
+            history.clear()
             direction = -gradient
-        step, new_value, new_gradient, line_evaluations = _armijo_line_search(
-            objective, parameters, value, gradient, direction
-        )
-        evaluations += line_evaluations
+            directional = float(gradient.dot(direction))
+            if directional >= 0:
+                raise OptimizationError("line search called with a non-descent direction")
+        accepted = _armijo_line_search(objective, parameters, value, direction, directional)
         iteration += 1
-        if step == 0.0:
+        if accepted is None:
+            evaluations += MAX_LINE_SEARCH_STEPS
             break  # no further progress possible along any tried step
-        new_parameters = parameters + step * direction
+        new_parameters, new_value, new_gradient, line_evaluations = accepted
+        evaluations += line_evaluations
         s = new_parameters - parameters
         y = new_gradient - gradient
-        sy = float(s @ y)
+        sy = float(s.dot(y))
         if sy > 1e-12:
-            s_history.append(s)
-            y_history.append(y)
-            rho_history.append(1.0 / sy)
+            history.append(_CurvaturePair(s, y, sy, float(y.dot(y)), 1.0 / sy))
         parameters, value, gradient = new_parameters, new_value, new_gradient
-        converged = float(np.linalg.norm(gradient)) <= config.gradient_tolerance
+        converged = _norm(gradient) <= config.gradient_tolerance
     return LbfgsResult(
         parameters=parameters,
         value=value,
-        gradient_norm=float(np.linalg.norm(gradient)),
+        gradient_norm=_norm(gradient),
         iterations=iteration,
         converged=converged,
         function_evaluations=evaluations,

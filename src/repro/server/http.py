@@ -38,7 +38,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro.exceptions import TransportError
 from repro.server.app import SeeSawApp
 from repro.server.errors import encode_error
-from repro.server.middleware import Request, Response
+from repro.server.middleware import Request, Response, collapse_leading_slashes
 from repro.server.wire import FramingError, read_fields
 
 logger = logging.getLogger("repro.server")
@@ -89,8 +89,7 @@ class SeeSawRequestHandler(BaseHTTPRequestHandler):
             return super().parse_request()
         self.requestline = requestline
         self.command, path, self.request_version = words
-        # As the stdlib does: a //path would read as a scheme-less URL.
-        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        self.path = collapse_leading_slashes(path)
         try:
             self.headers = read_fields(self.rfile)  # type: ignore[assignment]
         except FramingError as exc:

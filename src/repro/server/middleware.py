@@ -77,14 +77,21 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 """Content type of the Prometheus text exposition format."""
 
 
+def collapse_leading_slashes(target: str) -> str:
+    """``//v1/x`` as ``/v1/x``, as the stdlib's HTTP server reads it: a
+    target that starts with ``//`` would split as a scheme-less URL whose
+    first segment is a host."""
+    return "/" + target.lstrip("/") if target.startswith("//") else target
+
+
 @dataclass
 class Request:
     """One decoded transport request, independent of the socket layer.
 
     What every layer asks of a request more than once is resolved here,
     once: header names are folded to lower case (``headers`` holds the
-    folded mapping), and the target is split into ``path`` and ``query``,
-    then resolved against :data:`~repro.server.api.ROUTES`: the
+    folded mapping), and the target (a leading ``//`` collapsed, as over
+    HTTP) is split into ``path`` and ``query``, then resolved against :data:`~repro.server.api.ROUTES`: the
     bounded-cardinality ``route`` label, the ``row`` that serves the
     method there (``None`` for no route) and its path ``params``.
     """
@@ -106,6 +113,7 @@ class Request:
         for name, value in self.headers.items():
             folded.setdefault(name.lower(), value)
         self.headers = folded
+        self.target = collapse_leading_slashes(self.target)
         parts = urlsplit(self.target)
         self.path, self.query = parts.path, parts.query
         self.route, self.row, self.params = resolve(self.method, self.path)

@@ -14,6 +14,9 @@ is not what its row declares, and a path parameter survives quoting.
 
 from __future__ import annotations
 
+import http.client
+from urllib.parse import urlsplit
+
 import pytest
 
 from repro.config import SeeSawConfig
@@ -220,3 +223,30 @@ def test_a_dataset_name_with_a_space_is_reachable(spaced_stack, transport, delet
         gone = [dataset.images[deleted].image_id]
         assert client.delete_images("tiny set", gone)["version"] == version + 2
         assert client.merge_dataset("tiny set")["name"] == "tiny set"
+
+
+@pytest.mark.parametrize(
+    "target, label", [("//v1//healthz/", "/v1/healthz"), ("//v1/sessions", "/v1/sessions")]
+)
+def test_a_leading_double_slash_reads_the_same_in_process_and_over_http(
+    spaced_stack, monkeypatch, target, label
+):
+    app, url, _ = spaced_stack
+    routes = []
+    handle = app.handle_request
+
+    def recording(request: Request) -> Response:
+        routes.append(request.route)
+        return handle(request)
+
+    monkeypatch.setattr(app, "handle_request", recording)
+    in_process = app.handle_request(Request("GET", target)).status
+    parts = urlsplit(url)
+    connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10.0)
+    try:
+        connection.request("GET", target)
+        over_http = connection.getresponse().status
+    finally:
+        connection.close()
+    assert in_process == over_http == 200
+    assert routes == [label, label]
