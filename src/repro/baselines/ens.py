@@ -122,7 +122,7 @@ class EnsMethod(SearchMethod):
 
     def observe(self, feedback: FeedbackMap) -> None:
         context = self._require_started()
-        _, labels, vector_ids = feedback.to_patch_labels(context.index)
+        _, labels, _, vector_ids = feedback.training_set(context.index)
         self._labels = {
             int(vector_id): float(label) for vector_id, label in zip(vector_ids, labels)
         }

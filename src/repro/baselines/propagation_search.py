@@ -53,7 +53,7 @@ class PropagationMethod(SearchMethod):
 
     def observe(self, feedback: FeedbackMap) -> None:
         context = self._require_started()
-        _, labels, vector_ids = feedback.to_patch_labels(context.index)
+        _, labels, _, vector_ids = feedback.training_set(context.index)
         if labels.size == 0:
             return
         labeled = {int(vid): float(label) for vid, label in zip(vector_ids, labels)}

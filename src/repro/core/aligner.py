@@ -62,8 +62,6 @@ class SeeSawQueryAligner:
         if not np.any(self.query_text_vector):
             raise OptimizationError("query_text_vector must be non-zero")
         self.db_matrix = db_matrix if self.config.use_db_alignment else None
-        self._no_feedback = (np.zeros((0, self.query_text_vector.shape[0])), np.zeros(0))
-        self._loss: "SeeSawLoss | None" = None
         self._current = self.query_text_vector.copy()
         self._last_result: "AlignmentResult | None" = None
 
@@ -118,21 +116,17 @@ class SeeSawQueryAligner:
             )
             self._last_result = result
             return result
-        loss = self._loss
-        if loss is None:
-            # One loss per session, built at its first feedback: M_D is
-            # checked and symmetrised once, and each round swaps in its rows.
-            loss = self._loss = SeeSawLoss(
-                *self._no_feedback,
-                query_text_vector=self.query_text_vector,
-                db_matrix=self.db_matrix,
-                weights=self._effective_weights(),
-                fit_bias=self.config.fit_bias,
-            )
-        loss.use_feedback(features, labels, sample_weights)
+        loss = SeeSawLoss(
+            features=features,
+            labels=labels,
+            query_text_vector=self.query_text_vector,
+            db_matrix=self.db_matrix,
+            weights=self._effective_weights(),
+            fit_bias=self.config.fit_bias,
+            sample_weights=sample_weights,
+        )
         start = loss.initial_parameters(self._scaled_start())
         outcome = lbfgs_minimize(loss, start, optimizer_config or self.config.optimizer)
-        loss.use_feedback(*self._no_feedback)  # hold no view of the caller's rows
         weight_vector, _ = loss.split_parameters(outcome.parameters)
         aligned = normalize_vector(weight_vector)
         if not np.any(aligned):

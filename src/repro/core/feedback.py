@@ -16,10 +16,11 @@ import numpy as np
 
 from repro.data.geometry import BoundingBox
 from repro.exceptions import SessionError
-from repro.utils.validation import check_finite
+from repro.utils.memory import MMAP_THRESHOLD_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import only used for type checking
     from repro.core.indexing import SeeSawIndex
+    from repro.vectorstore.base import VectorStore
 
 
 @dataclass(frozen=True)
@@ -117,26 +118,25 @@ class FeedbackMap:
         otherwise, and its weight is 1 / (patches of its image).  Rows follow
         the order in which images were first judged.
 
-        The rows live in arrays that are only ever appended to, reserved for
-        every vector of ``index`` (untouched rows cost no memory): a call
-        labels and gathers only the images judged since the last one with
-        the same ``index`` and ``min_box_overlap``, and a re-judged image
-        rewrites its labels in place.  Read the views; do not write them.
+        The rows live in arrays that are only ever appended to and double in
+        length when full: a call labels and gathers only the images judged
+        since the last one with the same ``index`` and ``min_box_overlap``,
+        and a re-judged image rewrites its labels in place.  Read the views;
+        do not write them.
         """
         memo_for, self._blocks_for = self._blocks_for, None  # a failed call rebuilds
         if memo_for is None or memo_for[0] is not index or memo_for[1] != min_box_overlap:
-            store = index.store
-            self._rows, self._stale, self._size = {}, dict.fromkeys(self._items), 0
-            self._arrays = (
-                np.empty((len(store), store.dim), dtype=store.compute_dtype),
-                np.empty(len(store)),
-                np.empty(len(store)),
-                np.empty(len(store), dtype=np.int64),
-            )
-        vectors, labels, weights, ids = self._arrays
+            self._rows, self._stale, self._size, self._arrays = {}, dict.fromkeys(self._items), 0, ()
+        blocks = [
+            (image_id, *_label_block(self._items[image_id], index, min_box_overlap))
+            for image_id in self._stale
+        ]
         start = self._size
-        for image_id in self._stale:
-            block_ids, block_labels = _label_block(self._items[image_id], index, min_box_overlap)
+        end = start + sum(block.size for image_id, block, _ in blocks if image_id not in self._rows)
+        if not self._arrays or end > len(self._arrays[3]):
+            self._grow(index.store, end)
+        vectors, labels, weights, ids = self._arrays
+        for image_id, block_ids, block_labels in blocks:
             rows = self._rows.get(image_id)
             if rows is None:
                 rows = self._rows[image_id] = slice(self._size, self._size + block_ids.size)
@@ -144,13 +144,35 @@ class FeedbackMap:
                 ids[rows] = block_ids
             labels[rows] = block_labels
         self._stale = {}
-        if self._size > start:
-            new = slice(start, self._size)
-            vectors[new] = check_finite("patch vectors", index.store.take(ids[new]))
+        if end > start:
+            new = slice(start, end)
+            vectors[new] = index.store.take(ids[new])
             segments = index.segments
             weights[new] = 1.0 / segments.counts[segments.vector_image_rows[ids[new]]]
         self._blocks_for = (index, min_box_overlap)
-        return vectors[: self._size], labels[: self._size], weights[: self._size], ids[: self._size]
+        return vectors[:end], labels[:end], weights[:end], ids[:end]
+
+    def _grow(self, store: "VectorStore", rows: int) -> None:
+        """Room for at least ``rows`` rows, at twice the old length or more: a
+        session copies its rows O(log rows) times, never the whole index."""
+        if self._arrays:
+            capacity = max(rows, 2 * len(self._arrays[3]))
+        else:
+            # The first vector block is just past the mmap threshold, so it
+            # is mmapped: rows not yet judged are never resident, and a
+            # closed session's block goes back to the OS instead of staying
+            # on the brk heap.
+            row_bytes = store.dim * store.compute_dtype.itemsize
+            capacity = max(rows, MMAP_THRESHOLD_BYTES // row_bytes + 1)
+        grown = (
+            np.empty((capacity, store.dim), dtype=store.compute_dtype),
+            np.empty(capacity),
+            np.empty(capacity),
+            np.empty(capacity, dtype=np.int64),
+        )
+        for old, new in zip(self._arrays, grown):
+            new[: self._size] = old[: self._size]
+        self._arrays = grown
 
     def to_patch_labels(
         self, index: "SeeSawIndex", min_box_overlap: float = 0.0

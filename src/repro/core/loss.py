@@ -95,10 +95,28 @@ class SeeSawLoss:
         fit_bias: bool = False,
         sample_weights: "np.ndarray | None" = None,
     ) -> None:
+        self.features = check_finite("features", np.atleast_2d(np.asarray(features, dtype=np.float64)))
+        self.labels = np.asarray(labels, dtype=np.float64).ravel()
+        if self.features.shape[0] != self.labels.shape[0]:
+            raise OptimizationError("features and labels must have the same length")
+        self._positive = self.labels == 1.0
+        if not np.all(self._positive | (self.labels == 0.0)):
+            raise OptimizationError("labels must be 0 or 1")
+        self.sample_weights = sample_weights
+        if sample_weights is not None:
+            self.sample_weights = np.asarray(sample_weights, dtype=np.float64).ravel()
+            if self.sample_weights.shape != self.labels.shape:
+                raise OptimizationError("sample_weights must match labels in length")
+            if np.any(self.sample_weights < 0):
+                raise OptimizationError("sample_weights must be non-negative")
         self.query_text_vector = check_finite(
             "query_text_vector", np.asarray(query_text_vector, dtype=np.float64).ravel()
         )
         self.dim = self.query_text_vector.shape[0]
+        if self.features.size and self.features.shape[1] != self.dim:
+            raise OptimizationError(
+                "feature dimension does not match the query vector dimension"
+            )
         self.weights = weights or LossWeights()
         self.fit_bias = bool(fit_bias)
         if db_matrix is None:
@@ -111,40 +129,10 @@ class SeeSawLoss:
                 )
             # Work with the symmetrised matrix so the gradient 2 M w is exact.
             self.db_matrix = (db_matrix + db_matrix.T) / 2.0
+        self._features_t = self.features.T
         self._negative_query = -self.query_text_vector
         self._twice_lambda_norm = 2.0 * self.weights.lambda_norm
         self._twice_lambda_db = self.weights.lambda_db * 2.0
-        self.use_feedback(check_finite("features", features), labels, sample_weights)
-
-    def use_feedback(
-        self,
-        features: np.ndarray,
-        labels: np.ndarray,
-        sample_weights: "np.ndarray | None" = None,
-    ) -> None:
-        """Make these rows the training set, without a copy (one loss serves a
-        session).  Rows are not checked for finiteness: a non-finite row makes
-        the objective non-finite, which ``lbfgs_minimize`` rejects."""
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        labels = np.asarray(labels, dtype=np.float64).ravel()
-        if features.shape[0] != labels.shape[0]:
-            raise OptimizationError("features and labels must have the same length")
-        if features.size and features.shape[1] != self.dim:
-            raise OptimizationError(
-                "feature dimension does not match the query vector dimension"
-            )
-        positive = labels == 1.0
-        if not np.all(positive | (labels == 0.0)):
-            raise OptimizationError("labels must be 0 or 1")
-        if sample_weights is not None:
-            sample_weights = np.asarray(sample_weights, dtype=np.float64).ravel()
-            if sample_weights.shape != labels.shape:
-                raise OptimizationError("sample_weights must match labels in length")
-            if np.any(sample_weights < 0):
-                raise OptimizationError("sample_weights must be non-negative")
-        self.features, self.labels, self.sample_weights = features, labels, sample_weights
-        self._features_t = features.T
-        self._positive = positive
 
     # ------------------------------------------------------------------
     # parameter packing

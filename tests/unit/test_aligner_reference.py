@@ -23,14 +23,13 @@ from repro.baselines.few_shot import FewShotClipMethod
 from repro.bench.simulate import OracleUser
 from repro.config import LossWeights, OptimizerConfig, SeeSawConfig
 from repro.core.aligner import SeeSawQueryAligner
-from repro.core.feedback import FeedbackMap
 from repro.core.indexing import SeeSawIndex
 from repro.core.loss import SeeSawLoss
 from repro.core.seesaw_method import SeeSawSearchMethod
 from repro.core.session import SearchSession
 from repro.data import load_dataset
 from repro.embedding import SyntheticClip
-from repro.exceptions import OptimizationError
+from repro.exceptions import ConfigurationError, OptimizationError
 from repro.optim.lbfgs import LbfgsResult, lbfgs_minimize
 from repro.utils.linalg import normalize_rows, normalize_vector
 
@@ -317,9 +316,14 @@ def test_a_label_that_is_not_zero_or_one_is_rejected():
     for labels in ([1.0, 0.5, 0.0], [1.0, 2.0, 0.0], [0.0, -1.0, 1.0], [1.0, np.nan, 0.0]):
         with pytest.raises(OptimizationError):
             SeeSawLoss(features, np.asarray(labels), query)
-    loss = SeeSawLoss(features, np.array([1.0, 0.0, 1.0]), query)
-    with pytest.raises(OptimizationError):
-        loss.use_feedback(features, np.array([1.0, 0.0, 0.25]))
+
+
+def test_align_rejects_non_finite_features_up_front():
+    features = normalize_rows(np.random.default_rng(0).standard_normal((3, 4)))
+    features[1, 2] = np.nan
+    aligner = SeeSawQueryAligner(normalize_vector(np.ones(4)))
+    with pytest.raises(ConfigurationError, match="features contains NaN or infinite values"):
+        aligner.align(features, np.array([1.0, 0.0, 1.0]))
 
 
 # ----------------------------------------------------------------------
@@ -386,29 +390,3 @@ def test_sessions_equal_the_reference_round_by_round(bdd_index, method, monkeypa
     for actual, expected in rounds:
         assert actual == expected
 
-
-def run_sessions(index, rounds=5):
-    """Bytes of every round's query vector, one SeeSaw session per category."""
-    transcript = []
-    for category in index.dataset.category_names[:4]:
-        session = SearchSession(index, SeeSawSearchMethod(), category, batch_size=10)
-        user = OracleUser(index.dataset, category)
-        for _ in range(rounds):
-            for result in session.next_batch():
-                judgement = user.judge(result.image_id)
-                session.give_feedback(result.image_id, judgement.relevant, judgement.boxes)
-            transcript.append(np.asarray(session.method.query_vector).tobytes())
-    return transcript
-
-
-def test_sessions_identical_to_a_full_rebuild_each_round(bdd_index, monkeypatch):
-    appended = run_sessions(bdd_index)
-
-    training_set = FeedbackMap.training_set
-
-    def rebuilt(self, index, min_box_overlap=0.0):
-        self._blocks_for = None
-        return training_set(self, index, min_box_overlap)
-
-    monkeypatch.setattr(FeedbackMap, "training_set", rebuilt)
-    assert run_sessions(bdd_index) == appended

@@ -118,6 +118,27 @@ class TestFeedback:
         assert features.shape == (0, tiny_index.store.dim)
         assert labels.size == 0 and ids.size == 0
 
+    def test_training_set_grows_with_the_feedback_not_the_index(self, tiny_index, monkeypatch):
+        """With a first block of one row, the arrays double as images are
+        judged one at a time, stay within twice the judged rows, and equal a
+        training set built in one go, a re-judged image included."""
+        monkeypatch.setattr("repro.core.feedback.MMAP_THRESHOLD_BYTES", 0)
+        images = tiny_index.dataset.images[:12]
+        first = images[0].image_id
+        feedback = FeedbackMap()
+        for step, image in enumerate(images):
+            feedback.update(BoxFeedback.negative(image.image_id))
+            if step % 4 == 3:
+                feedback.update(BoxFeedback.positive(first, [BoundingBox(0, 0, 320, 240)]))
+            grown = feedback.training_set(tiny_index)
+            assert len(feedback._arrays[0]) <= 2 * grown[3].size
+            whole = FeedbackMap()
+            for judged in feedback:
+                whole.update(judged)
+            for actual, expected in zip(grown, whole.training_set(tiny_index)):
+                np.testing.assert_array_equal(actual, expected)
+        assert grown[1].max() == 1.0
+
 
 class TestPropagation:
     @pytest.fixture()

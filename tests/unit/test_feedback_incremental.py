@@ -1,7 +1,7 @@
 """The memoised patch-label construction is bit-identical to a from-scratch one.
 
-``FeedbackMap.to_patch_labels`` keeps each judged image's label block and
-reuses it on later rounds.  The reference below is the from-scratch loop it
+``FeedbackMap.training_set`` keeps each judged image's rows and labels and
+reuses them on later rounds; ``to_patch_labels`` returns a copy of them.  The reference below is the from-scratch loop it
 replaced: every call re-walks every patch of every judged image.  Memoised
 and reference outputs must be equal array for array, dtype included, over
 any sequence of judgements, re-judgements, overlap thresholds and indexes —
@@ -297,13 +297,13 @@ def run_sessions(index, page=10, rounds=6):
 def test_sessions_identical_to_from_scratch_labels(bdd_graph_index, monkeypatch):
     memoised = run_sessions(bdd_graph_index)
 
-    memo_call = FeedbackMap.to_patch_labels
+    memo_call = FeedbackMap.training_set
 
     def from_scratch(self, index, min_box_overlap=0.0):
         self._blocks_for = None
         return memo_call(self, index, min_box_overlap)
 
-    monkeypatch.setattr(FeedbackMap, "to_patch_labels", from_scratch)
+    monkeypatch.setattr(FeedbackMap, "training_set", from_scratch)
     cleared = run_sessions(bdd_graph_index)
 
     assert len(memoised) == 10 * 6
