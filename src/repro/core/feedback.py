@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.data.geometry import BoundingBox
 from repro.exceptions import SessionError
-from repro.utils.memory import MMAP_THRESHOLD_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import only used for type checking
     from repro.core.indexing import SeeSawIndex
@@ -155,15 +154,7 @@ class FeedbackMap:
     def _grow(self, store: "VectorStore", rows: int) -> None:
         """Room for at least ``rows`` rows, at twice the old length or more: a
         session copies its rows O(log rows) times, never the whole index."""
-        if self._arrays:
-            capacity = max(rows, 2 * len(self._arrays[3]))
-        else:
-            # The first vector block is just past the mmap threshold, so it
-            # is mmapped: rows not yet judged are never resident, and a
-            # closed session's block goes back to the OS instead of staying
-            # on the brk heap.
-            row_bytes = store.dim * store.compute_dtype.itemsize
-            capacity = max(rows, MMAP_THRESHOLD_BYTES // row_bytes + 1)
+        capacity = max(rows, 2 * len(self._arrays[3]) if self._arrays else 0)
         grown = (
             np.empty((capacity, store.dim), dtype=store.compute_dtype),
             np.empty(capacity),

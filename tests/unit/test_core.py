@@ -118,11 +118,10 @@ class TestFeedback:
         assert features.shape == (0, tiny_index.store.dim)
         assert labels.size == 0 and ids.size == 0
 
-    def test_training_set_grows_with_the_feedback_not_the_index(self, tiny_index, monkeypatch):
-        """With a first block of one row, the arrays double as images are
-        judged one at a time, stay within twice the judged rows, and equal a
-        training set built in one go, a re-judged image included."""
-        monkeypatch.setattr("repro.core.feedback.MMAP_THRESHOLD_BYTES", 0)
+    def test_training_set_grows_with_the_feedback_not_the_index(self, tiny_index):
+        """Judged one image at a time, the arrays double, stay within twice
+        the judged rows, and equal a training set built in one go, a
+        re-judged image included."""
         images = tiny_index.dataset.images[:12]
         first = images[0].image_id
         feedback = FeedbackMap()
