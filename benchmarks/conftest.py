@@ -16,7 +16,6 @@ import pytest
 
 from repro.bench.runner import BenchmarkSettings
 from repro.bench.suite import ExperimentScale, build_bundles
-from repro.server import SeeSawApp, SeeSawService, SessionManager, serve_in_background
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -43,53 +42,6 @@ def settings() -> BenchmarkSettings:
 def bundles(scale: ExperimentScale):
     """Dataset bundles for all four evaluation datasets (built once)."""
     return build_bundles(scale)
-
-
-@pytest.fixture(scope="session")
-def results_dir() -> Path:
-    """benchmarks/results/, created on first use (JSONL artifacts land here)."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
-
-
-@pytest.fixture(scope="session")
-def traffic_server(bundles):
-    """One live HTTP server over the cached bdd bundle, shared by every
-    traffic scenario — the open-loop harness reuses the same synthetic
-    dataset the table benchmarks already built instead of growing its own."""
-    bundle = bundles["bdd"]
-    service = SeeSawService(bundle.config)
-    service.register_dataset(bundle.dataset, bundle.embedding, preprocess=True)
-    with serve_in_background(SeeSawApp(SessionManager(service))) as server:
-        yield server
-
-
-@pytest.fixture(scope="session")
-def traffic_queries(bundles, scale) -> "tuple[str, ...]":
-    """The text-query pool traffic sessions draw from (the bdd prompts)."""
-    return tuple(query.prompt for query in bundles["bdd"].queries(scale))
-
-
-@pytest.fixture(scope="session")
-def live_traffic_server(bundles):
-    """A separate HTTP server with the mutable dataset tier enabled.
-
-    The live-ingest scenario upserts into (and force-merges) its bdd
-    dataset, so it gets its own service instead of mutating the read-only
-    ``traffic_server`` the other scenarios share.
-    """
-    bundle = bundles["bdd"]
-    service = SeeSawService(bundle.config.with_overrides(live_datasets=True))
-    service.register_dataset(bundle.dataset, bundle.embedding, preprocess=True)
-    with serve_in_background(SeeSawApp(SessionManager(service))) as server:
-        yield server
-    service.live.close()
-
-
-@pytest.fixture(scope="session")
-def traffic_categories(bundles) -> "tuple[str, ...]":
-    """The bdd category catalog — the pool live-ingest upserts draw from."""
-    return tuple(info.name for info in bundles["bdd"].dataset.categories)
 
 
 @pytest.fixture(scope="session")

@@ -11,32 +11,9 @@ The central pieces are:
 """
 
 from repro.bench.runner import BenchmarkSettings, SessionOutcome, run_search_task
-from repro.bench.scenarios import (
-    SCENARIO_PACK,
-    BurstProfile,
-    OpMix,
-    TailGates,
-    TrafficScenario,
-    get_scenario,
-    scenario_names,
-)
 from repro.bench.simulate import OracleUser
 from repro.bench.suite import DatasetBundle, build_bundle, method_factories
 from repro.bench.tasks import BenchmarkQuery, queries_for_dataset
-from repro.bench.traffic import (
-    RequestRecord,
-    TrafficRun,
-    TrafficSummary,
-    assert_tail_gates,
-    gate_violations,
-    poisson_schedule,
-    read_run_jsonl,
-    run_and_report,
-    run_scenario,
-    scenario_schedule,
-    summarize,
-    write_run_jsonl,
-)
 
 __all__ = [
     "BenchmarkQuery",
@@ -48,24 +25,4 @@ __all__ = [
     "DatasetBundle",
     "build_bundle",
     "method_factories",
-    # open-loop traffic harness
-    "SCENARIO_PACK",
-    "BurstProfile",
-    "OpMix",
-    "TailGates",
-    "TrafficScenario",
-    "get_scenario",
-    "scenario_names",
-    "RequestRecord",
-    "TrafficRun",
-    "TrafficSummary",
-    "poisson_schedule",
-    "scenario_schedule",
-    "run_scenario",
-    "run_and_report",
-    "summarize",
-    "gate_violations",
-    "assert_tail_gates",
-    "write_run_jsonl",
-    "read_run_jsonl",
 ]

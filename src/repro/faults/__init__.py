@@ -17,8 +17,10 @@ The subsystem has three pieces:
   client's own transport.
 
 Every injected fault is a *typed* failure the resilience layer is supposed
-to absorb — the chaos traffic scenario's gates assert that nothing else
-(raw socket errors, stranded waiters, hung sessions) leaks out.
+to absorb — ``tests/integration/test_scripted_load.py``'s chaos-window test
+asserts that nothing else (raw socket errors, stranded waiters, hung
+sessions) leaks out, and that every call before and after the window
+succeeds.
 
 The injector modules are imported lazily (not re-exported here): the
 package root must stay importable from :mod:`repro.config` without pulling

@@ -1,12 +1,12 @@
 """The fault plan: what to inject, how often, inside which window.
 
-A :class:`FaultPlan` is plain frozen data — like the traffic scenarios it
-rides in, it JSON-round-trips, so a chaos CI job, a local soak, and a config
-file all name the exact same fault workload.  Probabilities are per
-*opportunity* (one request through the chaos middleware, one protocol call
-through the fault transport); the window bounds when faults fire, so a run
-has a clean pre-fault baseline and a post-fault recovery phase the gates
-measure against.
+A :class:`FaultPlan` is plain frozen data that JSON-round-trips, so a
+config file, a local soak and the chaos-window test
+(``tests/integration/test_scripted_load.py``) all name the exact same fault
+workload.  Probabilities are per *opportunity* (one request through the
+chaos middleware, one protocol call through the fault transport); the
+window bounds when faults fire, so a run has a clean pre-fault baseline and
+a post-fault recovery phase that test checks call by call.
 """
 
 from __future__ import annotations

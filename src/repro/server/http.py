@@ -115,6 +115,14 @@ class SeeSawRequestHandler(BaseHTTPRequestHandler):
     def do_DELETE(self) -> None:  # noqa: N802
         self._dispatch("DELETE")
 
+    # No route is served for these two; the app answers them with the same
+    # structured 404 an in-process caller gets, not the stdlib's 501.
+    def do_PUT(self) -> None:  # noqa: N802
+        self._dispatch("PUT")
+
+    def do_PATCH(self) -> None:  # noqa: N802
+        self._dispatch("PATCH")
+
     def _dispatch(self, method: str) -> None:
         if not self.server.begin_request(self.connection):
             # The server stopped between this request's arrival and now:

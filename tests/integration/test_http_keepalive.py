@@ -45,6 +45,7 @@ from repro.server import (
     StartSessionRequest,
 )
 from repro.server import client as client_module
+from repro.server.api import ROUTES
 from repro.server.http import BackgroundServer, SeeSawRequestHandler, serve_in_background
 from repro.server.middleware import Request, Response
 
@@ -539,11 +540,33 @@ def _until_hangup(stack, request: bytes) -> "list[tuple[bytes, dict]]":
     return replies
 
 
+GRID_METHODS = ("GET", "POST", "DELETE", "PUT", "PATCH")
+GRID_PATHS = [
+    # Every /v1 path template, on resources that do not exist, so a cell's
+    # in-process call changes nothing its socket call sees ...
+    *[
+        (route.replace("{id}", "no-such-session").replace("{name}", "no-such-dataset"), route)
+        for route in dict.fromkeys(row.template for row in ROUTES)
+    ],
+    # ... then an unknown path under /v1 and one outside it.
+    ("/v1/no-such-route", "/v1/other"),
+    ("/no-such-prefix", "/other"),
+]
+SERVED = {(row.method, row.template) for row in ROUTES}
+
+
+@pytest.fixture(scope="module", params=GRID_METHODS)
+def method_stack(request, tiny_dataset, tiny_clip):
+    """One stack per grid method: its cells stay under the label-set cap."""
+    stack = Stack(tiny_dataset, tiny_clip)
+    yield request.param, stack
+    stack.server.stop()
+
+
 class TestEveryErrorIsTheStructuredEnvelope:
     @pytest.mark.parametrize(
         "request_bytes, status, fragment",
         [
-            (b"PUT /v1/sessions HTTP/1.1\r\nHost: x\r\n\r\n", 501, "PUT"),
             (b"HEAD /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n", 501, "HEAD"),
             (b"OPTIONS * HTTP/1.1\r\nHost: x\r\n\r\n", 501, "OPTIONS"),
             (b"not a request line at all\r\n\r\n", 400, "Bad request"),
@@ -562,6 +585,52 @@ class TestEveryErrorIsTheStructuredEnvelope:
         assert error["code"] == "invalid_request"
         assert error["details"]["type"] == "TransportError"
         assert fragment in error["message"]
+
+    @pytest.mark.parametrize("path, route", GRID_PATHS, ids=[path for path, _ in GRID_PATHS])
+    def test_every_method_gets_the_in_process_answer(self, method_stack, path, route):
+        # The cell is counted once in seesaw_requests_total; its label set
+        # is the (method, route, status) the app saw.  PUT and PATCH must
+        # reach the app too, not stop at the stdlib's 501 uncounted.
+        method, stack = method_stack
+
+        def series() -> "dict[tuple[str, ...], float]":
+            family = stack.service.metrics.get("seesaw_requests_total")
+            return {} if family is None else {
+                labels: child.value for labels, child in family.collect()
+            }
+
+        def counted(send) -> "tuple[int, str | None, tuple]":
+            """Status, error code and the series the request was counted in."""
+            before = series()
+            status, payload = send()
+            counted_in = tuple(
+                labels for labels, value in series().items()
+                if value != before.get(labels, 0.0)
+            )
+            return status, (payload.get("error") or {}).get("code"), counted_in
+
+        def in_process():
+            response = stack.app.handle_request(Request(method=method, target=path))
+            return response.status, response.payload if isinstance(response.payload, dict) else {}
+
+        def over_socket():
+            host, port = stack.server.server.server_address[:2]
+            received = b""
+            with socket.create_connection((host, port), timeout=5.0) as sock:
+                sock.sendall(
+                    f"{method} {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+                    "Content-Length: 0\r\n\r\n".encode()
+                )
+                while chunk := sock.recv(65536):
+                    received += chunk
+            head, _, body = received.partition(b"\r\n\r\n")
+            is_json = b"content-type: application/json" in head.lower()
+            return int(head.split(b" ")[1]), json.loads(body) if is_json else {}
+
+        expected = counted(in_process)
+        assert counted(over_socket) == expected
+        if (method, route) not in SERVED:
+            assert expected == (404, "not_found", ((method, route, "404"),))
 
     def test_chunked_request_body_is_one_typed_400_then_eof(self, make_stack):
         # The chunk bytes must not be parsed as a second request.

@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.bench.scenarios import TailGates, TrafficScenario, get_scenario
 from repro.exceptions import (
     ConfigurationError,
     ConnectionFailedError,
@@ -398,60 +397,3 @@ class TestFaultyClient:
         assert excinfo.value.request_sent is True
         assert inner.calls == ["next"]
 
-
-# ----------------------------------------------------------------------
-# chaos scenario plumbing
-# ----------------------------------------------------------------------
-class TestChaosScenario:
-    def test_pack_scenario_round_trips_with_its_fault_plan(self):
-        scenario = get_scenario("chaos")
-        assert scenario.faults is not None and scenario.faults.any_faults
-        rebuilt = TrafficScenario.from_json(scenario.to_json())
-        assert rebuilt == scenario
-
-    def test_scaled_rescales_the_fault_window(self):
-        scenario = get_scenario("chaos")
-        scaled = scenario.scaled(duration_seconds=scenario.duration_seconds / 2)
-        assert scaled.faults.window_start_seconds == pytest.approx(
-            scenario.faults.window_start_seconds / 2
-        )
-        assert scaled.faults.window_stop_seconds == pytest.approx(
-            scenario.faults.window_stop_seconds / 2
-        )
-        # Probabilities are per opportunity — scaling time must not touch them.
-        assert scaled.faults.error_probability == scenario.faults.error_probability
-
-    def test_recovery_gate_requires_post_window_successes(self):
-        from repro.bench.traffic import TrafficSummary, gate_violations
-
-        gates = TailGates(p99_ms=1000.0, recovery_p99_ms=200.0)
-
-        def summary(recovery: "float | None") -> TrafficSummary:
-            return TrafficSummary(
-                scenario="chaos",
-                transport="inprocess",
-                duration_seconds=4.0,
-                elapsed_seconds=4.0,
-                arrivals=10,
-                offered_rps=2.5,
-                achieved_rps=2.5,
-                achieved_ratio=1.0,
-                requests=10,
-                ok_requests=10,
-                failed_requests=0,
-                p50_ms=10.0,
-                p99_ms=20.0,
-                p999_ms=20.0,
-                max_ms=20.0,
-                recovery_p99_ms=recovery,
-            )
-
-        assert gate_violations(summary(150.0), gates) == []
-        assert any(
-            "recovery" in violation
-            for violation in gate_violations(summary(350.0), gates)
-        )
-        assert any(
-            "recovery percentile undefined" in violation
-            for violation in gate_violations(summary(None), gates)
-        )

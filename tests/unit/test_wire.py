@@ -630,7 +630,6 @@ class TestServerFraming:
             (b"GET /v1/echo FTP/1.1", 400, "Bad request version ('FTP/1.1')"),
             (b"GET /v1/echo HTTP/2.0", 505, "Invalid HTTP version (2.0)"),
             (b"POST /v1/echo", 400, "Bad HTTP/0.9 request type ('POST')"),
-            (b"PUT /v1/echo HTTP/1.1", 501, "Unsupported method ('PUT')"),
         ],
     )
     def test_malformed_request_lines_get_the_stdlib_replies(
