@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Mapping
 
 from repro.exceptions import ConfigurationError
-from repro.faults.plan import FaultPlan
 from repro.utils.validation import check_positive, check_probability
 
 RETIRED_FIELDS = frozenset(
@@ -34,6 +33,7 @@ RETIRED_FIELDS = frozenset(
         "optimizer.initial_step",
         "optimizer.wolfe_c1",
         "optimizer.max_line_search_steps",
+        "faults",
     }
 )
 """Config fields that no longer exist, as ``name`` or ``section.name``.
@@ -282,13 +282,6 @@ class SeeSawConfig:
     """Graceful-drain budget: on SIGTERM/``shutdown()`` the server flips
     ``/healthz`` to ``draining``, rejects new sessions with a typed 503,
     and gives in-flight work this long to finish before closing."""
-    faults: "FaultPlan | None" = None
-    """Fault-injection plan (:mod:`repro.faults`).  When set, the server
-    mounts :class:`~repro.faults.middleware.ChaosMiddleware` in the `/v1`
-    pipeline and injects the planned latency/error faults deterministically
-    from the plan's seed.  ``None`` (the default) injects nothing — the
-    knob exists for chaos testing, never for production serving.  Runtime
-    knob, excluded from the cache key."""
     live_datasets: bool = False
     """Enable the mutable dataset tier (:mod:`repro.live`): the
     ``/v1/datasets`` upsert/delete/merge routes, the writable delta segment
@@ -387,9 +380,7 @@ class SeeSawConfig:
         }
         kwargs = _known_fields(cls, data)
         for key, value in kwargs.items():
-            if key == "faults" and isinstance(value, Mapping):
-                kwargs[key] = FaultPlan.from_json(value)
-            elif key in sections and isinstance(value, Mapping):
+            if key in sections and isinstance(value, Mapping):
                 section = sections[key]
                 kwargs[key] = section(**_known_fields(section, value, f"{key}."))
         return cls(**kwargs)

@@ -221,7 +221,7 @@ class Route:
     """Whether a client may replay the call after an ambiguous failure.  A
     call that sends an ``Idempotency-Key`` may be replayed either way."""
     probe: bool = False
-    """Admission control and the chaos layers let a probe through."""
+    """Admission control (and the tests' chaos injectors) let a probe through."""
     status: int = 200
 
 
@@ -305,4 +305,5 @@ def resolve(method: str, path: str) -> "tuple[str, Route | None, tuple[str, ...]
 
 
 PROBE_ROUTES = frozenset(route.template for route in ROUTES if route.probe)
-"""The labels admission control and chaos let through (any method)."""
+"""The labels admission control (and the tests' chaos middleware) let through
+(any method)."""

@@ -56,7 +56,7 @@ from repro.server.middleware import (
 
 
 def default_middlewares(manager: SessionManager) -> "list[Middleware]":
-    """The standard pipeline: ids, logs, limits, deadlines, admission, chaos.
+    """The standard pipeline: ids, logs, limits, deadlines, admission.
 
     Outermost first.  Rate limiting sits before deadlines and admission —
     a client over its own budget is rejected by the cheapest check; the
@@ -82,12 +82,6 @@ def default_middlewares(manager: SessionManager) -> "list[Middleware]":
     middlewares.append(
         AdmissionControlMiddleware(tracker, registry=manager.service.metrics)
     )
-    if config.faults is not None and config.faults.any_faults:
-        from repro.faults.middleware import ChaosMiddleware
-
-        middlewares.append(
-            ChaosMiddleware(config.faults, registry=manager.service.metrics)
-        )
     return middlewares
 
 

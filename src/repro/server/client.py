@@ -9,8 +9,8 @@ request reaches :meth:`SeeSawApp.handle_request
 * :class:`HTTPClient` sends it over pooled keep-alive connections;
 * :class:`InProcessClient` hands it to an app in this process — no socket,
   the same middleware pipeline, the same response bytes;
-* :class:`~repro.faults.client.FaultyClient` passes it through the fault
-  plan to another client's transport.
+* a test's fault transport (``tests/chaos.py``'s ``FaultyClient``)
+  passes it through a fault plan to another client's transport.
 """
 
 from __future__ import annotations
@@ -609,7 +609,7 @@ class InProcessClient(SeeSawClientProtocol):
     :meth:`SeeSawApp.handle_request
     <repro.server.app.SeeSawApp.handle_request>` — the entry point the HTTP
     handler calls, so request ids, access records, metrics, rate limiting,
-    deadlines, admission and chaos apply exactly as over a socket — and the
+    deadlines and admission apply exactly as over a socket — and the
     reply is decoded from :meth:`Response.body
     <repro.server.middleware.Response.body>`, the bytes HTTP would write.
     With no host there is no circuit breaker; retries follow

@@ -511,12 +511,8 @@ class SessionManager:
 
     def health(self) -> "dict[str, object]":
         """The payload ``GET /v1/healthz`` returns."""
-        state = "draining" if self.draining else "serving"
         return {
-            # "status" predates the drain state and stays for byte-compat
-            # ("ok" while serving); "state" is the authoritative field.
-            "status": "ok" if state == "serving" else "draining",
-            "state": state,
+            "state": "draining" if self.draining else "serving",
             "uptime_seconds": max(0.0, self._clock() - self._started_at),
             "in_flight": self.in_flight,
             "open_connections": int(self.service.http_open_connections.value),

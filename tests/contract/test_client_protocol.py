@@ -106,7 +106,7 @@ class TestDiscovery:
         assert capabilities["protocol"]["version"] == "v1"
         assert capabilities["features"]["idempotent_feedback"] is True
         assert capabilities["limits"]["max_count"] == MAX_RESULT_COUNT
-        assert client.healthz()["status"] == "ok"
+        assert client.healthz()["state"] == "serving"
 
     def test_revision_5_surface(self, client):
         """Revision 5 removed the multi-session next path: the capability and
@@ -130,7 +130,7 @@ class TestDiscovery:
             "ann_ef", "ann_graph_degree", "mmap_index",
         }
         assert set(client.healthz()) == {
-            "status", "state", "uptime_seconds", "in_flight",
+            "state", "uptime_seconds", "in_flight",
             "open_connections", "datasets", "active_sessions", "max_sessions",
             "index_cache_hits", "index_cache_misses", "cached_engines",
             "n_shards", "store_shards", "compute_dtype", "quantized_store",
@@ -148,10 +148,10 @@ class TestClientLifetime:
     def test_context_manager_closes_and_the_client_stays_usable(self, client):
         with client as entered:
             assert entered is client
-            assert client.healthz()["status"] == "ok"
+            assert client.healthz()["state"] == "serving"
         # close() released the transport's resources (HTTP: the pooled
         # connections); the next call simply acquires them again.
-        assert client.healthz()["status"] == "ok"
+        assert client.healthz()["state"] == "serving"
         client.close()
         client.close()
 

@@ -62,7 +62,7 @@ def run_full_session(client: HTTPClient, query: str, rounds: int = 2) -> object:
 class TestHttpRoundTrip:
     def test_healthz(self, client):
         health = client.healthz()
-        assert health["status"] == "ok"
+        assert health["state"] == "serving"
         assert health["datasets"] == ["tiny"]
 
     def test_full_session_over_http(self, client):

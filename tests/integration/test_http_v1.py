@@ -133,4 +133,4 @@ class TestRateLimiting:
                     time.sleep(0.05)
             # Other clients were never throttled by the hammer's bucket.
             other = HTTPClient(server.url, client_id="bystander")
-            assert other.healthz()["status"] == "ok"
+            assert other.healthz()["state"] == "serving"

@@ -5,7 +5,8 @@ into a typed 504 envelope, ``Retry-After`` on 429/503 responses, the
 client-side retry policy absorbing live rejections, admission-control
 shedding while a request genuinely occupies a server thread, the drain
 lifecycle flipping ``/healthz`` mid-flight, and a server-side fault plan's
-typed 500s.  The client-side chaos run over a real socket is
+typed 500s (``tests/chaos.py``'s ``ChaosMiddleware``, mounted through the
+app's ``middlewares=`` seam).  The client-side chaos run over a real socket is
 ``test_scripted_load.py::test_chaos_window_is_typed_and_every_call_outside_it_succeeds``.
 """
 
@@ -24,7 +25,6 @@ from repro.exceptions import (
     RateLimitedError,
     ServiceOverloadedError,
 )
-from repro.faults import FaultPlan
 from repro.obs import MetricsRegistry
 from repro.server import (
     HTTPClient,
@@ -32,10 +32,13 @@ from repro.server import (
     SeeSawService,
     SessionManager,
     StartSessionRequest,
+    default_middlewares,
     serve_in_background,
 )
 from repro.server.deadlines import DEADLINE_HEADER, Deadline, deadline_scope
 from repro.server.retry import RetryPolicy
+
+from chaos import ChaosMiddleware, FaultPlan
 
 QUERY = "a cat_easy"
 
@@ -254,7 +257,6 @@ class TestHealthAndDrain:
     def test_healthz_reports_state_uptime_and_in_flight(self, plain_server):
         client = HTTPClient(plain_server.url, client_id="health-reader")
         health = client.healthz()
-        assert health["status"] == "ok"
         assert health["state"] == "serving"
         assert health["uptime_seconds"] >= 0.0
         assert health["in_flight"] >= 0
@@ -292,7 +294,7 @@ class TestHealthAndDrain:
         assert excinfo.value.retry_after_seconds == pytest.approx(5.0)
         # ...the health probe says draining...
         health = client.healthz()
-        assert health["state"] == "draining" and health["status"] == "draining"
+        assert health["state"] == "draining"
         # ...and the in-flight round is allowed to finish before stop.
         release.set()
         drained = server.drain(timeout_s=5.0)
@@ -311,15 +313,30 @@ class TestHealthAndDrain:
         assert "drain_timeout_s" in capabilities["limits"]
 
 
+@pytest.fixture()
+def chaos_server(tiny_dataset, tiny_clip):
+    """A server whose pipeline ends in an always-failing ChaosMiddleware,
+    mounted through the app's ``middlewares=`` seam."""
+    manager = SessionManager(_service(tiny_dataset, tiny_clip))
+    chaos = ChaosMiddleware(
+        FaultPlan(seed=21, error_probability=1.0), registry=manager.service.metrics
+    )
+    app = SeeSawApp(manager, middlewares=[*default_middlewares(manager), chaos])
+    with serve_in_background(app) as server:
+        yield server
+
+
 class TestChaosOverHTTP:
-    def test_server_side_fault_plan_injects_typed_500s(
-        self, tiny_dataset, tiny_clip
-    ):
-        faults = FaultPlan(seed=21, error_probability=1.0)
-        service = _service(tiny_dataset, tiny_clip, faults=faults)
-        with serve_in_background(SeeSawApp(SessionManager(service))) as server:
-            client = HTTPClient(server.url, client_id="chaos-500")
-            with pytest.raises(InternalServiceError, match="chaos"):
+    def test_server_side_fault_plan_injects_typed_500s(self, chaos_server):
+        client = HTTPClient(chaos_server.url, client_id="chaos-500")
+        with pytest.raises(InternalServiceError, match="chaos"):
+            _start(client)
+        # Probes stay exempt from chaos.
+        assert client.healthz()["state"] == "serving"
+
+    def test_injections_show_on_the_servers_own_metrics(self, chaos_server):
+        client = HTTPClient(chaos_server.url, client_id="chaos-count")
+        for _ in range(2):
+            with pytest.raises(InternalServiceError):
                 _start(client)
-            # Probes stay exempt from chaos.
-            assert client.healthz()["state"] == "serving"
+        assert 'seesaw_faults_injected_total{kind="error"} 2' in client.metrics_text()

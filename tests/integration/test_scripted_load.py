@@ -29,8 +29,6 @@ from repro.exceptions import (
     ServiceOverloadedError,
     UnknownResourceError,
 )
-from repro.faults import FaultPlan
-from repro.faults.client import FaultyClient
 from repro.live.delta import DeltaVectorStore
 from repro.obs import MetricsRegistry
 from repro.server import (
@@ -43,6 +41,8 @@ from repro.server import (
     StartSessionRequest,
     serve_in_background,
 )
+
+from chaos import FaultPlan, FaultyClient
 
 QUERY = "a cat_easy"
 

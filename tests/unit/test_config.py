@@ -117,6 +117,7 @@ class TestRetiredFields:
             retry_max_ms=80.0,
             breaker_failure_threshold=2,
             breaker_reset_s=1.5,
+            faults={"seed": 21, "error_probability": 1.0},
         )
         data["optimizer"].update(
             history_size=5, initial_step=0.5, wolfe_c1=1e-3, max_line_search_steps=10
@@ -137,6 +138,7 @@ class TestRetiredFields:
             "optimizer.initial_step",
             "optimizer.wolfe_c1",
             "optimizer.max_line_search_steps",
+            "faults",
         }
         assert SeeSawConfig.from_dict(data) == SeeSawConfig(n_shards=2)
 

@@ -1,4 +1,4 @@
-"""The fault-injection subsystem: plan, decider, and both injectors.
+"""The chaos harness (``tests/chaos.py``): plan, decider, and both injectors.
 
 Determinism is the load-bearing property — a chaos run that cannot be
 replayed is a flake generator, not a test — so the decider assertions pin
@@ -20,16 +20,6 @@ from repro.exceptions import (
     InternalServiceError,
     TransportError,
 )
-from repro.faults import FaultDecider, FaultPlan
-from repro.faults.client import FaultyClient
-from repro.faults.inject import (
-    KIND_ERROR,
-    KIND_NONE,
-    KIND_RESET,
-    KIND_SKEW,
-    KIND_TRUNCATE,
-)
-from repro.faults.middleware import ChaosMiddleware
 from repro.obs import MetricsRegistry
 from repro.server.api import BoxPayload, FeedbackRequest, ResultItem, resolve
 from repro.server.client import SeeSawClientProtocol
@@ -37,6 +27,18 @@ from repro.server.codec import encode
 from repro.server.deadlines import check_deadline, current_deadline
 from repro.server.retry import RetryPolicy
 from repro.server.middleware import Request, Response
+
+from chaos import (
+    KIND_ERROR,
+    KIND_NONE,
+    KIND_RESET,
+    KIND_SKEW,
+    KIND_TRUNCATE,
+    ChaosMiddleware,
+    FaultDecider,
+    FaultPlan,
+    FaultyClient,
+)
 
 
 class FakeClock:
@@ -54,20 +56,6 @@ class FakeClock:
 # the plan
 # ----------------------------------------------------------------------
 class TestFaultPlan:
-    def test_round_trips_through_json(self):
-        plan = FaultPlan(
-            seed=11,
-            latency_ms=40.0,
-            latency_probability=0.2,
-            error_probability=0.1,
-            reset_probability=0.05,
-            truncate_probability=0.03,
-            skew_probability=0.02,
-            window_start_seconds=1.0,
-            window_stop_seconds=3.0,
-        )
-        assert FaultPlan.from_json(plan.to_json()) == plan
-
     @pytest.mark.parametrize(
         "kwargs,match",
         [
@@ -84,15 +72,6 @@ class TestFaultPlan:
     def test_validation(self, kwargs, match):
         with pytest.raises(ConfigurationError, match=match):
             FaultPlan(**kwargs)
-
-    def test_unknown_key_is_configuration_error(self):
-        with pytest.raises(ConfigurationError, match="Malformed fault plan"):
-            FaultPlan.from_json({"surprise": 1})
-
-    def test_any_faults(self):
-        assert not FaultPlan(seed=1, latency_ms=100.0).any_faults
-        assert FaultPlan(seed=1, error_probability=0.1).any_faults
-        assert FaultPlan(seed=1, latency_ms=10.0, latency_probability=0.5).any_faults
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +218,7 @@ class FakeTransport(SeeSawClientProtocol):
     contextvar like the manager; ``calls`` records each row's label."""
 
     REPLIES = {
-        "healthz": {"status": "ok"},
+        "healthz": {"state": "serving"},
         "capabilities": {"features": {}},
         "metrics": {"metrics": []},
         "next": {"session_id": "s1", "items": [], "total_shown": 0, "positives_found": 0},
@@ -341,7 +320,7 @@ class TestFaultyClient:
 
     def test_probe_surfaces_never_perturbed(self):
         client, inner = _faulty(KIND_ERROR)
-        assert client.healthz() == {"status": "ok"}
+        assert client.healthz() == {"state": "serving"}
         assert client.metrics_json() == {"metrics": []}
         assert client.capabilities() == {"features": {}}
         assert client.metrics_text() == '{"metrics": []}'

@@ -26,6 +26,7 @@ from repro.exceptions import (
     TransportError,
     UnknownResourceError,
 )
+from repro.obs import MetricsRegistry
 from repro.server import (
     PROTOCOL_REVISION,
     FeedbackRequest,
@@ -33,6 +34,7 @@ from repro.server import (
     SeeSawService,
     SessionManager,
     StartSessionRequest,
+    default_middlewares,
 )
 from repro.server.codec import (
     MAX_RESULT_COUNT,
@@ -212,6 +214,27 @@ class TestMiddleware:
         for index in range(10):
             pipeline.run(Request("GET", "/x", client=f"c{index}"), _echo_endpoint)
         assert len(limiter._buckets) <= 4
+
+    @pytest.mark.parametrize(
+        "config, limiter",
+        [({}, []), ({"rate_limit_rps": 5.0}, ["RateLimitMiddleware"])],
+        ids=["default", "rate-limited"],
+    )
+    def test_default_pipeline_is_the_standard_layers_outermost_first(
+        self, config, limiter
+    ):
+        """No configuration mounts anything else: fault injection is a test
+        instrument, mounted only through ``SeeSawApp(middlewares=)``."""
+        service = SeeSawService(SeeSawConfig(**config), registry=MetricsRegistry())
+        manager = SessionManager(service)
+        layers = [type(layer).__name__ for layer in default_middlewares(manager)]
+        assert layers == [
+            "RequestIdMiddleware",
+            "AccessLogMiddleware",
+            *limiter,
+            "DeadlineMiddleware",
+            "AdmissionControlMiddleware",
+        ]
 
 
 class FakeClock:

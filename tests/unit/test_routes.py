@@ -26,8 +26,6 @@ from repro.exceptions import (
     ServiceOverloadedError,
     TransportError,
 )
-from repro.faults import FaultPlan
-from repro.faults.middleware import ChaosMiddleware
 from repro.obs import MetricsRegistry
 from repro.server import (
     FeedbackRequest,
@@ -46,6 +44,8 @@ from repro.server.middleware import (
     Request,
     Response,
 )
+
+from chaos import ChaosMiddleware, FaultPlan
 
 LABELS = [
     # every route

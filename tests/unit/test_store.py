@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.core.seesaw_method import SeeSawSearchMethod
 from repro.core.session import SearchSession
 from repro.exceptions import StoreError
 from repro.store import IndexCache, index_cache_key, load_index, save_index
+from repro.store.hashing import config_fingerprint
 from repro.store.serialize import META_FILE
 
 
@@ -115,6 +117,21 @@ class TestCacheKey:
         retuned = config.with_overrides(fit_bias=True, index_cache_dir="/elsewhere")
         assert index_cache_key(tiny_dataset, tiny_clip, config) == index_cache_key(
             tiny_dataset, tiny_clip, retuned
+        )
+
+    def test_default_config_keeps_the_key_of_the_entries_already_written(
+        self, tiny_dataset, tiny_clip
+    ):
+        """Hex values pinned before ``faults`` was retired: removing a
+        runtime field must not move any entry's key."""
+        canonical = json.dumps(
+            config_fingerprint(SeeSawConfig()), sort_keys=True, separators=(",", ":")
+        )
+        assert hashlib.sha256(canonical.encode("utf-8")).hexdigest() == (
+            "88238db43868141ccf56d468b1577a1032d77f59706f2f372b101c99828d5adb"
+        )
+        assert index_cache_key(tiny_dataset, tiny_clip, SeeSawConfig()) == (
+            "8d20bd9e94fde4f1434691ceb8057245c39a959fe17aef7b54cd5c8bdbb37d01"
         )
 
     def test_key_changes_with_dataset_content(self, tiny_dataset, tiny_clip):
@@ -336,6 +353,19 @@ class TestMmapLayout:
         assert loaded.config == config
         assert (entry / META_FILE).exists()
 
+    def test_entry_written_with_faults_null_is_a_hit(
+        self, tiny_index, tiny_dataset, tiny_clip, tmp_path
+    ):
+        """Every entry written while ``faults`` was a config field carries
+        ``"faults": null``; it still loads warm."""
+        config = tiny_index.config
+        _entry_with_config(tmp_path, tiny_index, tiny_dataset, tiny_clip, faults=None)
+        loaded, was_cached = IndexCache(tmp_path / "cache").load_or_build(
+            tiny_dataset, tiny_clip, config
+        )
+        assert was_cached is True
+        assert loaded.config == config
+
     def test_entry_carrying_every_retired_field_is_a_hit(
         self, tiny_index, tiny_dataset, tiny_clip, tmp_path
     ):
@@ -357,6 +387,7 @@ class TestMmapLayout:
             "optimizer.initial_step": 0.5,
             "optimizer.wolfe_c1": 1e-3,
             "optimizer.max_line_search_steps": 10,
+            "faults": {"seed": 21, "error_probability": 1.0},
         }
         assert set(retired_values) == RETIRED_FIELDS
         config = tiny_index.config
