@@ -244,7 +244,7 @@ class SeeSawConfig:
     is excluded from the index-cache key."""
     rate_limit_rps: float = 0.0
     """Sustained per-client request budget (requests/second) enforced by the
-    app layer's token-bucket middleware.  Clients are keyed by the
+    session manager's token buckets.  Clients are keyed by the
     ``X-Client-Id`` header when present, else by remote address; a drained
     bucket returns the structured 429 envelope (``code="rate_limited"``,
     ``retryable=true``).  ``0`` disables rate limiting (the default — the

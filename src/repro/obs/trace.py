@@ -12,14 +12,14 @@ On exit the span's duration is recorded twice:
   registry — the cross-request aggregate the ``/v1/metrics`` endpoint
   exposes; and
 * into the **per-request trace collector**, a :class:`contextvars.ContextVar`
-  the access-log middleware opens around each request.  The HTTP server is
+  ``SeeSawApp.handle_request`` opens around each request.  The HTTP server is
   thread-per-request and the in-process client runs on the caller's thread,
   so context isolation falls out of ``contextvars`` with no plumbing: any
-  span opened below the middleware lands in that request's collector.  The
+  span opened below the app lands in that request's collector.  The
   slow-request log reads the collector to attach a per-stage breakdown to
   the offending request id.
 
-The request id set by ``RequestIdMiddleware`` rides the same mechanism
+The request id set by ``SeeSawApp.handle_request`` rides the same mechanism
 (:func:`set_request_id` / :func:`current_request_id`), so any layer can tag
 diagnostics with the originating request without threading an argument
 through five call frames.
@@ -147,7 +147,7 @@ def reset_request_id(token: "Token[str | None]") -> None:
 
 
 def current_request_id() -> "str | None":
-    """The request id bound by ``RequestIdMiddleware``, if inside a request."""
+    """The request id bound by ``SeeSawApp.handle_request``, if inside a request."""
     return _request_id_var.get()
 
 

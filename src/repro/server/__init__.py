@@ -7,8 +7,8 @@ Innermost out:
 * :class:`SessionManager` — thread-safe session engine (per-session locks,
   capacity limits, TTL eviction, idempotent feedback, double-checked index
   builds);
-* :class:`SeeSawApp` — the versioned `/v1` wire protocol behind a
-  middleware pipeline (request ids, access logs, rate limiting), over the
+* :class:`SeeSawApp` — the versioned `/v1` wire protocol, one request path
+  (request ids, access logs, rate limiting, deadlines, admission), over the
   stdlib ``ThreadingHTTPServer`` transport;
 * :class:`SeeSawClientProtocol` — the one client base: each call a thin
   wrapper over its row of ``api.ROUTES``, over the transport of
@@ -17,7 +17,7 @@ Innermost out:
   no socket).
 
 Every layer records into the :mod:`repro.obs` metrics registry (request
-counters and latency in the middleware, lock waits in the manager,
+counters and latency in the app, lock waits in the manager,
 per-stage spans in the engines);
 ``GET /v1/metrics`` exposes the registry in Prometheus text and JSON.
 """
@@ -35,7 +35,7 @@ from repro.server.api import (
     SessionTelemetry,
     StartSessionRequest,
 )
-from repro.server.app import SeeSawApp, default_middlewares
+from repro.server.app import SeeSawApp
 from repro.server.client import HTTPClient, InProcessClient, SeeSawClientProtocol
 from repro.server.http import (
     BackgroundServer,
@@ -46,14 +46,9 @@ from repro.server.http import (
 from repro.server.manager import SessionManager
 from repro.server.middleware import (
     PROMETHEUS_CONTENT_TYPE,
-    AccessLogMiddleware,
-    MiddlewarePipeline,
-    RateLimitMiddleware,
+    RateLimiter,
     Request,
-    RequestIdMiddleware,
     Response,
-    emit_access_record,
-    record_request_metrics,
 )
 from repro.server.service import SeeSawService
 
@@ -61,7 +56,6 @@ __all__ = [
     "SeeSawService",
     "SessionManager",
     "SeeSawApp",
-    "default_middlewares",
     "SeeSawClientProtocol",
     "InProcessClient",
     "HTTPClient",
@@ -69,15 +63,10 @@ __all__ = [
     "BackgroundServer",
     "serve_in_background",
     "serve_forever",
-    "MiddlewarePipeline",
     "Request",
     "Response",
-    "RequestIdMiddleware",
-    "AccessLogMiddleware",
-    "RateLimitMiddleware",
+    "RateLimiter",
     "PROMETHEUS_CONTENT_TYPE",
-    "emit_access_record",
-    "record_request_metrics",
     "PROTOCOL_VERSION",
     "PROTOCOL_REVISION",
     "StartSessionRequest",

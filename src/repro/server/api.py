@@ -305,5 +305,5 @@ def resolve(method: str, path: str) -> "tuple[str, Route | None, tuple[str, ...]
 
 
 PROBE_ROUTES = frozenset(route.template for route in ROUTES if route.probe)
-"""The labels admission control (and the tests' chaos middleware) let through
+"""The labels admission control (and the tests' chaos app) let through
 (any method)."""

@@ -1,10 +1,11 @@
-"""Transport-agnostic request router for the SeeSaw service.
+"""Transport-agnostic request path for the SeeSaw service.
 
 The :class:`SeeSawApp` maps a decoded transport request to a
-:class:`~repro.server.middleware.Response`.  It owns URL parsing, codec
-invocation, the middleware pipeline, and the exception→envelope mapping; it
-knows nothing about sockets, which keeps the whole routing layer
-unit-testable without binding a port.
+:class:`~repro.server.middleware.Response`.  :meth:`SeeSawApp.handle_request`
+is the one request path: request id, access record and metrics, rate
+limiting, the deadline scope, admission, routing and the exception→envelope
+mapping, in that order, once per request.  It knows nothing about sockets,
+which keeps the whole routing layer unit-testable without binding a port.
 
 The `/v1` routes are the rows of :data:`repro.server.api.ROUTES`.  Every
 error uses the structured envelope of :mod:`repro.server.errors`
@@ -17,18 +18,26 @@ application/x-ndjson`` or ``?stream=ndjson``).
 from __future__ import annotations
 
 import logging
-import time
-from typing import Any, Iterator, Sequence
-from urllib.parse import parse_qs
-
 import math
+import time
+import uuid
+from contextlib import nullcontext
+from typing import Any, Iterator
+from urllib.parse import parse_qs
 
 from repro.exceptions import (
     DeadlineExceededError,
     TransportError,
     UnknownResourceError,
 )
+from repro.obs import (
+    begin_request_trace,
+    end_request_trace,
+    reset_request_id,
+    set_request_id,
+)
 from repro.server.api import (
+    PROBE_ROUTES,
     DatasetList,
     FeedbackRequest,
     NextResultsResponse,
@@ -36,122 +45,172 @@ from repro.server.api import (
     StartSessionRequest,
 )
 from repro.server.codec import decode, encode, parse_json, validate_count
+from repro.server.deadlines import (
+    DEADLINE_HEADER,
+    Deadline,
+    deadline_scope,
+    parse_deadline_header,
+)
 from repro.server.errors import encode_error
 from repro.server.manager import SessionManager
-from repro.server.middleware import (
-    ACCESS_LOGGER_NAME,
-    AccessLogMiddleware,
-    AdmissionControlMiddleware,
-    DeadlineMiddleware,
-    InFlightTracker,
-    Middleware,
-    MiddlewarePipeline,
-    RateLimitMiddleware,
-    Request,
-    RequestIdMiddleware,
-    Response,
-    emit_access_record,
-    record_request_metrics,
-)
+from repro.server.middleware import Request, Response
 
+REQUEST_ID_HEADER = "X-Request-Id"
 
-def default_middlewares(manager: SessionManager) -> "list[Middleware]":
-    """The standard pipeline: ids, logs, limits, deadlines, admission.
-
-    Outermost first.  Rate limiting sits before deadlines and admission —
-    a client over its own budget is rejected by the cheapest check; the
-    deadline scope opens before admission so even the shed path observes
-    the request's budget.  The admission tracker is registered with the
-    manager (``/v1/healthz`` reports the live in-flight count).
-    """
-    config = manager.service.config
-    middlewares: "list[Middleware]" = [
-        RequestIdMiddleware(),
-        AccessLogMiddleware(
-            registry=manager.service.metrics,
-            slow_request_ms=config.telemetry.slow_request_ms,
-        ),
-    ]
-    if config.rate_limit_rps > 0:
-        middlewares.append(
-            RateLimitMiddleware(config.rate_limit_rps, config.rate_limit_burst)
-        )
-    middlewares.append(DeadlineMiddleware(config.request_deadline_ms))
-    tracker = InFlightTracker(limit=config.max_in_flight)
-    manager.attach_inflight_tracker(tracker)
-    middlewares.append(
-        AdmissionControlMiddleware(tracker, registry=manager.service.metrics)
-    )
-    return middlewares
+_access_log = logging.getLogger("repro.server.access")
+_slow_log = logging.getLogger("repro.server.slow")
 
 
 class SeeSawApp:
-    """Routes decoded transport requests into a :class:`SessionManager`."""
+    """Routes decoded transport requests into a :class:`SessionManager`.
 
-    def __init__(
-        self,
-        manager: SessionManager,
-        middlewares: "Sequence[Middleware] | None" = None,
-    ) -> None:
+    Several apps may serve one manager (an HTTP server beside an
+    in-process client): the admission state is the manager's, so they
+    shed, throttle and drain together.
+    """
+
+    def __init__(self, manager: SessionManager) -> None:
         self.manager = manager
-        if middlewares is None:
-            middlewares = default_middlewares(manager)
-        self.pipeline = MiddlewarePipeline(middlewares)
-        self._handler = self.pipeline.bind(self._endpoint)
+        config = manager.service.config
+        self._default_deadline_ms = float(config.request_deadline_ms)
+        self._slow_request_ms = float(config.telemetry.slow_request_ms)
 
     # ------------------------------------------------------------------
     # the entry point
     # ------------------------------------------------------------------
     def handle_request(self, request: Request) -> Response:
-        """The one entry point: middleware pipeline around the router.
+        """The one entry point; HTTP adds only the socket.
 
         The HTTP handler and :class:`~repro.server.client.InProcessClient`
-        both call it; HTTP adds only the socket.
+        both call it.  Every outcome, from a 429 to a handled 200, leaves
+        one access record and one count in the request metrics; ``stage``
+        in the record says whether the request was rejected before routing
+        (``"middleware"``: rate limited, a malformed or spent deadline,
+        shed) or reached the router (``"handler"``).
         """
-        started = time.perf_counter()
+        request.request_id = request.header(REQUEST_ID_HEADER) or uuid.uuid4().hex
+        # Bound to a contextvar so any layer below (engine spans, slow logs)
+        # can tag diagnostics with the originating request.
+        id_token = set_request_id(request.request_id)
         try:
-            return self._handler(request)
-        except Exception as exc:
-            # Errors raised by the pipeline itself (rate limiting, a broken
-            # custom middleware) — everything the router raises is already
-            # mapped inside _endpoint.  The pipeline was abandoned
-            # mid-flight, so the observability middlewares never saw a
-            # response: restore the request-id echo and emit the same
-            # complete access record and registry counts a handled request
-            # gets, or exactly the throttled traffic would be the part
-            # missing from the logs and the metrics.
-            duration_ms = (time.perf_counter() - started) * 1000.0
-            response = self._error_response(request, exc)
-            if request.request_id is not None:
-                response.headers.setdefault(
-                    RequestIdMiddleware.HEADER, request.request_id
-                )
-            emit_access_record(
-                logging.getLogger(ACCESS_LOGGER_NAME),
-                request,
-                response.status,
-                duration_ms,
-                stage="middleware",
-            )
-            record_request_metrics(
-                self.manager.service.metrics,
-                request,
-                response.status,
-                duration_ms / 1000.0,
-                rejected=True,
-            )
+            # Every trace_span the router opens below lands in this collector.
+            trace_token = begin_request_trace()
+            started = time.perf_counter()
+            stage = "middleware"
+            try:
+                # A client over its own budget is rejected by the cheapest check.
+                limiter = self.manager.rate_limiter
+                if limiter is not None:
+                    limiter.take(request.client_key)
+                deadline = self._deadline(request)
+                # The scope opens before admission, so even a shed observes it.
+                with nullcontext() if deadline is None else deadline_scope(deadline):
+                    if deadline is not None:
+                        deadline.check("routing")
+                    # Probes stay exempt: overload is when operators need them.
+                    gated = request.route not in PROBE_ROUTES
+                    if gated:
+                        self.manager.admit()
+                    try:
+                        stage = "handler"
+                        response = self._route(request)
+                    finally:
+                        if gated:
+                            self.manager.release()
+            except Exception as exc:
+                response = self._error_response(request, exc)
+            finally:
+                trace = end_request_trace(trace_token)
+            elapsed_ms = (time.perf_counter() - started) * 1000.0
+            response.headers.setdefault(REQUEST_ID_HEADER, request.request_id)
+            self._record(request, response.status, elapsed_ms, stage, trace)
             return response
+        finally:
+            reset_request_id(id_token)
+
+    def _deadline(self, request: Request) -> "Deadline | None":
+        """The request's budget: its ``X-Deadline-Ms`` header (a malformed
+        one is a 400), else the configured default, else none."""
+        raw = request.header(DEADLINE_HEADER)
+        if raw is not None:
+            return parse_deadline_header(raw)
+        if self._default_deadline_ms > 0.0:
+            return Deadline(self._default_deadline_ms)
+        return None
+
+    def _record(
+        self, request: Request, status: int, elapsed_ms: float, stage: str, trace: Any
+    ) -> None:
+        """One access record, the request metrics and, past
+        ``telemetry.slow_request_ms``, the slow-request log."""
+        _access_log.info(
+            "%s %s -> %d (%.2fms)",
+            request.method,
+            request.target,
+            status,
+            elapsed_ms,
+            extra={
+                "request_id": request.request_id,
+                "client": request.client_key,
+                "status": status,
+                "duration_ms": elapsed_ms,
+                "route": request.route,
+                "stage": stage,
+            },
+        )
+        registry = self.manager.service.metrics
+        route = request.route
+        registry.counter(
+            "seesaw_requests_total",
+            "Requests finished, by method, route template and status.",
+            labels=("method", "route", "status"),
+        ).labels(request.method, route, str(status)).inc()
+        registry.histogram(
+            "seesaw_request_seconds",
+            "End-to-end request latency through the app.",
+            labels=("route",),
+        ).labels(route).observe(elapsed_ms / 1000.0)
+        if stage == "middleware":
+            registry.counter(
+                "seesaw_rejections_total",
+                "Requests rejected before routing (rate limited, a malformed "
+                "or spent deadline, shed), by status.",
+                labels=("status",),
+            ).labels(str(status)).inc()
+        if 0.0 < self._slow_request_ms <= elapsed_ms:
+            stages = trace.stage_millis() if trace is not None else {}
+            registry.counter(
+                "seesaw_slow_requests_total",
+                "Requests slower than telemetry.slow_request_ms, by route.",
+                labels=("route",),
+            ).labels(route).inc()
+            _slow_log.warning(
+                "slow request %s %s -> %d (%.2fms >= %.2fms) stages=%s",
+                request.method,
+                request.target,
+                status,
+                elapsed_ms,
+                self._slow_request_ms,
+                stages,
+                extra={
+                    "request_id": request.request_id,
+                    "client": request.client_key,
+                    "status": status,
+                    "duration_ms": elapsed_ms,
+                    "route": route,
+                    "threshold_ms": self._slow_request_ms,
+                    "stages": stages,
+                },
+            )
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def _endpoint(self, request: Request) -> Response:
-        try:
-            if request.row is None:
-                raise UnknownResourceError(f"No route for {request.method.upper()} {_shown(request)}")
-            return self._serve(request, request.row)
-        except Exception as exc:
-            return self._error_response(request, exc)
+    def _route(self, request: Request) -> Response:
+        """The routing step: serve the request's row, or the structured 404."""
+        if request.row is None:
+            raise UnknownResourceError(f"No route for {request.method.upper()} {_shown(request)}")
+        return self._serve(request, request.row)
 
     def _error_response(self, request: Request, exc: BaseException) -> Response:
         """The structured envelope, plus the Retry-After header and 504 counter."""

@@ -8,7 +8,7 @@ request reaches :meth:`SeeSawApp.handle_request
 
 * :class:`HTTPClient` sends it over pooled keep-alive connections;
 * :class:`InProcessClient` hands it to an app in this process — no socket,
-  the same middleware pipeline, the same response bytes;
+  the same request path, the same response bytes;
 * a test's fault transport (``tests/chaos.py``'s ``FaultyClient``)
   passes it through a fault plan to another client's transport.
 """

@@ -1,7 +1,7 @@
 """Deadline propagation for the `/v1` service.
 
 A deadline is a *remaining budget*: the caller says "this answer is useless
-to me after N milliseconds" and every layer below — middleware, session
+to me after N milliseconds" and every layer below — admission, session
 locks, engine dispatch — checks the budget before spending work on it.  The
 wire carries the budget as the ``X-Deadline-Ms`` header (milliseconds
 remaining at send time, not a wall-clock timestamp, so clock skew between
@@ -13,9 +13,10 @@ signature: :func:`deadline_scope` binds a :class:`Deadline` to the current
 context, and any layer below reads it back with :func:`current_deadline`.
 The same contextvar serves both sides of the stack:
 
-* server-side, :class:`~repro.server.middleware.DeadlineMiddleware` parses
-  the header (or applies the configured default) and opens the scope for
-  the request thread;
+* server-side, :meth:`SeeSawApp.handle_request
+  <repro.server.app.SeeSawApp.handle_request>` parses the header (or
+  applies the configured default) and opens the scope for the request
+  thread;
 * client-side, a caller wraps a protocol call in ``deadline_scope(ms)`` —
   the :class:`~repro.server.client.HTTPClient` turns the remaining budget
   into the header, the in-process client's scope is simply *seen* by the

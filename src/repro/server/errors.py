@@ -13,7 +13,7 @@ client whether repeating the identical request can succeed (capacity and
 rate-limit rejections are transient; validation failures are not).
 ``details`` carries auxiliary context: the library exception type the server
 raised (which is also how the typed clients rebuild exceptions), the request
-id injected by the middleware pipeline, and any error-specific fields.
+id the app assigned, and any error-specific fields.
 
 The mapping is intentionally one table used in both directions: the app
 layer encodes exceptions with :func:`encode_error`, the HTTP client decodes

@@ -12,7 +12,11 @@ thread.  The :class:`SessionManager` sits between them and provides:
 * **capacity limiting** — at most ``max_sessions`` live sessions, excess
   starts fail fast with :class:`ServiceOverloadedError` (HTTP 503);
 * **TTL eviction** — sessions idle longer than ``session_ttl_seconds`` are
-  reaped, so abandoned browser tabs cannot pin memory forever.
+  reaped, so abandoned browser tabs cannot pin memory forever;
+* **admission state** — the one in-flight gauge and the one per-client
+  rate limiter, shared by every app over this manager: admission sheds
+  against the same count that ``/healthz`` reports and :meth:`drain`
+  waits out.
 
 Closing and evicting both go through :meth:`_remove_session`, which acquires
 the session's own lock before the service-side close: a round already in
@@ -37,7 +41,7 @@ from repro.exceptions import (
 )
 from repro.obs import timed_acquire
 from repro.server.deadlines import check_deadline
-from repro.server.middleware import InFlightTracker
+from repro.server.middleware import InFlightTracker, RateLimiter
 from repro.server.api import (
     MAX_RESULT_COUNT,
     PROTOCOL_REVISION,
@@ -64,6 +68,11 @@ IDEMPOTENCY_KEYS_PER_SESSION = 256
 client retry storm older than this window replays as a fresh apply — the
 cap exists so a key-per-request client cannot grow memory unboundedly."""
 
+SHED_RETRY_AFTER_S = 1.0
+"""``Retry-After`` of an in-flight shed: a flat hint (unlike the rate
+limiter, the shedder cannot know when load will drain) that still gives
+well-behaved clients a jitter anchor better than hammering."""
+
 
 class SessionManager:
     """Serializes access to a :class:`SeeSawService` for concurrent callers."""
@@ -81,7 +90,18 @@ class SessionManager:
         self._clock = clock
         self._started_at = clock()
         self._draining = threading.Event()
-        self._inflight_tracker: "InFlightTracker | None" = None
+        config = service.config
+        tracker = self._in_flight = InFlightTracker(limit=config.max_in_flight)
+        service.metrics.gauge(
+            "seesaw_in_flight",
+            "Requests currently being processed (admission-control gauge).",
+            callback=lambda: float(tracker.count),
+        )
+        self.rate_limiter = (
+            RateLimiter(config.rate_limit_rps, config.rate_limit_burst)
+            if config.rate_limit_rps > 0
+            else None
+        )
         self._registry_lock = threading.Lock()
         self._session_locks: dict[str, threading.Lock] = {}
         self._last_used: dict[str, float] = {}
@@ -144,16 +164,19 @@ class SessionManager:
 
     def _check_draining(self) -> None:
         if self._draining.is_set():
-            self.service.metrics.counter(
-                "seesaw_shed_total",
-                "Requests shed before processing, by reason.",
-                labels=("reason",),
-            ).labels("draining").inc()
+            self._count_shed("draining")
             raise ServiceOverloadedError(
                 "Service is draining and accepts no new sessions; "
                 "retry against another instance",
                 retry_after_seconds=self.service.config.drain_timeout_s,
             )
+
+    def _count_shed(self, reason: str) -> None:
+        self.service.metrics.counter(
+            "seesaw_shed_total",
+            "Requests shed before processing, by reason.",
+            labels=("reason",),
+        ).labels(reason).inc()
 
     def _check_capacity(self) -> None:
         with self._registry_lock:
@@ -365,22 +388,33 @@ class SessionManager:
             return len(self._session_locks)
 
     # ------------------------------------------------------------------
-    # graceful drain
+    # admission and graceful drain
     # ------------------------------------------------------------------
-    def attach_inflight_tracker(self, tracker: InFlightTracker) -> None:
-        """Register the app pipeline's in-flight tracker.
+    def admit(self) -> None:
+        """Take an in-flight slot, or shed the request with a 503.
 
-        One tracker serves three consumers: admission control (the
-        middleware that owns it), ``/healthz`` (the live count below), and
-        :meth:`drain` (which waits for the count to reach zero).
+        Past ``max_in_flight`` every request an unbounded server accepted
+        would still cost a thread, a session-lock wait and queue time that
+        inflates everyone else's latency; rejecting at the door costs one
+        envelope.  A caller that was admitted calls :meth:`release`.
         """
-        self._inflight_tracker = tracker
+        if not self._in_flight.try_enter():
+            self._count_shed("in_flight")
+            raise ServiceOverloadedError(
+                f"Service is at its in-flight limit "
+                f"({self._in_flight.limit} requests); shedding to protect "
+                f"latency of admitted work",
+                retry_after_seconds=SHED_RETRY_AFTER_S,
+            )
+
+    def release(self) -> None:
+        """Give back the slot :meth:`admit` took."""
+        self._in_flight.release()
 
     @property
     def in_flight(self) -> int:
-        """Requests currently inside the app pipeline (0 when untracked)."""
-        tracker = self._inflight_tracker
-        return tracker.count if tracker is not None else 0
+        """Requests admitted and not yet released."""
+        return self._in_flight.count
 
     @property
     def draining(self) -> bool:

@@ -7,13 +7,10 @@ A test instrument, not part of the served program.  The pieces:
   with what probability, inside which time window;
 * :class:`FaultDecider` — the seed-driven decision engine both injectors
   share (per-opportunity determinism, fault windowing);
-* :class:`ChaosMiddleware` — the server-side injector.  A test mounts it
-  through the app's middleware seam::
-
-      SeeSawApp(manager, middlewares=[
-          *default_middlewares(manager),
-          ChaosMiddleware(plan, registry=manager.service.metrics),
-      ])
+* :class:`ChaosApp` — the server-side injector: a
+  :class:`~repro.server.app.SeeSawApp` whose routing step suffers the plan.
+  A test serves ``ChaosApp(manager, plan)`` where it would serve
+  ``SeeSawApp(manager)``;
 
 * :class:`FaultyClient` — the client-side fault transport: every call of
   another :class:`~repro.server.client.SeeSawClientProtocol`, through that
@@ -24,7 +21,8 @@ to absorb — ``tests/integration/test_scripted_load.py``'s chaos-window test
 asserts that nothing else (raw socket errors, stranded waiters, hung
 sessions) leaks out, and that every call before and after the window
 succeeds.  Both injectors count what they fire in
-``seesaw_faults_injected_total{kind}`` on the registry they are given.
+``seesaw_faults_injected_total{kind}``: the chaos app on its manager's
+registry, the fault transport on the registry it is given.
 """
 
 from __future__ import annotations
@@ -44,8 +42,10 @@ from repro.exceptions import (
 from repro.obs import MetricsRegistry, get_registry
 from repro.server.api import PROBE_ROUTES, resolve
 from repro.server.client import SeeSawClientProtocol
+from repro.server.app import SeeSawApp
 from repro.server.deadlines import Deadline, deadline_scope
-from repro.server.middleware import Handler, Request, Response
+from repro.server.manager import SessionManager
+from repro.server.middleware import Request, Response
 
 
 # ----------------------------------------------------------------------
@@ -55,11 +55,11 @@ from repro.server.middleware import Handler, Request, Response
 class FaultPlan:
     """One fault-injection workload, shared by both injectors.
 
-    Probabilities are per *opportunity* (one request through the chaos
-    middleware, one protocol call through the fault transport); the window
-    bounds when faults fire, so a run has a clean pre-fault baseline and a
-    post-fault recovery phase.  :class:`ChaosMiddleware` uses ``latency``
-    and ``error`` (it sits above the router, so resets and stream
+    Probabilities are per *opportunity* (one request routed by the chaos
+    app, one protocol call through the fault transport); the window bounds
+    when faults fire, so a run has a clean pre-fault baseline and a
+    post-fault recovery phase.  :class:`ChaosApp` uses ``latency`` and
+    ``error`` (it answers through a healthy socket, so resets and stream
     truncation are not its to fake); :class:`FaultyClient` uses all five
     families.
     """
@@ -224,22 +224,25 @@ def count_injected(registry: MetricsRegistry, kind: str) -> None:
 # ----------------------------------------------------------------------
 # server-side injector
 # ----------------------------------------------------------------------
-class ChaosMiddleware:
-    """Injects plan-driven latency and typed 500s into the `/v1` pipeline.
+class ChaosApp(SeeSawApp):
+    """A :class:`~repro.server.app.SeeSawApp` whose routing step injects
+    plan-driven latency and typed 500s.
 
-    * **latency** — sleeps ``latency_ms`` before letting the request
-      proceed, which is what makes deadline propagation observable: a
-      request whose budget the injected sleep consumed must come back as
-      the typed 504, not as a late success nobody is waiting for;
+    * **latency** — sleeps ``latency_ms`` before routing, which is what
+      makes deadline propagation observable: a request whose budget the
+      injected sleep consumed must come back as the typed 504, not as a
+      late success nobody is waiting for;
     * **error** — raises :class:`~repro.exceptions.InternalServiceError`,
       which the app encodes as the structured 500 envelope.
 
-    The connection-level families (resets, truncated streams, skewed
-    deadlines) belong to :class:`FaultyClient` — a middleware answering
-    through a healthy socket cannot fake a dead one honestly.  When the
-    shared decider draws one of those kinds here it is treated as no fault,
-    so a single plan drives both injectors without double-counting
-    probabilities.
+    The injection runs inside admission and the deadline scope, where the
+    router runs, so an injected 500 is a ``"handler"``-stage outcome.  The
+    connection-level families (resets, truncated streams, skewed deadlines)
+    belong to :class:`FaultyClient` — an app answering through a healthy
+    socket cannot fake a dead one honestly.  When the shared decider draws
+    one of those kinds here it is treated as no fault, so a single plan
+    drives both injectors without double-counting probabilities.  What
+    fires is counted on the manager's registry.
 
     Probe routes (:data:`~repro.server.api.PROBE_ROUTES`) are exempt: the
     test reads them to judge the run, and a load balancer's health checker
@@ -248,33 +251,29 @@ class ChaosMiddleware:
 
     def __init__(
         self,
+        manager: SessionManager,
         plan: FaultPlan,
-        registry: "MetricsRegistry | None" = None,
         clock: "Callable[[], float]" = time.monotonic,
         sleep: "Callable[[float], None]" = time.sleep,
     ) -> None:
+        super().__init__(manager)
         self.plan = plan
         self.decider = FaultDecider(plan, clock=clock)
         self._sleep = sleep
-        self._registry = registry
 
-    @property
-    def registry(self) -> MetricsRegistry:
-        return self._registry if self._registry is not None else get_registry()
-
-    def __call__(self, request: Request, handler: Handler) -> Response:
-        if request.route in PROBE_ROUTES:
-            return handler(request)
-        outcome = self.decider.decide()
-        if outcome.latency_seconds > 0.0:
-            count_injected(self.registry, "latency")
-            self._sleep(outcome.latency_seconds)
-        if outcome.kind == KIND_ERROR:
-            count_injected(self.registry, "error")
-            raise InternalServiceError(
-                f"chaos: injected server fault (opportunity {outcome.index})"
-            )
-        return handler(request)
+    def _route(self, request: Request) -> Response:
+        if request.route not in PROBE_ROUTES:
+            registry = self.manager.service.metrics
+            outcome = self.decider.decide()
+            if outcome.latency_seconds > 0.0:
+                count_injected(registry, "latency")
+                self._sleep(outcome.latency_seconds)
+            if outcome.kind == KIND_ERROR:
+                count_injected(registry, "error")
+                raise InternalServiceError(
+                    f"chaos: injected server fault (opportunity {outcome.index})"
+                )
+        return super()._route(request)
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ into a typed 504 envelope, ``Retry-After`` on 429/503 responses, the
 client-side retry policy absorbing live rejections, admission-control
 shedding while a request genuinely occupies a server thread, the drain
 lifecycle flipping ``/healthz`` mid-flight, and a server-side fault plan's
-typed 500s (``tests/chaos.py``'s ``ChaosMiddleware``, mounted through the
-app's ``middlewares=`` seam).  The client-side chaos run over a real socket is
+typed 500s (``tests/chaos.py``'s ``ChaosApp``, served in place of
+``SeeSawApp``).  The client-side chaos run over a real socket is
 ``test_scripted_load.py::test_chaos_window_is_typed_and_every_call_outside_it_succeeds``.
 """
 
@@ -32,13 +32,12 @@ from repro.server import (
     SeeSawService,
     SessionManager,
     StartSessionRequest,
-    default_middlewares,
     serve_in_background,
 )
 from repro.server.deadlines import DEADLINE_HEADER, Deadline, deadline_scope
 from repro.server.retry import RetryPolicy
 
-from chaos import ChaosMiddleware, FaultPlan
+from chaos import ChaosApp, FaultPlan
 
 QUERY = "a cat_easy"
 
@@ -315,13 +314,10 @@ class TestHealthAndDrain:
 
 @pytest.fixture()
 def chaos_server(tiny_dataset, tiny_clip):
-    """A server whose pipeline ends in an always-failing ChaosMiddleware,
-    mounted through the app's ``middlewares=`` seam."""
+    """A server whose routing step always fails: ``tests/chaos.py``'s
+    ``ChaosApp`` served in place of ``SeeSawApp``."""
     manager = SessionManager(_service(tiny_dataset, tiny_clip))
-    chaos = ChaosMiddleware(
-        FaultPlan(seed=21, error_probability=1.0), registry=manager.service.metrics
-    )
-    app = SeeSawApp(manager, middlewares=[*default_middlewares(manager), chaos])
+    app = ChaosApp(manager, FaultPlan(seed=21, error_probability=1.0))
     with serve_in_background(app) as server:
         yield server
 

@@ -10,9 +10,11 @@ family is exercised without sockets or sleeps.
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
+from repro.config import SeeSawConfig
 from repro.exceptions import (
     ConfigurationError,
     ConnectionFailedError,
@@ -22,6 +24,7 @@ from repro.exceptions import (
 )
 from repro.obs import MetricsRegistry
 from repro.server.api import BoxPayload, FeedbackRequest, ResultItem, resolve
+from repro.server import SeeSawService, SessionManager
 from repro.server.client import SeeSawClientProtocol
 from repro.server.codec import encode
 from repro.server.deadlines import check_deadline, current_deadline
@@ -34,7 +37,7 @@ from chaos import (
     KIND_RESET,
     KIND_SKEW,
     KIND_TRUNCATE,
-    ChaosMiddleware,
+    ChaosApp,
     FaultDecider,
     FaultPlan,
     FaultyClient,
@@ -159,55 +162,50 @@ def _plan_only(kind: str, **extra) -> FaultPlan:
     return FaultPlan(seed=5, **{field: 1.0}, **extra)
 
 
-class TestChaosMiddleware:
-    def _handler(self, request: Request) -> Response:
-        return Response(status=200, payload={})
+def _chaos_app(plan: FaultPlan, **kwargs) -> ChaosApp:
+    service = SeeSawService(SeeSawConfig(), registry=MetricsRegistry())
+    return ChaosApp(SessionManager(service), plan, **kwargs)
 
-    def test_error_kind_raises_typed_500(self):
-        registry = MetricsRegistry()
-        middleware = ChaosMiddleware(_plan_only(KIND_ERROR), registry=registry)
-        with pytest.raises(InternalServiceError, match="chaos"):
-            middleware(Request(method="GET", target="/v1/x"), self._handler)
-        counter = registry.counter(
+
+def _get(app: ChaosApp, target: str = "/v1/sessions") -> Response:
+    return app.handle_request(Request(method="GET", target=target))
+
+
+class TestChaosApp:
+    def test_error_kind_answers_the_typed_500_from_the_handler_stage(self, caplog):
+        app = _chaos_app(_plan_only(KIND_ERROR))
+        with caplog.at_level(logging.INFO, logger="repro.server.access"):
+            response = _get(app)
+        assert response.status == 500
+        assert response.payload["error"]["code"] == "internal"
+        assert "chaos" in response.payload["error"]["message"]
+        [record] = caplog.records
+        assert record.stage == "handler"
+        counter = app.manager.service.metrics.counter(
             "seesaw_faults_injected_total", "", labels=("kind",)
         )
         assert counter.labels("error").value == 1.0
 
-    def test_latency_sleeps_before_the_handler(self):
+    def test_latency_sleeps_before_routing(self):
         sleeps: "list[float]" = []
         plan = FaultPlan(seed=5, latency_ms=70.0, latency_probability=1.0)
-        middleware = ChaosMiddleware(
-            plan, registry=MetricsRegistry(), sleep=sleeps.append
-        )
-        response = middleware(Request(method="GET", target="/v1/x"), self._handler)
+        response = _get(_chaos_app(plan, sleep=sleeps.append))
         assert response.status == 200
         assert sleeps == [pytest.approx(0.07)]
 
     def test_connection_level_kinds_are_not_the_servers_to_fake(self):
-        middleware = ChaosMiddleware(
-            _plan_only(KIND_RESET), registry=MetricsRegistry()
-        )
-        response = middleware(Request(method="GET", target="/v1/x"), self._handler)
-        assert response.status == 200
+        assert _get(_chaos_app(_plan_only(KIND_RESET))).status == 200
 
     @pytest.mark.parametrize("target", ["/v1/healthz", "/v1/metrics", "/v1/capabilities"])
     def test_probe_routes_exempt(self, target):
-        middleware = ChaosMiddleware(
-            _plan_only(KIND_ERROR), registry=MetricsRegistry()
-        )
-        assert middleware(Request(method="GET", target=target), self._handler).status == 200
+        assert _get(_chaos_app(_plan_only(KIND_ERROR)), target).status == 200
 
     def test_window_respected(self):
         clock = FakeClock()
-        middleware = ChaosMiddleware(
-            _plan_only(KIND_ERROR, window_start_seconds=1.0),
-            registry=MetricsRegistry(),
-            clock=clock,
-        )
-        assert middleware(Request(method="GET", target="/v1/x"), self._handler).status == 200
+        app = _chaos_app(_plan_only(KIND_ERROR, window_start_seconds=1.0), clock=clock)
+        assert _get(app).status == 200
         clock.advance(1.5)
-        with pytest.raises(InternalServiceError):
-            middleware(Request(method="GET", target="/v1/x"), self._handler)
+        assert _get(app).status == 500
 
 
 # ----------------------------------------------------------------------

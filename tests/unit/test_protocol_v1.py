@@ -2,16 +2,20 @@
 
 Covers the pieces the redesign introduced below the transport: the
 structured error envelope and its exception mapping, paging cursors, count
-bounds, the middleware pipeline (request ids, access logs, token-bucket
-rate limiting), capability discovery, idempotent feedback, and the paged
+bounds, the request path (request ids, access records, token-bucket rate
+limiting), capability discovery, idempotent feedback, and the paged
 session listing — all driven through ``SeeSawApp.handle_request`` or the
-manager directly, no sockets.
+manager directly, no sockets.  One grid of every request outcome runs over
+both transports: each leaves exactly one access record and one count.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
+from typing import NamedTuple
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -34,7 +38,7 @@ from repro.server import (
     SeeSawService,
     SessionManager,
     StartSessionRequest,
-    default_middlewares,
+    serve_in_background,
 )
 from repro.server.codec import (
     MAX_RESULT_COUNT,
@@ -44,14 +48,7 @@ from repro.server.codec import (
 )
 from repro.server.errors import decode_error, encode_error, error_spec
 from repro.server.manager import IDEMPOTENCY_KEYS_PER_SESSION
-from repro.server.middleware import (
-    AccessLogMiddleware,
-    MiddlewarePipeline,
-    RateLimitMiddleware,
-    Request,
-    RequestIdMiddleware,
-    Response,
-)
+from repro.server.middleware import RateLimiter, Request
 
 
 # ---------------------------------------------------------------------------
@@ -138,103 +135,95 @@ class TestCursorsAndBounds:
 
 
 # ---------------------------------------------------------------------------
-# middleware pipeline
+# the request path: request ids, access records, token buckets
 # ---------------------------------------------------------------------------
-def _echo_endpoint(request: Request) -> Response:
-    return Response(200, {"target": request.target, "request_id": request.request_id})
+def _bare_app(**config) -> SeeSawApp:
+    """An app over a service with no datasets: the probes and the session
+    list route answer, which is all these cases need."""
+    service = SeeSawService(SeeSawConfig(**config), registry=MetricsRegistry())
+    return SeeSawApp(SessionManager(service))
 
 
-class TestMiddleware:
+class TestRequestPath:
     def test_request_id_generated_and_echoed(self):
-        pipeline = MiddlewarePipeline([RequestIdMiddleware()])
-        response = pipeline.run(Request("GET", "/v1/healthz"), _echo_endpoint)
+        response = _bare_app().handle_request(Request("GET", "/v1/nowhere"))
         generated = response.headers["X-Request-Id"]
         assert generated
-        assert response.payload["request_id"] == generated
+        assert response.payload["error"]["details"]["request_id"] == generated
 
     def test_client_supplied_request_id_wins(self):
-        pipeline = MiddlewarePipeline([RequestIdMiddleware()])
-        response = pipeline.run(
-            Request("GET", "/v1/healthz", headers={"x-request-id": "mine"}),
-            _echo_endpoint,
+        response = _bare_app().handle_request(
+            Request("GET", "/v1/nowhere", headers={"x-request-id": "mine"})
         )
         assert response.headers["X-Request-Id"] == "mine"
-        assert response.payload["request_id"] == "mine"
+        assert response.payload["error"]["details"]["request_id"] == "mine"
 
     def test_access_log_emits_one_record(self, caplog):
-        middleware = AccessLogMiddleware()
-        pipeline = MiddlewarePipeline([RequestIdMiddleware(), middleware])
+        app = _bare_app()
         with caplog.at_level(logging.INFO, logger="repro.server.access"):
-            pipeline.run(Request("GET", "/v1/healthz", client="1.2.3.4"), _echo_endpoint)
-        assert middleware.requests_served == 1
+            app.handle_request(Request("GET", "/v1/healthz", client="1.2.3.4"))
         [record] = caplog.records
         assert record.client == "1.2.3.4"
         assert record.status == 200
         assert record.request_id
         assert record.duration_ms >= 0.0
+        requests = app.manager.service.metrics.get("seesaw_requests_total")
+        assert requests.labels("GET", "/v1/healthz", "200").value == 1.0
 
     def test_token_bucket_burst_then_refill(self):
         clock = FakeClock()
-        limiter = RateLimitMiddleware(rate_per_second=1.0, burst=3, clock=clock)
-        pipeline = MiddlewarePipeline([limiter])
-        request = Request("GET", "/v1/healthz", client="a")
-        for _ in range(3):
-            assert pipeline.run(request, _echo_endpoint).status == 200
-        with pytest.raises(RateLimitedError, match="client 'a'"):
-            pipeline.run(request, _echo_endpoint)
-        assert limiter.rejected_requests == 1
+        app = _bare_app(rate_limit_rps=1.0, rate_limit_burst=3)
+        app.manager.rate_limiter = RateLimiter(rate_per_second=1.0, burst=3, clock=clock)
+        rejections = app.manager.service.metrics.counter(
+            "seesaw_rejections_total", "", labels=("status",)
+        ).labels("429")
+
+        def status() -> int:
+            return app.handle_request(Request("GET", "/v1/healthz", client="a")).status
+
+        assert [status() for _ in range(3)] == [200, 200, 200]
+        response = app.handle_request(Request("GET", "/v1/healthz", client="a"))
+        assert response.status == 429
+        assert "client 'a'" in response.payload["error"]["message"]
+        assert rejections.value == 1.0
         clock.advance(1.0)  # one token refills
-        assert pipeline.run(request, _echo_endpoint).status == 200
-        with pytest.raises(RateLimitedError):
-            pipeline.run(request, _echo_endpoint)
+        assert [status(), status()] == [200, 429]
+        assert rejections.value == 2.0
 
     def test_clients_have_independent_buckets(self):
-        limiter = RateLimitMiddleware(rate_per_second=1.0, burst=1, clock=FakeClock())
-        pipeline = MiddlewarePipeline([limiter])
-        assert pipeline.run(Request("GET", "/x", client="a"), _echo_endpoint).status == 200
+        limiter = RateLimiter(rate_per_second=1.0, burst=1, clock=FakeClock())
+        limiter.take("a")
         # Client a is drained; client b still has its own burst.
         with pytest.raises(RateLimitedError):
-            pipeline.run(Request("GET", "/x", client="a"), _echo_endpoint)
-        assert pipeline.run(Request("GET", "/x", client="b"), _echo_endpoint).status == 200
+            limiter.take("a")
+        limiter.take("b")
 
     def test_x_client_id_header_overrides_remote_address(self):
-        limiter = RateLimitMiddleware(rate_per_second=1.0, burst=1, clock=FakeClock())
-        pipeline = MiddlewarePipeline([limiter])
+        limiter = RateLimiter(rate_per_second=1.0, burst=1, clock=FakeClock())
         first = Request("GET", "/x", headers={"X-Client-Id": "shared"}, client="1.1.1.1")
         second = Request("GET", "/x", headers={"X-Client-Id": "shared"}, client="2.2.2.2")
-        assert pipeline.run(first, _echo_endpoint).status == 200
+        limiter.take(first.client_key)
         with pytest.raises(RateLimitedError, match="shared"):
-            pipeline.run(second, _echo_endpoint)
+            limiter.take(second.client_key)
 
     def test_bucket_table_is_bounded(self):
-        limiter = RateLimitMiddleware(
+        limiter = RateLimiter(
             rate_per_second=1.0, burst=1, clock=FakeClock(), max_clients=4
         )
-        pipeline = MiddlewarePipeline([limiter])
         for index in range(10):
-            pipeline.run(Request("GET", "/x", client=f"c{index}"), _echo_endpoint)
+            limiter.take(f"c{index}")
         assert len(limiter._buckets) <= 4
 
     @pytest.mark.parametrize(
-        "config, limiter",
-        [({}, []), ({"rate_limit_rps": 5.0}, ["RateLimitMiddleware"])],
+        "config, limited",
+        [({}, False), ({"rate_limit_rps": 5.0}, True)],
         ids=["default", "rate-limited"],
     )
-    def test_default_pipeline_is_the_standard_layers_outermost_first(
-        self, config, limiter
-    ):
-        """No configuration mounts anything else: fault injection is a test
-        instrument, mounted only through ``SeeSawApp(middlewares=)``."""
-        service = SeeSawService(SeeSawConfig(**config), registry=MetricsRegistry())
-        manager = SessionManager(service)
-        layers = [type(layer).__name__ for layer in default_middlewares(manager)]
-        assert layers == [
-            "RequestIdMiddleware",
-            "AccessLogMiddleware",
-            *limiter,
-            "DeadlineMiddleware",
-            "AdmissionControlMiddleware",
-        ]
+    def test_rate_limiter_only_when_configured(self, config, limited):
+        limiter = _bare_app(**config).manager.rate_limiter
+        assert (limiter is not None) is limited
+        if limited:
+            assert (limiter.rate_per_second, limiter.burst) == (5.0, 20)
 
 
 class FakeClock:
@@ -382,9 +371,8 @@ class TestV1AppBoundary:
     def test_rate_limited_response_keeps_request_id_and_access_log(
         self, tiny_dataset, tiny_clip, caplog
     ):
-        """A rejection inside the pipeline must not lose observability:
-        the 429 still echoes X-Request-Id and still produces an access
-        record (regression: the raise used to bypass both middlewares)."""
+        """A rejection before routing must not lose observability: the 429
+        still echoes X-Request-Id and still produces an access record."""
         service = SeeSawService(
             SeeSawConfig(
                 embedding_dim=64, seed=7, rate_limit_rps=1.0, rate_limit_burst=1
@@ -518,6 +506,110 @@ class TestRejectionRecordParity:
         # The latency histogram saw both requests too.
         latency = registry.get("seesaw_request_seconds")
         assert latency.labels("/v1/healthz").count == 2
+
+
+class Outcome(NamedTuple):
+    method: str
+    target: str
+    body: "bytes | None"
+    headers: "dict[str, str]"
+    status: int
+    code: "str | None"
+    retry_after: "str | None"
+    stage: str
+
+
+OUTCOMES = {
+    "ok": Outcome("GET", "/v1/sessions", None, {}, 200, None, None, "handler"),
+    "no_route": Outcome("GET", "/v1/nowhere", None, {}, 404, "not_found", None, "handler"),
+    "malformed_body": Outcome(
+        "POST", "/v1/sessions", b"{not json", {}, 400, "invalid_request", None, "handler"
+    ),
+    "malformed_deadline": Outcome(
+        "GET", "/v1/sessions", None, {"X-Deadline-Ms": "soon"},
+        400, "invalid_request", None, "middleware",
+    ),
+    "dead_on_arrival": Outcome(
+        "GET", "/v1/sessions", None, {"X-Deadline-Ms": "-5"},
+        504, "deadline_exceeded", None, "middleware",
+    ),
+    "rate_limited": Outcome(
+        "GET", "/v1/sessions", None, {}, 429, "rate_limited", "1", "middleware"
+    ),
+    "shed": Outcome("GET", "/v1/sessions", None, {}, 503, "overloaded", "1", "middleware"),
+    "draining_start": Outcome(
+        "POST", "/v1/sessions", start_body(), {}, 503, "overloaded", "10", "handler"
+    ),
+}
+"""Every way a request can finish, with what the client sees and the stage
+its access record names: ``"middleware"`` for a rejection before routing."""
+
+
+def _series_total(registry: MetricsRegistry, name: str) -> float:
+    for metric in registry.to_json()["metrics"]:
+        if metric["name"] == name:
+            return sum(series["value"] for series in metric["series"])
+    return 0.0
+
+
+class TestOneAccessRecordPerOutcome:
+    FIELDS = ("request_id", "client", "status", "duration_ms", "route", "stage")
+
+    @pytest.mark.parametrize("transport", ["inprocess", "http"])
+    @pytest.mark.parametrize("name", OUTCOMES)
+    def test_outcome(self, name, transport, caplog):
+        case = OUTCOMES[name]
+        app = _bare_app(rate_limit_rps=1.0, rate_limit_burst=1, max_in_flight=1)
+        manager = app.manager
+        manager.rate_limiter = RateLimiter(rate_per_second=1.0, burst=1, clock=FakeClock())
+        registry = manager.service.metrics
+        headers = {**case.headers, "X-Client-Id": "grid", "X-Request-Id": f"rid-{name}"}
+
+        with serve_in_background(app) as server:
+
+            def send(request_headers):
+                if transport == "inprocess":
+                    response = app.handle_request(
+                        Request(case.method, case.target, case.body, request_headers)
+                    )
+                    return response.status, response.headers, response.body()
+                address = urlsplit(server.url)
+                connection = http.client.HTTPConnection(address.hostname, address.port)
+                try:
+                    connection.request(case.method, case.target, case.body, request_headers)
+                    reply = connection.getresponse()
+                    return reply.status, dict(reply.getheaders()), reply.read()
+                finally:
+                    connection.close()
+
+            if name == "rate_limited":
+                send({**headers, "X-Request-Id": "spends-the-token"})
+            elif name == "shed":
+                manager.admit()  # another request holds the one slot
+            elif name == "draining_start":
+                manager.begin_drain()
+            requests = _series_total(registry, "seesaw_requests_total")
+            rejections = _series_total(registry, "seesaw_rejections_total")
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="repro.server.access"):
+                status, reply_headers, body = send(headers)
+
+        reply_headers = {key.lower(): value for key, value in reply_headers.items()}
+        assert status == case.status
+        code = json.loads(body)["error"]["code"] if status >= 400 else None
+        assert code == case.code
+        assert reply_headers.get("retry-after") == case.retry_after
+        assert reply_headers["x-request-id"] == f"rid-{name}"
+        [record] = caplog.records
+        for field in self.FIELDS:
+            assert hasattr(record, field), f"missing {field}"
+        assert (record.request_id, record.client, record.status) == (f"rid-{name}", "grid", status)
+        assert record.route == Request(case.method, case.target).route
+        assert record.duration_ms >= 0.0
+        assert record.stage == case.stage
+        assert _series_total(registry, "seesaw_requests_total") == requests + 1
+        rejected = case.stage == "middleware"
+        assert _series_total(registry, "seesaw_rejections_total") == rejections + rejected
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,17 @@ Deadline arithmetic and propagation, the retry policy's backoff/budget
 rules, the per-host circuit breaker, admission control's bounded in-flight
 gauge — every timing-sensitive transition
 driven by a manually advanced clock so the assertions are exact, never
-sleep-and-hope.
+sleep-and-hope.  Admission and the request deadline are driven through
+``SeeSawApp.handle_request``, the one entry point both clients use.
 """
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+from repro.config import SeeSawConfig
 from repro.exceptions import (
     CircuitOpenError,
     ConnectionFailedError,
@@ -30,13 +34,9 @@ from repro.server.deadlines import (
     deadline_scope,
     parse_deadline_header,
 )
-from repro.server.middleware import (
-    AdmissionControlMiddleware,
-    DeadlineMiddleware,
-    InFlightTracker,
-    Request,
-    Response,
-)
+from repro.server import SeeSawApp, SeeSawService, SessionManager
+from repro.server.manager import SHED_RETRY_AFTER_S
+from repro.server.middleware import InFlightTracker, Request, Response
 from repro.server.retry import (
     STATE_CLOSED,
     STATE_HALF_OPEN,
@@ -401,57 +401,69 @@ class TestInFlightTracker:
         assert tracker.count == 0
 
 
-def _request(target: str) -> Request:
-    return Request(method="GET", target=target)
+class _SpyApp(SeeSawApp):
+    """Records the deadline its routing step sees; with ``hold`` set, the
+    routing step waits on ``release`` (a request in flight on demand)."""
+
+    def __init__(self, manager: SessionManager, hold: bool = False) -> None:
+        super().__init__(manager)
+        self.seen: "list[object]" = []
+        self.hold = hold
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def _route(self, request: Request) -> Response:
+        self.seen.append(current_deadline())
+        if self.hold:
+            self.entered.set()
+            assert self.release.wait(10.0)
+        return super()._route(request)
 
 
-class TestAdmissionControlMiddleware:
-    def _handler(self, request: Request) -> Response:
-        return Response(status=200, payload={})
+def _manager(**config) -> SessionManager:
+    """A manager over a service with no datasets (probes and the session
+    list route answer)."""
+    return SessionManager(SeeSawService(SeeSawConfig(**config), registry=MetricsRegistry()))
 
+
+def _get(app: SeeSawApp, target: str, headers: "dict[str, str] | None" = None) -> Response:
+    return app.handle_request(Request("GET", target, headers=headers or {}, client="c"))
+
+
+class TestAdmission:
     def test_sheds_past_the_bound_with_retry_hint(self):
-        registry = MetricsRegistry()
-        tracker = InFlightTracker(limit=1)
-        middleware = AdmissionControlMiddleware(
-            tracker, registry=registry, retry_after_hint_s=2.0
-        )
-        tracker.try_enter()  # someone else is in flight
-        with pytest.raises(ServiceOverloadedError) as excinfo:
-            middleware(_request("/v1/sessions/abc/next"), self._handler)
-        assert excinfo.value.retry_after_seconds == 2.0
-        shed = registry.counter("seesaw_shed_total", "", labels=("reason",))
+        manager = _manager(max_in_flight=1)
+        manager.admit()  # someone else is in flight
+        response = _get(SeeSawApp(manager), "/v1/sessions")
+        assert response.status == 503
+        assert response.headers["Retry-After"] == "1"
+        error = response.payload["error"]
+        assert error["code"] == "overloaded"
+        assert error["details"]["retry_after_seconds"] == SHED_RETRY_AFTER_S
+        shed = manager.service.metrics.counter("seesaw_shed_total", "", labels=("reason",))
         assert shed.labels("in_flight").value == 1.0
 
     def test_releases_on_success_and_on_error(self):
-        tracker = InFlightTracker(limit=1)
-        middleware = AdmissionControlMiddleware(tracker, registry=MetricsRegistry())
-        middleware(_request("/v1/sessions/abc/next"), self._handler)
-        assert tracker.count == 0
-
-        def boom(request: Request) -> Response:
-            raise InternalServiceError("boom")
-
-        with pytest.raises(InternalServiceError):
-            middleware(_request("/v1/sessions/abc/next"), boom)
-        assert tracker.count == 0
+        manager = _manager(max_in_flight=1)
+        app = SeeSawApp(manager)
+        assert _get(app, "/v1/sessions").status == 200
+        assert manager.in_flight == 0
+        assert _get(app, "/v1/sessions/no-such-session").status == 404
+        assert manager.in_flight == 0
 
     @pytest.mark.parametrize(
         "target", ["/v1/healthz", "/v1/metrics", "/v1/capabilities"]
     )
     def test_probe_routes_exempt_even_at_the_bound(self, target):
-        tracker = InFlightTracker(limit=1)
-        middleware = AdmissionControlMiddleware(tracker, registry=MetricsRegistry())
-        tracker.try_enter()
-        response = middleware(_request(target), self._handler)
-        assert response.status == 200
+        manager = _manager(max_in_flight=1)
+        manager.admit()
+        assert _get(SeeSawApp(manager), target).status == 200
 
     def test_in_flight_gauge_tracks_the_count(self):
-        registry = MetricsRegistry()
-        tracker = InFlightTracker(limit=4)
-        AdmissionControlMiddleware(tracker, registry=registry)
-        tracker.try_enter()
-        tracker.try_enter()
-        payload = registry.to_json()
+        manager = _manager(max_in_flight=4)
+        manager.admit()
+        manager.admit()
+        payload = manager.service.metrics.to_json()
         gauge = next(
             metric
             for metric in payload["metrics"]
@@ -460,54 +472,61 @@ class TestAdmissionControlMiddleware:
         assert gauge["series"][0]["value"] == 2.0
 
 
-class TestDeadlineMiddleware:
+class TestTwoAppsShareTheManagersAdmissionState:
+    """Regression: each app used to build its own tracker and buckets, and
+    the manager kept only the last app's tracker."""
+
+    def test_in_flight_drain_and_shedding_see_the_other_apps_request(self):
+        manager = _manager(max_in_flight=1)
+        holding, other = _SpyApp(manager, hold=True), SeeSawApp(manager)
+        worker = threading.Thread(target=_get, args=(holding, "/v1/sessions"))
+        worker.start()
+        try:
+            assert holding.entered.wait(10.0)
+            assert manager.in_flight == 1
+            assert _get(other, "/v1/healthz").payload["in_flight"] == 1
+            assert _get(other, "/v1/sessions").status == 503
+            assert manager.drain(0.2) is False
+        finally:
+            holding.release.set()
+            worker.join(10.0)
+        assert manager.in_flight == 0
+        assert manager.drain(0.2) is True
+
+    def test_one_bucket_per_client_across_apps(self):
+        manager = _manager(rate_limit_rps=0.001, rate_limit_burst=1)
+        first, second = SeeSawApp(manager), SeeSawApp(manager)
+        statuses = [_get(app, "/v1/healthz").status for app in (first, second, first, second)]
+        assert statuses == [200, 429, 429, 429]
+
+
+class TestRequestDeadline:
     def test_header_binds_the_scope(self):
-        middleware = DeadlineMiddleware(default_deadline_ms=0.0)
-        seen: "list[object]" = []
-
-        def handler(request: Request) -> Response:
-            seen.append(current_deadline())
-            return Response(status=200, payload={})
-
-        middleware(
-            Request(method="GET", target="/v1/x", headers={DEADLINE_HEADER: "800"}),
-            handler,
-        )
-        assert seen[0] is not None and seen[0].budget_ms == 800.0
+        app = _SpyApp(_manager())
+        _get(app, "/v1/sessions", {DEADLINE_HEADER: "800"})
+        assert app.seen[0] is not None and app.seen[0].budget_ms == 800.0
         assert current_deadline() is None  # scope restored
 
     def test_expired_header_rejected_before_routing(self):
-        middleware = DeadlineMiddleware()
+        app = _SpyApp(_manager())
+        response = _get(app, "/v1/sessions", {DEADLINE_HEADER: "-5"})
+        assert response.status == 504
+        assert "before routing" in response.payload["error"]["message"]
+        assert app.seen == []  # a dead request is never routed
 
-        def handler(request: Request) -> Response:  # pragma: no cover
-            raise AssertionError("dead request must not be routed")
-
-        with pytest.raises(DeadlineExceededError, match="before routing"):
-            middleware(
-                Request(
-                    method="GET", target="/v1/x", headers={DEADLINE_HEADER: "-5"}
-                ),
-                handler,
-            )
+    def test_malformed_header_is_a_400_before_routing(self):
+        app = _SpyApp(_manager())
+        response = _get(app, "/v1/sessions", {DEADLINE_HEADER: "soon"})
+        assert response.status == 400
+        assert DEADLINE_HEADER in response.payload["error"]["message"]
+        assert app.seen == []
 
     def test_default_budget_applies_without_header(self):
-        middleware = DeadlineMiddleware(default_deadline_ms=1234.0)
-        seen: "list[object]" = []
-
-        def handler(request: Request) -> Response:
-            seen.append(current_deadline())
-            return Response(status=200, payload={})
-
-        middleware(_request("/v1/x"), handler)
-        assert seen[0].budget_ms == 1234.0
+        app = _SpyApp(_manager(request_deadline_ms=1234.0))
+        _get(app, "/v1/sessions")
+        assert app.seen[0].budget_ms == 1234.0
 
     def test_no_header_no_default_is_passthrough(self):
-        middleware = DeadlineMiddleware(default_deadline_ms=0.0)
-        seen: "list[object]" = []
-
-        def handler(request: Request) -> Response:
-            seen.append(current_deadline())
-            return Response(status=200, payload={})
-
-        middleware(_request("/v1/x"), handler)
-        assert seen == [None]
+        app = _SpyApp(_manager())
+        _get(app, "/v1/sessions")
+        assert app.seen == [None]

@@ -5,7 +5,7 @@ series, access record and slow log carries.  The table below pins it for
 each `/v1` route, for a wrong method on a known path (labels follow the
 path alone; the router answers the structured 404), and for paths outside
 the surface.  The probe routes are the ones admission control and the
-chaos middleware let through untouched.
+chaos app let through untouched.
 
 ``api.ROUTES`` states each route once; the last tests check that every
 user reads it: each row resolves, every client call rejects a reply that
@@ -21,11 +21,7 @@ import pytest
 
 from repro.config import SeeSawConfig
 from repro.data.dataset import ImageDataset
-from repro.exceptions import (
-    InternalServiceError,
-    ServiceOverloadedError,
-    TransportError,
-)
+from repro.exceptions import TransportError
 from repro.obs import MetricsRegistry
 from repro.server import (
     FeedbackRequest,
@@ -38,14 +34,9 @@ from repro.server import (
     serve_in_background,
 )
 from repro.server.api import ROUTES, resolve
-from repro.server.middleware import (
-    AdmissionControlMiddleware,
-    InFlightTracker,
-    Request,
-    Response,
-)
+from repro.server.middleware import Request, Response
 
-from chaos import ChaosMiddleware, FaultPlan
+from chaos import ChaosApp, FaultPlan
 
 LABELS = [
     # every route
@@ -118,33 +109,37 @@ def test_route_label(method, target, label):
     assert Request(method, target).route == label
 
 
-def _ok(request: Request) -> Response:
-    return Response(200, {"ok": True})
+def _bare_manager(**config) -> SessionManager:
+    return SessionManager(SeeSawService(SeeSawConfig(**config), registry=MetricsRegistry()))
 
 
-def _full_admission() -> AdmissionControlMiddleware:
-    tracker = InFlightTracker(limit=1)
-    assert tracker.try_enter()
-    return AdmissionControlMiddleware(tracker, registry=MetricsRegistry())
+def _status(app: SeeSawApp, method: str, target: str) -> int:
+    return app.handle_request(Request(method, target)).status
 
 
-def _always_failing_chaos() -> ChaosMiddleware:
+def _full_admission() -> SeeSawApp:
+    manager = _bare_manager(max_in_flight=1)
+    manager.admit()
+    return SeeSawApp(manager)
+
+
+def _always_failing_chaos() -> ChaosApp:
     plan = FaultPlan(seed=3, error_probability=1.0)
-    return ChaosMiddleware(plan, registry=MetricsRegistry(), sleep=lambda s: None)
+    return ChaosApp(_bare_manager(), plan, sleep=lambda s: None)
 
 
 @pytest.mark.parametrize("method, target", PROBES)
-def test_probes_pass_a_full_admission_gate_and_the_chaos_layer(method, target):
-    assert _full_admission()(Request(method, target), _ok).status == 200
-    assert _always_failing_chaos()(Request(method, target), _ok).status == 200
+def test_probes_pass_a_full_admission_gate_and_the_chaos_app(method, target):
+    plain = _status(SeeSawApp(_bare_manager()), method, target)
+    assert plain in (200, 404)
+    assert _status(_full_admission(), method, target) == plain
+    assert _status(_always_failing_chaos(), method, target) == plain
 
 
 @pytest.mark.parametrize("method, target", NOT_PROBES)
 def test_other_requests_are_shed_and_faulted(method, target):
-    with pytest.raises(ServiceOverloadedError):
-        _full_admission()(Request(method, target), _ok)
-    with pytest.raises(InternalServiceError):
-        _always_failing_chaos()(Request(method, target), _ok)
+    assert _status(_full_admission(), method, target) == 503
+    assert _status(_always_failing_chaos(), method, target) == 500
 
 
 # ---------------------------------------------------------------------------
